@@ -86,7 +86,9 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
     stabilize is surfaced, never guessed away).
     """
     orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
-    n = _lcm(orders) if orders else 1
+    if not orders:
+        return 1
+    n = _lcm(orders)
     for _ in range(_TORSION_DOUBLINGS):
         wn = base_change(w, n)
         if not ratio_torsion_orders(wn) and not beta_torsion_orders(wn):
@@ -184,11 +186,22 @@ def classify(
     holds over.  Product ranks are always cross-checked against the
     certified oracle; `force_oracle` adds the check to simple inputs too.
     """
+    _require_dimension(w)
+    _require_sufficient(w)
+    return _classify_sufficient(w, exponent_bound, force_oracle)
+
+
+def _require_dimension(w: WeilPolynomial):
     if w.g > 3:
         raise DimensionTooLarge(
             f"dimension {w.g} > 3; use fourfold_diagnostic for g = 4"
         )
-    _require_sufficient(w)
+
+
+def _classify_sufficient(
+    w: WeilPolynomial, exponent_bound: int, force_oracle: bool
+) -> ClassificationReport:
+    """The classification body, for a field already known to be sufficient."""
     decomp = eigenvalue_structure(w)
     polygon = newton_polygon(w)
     ntype = classify_newton(polygon, w.g)
@@ -305,11 +318,12 @@ def classify_auto(
     """Extend to a sufficiently large field first, then classify.
 
     The report records which field the verdict refers to: `extension_from`
-    holds the original q and the degree applied.
+    holds the original q and the degree applied.  `sufficiency_degree` has
+    verified that field, so the torsion check of `classify` is not repeated.
     """
+    _require_dimension(w)
     n = sufficiency_degree(w)
-    wn = base_change(w, n)
-    report = classify(wn, exponent_bound=exponent_bound, force_oracle=force_oracle)
+    report = _classify_sufficient(base_change(w, n), exponent_bound, force_oracle)
     return ClassificationReport(
         **{
             **report.__dict__,

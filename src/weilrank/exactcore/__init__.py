@@ -17,7 +17,6 @@ from .poly import (
     lagrange_interpolate,
     poly_gcd,
     resultant,
-    resultant_monic_left,
     sqrt_lower,
     sqrt_upper,
     squarefree_decomposition,
@@ -43,7 +42,6 @@ __all__ = [
     "poly_squarefree_part",
     "squarefree_decomposition",
     "resultant",
-    "resultant_monic_left",
     "sylvester_resultant",
     "discriminant",
     "sturm_real_root_count",

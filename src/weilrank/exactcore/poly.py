@@ -19,7 +19,6 @@ __all__ = [
     "squarefree_part",
     "squarefree_decomposition",
     "resultant",
-    "resultant_monic_left",
     "sylvester_resultant",
     "discriminant",
     "sturm_real_root_count",
@@ -214,20 +213,26 @@ class IntPoly:
         return IntPoly(quot), IntPoly(rem)
 
     def divides(self, other):
-        """True if self divides other exactly over the rationals times Z."""
+        """True if self divides other with a quotient in Z[t]."""
         if self.is_zero:
             return other.is_zero
-        q, r = _frac_divmod(other, self)
-        if not all(c == 0 for c in r):
+        try:
+            _, r = other.divmod_exact(self)
+        except PreconditionViolation:
             return False
-        return all(c.denominator == 1 for c in q)
+        return r.is_zero
 
     def exact_div(self, other):
-        """self / other, requiring an exact integer quotient."""
-        q, r = _frac_divmod(self, other)
-        if not all(c == 0 for c in r) or not all(c.denominator == 1 for c in q):
+        """self / other, requiring an exact integer quotient.
+
+        The integer long division stops at the first step whose quotient
+        coefficient is not an integer; the quotient over Q then has that
+        same coefficient, so it is not integral either.
+        """
+        q, r = self.divmod_exact(other)
+        if not r.is_zero:
             raise PreconditionViolation("inexact polynomial division")
-        return IntPoly([int(c) for c in q])
+        return q
 
     def mod_monic(self, modulus):
         """Remainder modulo a monic polynomial; stays in Z[t]."""
@@ -242,25 +247,6 @@ def _gcd_int(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-def _frac_divmod(f, g):
-    """Division of f by g over Q; returns (quotient, remainder) coefficient lists."""
-    rem = [Fraction(c) for c in f.coeffs]
-    gc = [Fraction(c) for c in g.coeffs]
-    d = len(gc) - 1
-    lc = gc[-1]
-    if len(rem) - 1 < d:
-        return [], rem
-    quot = [Fraction(0)] * (len(rem) - d)
-    for i in range(len(rem) - 1, d - 1, -1):
-        if rem[i] == 0:
-            continue
-        q = rem[i] / lc
-        quot[i - d] = q
-        for j, c in enumerate(gc):
-            rem[i - d + j] -= q * c
-    return quot, [c for c in rem[:d]] if d else []
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -374,26 +360,6 @@ def _res_frac(f, g):
     dr = r.degree
     scale = Fraction(lcg) ** (a - dr) / Fraction(lcg) ** ((a - b + 1) * b)
     return Fraction(-1) ** (a * b) * scale * _res_frac(g, r)
-
-
-def resultant_monic_left(f: IntPoly, g: IntPoly) -> int:
-    """prod g(alpha) over roots of monic f, with multiplicity.
-
-    Equals res(f, g); reduces g modulo f first so sparse high-degree g
-    (powers of t) stays cheap.
-    """
-    if not f.is_monic:
-        raise PreconditionViolation("left operand must be monic")
-    if g.is_zero:
-        return 0
-    if f.degree == 0:
-        return 1
-    reduced = g.mod_monic(f)
-    if reduced.is_zero:
-        return 0
-    if reduced.degree == 0:
-        return reduced.coeffs[0] ** f.degree
-    return resultant(f, reduced)
 
 
 def discriminant(f: IntPoly) -> int:

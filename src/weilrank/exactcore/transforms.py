@@ -2,23 +2,20 @@
 
 Each transform produces the integer polynomial whose roots are images of
 the input roots (n-th powers, pairwise products, pairwise ratios), with
-multiplicity.  The values of the target polynomial at integer points are
-resultants of the inputs, so evaluation at enough points followed by exact
-interpolation recovers the transform without ever leaving Z.
+multiplicity.  The power sums p_k of a monic integer polynomial are
+integers given by Newton's identities, and the image roots have power sums
+that are simple in those: p_(kn) for n-th powers, p_k(f) p_k(g) for
+products.  Newton's identities run backwards then rebuild the monic target
+polynomial, all in Z.  Ratios reduce to products: alpha / beta is
+alpha * (c / beta) / c for c = g(0), and c / beta runs over the roots of a
+monic integer polynomial.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..errors import PreconditionViolation
 from .intfactor import factor_int
-from .poly import (
-    IntPoly,
-    fractions_to_intpoly,
-    lagrange_interpolate,
-    resultant_monic_left,
-)
+from .poly import IntPoly
 
 __all__ = [
     "power_transform",
@@ -31,57 +28,60 @@ __all__ = [
 ]
 
 
-def _interp_int_monic(degree, value_at):
-    """Interpolate a monic degree-`degree` integer polynomial from values."""
-    pts = [(k, value_at(k)) for k in range(degree + 1)]
-    coeffs = lagrange_interpolate(pts)
-    assert all(c.denominator == 1 for c in coeffs), "transform left Z[t]"
-    out = IntPoly([int(c) for c in coeffs])
-    assert out.is_monic and out.degree == degree
-    return out
+def _power_sums(f: IntPoly, count: int) -> list[int]:
+    """[p_1, ..., p_count]: power sums of the roots of monic f (Newton)."""
+    c = f.coeffs
+    d = f.degree
+    p = [0] * (count + 1)
+    for k in range(1, count + 1):
+        s = k * c[d - k] if k <= d else 0
+        for i in range(1, min(k - 1, d) + 1):
+            s += c[d - i] * p[k - i]
+        p[k] = -s
+    return p[1:]
+
+
+def _from_power_sums(sums: list[int]) -> IntPoly:
+    """The monic polynomial of degree len(sums) with power sums p_1, p_2, ...
+
+    Newton's identities give k c_(D-k) = -(p_k + c_(D-1) p_(k-1) + ...); the
+    division by k is exact exactly when the roots are algebraic integers.
+    """
+    deg = len(sums)
+    c = [0] * deg + [1]
+    for k in range(1, deg + 1):
+        s = 0
+        for i in range(1, k + 1):
+            s += c[deg - k + i] * sums[i - 1]
+        quo, rem = divmod(-s, k)
+        if rem:
+            raise PreconditionViolation("transform left Z[t]")
+        c[deg - k] = quo
+    return IntPoly(c)
 
 
 def power_transform(f: IntPoly, n: int) -> IntPoly:
     """Monic polynomial whose roots are the n-th powers of the roots of f.
 
-    Computed as the resultant Res_x(f(x), t - x^n) evaluated at integer
-    points and interpolated; multiplicities carry over.
+    Its power sums are p_n, p_2n, ... of f; multiplicities carry over.
     """
     if not f.is_monic:
         raise PreconditionViolation("power transform needs a monic polynomial")
     if n <= 0:
         raise PreconditionViolation("power must be positive")
-    if n == 1 or f.degree == 0:
+    if n == 1:
         return f
-    d = f.degree
-    # Res_x(f, k - x^n) = prod over roots alpha of (k - alpha^n)
-    xn = IntPoly([0] * n + [1])
-
-    def value(k):
-        return resultant_monic_left(f, IntPoly([k]) - xn)
-
-    return _interp_int_monic(d, value)
+    sums = _power_sums(f, f.degree * n)
+    return _from_power_sums(sums[n - 1 :: n])
 
 
 def product_transform(f: IntPoly, g: IntPoly) -> IntPoly:
     """Monic polynomial with root multiset {alpha * beta} over root pairs."""
     if not (f.is_monic and g.is_monic):
         raise PreconditionViolation("product transform needs monic inputs")
-    if f.degree == 0 or g.degree == 0:
-        return IntPoly([1])
-    d, m = f.degree, g.degree
-    gc = g.coeffs
-
-    def value(k):
-        # x^m g(k/x) evaluated coefficient-wise: sum_j g_j k^j x^(m-j)
-        ev = [0] * (m + 1)
-        kj = 1
-        for j in range(m + 1):
-            ev[m - j] = gc[j] * kj
-            kj *= k
-        return resultant_monic_left(f, IntPoly(ev))
-
-    return _interp_int_monic(d * m, value)
+    deg = f.degree * g.degree
+    sums = zip(_power_sums(f, deg), _power_sums(g, deg))
+    return _from_power_sums([a * b for a, b in sums])
 
 
 def ratio_transform(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -94,22 +94,26 @@ def ratio_transform(f: IntPoly, g: IntPoly) -> IntPoly:
     """
     if not (f.is_monic and g.is_monic):
         raise PreconditionViolation("ratio transform needs monic inputs")
-    if g.coeffs[0] == 0:
+    c = g.coeffs[0]
+    if c == 0:
         raise PreconditionViolation("ratio transform needs g(0) != 0")
-    if f.degree == 0 or g.degree == 0:
-        return IntPoly([1])
-    d, m = f.degree, g.degree
-    # prod_beta f(k*beta) = ((-1)^m g(0))^d * prod (k - alpha/beta)
-    norm = ((-1) ** m * g.coeffs[0]) ** d
-    values = []
-    for k in range(d * m + 1):
-        fk = f.scale_argument(k)
-        values.append((k, Fraction(resultant_monic_left(g, fk), norm)))
-    coeffs = lagrange_interpolate(values)
-    return fractions_to_intpoly(coeffs)
+    # t^m g(c/t) / c = sum_j g_j c^(j-1) t^(m-j) is monic with roots c/beta
+    m = g.degree
+    inv = IntPoly([g.coeffs[m - i] * c ** (m - i - 1) for i in range(m)] + [1])
+    return product_transform(f, inv).scale_argument(c).primitive_part()
 
 
 # -- cyclotomic machinery --------------------------------------------------
+
+
+def _phi_sieve(limit: int) -> list[int]:
+    """[0, phi(1), ..., phi(limit)] from one sieve over the primes."""
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:  # untouched by a smaller prime, so p is prime
+            for m in range(p, limit + 1, p):
+                phi[m] -= phi[m] // p
+    return phi
 
 
 def euler_phi(n: int) -> int:
@@ -118,7 +122,7 @@ def euler_phi(n: int) -> int:
     out = 1
     for p, e in factor_int(n).items():
         out *= (p - 1) * p ** (e - 1)
-    return out if n > 1 else 1
+    return out
 
 
 _CYCLO_CACHE: dict[int, IntPoly] = {}
@@ -148,8 +152,9 @@ def cyclotomic_order(f: IntPoly):
     d = f.degree
     if d < 1 or not f.is_monic:
         return None
-    for n in range(1, 2 * d * d + 3):
-        if euler_phi(n) == d and f == cyclotomic_polynomial(n):
+    phi = _phi_sieve(2 * d * d + 2)
+    for n in range(1, len(phi)):
+        if phi[n] == d and f == cyclotomic_polynomial(n):
             return n
     return None
 
@@ -183,9 +188,9 @@ def cyclotomic_part_orders(f: IntPoly) -> set[int]:
     if d < 1:
         return set()
     out = set()
-    for n in range(1, 2 * d * d + 3):
-        phi = euler_phi(n)
-        if phi > d:
+    phi = _phi_sieve(2 * d * d + 2)
+    for n in range(1, len(phi)):
+        if phi[n] > d:
             continue
         cyc = cyclotomic_polynomial(n)
         if _divisible_mod_prime(f, cyc, _FILTER_PRIME) and cyc.divides(f):

@@ -221,15 +221,16 @@ def certified_roots(w: WeilPolynomial, target_radius=None):
 
 
 def _certify_at(w, sf, prec, target_radius):
-    mpmath.mp.prec = prec + 32
-    approx = mpmath.polyroots(
-        [mpmath.mpf(c) for c in reversed(sf.coeffs)], maxsteps=400, extraprec=prec
-    )
+    with mpmath.workprec(prec + 32):
+        approx = mpmath.polyroots(
+            [mpmath.mpf(c) for c in reversed(sf.coeffs)], maxsteps=400, extraprec=prec
+        )
+        parts = [(mpmath.mpf(z.real), mpmath.mpf(z.imag)) for z in approx]
     goal = Fraction(target_radius) if target_radius else Fraction(1, 1 << (prec // 2))
     centers = []
-    for z in approx:
-        a = _frac_to_scaled(_mpf_to_frac(mpmath.mpf(z.real)), prec)
-        b = _frac_to_scaled(_mpf_to_frac(mpmath.mpf(z.imag)), prec)
+    for re_part, im_part in parts:
+        a = _frac_to_scaled(_mpf_to_frac(re_part), prec)
+        b = _frac_to_scaled(_mpf_to_frac(im_part), prec)
         rad = _radius_scaled(sf, a, b, prec)
         a, b, k, rad = _refine_scaled(sf, a, b, prec, rad, goal)
         centers.append((Fraction(a, 1 << k), Fraction(b, 1 << k), rad))
@@ -718,10 +719,7 @@ def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
     d = len(reps)
     if d == 0:
         return 0
-    try:
-        np_ = newton_polygon(w)
-    except Exception:
-        return 0
+    np_ = newton_polygon(w)
     half = Fraction(1, 2)
     if any(s not in (Fraction(0), half, Fraction(1)) for s in np_.slopes):
         return 0

@@ -17,9 +17,11 @@ from math import isqrt
 from .classify import classify_auto
 from .errors import (
     BSplitAtP,
+    FunctionalEquationFails,
     PreconditionViolation,
     QNotSquare,
     ResidueConditionFails,
+    RiemannHypothesisFails,
 )
 from .exactcore import (
     IntPoly,
@@ -145,24 +147,28 @@ def _candidate_poly(g: int, q: int, free: tuple) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _passes_exact_rh(g: int, q: int, free: tuple) -> bool:
+def _weil_at_leaf(g: int, q: int, free: tuple) -> WeilPolynomial | None:
+    """The validated Weil polynomial of a box leaf, or None if RH fails.
+
+    For g <= 3 an exact sign test on the trace polynomial decides, and the
+    full validator re-checks each survivor defensively; for g >= 4 the
+    validator itself decides.
+    """
     if g == 1:
         (a1,) = free
-        return a1 * a1 <= 4 * q
-    if g == 2:
+        passes = a1 * a1 <= 4 * q
+    elif g == 2:
         a3, a2 = free
-        return _trace_is_weil_g2(a3, a2 - 2 * q, q)
-    if g == 3:
+        passes = _trace_is_weil_g2(a3, a2 - 2 * q, q)
+    elif g == 3:
         a5, a4, a3 = free
-        return _trace_is_weil_g3(a5, a4 - 3 * q, a3 - 2 * q * a5, q)
-    # general fallback (g >= 4 diagnostics corpus): run the full validator
-    from .errors import RiemannHypothesisFails
-
-    try:
-        validate(_candidate_poly(g, q, free), q)
-        return True
-    except RiemannHypothesisFails:
-        return False
+        passes = _trace_is_weil_g3(a5, a4 - 3 * q, a3 - 2 * q * a5, q)
+    else:
+        try:
+            return validate(_candidate_poly(g, q, free), q)
+        except RiemannHypothesisFails:
+            return None
+    return validate(_candidate_poly(g, q, free), q) if passes else None
 
 
 def enumerate_weil(spec: SearchSpec):
@@ -172,24 +178,25 @@ def enumerate_weil(spec: SearchSpec):
     runs in lexicographic order, each coordinate from -bound to +bound.
     The exact real-rootedness test on the trace polynomial is equivalent
     to validation, which is re-run on every emitted polynomial as a
-    defensive check.
+    defensive check.  At most `limit` polynomials are yielded.
     """
     g, q = spec.g, spec.q
+    if spec.limit is not None and spec.limit < 0:
+        raise PreconditionViolation(f"limit must be non-negative, got {spec.limit}")
     ranges = [range(-spec.bound(i), spec.bound(i) + 1) for i in range(2 * g - 1, g - 1, -1)]
     emitted = 0
 
     def rec(prefix):
-        nonlocal emitted
         if len(prefix) == g:
-            if not _passes_exact_rh(g, q, prefix):
-                return
-            poly = _candidate_poly(g, q, prefix)
-            w = validate(poly, q)
-            yield w
+            w = _weil_at_leaf(g, q, prefix)
+            if w is not None:
+                yield w
             return
         for val in ranges[len(prefix)]:
             yield from rec(prefix + (val,))
 
+    if spec.limit == 0:
+        return
     for w in rec(()):
         if spec.irreducible_only and not is_irreducible(w.poly):
             continue
@@ -265,7 +272,7 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
             poly = IntPoly([int(c.a0) for c in prod])
             try:
                 w = validate(poly, q)
-            except Exception:
+            except (FunctionalEquationFails, RiemannHypothesisFails):
                 continue
             if not is_irreducible(poly):
                 continue

@@ -20,6 +20,7 @@ from .errors import (
     OddDegree,
     PreconditionViolation,
     RiemannHypothesisFails,
+    WeilrankError,
 )
 from .exactcore import (
     IntPoly,
@@ -28,7 +29,7 @@ from .exactcore import (
     is_perfect_square,
     power_transform,
     prime_power,
-    ratio_transform,
+    product_transform,
     sturm_real_root_count,
 )
 from .exactcore.poly import squarefree_part as poly_squarefree_part
@@ -116,7 +117,8 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
         if a[j] != q ** (g - j) * a[n - j]:
             raise FunctionalEquationFails(j)
     h = trace_polynomial(poly, q)
-    assert _expand_trace(h, q, g) == poly
+    if _expand_trace(h, q, g) != poly:
+        raise WeilrankError("trace polynomial does not re-expand to the input")
     hsf = poly_squarefree_part(h)
     real_count = sturm_real_root_count(hsf)
     if real_count != hsf.degree:
@@ -245,15 +247,18 @@ def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
 def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:
     """Orders of roots of unity among ratios of distinct eigenvalues.
 
-    Builds the ratio transform of the squarefree part against itself,
-    strips the (t-1)^r factor contributed by the trivial ratios alpha/alpha,
-    and collects the orders of the cyclotomic factors of what remains.
-    Empty exactly when the base field is "clean" for pairwise ratios.
+    alpha / beta = alpha * conj(beta) / q, and conj(beta) = q / beta runs over
+    the roots of the squarefree part as beta does, so the ratio polynomial is
+    the product transform of the squarefree part with itself, argument
+    scaled by q.  The (t-1)^r factor of the trivial ratios alpha/alpha is
+    stripped, and the orders of the cyclotomic factors of what remains are
+    collected.  Empty exactly when the base field is "clean" for pairwise
+    ratios.
     """
     sf = poly_squarefree_part(w.poly)
     if sf.degree <= 1:
         return frozenset()
-    ratios = ratio_transform(sf, sf)
+    ratios = product_transform(sf, sf).scale_argument(w.q).primitive_part()
     ratios = ratios.exact_div(IntPoly([-1, 1]) ** sf.degree)
     orders = {n for n in cyclotomic_part_orders(ratios) if n > 1}
     return frozenset(orders)

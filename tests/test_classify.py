@@ -2,6 +2,8 @@
 
 import pytest
 
+import weilrank.classify
+
 from weilrank.classify import (
     classify,
     classify_auto,
@@ -52,6 +54,41 @@ class TestSufficiency:
     def test_both_square_roots_case(self):
         w = validate(P(-5, 0, 1) ** 2, 5)
         assert sufficiency_degree(w) == 2
+
+
+class TestTorsionOnce:
+    def _count_ratio_calls(self, monkeypatch):
+        calls = []
+        real = weilrank.classify.ratio_torsion_orders
+
+        def counting(w):
+            calls.append(w.q)
+            return real(w)
+
+        monkeypatch.setattr(weilrank.classify, "ratio_torsion_orders", counting)
+        return calls
+
+    def test_torsion_free_field_checked_once(self, monkeypatch):
+        calls = self._count_ratio_calls(monkeypatch)
+        rep = classify_auto(validate(P(5, -1, 1), 5))
+        assert rep.sufficiency_degree == 1 and rep.rank == 1
+        assert calls == [5]
+
+    def test_extended_field_checked_once(self, monkeypatch):
+        calls = self._count_ratio_calls(monkeypatch)
+        rep = classify_auto(validate(P(5, 0, 1), 5))
+        assert rep.extension_from == (5, 2)
+        assert calls == [5, 25]
+
+    def test_classify_keeps_its_check(self):
+        with pytest.raises(NotSufficientlyLarge):
+            classify(validate(P(5, 0, 1), 5))
+
+    def test_auto_dimension_cap(self, monkeypatch):
+        calls = self._count_ratio_calls(monkeypatch)
+        with pytest.raises(DimensionTooLarge):
+            classify_auto(validate(P(5, -1, 1) ** 4, 5))
+        assert calls == []
 
 
 class TestClassifySimple:

@@ -15,9 +15,11 @@ from weilrank.exactcore import (
     discriminant,
     euler_phi,
     factor_int,
+    fractions_to_intpoly,
     factor_over_integers,
     is_irreducible,
     is_prime,
+    lagrange_interpolate,
     poly_gcd,
     power_transform,
     prime_power,
@@ -30,6 +32,9 @@ from weilrank.exactcore import (
     sylvester_resultant,
 )
 from weilrank.exactcore.poly import squarefree_part as poly_sf
+from weilrank.exactcore.transforms import _from_power_sums
+from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.weil import ratio_torsion_orders
 
 
 def P(*coeffs):
@@ -38,6 +43,9 @@ def P(*coeffs):
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPoly)
 nonzero_polys = small_polys.filter(lambda f: not f.is_zero)
+monic_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(
+    lambda c: IntPoly(c + [1])
+)
 
 
 class TestIntPoly:
@@ -59,6 +67,19 @@ class TestIntPoly:
         assert f.exact_div(P(-1, 1)) == P(1, 1)
         with pytest.raises(PreconditionViolation):
             P(1, 1, 1).exact_div(P(-1, 1))
+
+    def test_non_integral_quotient(self):
+        # t / (2t) = 1/2: the remainder is zero, but the quotient leaves Z[t]
+        assert not P(0, 2).divides(P(0, 1))
+        with pytest.raises(PreconditionViolation):
+            P(0, 1).exact_div(P(0, 2))
+        assert P(0, 2).divides(P(0, 4))
+        assert P(0, 4).exact_div(P(0, 2)) == P(2)
+        # (2t + 2)(t + 1/2): the first quotient coefficient is integral, the next is not
+        assert not P(2, 2).divides(P(1, 3, 2))
+        with pytest.raises(PreconditionViolation):
+            P(1, 3, 2).exact_div(P(2, 2))
+        assert P(2, 2).divides(P(2, 4, 2))
 
     def test_evaluate(self):
         assert P(5, -1, 1).evaluate(2) == 7
@@ -254,6 +275,78 @@ class TestTransforms:
         with pytest.raises(PreconditionViolation):
             power_transform(P(1, 2), 2)
 
+    def test_ratio_with_non_unit_constant(self):
+        # the single ratio 2/3 has minimal polynomial 3t - 2
+        assert ratio_transform(P(-2, 1), P(-3, 1)) == P(-2, 3)
+        assert ratio_transform(P(-2, 1), P(3, 1)) == P(2, 3)
+        assert ratio_transform(P(5, 0, 1), P(-3, 1)) == _ref_ratio(P(5, 0, 1), P(-3, 1))
+
+    def test_power_sums_must_stay_integral(self):
+        assert _from_power_sums([1]) == P(-1, 1)
+        assert _from_power_sums([0, -10]) == P(5, 0, 1)
+        # p_1 = 1, p_2 = 0 would need e_2 = 1/2
+        with pytest.raises(PreconditionViolation, match="left Z"):
+            _from_power_sums([1, 0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(monic_polys, monic_polys, st.integers(1, 4))
+    def test_against_resultant_interpolation(self, f, g, n):
+        assert power_transform(f, n) == _ref_power(f, n)
+        assert product_transform(f, g) == _ref_product(f, g)
+        if g.coeffs[0] != 0:
+            assert ratio_transform(f, g) == _ref_ratio(f, g)
+
+    def test_ratio_torsion_orders_g2_q3(self):
+        seen = set()
+        for w in enumerate_weil(SearchSpec(g=2, q=3)):
+            sf = poly_sf(w.poly)
+            expected = frozenset()
+            if sf.degree > 1:
+                ratios = _ref_ratio(sf, sf).exact_div(P(-1, 1) ** sf.degree)
+                expected = frozenset(n for n in cyclotomic_part_orders(ratios) if n > 1)
+            assert ratio_torsion_orders(w) == expected
+            seen |= expected
+        assert seen  # some of them do have torsion
+
+
+# Reference transforms: resultants at integer points (Sylvester
+# determinants), interpolated exactly.  Independent of the power sums.
+
+
+def _interpolate(deg, value_at):
+    return lagrange_interpolate([(k, value_at(k)) for k in range(1, deg + 2)])
+
+
+def _monic_from(coeffs):
+    assert all(c.denominator == 1 for c in coeffs)
+    return IntPoly([int(c) for c in coeffs])
+
+
+def _ref_power(f, n):
+    # Res_x(f(x), k - x^n) = prod (k - alpha^n)
+    xn = IntPoly([0] * n + [1])
+    return _monic_from(_interpolate(f.degree, lambda k: sylvester_resultant(f, P(k) - xn)))
+
+
+def _ref_product(f, g):
+    # Res_x(f(x), x^m g(k/x)) = prod (k - alpha beta)
+    m = g.degree
+
+    def value(k):
+        return sylvester_resultant(f, IntPoly([g.coeffs[m - i] * k ** (m - i) for i in range(m + 1)]))
+
+    return _monic_from(_interpolate(f.degree * m, value))
+
+
+def _ref_ratio(f, g):
+    # Res_y(g(y), f(k y)) = ((-1)^m g(0))^d prod (k - alpha/beta)
+    norm = ((-1) ** g.degree * g.coeffs[0]) ** f.degree
+
+    def value(k):
+        return Fraction(sylvester_resultant(g, f.scale_argument(k)), norm)
+
+    return fractions_to_intpoly(_interpolate(f.degree * g.degree, value))
+
 
 def _power_sums(f, count):
     """Newton's identities: power sums of the roots of monic f."""
@@ -286,6 +379,12 @@ class TestCyclotomic:
         f = P(-1, 1) * P(1, 1) * P(1, 0, 1) * P(-3, 0, 1)
         assert cyclotomic_part_orders(f) == {1, 2, 4}
         assert cyclotomic_part_orders(P(-3, 0, 1)) == set()
+
+    def test_part_orders_reach_the_phi_bound(self):
+        for n in range(1, 61):
+            assert cyclotomic_part_orders(cyclotomic_polynomial(n)) == {n}
+        # t^12 - 1: every divisor of 12 has its cyclotomic factor
+        assert cyclotomic_part_orders(P(-1, *[0] * 11, 1)) == {1, 2, 3, 4, 6, 12}
 
 
 class TestIntegerHelpers:

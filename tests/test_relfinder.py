@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from weilrank.errors import DegreeOverflow, PreconditionViolation
@@ -186,6 +187,11 @@ class TestOracleRank:
         assert r0.confidence == "certified_exact"
         r1 = oracle_rank(validate(P(5, -1, 1), 5))
         assert r1.confidence == "certified_exact"  # d = 1 valuation certificate
+
+    def test_leaves_mpmath_precision_alone(self):
+        with mpmath.workprec(61):
+            oracle_rank(validate(NON_NEAT, 9))
+            assert mpmath.mp.prec == 61
 
     def test_stable_in_bound(self):
         w = validate(NON_NEAT, 9)

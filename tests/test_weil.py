@@ -8,7 +8,9 @@ from weilrank.errors import (
     NotPrimePower,
     OddDegree,
     RiemannHypothesisFails,
+    WeilrankError,
 )
+import weilrank.weil
 from weilrank.exactcore import IntPoly
 from weilrank.weil import (
     base_change,
@@ -35,6 +37,13 @@ class TestValidate:
         # roots (5 +- sqrt(5))/2 are real with absolute value != sqrt(5)
         with pytest.raises(RiemannHypothesisFails):
             validate(P(5, -5, 1), 5)
+
+    def test_reexpansion_is_a_real_check(self, monkeypatch):
+        # the re-expansion of the trace polynomial must raise, not assert,
+        # so that python -O keeps it
+        monkeypatch.setattr(weilrank.weil, "_expand_trace", lambda h, q, g: P(1))
+        with pytest.raises(WeilrankError, match="re-expand"):
+            validate(P(5, -1, 1), 5)
 
     def test_functional_equation_failure(self):
         with pytest.raises(FunctionalEquationFails) as exc:
