@@ -11,18 +11,19 @@ The decision procedure over a sufficiently large field:
     Newton polygon; its rank is 2, every neat simple threefold has the
     pair-count rank;
   * products combine through the unit-group collapse rules for shared
-    imaginary quadratic fields; where those rules do not pin the value,
-    the certified oracle decides and the report says so.
+    imaginary quadratic fields, and three ordinary elliptic factors with
+    pairwise distinct CM fields have rank 3; so every rank is a theorem.
 
-Every product rank is cross-checked against the oracle; a disagreement
-raises, because it can only mean a bug on one side.
+The certified oracle only cross-checks: every product rank is compared
+with it, and a disagreement raises, because it can only mean a bug on
+one side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .errors import (
     DimensionTooLarge,
@@ -30,6 +31,7 @@ from .errors import (
     OracleDisagreement,
     PreconditionViolation,
     TorsionBoundExceeded,
+    WeilrankError,
 )
 from .exactcore import IntPoly, squarefree_part, sturm_real_root_count
 from .newton import (
@@ -46,8 +48,10 @@ from .subfields import (
     conjugate_split,
     norm_condition,
     norm_one_witness,
+    p_splits,
 )
 from .weil import (
+    EigenvalueStructure,
     WeilPolynomial,
     base_change,
     beta_torsion_orders,
@@ -69,13 +73,6 @@ __all__ = [
 _TORSION_DOUBLINGS = 8
 
 
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
-
-
 def sufficiency_degree(w: WeilPolynomial) -> int:
     """Minimal extension degree making the eigenvalue group torsion-free.
 
@@ -88,7 +85,7 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
     orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
     if not orders:
         return 1
-    n = _lcm(orders)
+    n = lcm(*orders)
     for _ in range(_TORSION_DOUBLINGS):
         wn = base_change(w, n)
         if not ratio_torsion_orders(wn) and not beta_torsion_orders(wn):
@@ -127,9 +124,7 @@ class ClassificationReport:
     condition_iii: bool
     witness: ConjugateFactorization | None
     components: tuple[ComponentReport, ...]
-    rank_source: str  # 'theorem' or 'oracle'
     oracle: OracleRank | None
-    notes: tuple[str, ...]
     extension_from: tuple[int, int] | None = None  # (original q, degree applied)
 
     @property
@@ -141,29 +136,21 @@ class ClassificationReport:
         return sum(c.pmin.degree for c in self.components)
 
 
-def _component_report(pmin: IntPoly, e: int, w: WeilPolynomial) -> ComponentReport:
+def _component_report(c: EigenvalueStructure, w: WeilPolynomial) -> ComponentReport:
+    pmin, e = c.pmin, c.e
     segments = root_valuation_segments(pmin, w.p, w.v)
     scaled = NewtonPolygon(segments=tuple((s, l * e) for s, l in segments))
     dim2 = pmin.degree * e
     ntype = classify_newton(scaled, dim2 // 2) if dim2 % 2 == 0 else None
-    half = Fraction(1, 2)
-    ss = set(s for s, _ in segments) == {half}
-    # over a sufficiently large field supersingular components are t -+ sqrt(q)
-    if pmin.degree == 1:
-        ss = pmin.coeffs[0] ** 2 == w.q
-    fixed = 1 if (pmin.degree == 1 and pmin.coeffs[0] ** 2 == w.q) else 0
-    if pmin == IntPoly([-w.q, 0, 1]):
-        fixed = 2
-    d = (pmin.degree - fixed) // 2
     cm_disc = None
-    if pmin.degree == 2 and fixed == 0:
+    if pmin.degree == 2 and c.sqrt_root == "none":
         cm_disc = squarefree_part(pmin.coeffs[1] ** 2 - 4 * pmin.coeffs[0])
     return ComponentReport(
         pmin=pmin,
         e=e,
-        d=d,
+        d=c.d,
         newton_primary=ntype.primary if ntype else "odd",
-        supersingular=ss,
+        supersingular=all(s == Fraction(1, 2) for s, _ in segments),
         cm_disc=cm_disc,
     )
 
@@ -171,7 +158,7 @@ def _component_report(pmin: IntPoly, e: int, w: WeilPolynomial) -> ComponentRepo
 def _require_sufficient(w: WeilPolynomial):
     orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
     if orders:
-        raise NotSufficientlyLarge(_lcm(orders))
+        raise NotSufficientlyLarge(lcm(*orders))
 
 
 def classify(
@@ -183,8 +170,9 @@ def classify(
 
     The caller extends the field first (see `classify_auto`); a field with
     eigenvalue torsion is rejected so every verdict names the field it
-    holds over.  Product ranks are always cross-checked against the
-    certified oracle; `force_oracle` adds the check to simple inputs too.
+    holds over.  Every rank is a theorem.  Product ranks are always
+    cross-checked against the certified oracle, and `force_oracle` adds
+    the check to simple inputs.
     """
     _require_dimension(w)
     _require_sufficient(w)
@@ -205,12 +193,10 @@ def _classify_sufficient(
     decomp = eigenvalue_structure(w)
     polygon = newton_polygon(w)
     ntype = classify_newton(polygon, w.g)
-    comps = tuple(_component_report(c.pmin, c.e, w) for c in decomp.components)
-    notes: list[str] = []
+    comps = tuple(_component_report(c, w) for c in decomp.components)
     witness = None
     cond_i = cond_ii = cond_iii = False
     oracle: OracleRank | None = None
-    rank_source = "theorem"
 
     if len(comps) == 1:
         comp = comps[0]
@@ -233,14 +219,11 @@ def _classify_sufficient(
     else:
         simple = False
         neat = True
-        rank, rank_source, combo_notes = _combined_rank(comps, w, exponent_bound)
-        notes.extend(combo_notes)
+        rank = _combined_rank(comps, w)
 
     if not simple or force_oracle:
         oracle = oracle_rank(w, exponent_bound=exponent_bound)
-        if rank_source == "oracle":
-            rank = oracle.rank
-        elif oracle.rank != rank:
+        if oracle.rank != rank:
             raise OracleDisagreement(
                 f"classifier rank {rank} != oracle rank {oracle.rank} for {w.poly}"
             )
@@ -259,55 +242,43 @@ def _classify_sufficient(
         condition_iii=cond_iii,
         witness=witness,
         components=comps,
-        rank_source=rank_source,
         oracle=oracle,
-        notes=tuple(notes),
     )
-    assert 0 <= report.rank <= w.g
-    assert report.gamma_rank <= report.pmin_degree // 2 + 1
-    assert (report.rank == 0) == ("supersingular" in ntype.labels)
+    if not 0 <= rank <= w.g or report.gamma_rank > report.pmin_degree // 2 + 1:
+        raise WeilrankError(f"rank {rank} out of range for {w.poly}")
+    if (rank == 0) != ("supersingular" in ntype.labels):
+        raise WeilrankError(f"rank {rank} contradicts the Newton polygon of {w.poly}")
     return report
 
 
-def _combined_rank(comps, w: WeilPolynomial, exponent_bound: int):
-    """Rank of a product from the unit-group collapse rules.
+def _combined_rank(comps, w: WeilPolynomial) -> int:
+    """Rank of a g <= 3 product from the unit-group collapse rules.
 
-    Returns (rank or None, source, notes); rank None with source 'oracle'
-    when the shared-subfield theorems do not determine the value (the
-    caller then adopts the certified oracle's value and flags it).
+    Ordinary elliptic factors with one CM field give rank 1, with two
+    fields rank 2.  Three pairwise distinct fields K1, K2, K3 give rank 3:
+    the third quadratic subfield Q(sqrt(d2 d3)) of K2 K3 is real, so
+    K1 meets K2 K3 only in Q, and a relation would force beta_1^a = +-1,
+    which is torsion and therefore 1 over a sufficiently large field.  A
+    quartic surface gives 2, and an elliptic factor adds 1 unless its CM
+    field lies in the surface's and the relative norm of q^(-1) Fr^2 to
+    it is not 1.
     """
-    notes = []
     active = [c for c in comps if not c.supersingular]
-    if not active:
-        return 0, "theorem", notes
     quad = [c for c in active if c.pmin.degree == 2]
     quartic = [c for c in active if c.pmin.degree == 4 and c.e == 1]
-    other = [c for c in active if c not in quad and c not in quartic]
-    if other:
-        # sextic components cannot occur in a g <= 3 product; defensive
-        return None, "oracle", ["oracle_decided:unexpected_component"]
-    classes: dict[int, list] = {}
-    for c in quad:
-        classes.setdefault(c.cm_disc, []).append(c)
-    k = len(classes)
+    if len(quad) + len(quartic) != len(active):
+        # a non-supersingular sextic or repeated quartic needs g > 3
+        raise PreconditionViolation(f"unexpected component in the product {w.poly}")
+    fields = {c.cm_disc for c in quad}
     if not quartic:
-        if k == 1:
-            return 1, "theorem", notes
-        if k == 2:
-            return 2, "theorem", notes
-        notes.append("oracle_decided:three_distinct_cm_fields")
-        return None, "oracle", notes
-    # exactly one quartic (degrees forbid two) plus at most one quad class
-    surface = quartic[0]
-    if k == 0:
-        return 2, "theorem", notes
-    m = next(iter(classes))
-    collapse = False
-    cf = conjugate_split(surface.pmin, m)
-    if cf is not None and not norm_condition(cf, w.q):
-        # shared field with non-torsion norm: the elliptic factor adds nothing
-        collapse = True
-    return (2 if collapse else 3), "theorem", notes
+        return len(fields)
+    # exactly one quartic (degrees forbid two) plus at most one elliptic factor
+    if not fields:
+        return 2
+    cf = conjugate_split(quartic[0].pmin, fields.pop())
+    # shared field with non-torsion norm: the elliptic factor adds nothing
+    collapse = cf is not None and not norm_condition(cf, w.q)
+    return 2 if collapse else 3
 
 
 def classify_auto(
@@ -357,8 +328,6 @@ def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremD
     one, a shared imaginary quadratic field with p split and non-torsion
     norms must exist.  Necessary-only directions are reported as such.
     """
-    from .subfields import p_splits
-
     _require_sufficient(w)
     decomp = eigenvalue_structure(w)
     rk = oracle_rank(w, exponent_bound=exponent_bound)
@@ -400,29 +369,20 @@ def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremD
             if not ok:
                 contradictions.append("slope_parity")
     else:
-        active = [
-            c
-            for c in decomp.components
-            if not _component_report(c.pmin, c.e, w).supersingular
-        ]
+        comps = [_component_report(c, w) for c in decomp.components]
+        active = [c for c in comps if not c.supersingular]
         if len(active) == 2:
             # component ranks from pair counts (both components neat: g <= 2)
-            r_parts = [_component_report(c.pmin, c.e, w).d for c in active]
+            r_parts = [c.d for c in active]
             collapsed = rk.rank == sum(r_parts) - 1
             shared = None
             if collapsed:
-                sub0 = _imaginary_fields(active[0].pmin)
-                sub1 = _imaginary_fields(active[1].pmin)
-                shared_ms = sorted(set(sub0) & set(sub1), key=abs)
-                for m in shared_ms:
-                    from .subfields import p_splits as _ps
-
-                    shared = {
-                        "m": m,
-                        "p_splits": _ps(m, w.p),
-                    }
-                    break
-                if shared is None:
+                shared_ms = set(_imaginary_fields(active[0]))
+                shared_ms &= set(_imaginary_fields(active[1]))
+                if shared_ms:
+                    m = min(shared_ms, key=abs)
+                    shared = {"m": m, "p_splits": p_splits(m, w.p)}
+                else:
                     contradictions.append("product_collapse:no_shared_field")
             product_collapse = {
                 "component_ranks": r_parts,
@@ -438,12 +398,12 @@ def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremD
     )
 
 
-def _imaginary_fields(pmin: IntPoly):
-    if pmin.degree == 2:
-        disc = squarefree_part(pmin.coeffs[1] ** 2 - 4 * pmin.coeffs[0])
-        return [disc] if disc < 0 else []
-    if pmin.degree % 2 == 0 and pmin.degree >= 4:
-        return [cf.m for cf in conjugate_factorizations(pmin)]
+def _imaginary_fields(c: ComponentReport):
+    """The m < 0 with Q(sqrt(m)) inside the component's field."""
+    if c.cm_disc is not None:
+        return [c.cm_disc] if c.cm_disc < 0 else []
+    if c.pmin.degree % 2 == 0 and c.pmin.degree >= 4:
+        return [cf.m for cf in conjugate_factorizations(c.pmin)]
     return []
 
 
@@ -475,11 +435,7 @@ def fourfold_diagnostic(w: WeilPolynomial, exponent_bound: int = 20) -> Fourfold
     has_quad = False
     non_neat_threefold = False
     if rk.rank == 3:
-        for c in decomp.components:
-            if c.pmin.degree % 2 == 0 and c.pmin.degree >= 2:
-                if _imaginary_fields(c.pmin):
-                    has_quad = True
-                    break
+        has_quad = any(_imaginary_fields(_component_report(c, w)) for c in decomp.components)
         sextics = [c for c in decomp.components if c.pmin.degree == 6 and c.e == 1]
         elliptics = [c for c in decomp.components if c.pmin.degree == 2 and c.e == 1]
         if len(sextics) == 1 and len(elliptics) == 1 and len(decomp.components) == 2:

@@ -17,11 +17,9 @@ from .poly import (
     lagrange_interpolate,
     poly_gcd,
     resultant,
-    sqrt_lower,
     sqrt_upper,
     squarefree_decomposition,
     sturm_real_root_count,
-    sylvester_resultant,
 )
 from .poly import squarefree_part as poly_squarefree_part
 from .transforms import (
@@ -42,13 +40,11 @@ __all__ = [
     "poly_squarefree_part",
     "squarefree_decomposition",
     "resultant",
-    "sylvester_resultant",
     "discriminant",
     "sturm_real_root_count",
     "lagrange_interpolate",
     "fractions_to_intpoly",
     "sqrt_upper",
-    "sqrt_lower",
     "power_transform",
     "product_transform",
     "ratio_transform",

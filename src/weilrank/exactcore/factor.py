@@ -113,9 +113,12 @@ def _equal_degree_split(f, d, p, rng):
     return _equal_degree_split(g, d, p, rng) + _equal_degree_split(right, d, p, rng)
 
 
-def _factor_mod_p(f, p, rng):
-    """Irreducible monic factors of squarefree monic f over F_p."""
-    out = []
+def _distinct_degree(f, p):
+    """Distinct-degree factorization of squarefree monic f over F_p.
+
+    Yields (d, g) in increasing d, g the monic product of the irreducible
+    factors of degree d.
+    """
     rest = list(f)
     d = 1
     x = [0, 1]
@@ -124,13 +127,17 @@ def _factor_mod_p(f, p, rng):
         w = _ppowmod(w, p, rest, p)
         g = _pgcd(_psub(w, x, p), rest, p)
         if len(g) > 1:
-            out.extend(_equal_degree_split(g, d, p, rng))
+            yield d, g
             rest = _pdivmod(rest, g, p)[0]
             w = _pdivmod(w, rest, p)[1]
         d += 1
     if len(rest) > 1:
-        out.append(_pmonic(rest, p))
-    return out
+        yield len(rest) - 1, _pmonic(rest, p)
+
+
+def _factor_mod_p(f, p, rng):
+    """Irreducible monic factors of squarefree monic f over F_p (p odd)."""
+    return [h for d, g in _distinct_degree(f, p) for h in _equal_degree_split(g, d, p, rng)]
 
 
 # -- Hensel lifting --------------------------------------------------------
@@ -353,19 +360,6 @@ def modular_factor_degrees(f: IntPoly, p: int):
     dfp = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
     if not dfp or len(_pgcd(fp, dfp, p)) != 1:
         raise PreconditionViolation("not squarefree mod p")
-    rest = _pmonic(fp, p)
-    out = []
-    d = 1
-    x = [0, 1]
-    w = x
-    while len(rest) - 1 >= 2 * d:
-        w = _ppowmod(w, p, rest, p)
-        g = _pgcd(_psub(w, x, p), rest, p)
-        if len(g) > 1:
-            out.extend([d] * ((len(g) - 1) // d))
-            rest = _pdivmod(rest, g, p)[0]
-            w = _pdivmod(w, rest, p)[1]
-        d += 1
-    if len(rest) > 1:
-        out.append(len(rest) - 1)
-    return sorted(out)
+    return sorted(
+        d for d, g in _distinct_degree(_pmonic(fp, p), p) for _ in range((len(g) - 1) // d)
+    )

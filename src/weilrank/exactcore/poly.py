@@ -9,9 +9,9 @@ enters any computation in this module.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
-from ..errors import PreconditionViolation
+from ..errors import PreconditionViolation, WeilrankError
 
 __all__ = [
     "IntPoly",
@@ -19,13 +19,11 @@ __all__ = [
     "squarefree_part",
     "squarefree_decomposition",
     "resultant",
-    "sylvester_resultant",
     "discriminant",
     "sturm_real_root_count",
     "lagrange_interpolate",
     "fractions_to_intpoly",
     "sqrt_upper",
-    "sqrt_lower",
 ]
 
 
@@ -173,7 +171,7 @@ class IntPoly:
         """Positive gcd of coefficients; 0 for the zero polynomial."""
         g = 0
         for c in self.coeffs:
-            g = _gcd_int(g, c)
+            g = gcd(g, c)
             if g == 1:
                 return 1
         return g
@@ -240,13 +238,6 @@ class IntPoly:
             raise PreconditionViolation("modulus must be monic")
         _, r = self.divmod_exact(modulus)
         return r
-
-
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -339,7 +330,8 @@ def resultant(f: IntPoly, g: IntPoly) -> int:
     if f.is_zero or g.is_zero:
         raise PreconditionViolation("resultant of zero polynomial")
     r = _res_frac(f, g)
-    assert r.denominator == 1
+    if r.denominator != 1:
+        raise WeilrankError("resultant of integer polynomials is not an integer")
     return int(r)
 
 
@@ -372,45 +364,9 @@ def discriminant(f: IntPoly) -> int:
     r = resultant(f, f.derivative())
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     val, rem = divmod(sign * r, f.leading)
-    assert rem == 0
+    if rem:
+        raise WeilrankError("res(f, f') is not divisible by lc(f)")
     return val
-
-
-def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
-    """Resultant as a fraction-free (Bareiss) Sylvester determinant.
-
-    Independent of the remainder-sequence path; kept as the cross-check
-    oracle for `resultant`.
-    """
-    m, n = f.degree, g.degree
-    if m < 0 or n < 0:
-        raise PreconditionViolation("resultant of zero polynomial")
-    size = m + n
-    if size == 0:
-        return 1
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + fc + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + gc + [0] * (m - 1 - i))
-    # Bareiss elimination with exact divisions.
-    prev = 1
-    sign = 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            pivot = next((r for r in range(k + 1, size) if rows[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]
 
 
 # -- Sturm chains --------------------------------------------------------
@@ -544,10 +500,3 @@ def sqrt_upper(x: Fraction) -> Fraction:
         r += 1
     return Fraction(r, den)
 
-
-def sqrt_lower(x: Fraction) -> Fraction:
-    """A rational lower bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise PreconditionViolation("negative radicand")
-    num, den = x.numerator, x.denominator
-    return Fraction(isqrt(num * den), den)

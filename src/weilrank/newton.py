@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolation
+from .errors import PreconditionViolation, WeilrankError
 from .weil import WeilPolynomial
 
 __all__ = [
@@ -112,19 +112,22 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
     Zero coefficients have valuation +infinity and contribute no hull
     point.  Total length, slope symmetry, lattice integrality (slope *
     length * v integral, true for every integer polynomial), and evenness
-    of the half-slope length are asserted before returning; their failure
+    of the half-slope length are checked before returning; their failure
     would mean an invalid polynomial slipped through validation.  The
     stronger normalized integrality is a property of polygons of actual
-    abelian varieties and is exposed as `is_integral`, not asserted.
+    abelian varieties and is exposed as `is_integral`, not enforced.
     """
     segments = root_valuation_segments(w.poly, w.p, w.v)
     np_ = NewtonPolygon(segments=segments)
-    assert np_.total_length == 2 * w.g
+    if np_.total_length != 2 * w.g:
+        raise WeilrankError("Newton polygon length is not 2g")
     for s, l in segments:
-        assert np_.length(1 - s) == l, "slope symmetry violated"
-        assert (s * l * w.v).denominator == 1, "lattice integrality violated"
+        if np_.length(1 - s) != l:
+            raise WeilrankError("slope symmetry violated")
+        if (s * l * w.v).denominator != 1:
+            raise WeilrankError("lattice integrality violated")
     if np_.length(Fraction(1, 2)) % 2:
-        raise AssertionError("slope 1/2 must have even length")
+        raise WeilrankError("slope 1/2 must have even length")
     return np_
 
 

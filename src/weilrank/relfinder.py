@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, is_perfect_square, sqrt_upper
-from .exactcore.factor import _factor_mod_p, _pgcd, _pmonic, _pstrip
+from .exactcore.factor import _pgcd, _pstrip, modular_factor_degrees
 from .exactcore.poly import squarefree_part as poly_squarefree_part
 from .weil import WeilPolynomial
 
@@ -463,7 +463,9 @@ class RelationLattice:
     rank).  `basis` rows live in exponent space on those representatives:
     a row v means prod (q^(-1) alpha_i^2)^(v_i) = 1, certified.  The basis
     is saturated, primitive, and in Hermite normal form; the lattice holds
-    every relation with sup-norm at most `exponent_bound`.
+    every relation with sup-norm at most `exponent_bound`.  Membership,
+    saturation and the normal form all come from `_echelon`, the one
+    integer Hermite-normal-form routine.
     """
 
     representatives: tuple[int, ...]
@@ -482,99 +484,63 @@ class RelationLattice:
         return _lattice_contains(list(self.basis), list(vector))
 
 
-def _row_hnf(rows):
-    """Row Hermite normal form (positive pivots, reduced above), zero rows dropped."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    cols = len(rows[0])
+def _echelon(rows, cols):
+    """Row Hermite normal form with its transform; all lattice algebra reads it.
+
+    Returns (H, U).  H holds the nonzero rows of the row HNF of `rows`
+    (positive pivots, entries above each pivot reduced into [0, pivot)),
+    so len(H) is the rank and H is the same for any basis of one lattice.
+    U is unimodular with U * rows = H followed by zero rows, so the rows of
+    U after len(H) span the integer left kernel {x : x * rows = 0}.
+    """
+    m = len(rows)
     mat = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def swap(i, j):
+        mat[i], mat[j] = mat[j], mat[i]
+        u[i], u[j] = u[j], u[i]
+
+    def sub(i, j, t):  # row i -= t * row j
+        mat[i] = [a - t * b for a, b in zip(mat[i], mat[j])]
+        u[i] = [a - t * b for a, b in zip(u[i], u[j])]
+
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
+        pivot = next((i for i in range(r, m) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        # clear below by gcd steps
-        for i in range(r + 1, len(mat)):
-            while mat[i][c]:
+        swap(r, pivot)
+        for i in range(r + 1, m):
+            while mat[i][c]:  # gcd steps clear column c below the pivot
                 if abs(mat[i][c]) < abs(mat[r][c]):
-                    mat[r], mat[i] = mat[i], mat[r]
-                t = mat[i][c] // mat[r][c]
-                for j in range(cols):
-                    mat[i][j] -= t * mat[r][j]
+                    swap(r, i)
+                sub(i, r, mat[i][c] // mat[r][c])
         if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
+            mat[r], u[r] = [-x for x in mat[r]], [-x for x in u[r]]
         for i in range(r):
-            t = mat[i][c] // mat[r][c]
-            if t:
-                for j in range(cols):
-                    mat[i][j] -= t * mat[r][j]
+            if t := mat[i][c] // mat[r][c]:
+                sub(i, r, t)
         r += 1
-    return [row for row in mat[:r] if any(row)]
-
-
-def _kernel_basis(rows, dim):
-    """Basis of the integer kernel {x : rows . x = 0} via HNF with transform."""
-    if not rows:
-        return [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    # run row-HNF on the transpose-multiplied system: track U with U*M = H
-    mat = [list(col) for col in zip(*[list(r) for r in rows])]  # dim x k
-    u = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    k = len(mat[0])
-    r = 0
-    for c in range(k):
-        pivot = None
-        for i in range(r, dim):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        u[r], u[pivot] = u[pivot], u[r]
-        for i in range(r + 1, dim):
-            while mat[i][c]:
-                if abs(mat[i][c]) < abs(mat[r][c]):
-                    mat[r], mat[i] = mat[i], mat[r]
-                    u[r], u[i] = u[i], u[r]
-                t = mat[i][c] // mat[r][c]
-                for j in range(k):
-                    mat[i][j] -= t * mat[r][j]
-                for j in range(dim):
-                    u[i][j] -= t * u[r][j]
-        r += 1
-    return [u[i] for i in range(r, dim)]
+    return mat[:r], u
 
 
 def _saturate(rows, dim):
-    """Saturation: integer vectors inside the rational span of `rows`."""
-    if not rows:
-        return []
-    complement = _kernel_basis(rows, dim)
-    return _row_hnf(_kernel_basis(complement, dim))
+    """Saturation: the integer vectors in the rational span of `rows`.
+
+    It is the kernel of the kernel; each pass takes {x : rows . x = 0} as
+    the left kernel of the transpose.
+    """
+    for _ in range(2):
+        h, u = _echelon([[row[j] for row in rows] for j in range(dim)], len(rows))
+        rows = u[len(h):]
+    return _echelon(rows, dim)[0]
 
 
 def _lattice_contains(basis, vector) -> bool:
-    if not any(vector):
-        return True
-    if not basis:
-        return False
-    work = [list(r) for r in _row_hnf(basis)]
-    v = list(vector)
-    cols = len(v)
-    for row in work:
-        c = next(j for j in range(cols) if row[j])
-        if v[c] % row[c] != 0:
-            return False
-        t = v[c] // row[c]
-        for j in range(cols):
-            v[j] -= t * row[j]
-    return not any(v)
+    """Membership in the row lattice of `basis`: adding it keeps the HNF."""
+    h = _echelon(basis, len(vector))[0]
+    return _echelon(h + [list(vector)], len(vector))[0] == h
 
 
 def _theta_of_root(r: CertifiedRoot) -> float:
@@ -631,6 +597,7 @@ def relation_lattice(
     `verify_relation`.  The verified lattice is saturated (a root of unity
     in the eigenvalue group must be 1 over a sufficiently large field) and
     each saturated basis vector is re-verified, so the basis is certified.
+    Saturation and the basis's Hermite normal form come from `_echelon`.
     """
     if roots is None:
         roots = certified_roots(w)
@@ -737,11 +704,7 @@ def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
     d_h = d - d_u
     if d_h < 0:
         return 0
-    import random
-
-    cycle_lengths = sorted(
-        len(f) - 1 for f in _factor_mod_p(_pmonic(v_part, p), p, random.Random(7))
-    )
+    cycle_lengths = modular_factor_degrees(IntPoly(v_part), p)
     # residue slots 0..d_u-1 partitioned into Frobenius cycles
     perm = [0] * d_u
     start = 0
@@ -749,9 +712,7 @@ def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
         for i in range(ln):
             perm[start + i] = start + (i + 1) % ln
         start += ln
-    order = 1
-    for ln in set(cycle_lengths):
-        order = order * ln // math.gcd(order, ln)
+    order = math.lcm(*cycle_lengths)
     best = None
     pair_idx = list(range(d))
     # For the true embedding there exist: a set of ordinary pairs, a
@@ -783,35 +744,11 @@ def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
                         if eps[i]:
                             nxt[i] = prev[tau[i]] * eps[i] * eps[tau[i]]
                     rows.append(nxt)
-                rank = _rank_int(rows)
+                rank = len(_echelon(rows, d)[0])
                 best = rank if best is None else min(best, rank)
                 if best == 0:
                     return 0
     return best or 0
-
-
-def _rank_int(rows):
-    mat = [list(map(Fraction, r)) for r in rows if any(r)]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(rank, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        pv = mat[rank][c]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c]:
-                f = mat[i][c] / pv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from .classify import classify_auto
 from .errors import (
@@ -22,6 +22,7 @@ from .errors import (
     QNotSquare,
     ResidueConditionFails,
     RiemannHypothesisFails,
+    WeilrankError,
 )
 from .exactcore import (
     IntPoly,
@@ -45,19 +46,12 @@ __all__ = [
 ]
 
 
-def _binomial(n, k):
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out
-
-
 def default_bound(g: int, q: int, i: int) -> int:
     """RH-implied bound for the ascending coefficient of t^i: C(2g,i) q^((2g-i)/2)."""
     if (2 * g - i) % 2 == 0:
-        return _binomial(2 * g, i) * q ** ((2 * g - i) // 2)
+        return comb(2 * g, i) * q ** ((2 * g - i) // 2)
     # floor of C * q^(k/2) for odd k, exactly
-    c = _binomial(2 * g, i)
+    c = comb(2 * g, i)
     k = 2 * g - i
     return isqrt(c * c * q**k)
 
@@ -266,7 +260,8 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
             b_elt = a_elt.conjugate() * Fraction(sign * root_q)
             g_coeffs = [big_c, b_elt, a_elt, one]
             prod = _qmul(g_coeffs, [c.conjugate() for c in g_coeffs], m)
-            assert all(c.is_rational for c in prod)
+            if not all(c.is_rational for c in prod):
+                raise WeilrankError("G * conj(G) has an irrational coefficient")
             if not all(c.a0.denominator == 1 for c in prod):
                 continue
             poly = IntPoly([int(c.a0) for c in prod])
@@ -282,7 +277,8 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
             if report.neat:
                 continue
             witness = ConjugateFactorization(m=m, g=tuple(g_coeffs))
-            assert witness.expand() == poly
+            if witness.expand() != poly:
+                raise WeilrankError("witness does not re-expand to the sextic")
             yield w, witness
             count += 1
             if limit is not None and count >= limit:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotIrreducible, NotSextic, PreconditionViolation
+from .errors import NotIrreducible, NotSextic, PreconditionViolation, WeilrankError
 from .exactcore import (
     IntPoly,
     discriminant,
@@ -188,7 +188,8 @@ def _trager_split(f: IntPoly, m: int):
     for s in range(0, 4 * n * n + 5):
         shifted = _q_compose_shift(fq, s, m)
         norm_q = _qmul(shifted, _q_conj(shifted), m)
-        assert all(c.is_rational for c in norm_q)
+        if not all(c.is_rational for c in norm_q):
+            raise WeilrankError("norm over Q(sqrt(m)) has an irrational coefficient")
         norm = IntPoly([int(c.a0) for c in norm_q])
         if poly_gcd(norm, norm.derivative()).degree == 0:
             break
@@ -199,7 +200,8 @@ def _trager_split(f: IntPoly, m: int):
         return None
     parts = []
     for fac, mult in factors:
-        assert mult == 1
+        if mult != 1:
+            raise WeilrankError("squarefree norm has a repeated factor")
         g = _qgcd(shifted, _q_from_int(fac, m), m)
         if len(g) - 1 >= 1:
             parts.append(g)
@@ -214,7 +216,8 @@ def _trager_split(f: IntPoly, m: int):
     key = lambda g: tuple((c.a0, c.a1) for c in g)
     out.sort(key=key)
     g = out[0]
-    assert _qmul(g, _q_conj(g), m) == _qstrip(fq)
+    if _qmul(g, _q_conj(g), m) != _qstrip(fq):
+        raise WeilrankError("G * conj(G) does not reproduce the input")
     return g
 
 
@@ -252,7 +255,8 @@ class ConjugateFactorization:
     def expand(self) -> IntPoly:
         """G * conj(G), re-expanded; must reproduce pmin exactly."""
         prod = _qmul(list(self.g), list(self.conjugate_coeffs()), self.m)
-        assert all(c.is_rational and c.a0.denominator == 1 for c in prod)
+        if not all(c.is_rational and c.a0.denominator == 1 for c in prod):
+            raise WeilrankError("G * conj(G) is not an integer polynomial")
         return IntPoly([int(c.a0) for c in prod])
 
     def __str__(self):
@@ -314,7 +318,8 @@ def conjugate_factorizations(pmin: IntPoly):
         g = _trager_split(pmin, m)
         if g is not None:
             cf = ConjugateFactorization(m=m, g=tuple(g))
-            assert cf.expand() == pmin
+            if cf.expand() != pmin:
+                raise WeilrankError("witness does not re-expand to pmin")
             out.append(cf)
     return tuple(out)
 
@@ -339,7 +344,8 @@ def conjugate_split(pmin: IntPoly, m: int):
     if g is None:
         return None
     cf = ConjugateFactorization(m=m, g=tuple(g))
-    assert cf.expand() == pmin
+    if cf.expand() != pmin:
+        raise WeilrankError("witness does not re-expand to pmin")
     return cf
 
 

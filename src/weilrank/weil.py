@@ -209,7 +209,8 @@ def _factor_structure(pmin: IntPoly, e: int, w: WeilPolynomial) -> EigenvalueStr
         fixed = 2
         sqrt_root = "both"
     r = pmin.degree
-    assert (r - fixed) % 2 == 0
+    if (r - fixed) % 2:
+        raise WeilrankError(f"the roots of {pmin} other than +-sqrt(q) do not pair up")
     return EigenvalueStructure(
         pmin=pmin, e=e, r_count=r, d=(r - fixed) // 2, sqrt_root=sqrt_root
     )

@@ -14,9 +14,11 @@ from weilrank.classify import (
 from weilrank.errors import (
     DimensionTooLarge,
     NotSufficientlyLarge,
+    OracleDisagreement,
     PreconditionViolation,
 )
 from weilrank.exactcore import IntPoly
+from weilrank.relfinder import OracleRank
 from weilrank.weil import base_change, validate
 
 
@@ -144,7 +146,7 @@ class TestClassifyProducts:
     def test_two_distinct_elliptics(self):
         w = validate(P(5, -1, 1) * P(5, -2, 1), 5)
         rep = classify(w)
-        assert rep.neat and rep.rank == 2 and rep.rank_source == "theorem"
+        assert rep.neat and rep.rank == 2
         assert rep.oracle is not None and rep.oracle.rank == 2
 
     def test_same_cm_field_collapses(self):
@@ -159,12 +161,23 @@ class TestClassifyProducts:
         rep = classify(w)
         assert rep.rank == 1 and rep.neat
 
-    def test_three_distinct_oracle_decided(self):
-        w = validate(P(5, -1, 1) * P(5, -2, 1) * P(5, -3, 1), 5)
+    @pytest.mark.parametrize(
+        "q, traces",
+        [(5, (1, 2, 3)), (7, (1, 2, 3)), (7, (2, 3, 5)), (9, (1, 2, 4)), (9, (2, 4, 5))],
+        ids=["F5", "F7-a", "F7-b", "F9-a", "F9-b"],
+    )
+    def test_three_distinct_cm_fields(self, q, traces, monkeypatch):
+        # three ordinary elliptic curves t^2 - a t + q with pairwise distinct
+        # CM fields: rank 3 by theorem, and the oracle agrees
+        w = validate(P(q, -traces[0], 1) * P(q, -traces[1], 1) * P(q, -traces[2], 1), q)
         rep = classify(w)
-        assert rep.rank == 3
-        assert rep.rank_source == "oracle"
-        assert any("oracle_decided" in n for n in rep.notes)
+        assert len({c.cm_disc for c in rep.components}) == 3
+        assert rep.neat and rep.rank == 3
+        assert rep.oracle is not None and rep.oracle.rank == 3
+        wrong = OracleRank(rank=2, confidence=rep.oracle.confidence, lattice=rep.oracle.lattice)
+        monkeypatch.setattr(weilrank.classify, "oracle_rank", lambda *a, **k: wrong)
+        with pytest.raises(OracleDisagreement):
+            classify(w)
 
     def test_g3_products_always_neat(self):
         w = validate(P(5, -1, 1) * P(5, -2, 1) * P(5, -4, 1), 5)

@@ -1,0 +1,137 @@
+"""The weilrank/1 JSON contract of the command line: keys, exit codes, batch lines."""
+
+import json
+
+import pytest
+
+import weilrank.classify
+from weilrank.cli import main
+from weilrank.relfinder import OracleRank
+
+REPORT_KEYS = {
+    "schema", "q", "coeffs", "g", "neat", "rank", "gamma_rank", "newton",
+    "newton_labels", "polygon", "simple", "conditions", "witness",
+    "components", "rank_source", "sufficiency_degree", "notes",
+}
+
+ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
+PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out.splitlines()
+
+
+class TestClassifyJson:
+    def test_golden_elliptic(self, capsys):
+        code, out = run(capsys, "classify", "--q", "5", "--poly", ELLIPTIC)
+        assert code == 0 and len(out) == 1
+        assert json.loads(out[0]) == {
+            "schema": "weilrank/1",
+            "q": "5",
+            "coeffs": ["5", "-1", "1"],
+            "g": 1,
+            "neat": True,
+            "rank": 1,
+            "gamma_rank": 2,
+            "newton": "ordinary",
+            "newton_labels": ["k3_type", "ordinary"],
+            "polygon": [["0", 1], ["1", 1]],
+            "simple": True,
+            "conditions": {"i": False, "ii": False, "iii": False},
+            "witness": None,
+            "components": [
+                {"pmin": ["5", "-1", "1"], "e": 1, "pairs": 1,
+                 "newton": "ordinary", "supersingular": False}
+            ],
+            "rank_source": "theorem",
+            "sufficiency_degree": 1,
+            "notes": [],
+        }
+
+    def test_product_keys_and_constants(self, capsys):
+        code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT)
+        rec = json.loads(out[0])
+        assert code == 0
+        assert set(rec) == REPORT_KEYS | {"oracle"}
+        assert rec["rank_source"] == "theorem" and rec["notes"] == []
+        assert rec["rank"] == 2 and rec["oracle"]["agrees"]
+        assert set(rec["oracle"]) == {"rank", "confidence", "basis", "exponent_bound", "agrees"}
+
+    def test_auto_extend_keys(self, capsys):
+        code, out = run(capsys, "classify", "--q", "5", "--poly", "5,0,1", "--auto-extend")
+        rec = json.loads(out[0])
+        assert code == 0
+        assert set(rec) == REPORT_KEYS | {"extension"}
+        assert rec["extension"] == {"from_q": "5", "degree": 2}
+        assert rec["rank_source"] == "theorem" and rec["notes"] == []
+
+
+class TestExitCodes:
+    def test_invalid_weil_polynomial(self, capsys):
+        code, out = run(capsys, "classify", "--q", "5", "--poly", "5,-9,1")
+        assert code == 2 and out == []
+
+    def test_usage_errors(self, capsys):
+        assert main(["classify", "--q", "5"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--q", "5", "--poly", "5,x,1"])
+        assert exc.value.code == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 1
+
+    def test_oracle_disagreement(self, capsys, monkeypatch):
+        real = weilrank.classify.oracle_rank
+
+        def wrong(w, **kwargs):
+            o = real(w, **kwargs)
+            return OracleRank(rank=o.rank + 1, confidence=o.confidence, lattice=o.lattice)
+
+        monkeypatch.setattr(weilrank.classify, "oracle_rank", wrong)
+        code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT)
+        assert code == 3 and out == []
+
+
+class TestBatch:
+    def _batch(self, tmp_path, capsys, lines):
+        path = tmp_path / "in.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return run(capsys, "classify", "--batch", str(path))
+
+    def test_line_alignment(self, tmp_path, capsys):
+        lines = [
+            '{"coeffs": ["5", "-1", "1"], "q": "5"}',
+            "not json",
+            "",
+            '{"q": 5}',
+            '{"coeffs": [5, 1.5, 1], "q": 5}',
+            '{"coeffs": [5, -9, 1], "q": 5}',
+            '{"coeffs": [5, -2, 1], "q": 5}',
+        ]
+        code, out = self._batch(tmp_path, capsys, lines)
+        assert len(out) == len(lines)
+        recs = [json.loads(o) for o in out]
+        assert recs[0]["rank"] == 1 and recs[0]["coeffs"] == ["5", "-1", "1"]
+        for i in (1, 3, 4):
+            assert recs[i]["error"] == "MalformedInput"
+        assert recs[2] == {}
+        assert recs[5]["valid"] is False and recs[5]["error"] == "RiemannHypothesisFails"
+        assert recs[6]["rank"] == 1 and recs[6]["coeffs"] == ["5", "-2", "1"]
+        assert code == 2  # the worst line: an invalid Weil polynomial
+
+    def test_malformed_line_gives_exit_one(self, tmp_path, capsys):
+        lines = [
+            '{"coeffs": ["5", "-1", "1"], "q": "5"}',
+            "not json",
+            '{"coeffs": [5, -2, 1], "q": 5}',
+        ]
+        code, out = self._batch(tmp_path, capsys, lines)
+        assert code == 1 and len(out) == 3
+        assert json.loads(out[1])["error"] == "MalformedInput"
+        assert json.loads(out[2])["rank"] == 1
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        code, out = run(capsys, "classify", "--batch", str(tmp_path / "missing.jsonl"))
+        assert code == 1 and out == []

@@ -29,7 +29,6 @@ from weilrank.exactcore import (
     squarefree_decomposition,
     squarefree_part,
     sturm_real_root_count,
-    sylvester_resultant,
 )
 from weilrank.exactcore.poly import squarefree_part as poly_sf
 from weilrank.exactcore.transforms import _from_power_sums
@@ -39,6 +38,43 @@ from weilrank.weil import ratio_torsion_orders
 
 def P(*coeffs):
     return IntPoly(coeffs)
+
+
+def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
+    """Resultant as a fraction-free (Bareiss) Sylvester determinant.
+
+    Independent of the remainder-sequence path of `resultant`, so it is
+    the reference that `resultant` and the root transforms are checked against.
+    """
+    m, n = f.degree, g.degree
+    if m < 0 or n < 0:
+        raise PreconditionViolation("resultant of zero polynomial")
+    size = m + n
+    if size == 0:
+        return 1
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    rows = []
+    for i in range(n):
+        rows.append([0] * i + fc + [0] * (n - 1 - i))
+    for i in range(m):
+        rows.append([0] * i + gc + [0] * (m - 1 - i))
+    # Bareiss elimination with exact divisions.
+    prev = 1
+    sign = 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            pivot = next((r for r in range(k + 1, size) if rows[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+            rows[i][k] = 0
+        prev = rows[k][k]
+    return sign * rows[size - 1][size - 1]
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPoly)

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilrank.errors import DegreeOverflow, PreconditionViolation
 from weilrank.exactcore import IntPoly
 from weilrank.relfinder import (
+    _echelon,
     _lattice_contains,
-    _row_hnf,
     _saturate,
     certified_roots,
     oracle_rank,
@@ -33,6 +35,48 @@ def _sextic_from_trace(hc, q):
     for k, c in enumerate(hc):
         out = out + (c * base**k).shift(g - k)
     return out
+
+
+def _fraction_rank(rows):
+    """Rank by Gaussian elimination over Q: the reference for `_echelon`."""
+    mat = [list(map(Fraction, r)) for r in rows if any(r)]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(len(mat)):
+            if i != rank and mat[i][c]:
+                f = mat[i][c] / mat[rank][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _fraction_det(rows):
+    mat = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pivot = next((i for i in range(c, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
+small_matrices = st.integers(0, 4).flatmap(
+    lambda cols: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=5),
+        st.just(cols),
+    )
+)
 
 
 class TestCertifiedRoots:
@@ -120,10 +164,30 @@ class TestVerifyRelation:
 
 class TestLatticeAlgebra:
     def test_row_hnf(self):
-        assert _row_hnf([[2, 4], [1, 1]]) == [[1, 3], [0, 2]] or _row_hnf(
-            [[2, 4], [1, 1]]
-        ) == [[1, 1], [0, 2]]
-        assert _row_hnf([[0, 0]]) == []
+        # the HNF is unique: entries above a pivot lie in [0, pivot)
+        assert _echelon([[2, 4], [1, 1]], 2)[0] == [[1, 1], [0, 2]]
+        assert _echelon([[0, 0]], 2)[0] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_matrices)
+    def test_echelon_properties(self, matrix):
+        rows, cols = matrix
+        h, u = _echelon(rows, cols)
+        m, r = len(rows), len(h)
+        # H is in Hermite normal form
+        pivots = [next(j for j, x in enumerate(row) if x) for row in h]
+        assert all(a < b for a, b in zip(pivots, pivots[1:]))
+        for k, c in enumerate(pivots):
+            assert h[k][c] > 0
+            assert all(0 <= h[i][c] < h[k][c] for i in range(k))
+        # U * M = H followed by zero rows, and U is unimodular
+        um = [[sum(ui[k] * rows[k][j] for k in range(m)) for j in range(cols)] for ui in u]
+        assert um == h + [[0] * cols] * (m - r)
+        assert abs(_fraction_det(u)) == 1
+        # the rows after rank(H) lie in the left kernel
+        for kernel_row in u[r:]:
+            assert all(sum(x * row[j] for x, row in zip(kernel_row, rows)) == 0 for j in range(cols))
+        assert r == _fraction_rank(rows)
 
     def test_saturate(self):
         # lattice spanned by (2, 2): saturation is (1, 1)
