@@ -82,14 +82,19 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
     gives no completeness guarantee for the candidate set, so failure to
     stabilize is surfaced, never guessed away).
     """
+    return _sufficient_field(w)[0]
+
+
+def _sufficient_field(w: WeilPolynomial) -> tuple[int, WeilPolynomial]:
+    """(n, base_change(w, n)) for n = sufficiency_degree(w), built once."""
     orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
     if not orders:
-        return 1
+        return 1, w
     n = lcm(*orders)
     for _ in range(_TORSION_DOUBLINGS):
         wn = base_change(w, n)
         if not ratio_torsion_orders(wn) and not beta_torsion_orders(wn):
-            return n
+            return n, wn
         n *= 2
     raise TorsionBoundExceeded(
         f"torsion search did not stabilize within {_TORSION_DOUBLINGS} doublings"
@@ -289,12 +294,13 @@ def classify_auto(
     """Extend to a sufficiently large field first, then classify.
 
     The report records which field the verdict refers to: `extension_from`
-    holds the original q and the degree applied.  `sufficiency_degree` has
-    verified that field, so the torsion check of `classify` is not repeated.
+    holds the original q and the degree applied.  `_sufficient_field` has
+    built and verified that field, so neither the base change nor the
+    torsion check of `classify` is repeated.
     """
     _require_dimension(w)
-    n = sufficiency_degree(w)
-    report = _classify_sufficient(base_change(w, n), exponent_bound, force_oracle)
+    n, wn = _sufficient_field(w)
+    report = _classify_sufficient(wn, exponent_bound, force_oracle)
     return ClassificationReport(
         **{
             **report.__dict__,

@@ -1,13 +1,25 @@
 """Independent certified oracle for multiplicative eigenvalue relations.
 
-Finds candidate relations among the q^(-1) alpha^2 numerically (through
-their arguments), then settles each candidate exactly: a claimed identity
+Root isolation runs on plain integers.  `numpy.roots` gives double-precision
+starts, which are only guesses.  One start per complex-conjugate pair, the
+one in the upper half-plane, is refined by Newton steps on scaled integers
+(a + bi) / 2^k, and its disk gets the radius deg * |P/P'| at the center,
+which some root always lies within; the other member of the pair is the
+exact mirror image, and the only real roots a Weil polynomial can have,
++-sqrt(q), are started from integer square roots and stay on the real line.
+When the n disks of the n distinct roots are pairwise disjoint, each holds
+exactly one root.  Soundness lies only in that radius bound and those
+disjointness checks: a bad start can make certification fail with
+PrecisionExhausted, never produce a wrong disk.
+
+Relations: candidate relations among the q^(-1) alpha^2 come from their
+arguments, and each is settled exactly.  A claimed identity
 prod alpha_i^(e_i) = q^M is an equality between algebraic integers, so
 either it holds or the difference has absolute value at least
 C^(1 - [L:Q]) where C bounds every conjugate (all conjugates of the
 eigenvalues have absolute value sqrt(q)) and L is the splitting field.
-Evaluating the difference in exact rational ball arithmetic finer than
-that separation turns the numeric guess into a rigorous dichotomy.
+Evaluating the difference in integer ball arithmetic finer than that
+separation turns the numeric guess into a rigorous dichotomy.
 
 Soundness lives entirely in the exact verification; the numeric stage is
 only a candidate generator.  It is exhaustive over the exponent box, so
@@ -21,13 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-import mpmath
 import numpy as np
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, is_perfect_square, sqrt_upper
 from .exactcore.factor import _pgcd, _pstrip, modular_factor_degrees
-from .exactcore.poly import squarefree_part as poly_squarefree_part
 from .weil import WeilPolynomial
 
 __all__ = [
@@ -46,35 +56,18 @@ DEFAULT_EXPONENT_BOUND = 20
 DEFAULT_PRECISION_CAP = 1 << 16
 DEFAULT_DEGREE_CAP = 6**6 * 4
 _BASE_PRECISION = 128
-
-
-# -- exact dyadic/rational helpers ------------------------------------------
-
-
-def _mpf_to_frac(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(2) ** exp)
-    return -v if sign else v
-
-
-def _abs2(re: Fraction, im: Fraction) -> Fraction:
-    return re * re + im * im
-
-
-def _eval_complex(f: IntPoly, re: Fraction, im: Fraction):
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(f.coeffs):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
-    return ar, ai
+_ROOT_BITS = 64  # first radius goal of certified_roots, 2^-64
+_ROOT_BITS_CAP = 1 << 13
+_START_SCALE = 64  # a double start becomes (a + bi) / 2^64
+_GUARD_BITS = 32  # Newton works at most this far below the radius goal
 
 
 # -- scaled-integer complex arithmetic ---------------------------------------
 #
-# Values are (a + b*i) / 2^k with integer a, b.  Keeping the hot paths in
-# plain integers avoids Fraction's gcd normalization, which dominates the
-# runtime once denominators reach thousands of bits.
+# A center is (a + b*i) / 2^k with integer a, b, and a radius is m / 2^e
+# with an integer m of about 50 bits, rounded up.  Plain integers avoid
+# Fraction's gcd normalization, which dominates once denominators reach
+# hundreds of bits.
 
 
 def _eval_scaled(coeffs, a: int, b: int, k: int):
@@ -89,33 +82,8 @@ def _eval_scaled(coeffs, a: int, b: int, k: int):
 
 
 def _isqrt_up(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
+    r = math.isqrt(n)
     return r if r * r == n else r + 1
-
-
-def _small_dyadic(mantissa: int, neg_exp: int, keep: int = 48) -> Fraction:
-    """mantissa / 2^neg_exp rounded up to about `keep` significant bits."""
-    if mantissa <= 0:
-        return Fraction(0)
-    drop = max(mantissa.bit_length() - keep, 0)
-    m = -((-mantissa) >> drop)  # ceil
-    e = neg_exp - drop
-    return Fraction(m, 1 << e) if e >= 0 else Fraction(m << -e)
-
-
-def _radius_scaled(sf: IntPoly, a: int, b: int, k: int) -> Fraction:
-    """Rigorous root-distance bound at (a + bi)/2^k: deg * |P/P'|, rounded up."""
-    pr, pi, _ = _eval_scaled(sf.coeffs, a, b, k)
-    dr, di, _ = _eval_scaled(sf.derivative().coeffs, a, b, k)
-    dd = dr * dr + di * di
-    if dd == 0:
-        raise ZeroDivisionError
-    # radius = n*sqrt(num/dd)/2^k <= isqrt_up(ceil(num*2^(4k)/dd))/2^(3k)
-    num = (pr * pr + pi * pi) * sf.degree * sf.degree
-    s = -((-(num << (4 * k))) // dd)
-    return _small_dyadic(_isqrt_up(s), 3 * k)
 
 
 def _round_div(x: int, d: int) -> int:
@@ -123,29 +91,68 @@ def _round_div(x: int, d: int) -> int:
     return (2 * x + d) // (2 * d)
 
 
-def _refine_scaled(sf: IntPoly, a: int, b: int, k: int, radius, target):
-    """Newton-iterate the scaled center until the radius bound meets target."""
+def _ceil_scaled(m: int, e: int, k: int) -> int:
+    """ceil(m / 2^e * 2^k)."""
+    return m << (k - e) if k >= e else -((-m) >> (e - k))
+
+
+def _refine_scaled(sf: IntPoly, dsf: IntPoly, a: int, b: int, k: int, bits: int):
+    """Newton-iterate (a + bi)/2^k until its radius bound is at most 2^-bits.
+
+    Returns (a, b, k, m, e): the center and the rigorous radius m / 2^e >=
+    deg * |P/P'| there.  A step works at about twice the bits already
+    right, and never beyond bits + _GUARD_BITS, so the cost follows the
+    goal.  A start on the real line stays on it.
+    """
+    n = sf.degree
     for _ in range(100):
-        if radius <= target:
-            return a, b, k, radius
-        k2 = max(2 * k, 64)
-        a <<= k2 - k
-        b <<= k2 - k
-        k = k2
         pr, pi, _ = _eval_scaled(sf.coeffs, a, b, k)
-        dr, di, _ = _eval_scaled(sf.derivative().coeffs, a, b, k)
+        dr, di, _ = _eval_scaled(dsf.coeffs, a, b, k)
         dd = dr * dr + di * di
         if dd == 0:
-            raise PrecisionExhausted("derivative vanished during refinement")
-        # P/P' = (pr + pi*i)(dr - di*i) / (dd * 2^k): subtract in 2^-k units
-        a -= _round_div(pr * dr + pi * di, dd)
-        b -= _round_div(pi * dr - pr * di, dd)
-        radius = _radius_scaled(sf, a, b, k)
+            raise PrecisionExhausted("derivative vanishes at a center")
+        # radius = n*sqrt(num/dd)/2^k <= isqrt_up(ceil(num*2^sh/dd))/2^(k + sh/2)
+        num = (pr * pr + pi * pi) * n * n
+        sh = 100 - num.bit_length() + dd.bit_length()
+        sh += sh & 1
+        s = -((-(num << sh)) // dd) if sh >= 0 else -((-num) // (dd << -sh))
+        m, e = _isqrt_up(s), k + sh // 2
+        if m == 0 or (e >= bits and m <= 1 << (e - bits)):
+            return a, b, k, m, e
+        right = e - m.bit_length()
+        k2 = max(k, min(bits + _GUARD_BITS, max(2 * right + _GUARD_BITS, _START_SCALE)))
+        # P/P' = (pr + pi*i)(dr - di*i) / (dd * 2^k): subtract in 2^-k2 units
+        up = k2 - k
+        a = (a << up) - _round_div((pr * dr + pi * di) << up, dd)
+        b = (b << up) - _round_div((pi * dr - pr * di) << up, dd)
+        k = k2
     raise PrecisionExhausted("Newton refinement did not reach target radius")
 
 
-def _frac_to_scaled(x: Fraction, k: int) -> int:
-    return round(x * (1 << k))
+def _disk_at(a: int, b: int, k: int, m: int, e: int, scale: int):
+    """The disk (a + bi)/2^k, radius m/2^e, as integers at 2^-scale, grown to hold it."""
+    if scale >= k:
+        return a << (scale - k), b << (scale - k), _ceil_scaled(m, e, scale)
+    d = 1 << (k - scale)
+    # each rounded coordinate moves by at most 1/2, the center by less than 1
+    return _round_div(a, d), _round_div(b, d), _ceil_scaled(m, e, scale) + 1
+
+
+def _meet(x, y) -> bool:
+    """Do two integer disks (a, b, r) at one scale intersect?"""
+    s = x[2] + y[2]
+    return (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 <= s * s
+
+
+def _quotient_disk(q: int, x, scale: int):
+    """An integer disk at 2^-scale holding q / z for every z in the disk x."""
+    a, b, r = x
+    denom = a * a + b * b - r * r
+    if denom <= 0:
+        raise PrecisionExhausted("disk too large to invert")
+    # q / D(c, r) = D(q conj(c), q r) / (|c|^2 - r^2); |c|^2 - r^2 = denom / 2^(2 scale)
+    f = q << (2 * scale)
+    return _round_div(f * a, denom), _round_div(-f * b, denom), -((-f * r) // denom) + 1
 
 
 @dataclass(frozen=True)
@@ -153,10 +160,15 @@ class CertifiedRoot:
     """One isolating disk per distinct eigenvalue.
 
     The radius is rigorous: for any z, some root lies within
-    deg * |P(z)/P'(z)| of z, evaluated here in exact rational arithmetic;
-    pairwise disjointness then pins exactly one root per disk.
-    `pair_index` points at the disk of q/alpha, `conjugate_index` at the
-    complex conjugate; `index` is this disk's own position.
+    deg * |P(z)/P'(z)| of z, evaluated in exact integer arithmetic at the
+    center; pairwise disjointness of all the disks then pins exactly one
+    root per disk.  Only the upper member of a conjugate pair is refined
+    (from a double-precision start, by integer Newton steps); its partner
+    is the exact mirror image, and real roots (+-sqrt(q)) have im == 0.
+    Ordering is by (re, im), so the two members of a pair sit next to each
+    other with the negative imaginary part first.  `pair_index` points at
+    the disk of q/alpha, `conjugate_index` at the complex conjugate;
+    `index` is this disk's own position.
     """
 
     index: int
@@ -175,79 +187,96 @@ class CertifiedRoot:
         return complex(float(self.re), float(self.im))
 
 
-def _refine_root(sf: IntPoly, root, target: Fraction, bits: int):
-    """(re, im, radius) of `root` refined until radius <= target."""
-    k = max(bits, 64)
-    a = _frac_to_scaled(root.re, k)
-    b = _frac_to_scaled(root.im, k)
-    radius = _radius_scaled(sf, a, b, k)
-    a, b, k, radius = _refine_scaled(sf, a, b, k, radius, target)
-    return Fraction(a, 1 << k), Fraction(b, 1 << k), radius
-
-
-def _disk_of_quotient(q: int, re, im, radius):
-    """Exact disk containing q / D((re, im), radius); needs |center| > radius."""
-    denom = _abs2(re, im) - radius * radius
-    if denom <= 0:
-        raise PrecisionExhausted("disk too large to invert")
-    return q * re / denom, -q * im / denom, q * radius / denom
-
-
-def _disks_meet(a, b) -> bool:
-    (r1, i1, rad1), (r2, i2, rad2) = a, b
-    s = rad1 + rad2
-    return _abs2(r1 - r2, i1 - i2) <= s * s
-
-
 def certified_roots(w: WeilPolynomial, target_radius=None):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    Precision doubles until the disks are pairwise disjoint and both the
-    alpha -> q/alpha pairing and complex conjugation match each disk to
-    exactly one other disk.  Ordering is by (real part, imaginary part) of
-    the certified centers.
+    Starts come from `_double_starts` in double precision.  Each upper
+    start is refined by integer Newton steps until its radius is at most
+    2^-64 (or `target_radius`, if smaller); its conjugate is the mirror
+    image.  The goal doubles, up to 2^-8192, until the disks are pairwise
+    disjoint and both the alpha -> q/alpha pairing and complex conjugation
+    match each disk to exactly one disk.  A start that leads no disk to its
+    own root cannot pass those checks, so it ends in PrecisionExhausted.
     """
-    sf = poly_squarefree_part(w.poly)
-    prec = _BASE_PRECISION
-    while True:
+    sf = w.squarefree
+    starts = _starts(sf, w.q)
+    bits = _ROOT_BITS
+    if target_radius:
+        t = Fraction(target_radius)  # 2^bits >= 1/t
+        bits = max(bits, (-(-t.denominator // t.numerator) - 1).bit_length())
+    while bits <= _ROOT_BITS_CAP:
         try:
-            return _certify_at(w, sf, prec, target_radius)
-        except (PrecisionExhausted, ZeroDivisionError):
-            prec *= 2
-            if prec > 1 << 14:
-                raise PrecisionExhausted(
-                    f"could not certify roots of {w.poly} below {prec} bits"
-                )
+            return _certify_at(w.q, sf, starts, bits)
+        except PrecisionExhausted:
+            bits *= 2
+    raise PrecisionExhausted(f"could not certify roots of {w.poly} below 2^-{bits // 2}")
 
 
-def _certify_at(w, sf, prec, target_radius):
-    with mpmath.workprec(prec + 32):
-        approx = mpmath.polyroots(
-            [mpmath.mpf(c) for c in reversed(sf.coeffs)], maxsteps=400, extraprec=prec
-        )
-        parts = [(mpmath.mpf(z.real), mpmath.mpf(z.imag)) for z in approx]
-    goal = Fraction(target_radius) if target_radius else Fraction(1, 1 << (prec // 2))
-    centers = []
-    for re_part, im_part in parts:
-        a = _frac_to_scaled(_mpf_to_frac(re_part), prec)
-        b = _frac_to_scaled(_mpf_to_frac(im_part), prec)
-        rad = _radius_scaled(sf, a, b, prec)
-        a, b, k, rad = _refine_scaled(sf, a, b, prec, rad, goal)
-        centers.append((Fraction(a, 1 << k), Fraction(b, 1 << k), rad))
-    centers.sort(key=lambda c: (c[0], c[1]))
-    n = len(centers)
+def _double_starts(sf: IntPoly, q: int, count: int):
+    """`count` double-precision guesses at the roots of sf, highest first.
+
+    sf is solved in the variable t / 2^s with 2^s near sqrt(q), the
+    absolute value of every root, so its coefficients stay in range of a
+    double.
+    """
+    n = sf.degree
+    s = (q.bit_length() - 1) // 2
+    scaled = [c / (1 << (s * (n - i))) for i, c in enumerate(sf.coeffs)]
+    guesses = sorted(np.roots(scaled[::-1]), key=lambda z: -z.imag)
+    return [complex(z) * 2.0**s for z in guesses[:count]]
+
+
+def _starts(sf: IntPoly, q: int):
+    """Scaled-integer starts: the real roots +-sqrt(q), then one per conjugate pair.
+
+    A root of absolute value sqrt(q) is real only at +-sqrt(q), so the real
+    roots are known exactly and the rest come in conjugate pairs.
+    """
+    k = _START_SCALE
+    if is_perfect_square(q):
+        s = math.isqrt(q)
+        real = [x << k for x in (-s, s) if sf.evaluate(x) == 0]
+    elif sf.mod_monic(IntPoly([-q, 0, 1])).is_zero:
+        r = math.isqrt(q << (2 * k))
+        real = [-r, r]
+    else:
+        real = []
+    out = [(x, 0) for x in real]
+    for z in _double_starts(sf, q, (sf.degree - len(real)) // 2):
+        try:
+            out.append((round(z.real * 2.0**k), round(z.imag * 2.0**k)))
+        except (OverflowError, ValueError):
+            raise PrecisionExhausted("double-precision start is not finite") from None
+    return out
+
+
+def _certify_at(q: int, sf: IntPoly, starts, bits: int):
+    dsf = sf.derivative()
+    disks = []
+    for a, b in starts:
+        a, b, k, m, e = _refine_scaled(sf, dsf, a, b, _START_SCALE, bits)
+        disks.append((a, b, k, m, e))
+        if b:
+            disks.append((a, -b, k, m, e))
+    if len(disks) != sf.degree:
+        raise PrecisionExhausted("starts do not cover the roots")
+    # every test runs on integers at one common scale, radii rounded up
+    scale = max(d[2] for d in disks)
+    ordered = sorted((_disk_at(*d, scale), d) for d in disks)
+    cells = [c for c, _ in ordered]
+    n = len(cells)
     for i, j in combinations(range(n), 2):
-        if _disks_meet(centers[i], centers[j]):
+        if _meet(cells[i], cells[j]):
             raise PrecisionExhausted("isolating disks overlap")
     pair = [0] * n
     conj = [0] * n
-    for i, (re, im, rad) in enumerate(centers):
-        inv = _disk_of_quotient(w.q, re, im, rad)
-        hits = [j for j in range(n) if _disks_meet(inv, centers[j])]
+    for i, (re, im, rad) in enumerate(cells):
+        inv = _quotient_disk(q, cells[i], scale)
+        hits = [j for j in range(n) if _meet(inv, cells[j])]
         if len(hits) != 1:
             raise PrecisionExhausted("pairing ambiguous")
         pair[i] = hits[0]
-        chits = [j for j in range(n) if _disks_meet((re, -im, rad), centers[j])]
+        chits = [j for j in range(n) if _meet((re, -im, rad), cells[j])]
         if len(chits) != 1:
             raise PrecisionExhausted("conjugation ambiguous")
         conj[i] = chits[0]
@@ -257,14 +286,18 @@ def _certify_at(w, sf, prec, target_radius):
     return tuple(
         CertifiedRoot(
             index=i,
-            re=c[0],
-            im=c[1],
-            radius=c[2],
+            re=_dyadic(a, k),
+            im=_dyadic(b, k),
+            radius=_dyadic(m, e),
             pair_index=pair[i],
             conjugate_index=conj[i],
         )
-        for i, c in enumerate(centers)
+        for i, (_, (a, b, k, m, e)) in enumerate(ordered)
     )
+
+
+def _dyadic(x: int, k: int) -> Fraction:
+    return Fraction(x, 1 << k) if k >= 0 else Fraction(x << -k)
 
 
 # -- exact relation verification --------------------------------------------
@@ -313,32 +346,24 @@ def _iball_pow(x, n, bits):
     return result
 
 
-def _degree_bound(sf: IntPoly, roots, q: int, involved=None) -> int:
-    """Upper bound on [L:Q] for the splitting field of the relevant roots.
+def _degree_bound(w: WeilPolynomial, roots) -> int:
+    """Upper bound on [L:Q] for the splitting field of the roots.
 
     Adjoining a root also adjoins its pair partner q/alpha, so each pair
     costs a factor (remaining root count); intersecting with the product
     of per-irreducible-factor bounds tightens products considerably.
     """
-    from .exactcore import factor_over_integers
-
-    n = sf.degree
-    if involved is None:
-        pairs = sum(1 for r in roots if r.pair_index > r.index)
-    else:
-        used = set()
-        for i in involved:
-            used.add(min(i, roots[i].pair_index))
-        pairs = sum(1 for i in used if roots[i].pair_index != i)
+    q = w.q
+    pairs = sum(1 for r in roots if r.pair_index > r.index)
     bound = 1
-    remaining = n
+    remaining = w.squarefree.degree
     for _ in range(pairs):
         bound *= max(remaining, 2)
         remaining -= 2
     if any(r.is_self_paired for r in roots) and not is_perfect_square(q):
         bound *= 2
     factored = 1
-    for f, _ in factor_over_integers(sf):
+    for f, _ in w.factors:
         d = f.degree
         if f == IntPoly([-q, 0, 1]):
             factored *= 2
@@ -349,6 +374,45 @@ def _degree_bound(sf: IntPoly, roots, q: int, involved=None) -> int:
             factored *= max(rem, 2)
             rem -= 2
     return max(min(bound, factored), 1)
+
+
+def _root_parts(r: CertifiedRoot):
+    """(a, b, k, m, e): center (a + bi)/2^k and radius m/2^e of a disk.
+
+    Exact for the dyadic values that `certified_roots` returns.
+    """
+    k = max(r.re.denominator.bit_length(), r.im.denominator.bit_length()) - 1
+    e = r.radius.denominator.bit_length() - 1
+    return (
+        (r.re.numerator << k) // r.re.denominator,
+        (r.im.numerator << k) // r.im.denominator,
+        k,
+        -(-(r.radius.numerator << e) // r.radius.denominator),
+        e,
+    )
+
+
+def _relation_balls(sf: IntPoly, roots, e, bits: int) -> dict:
+    """Integer balls at 2^-bits around the roots whose exponent is nonzero.
+
+    Only the upper member of a conjugate pair is refined; the lower one is
+    its mirror image.  A refined disk holds some root, and it is this
+    disk's root because it meets this isolating disk and no other.
+    """
+    dsf = sf.derivative()
+    cells = [_disk_at(*_root_parts(r), bits) for r in roots]
+    refined = {}
+    balls = {}
+    for i in (i for i, x in enumerate(e) if x):
+        j = i if roots[i].im >= 0 else roots[i].conjugate_index
+        if j not in refined:
+            ball = _disk_at(*_refine_scaled(sf, dsf, *_root_parts(roots[j])[:3], bits), bits)
+            if [l for l, c in enumerate(cells) if _meet(ball, c)] != [j]:
+                raise PrecisionExhausted("refined disk left its isolating disk")
+            refined[j] = ball
+        a, b, rad = refined[j]
+        balls[i] = (a, b, rad) if i == j else (a, -b, rad)
+    return balls
 
 
 def _log2_upper(x: Fraction) -> int:
@@ -370,7 +434,7 @@ def verify_relation(
     algebraic integers; the difference, if nonzero, has norm at least one,
     which yields the separation bound from |conjugate| = sqrt(q).
     """
-    sf = poly_squarefree_part(w.poly)
+    sf = w.squarefree
     if roots is None:
         roots = certified_roots(w)
     e = tuple(int(x) for x in e)
@@ -397,21 +461,11 @@ def verify_relation(
     qb = max(m_power, 0)
     su = sqrt_upper(Fraction(q))
     conj_bound = su**pos * Fraction(q) ** qa + su**neg * Fraction(q) ** qb
-    degree_bound = _degree_bound(sf, roots, q)
+    degree_bound = _degree_bound(w, roots)
     sep_log2 = -(degree_bound - 1) * _log2_upper(conj_bound) - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
     while bits <= precision_cap:
-        target = Fraction(1, 1 << bits)
-        balls = []
-        for r in roots:
-            re, im, rad = _refine_root(sf, r, target, bits)
-            balls.append(
-                (
-                    _frac_to_scaled(re, bits),
-                    _frac_to_scaled(im, bits),
-                    int(rad * (1 << bits)) + 2,  # +2: rounding the center
-                )
-            )
+        balls = _relation_balls(sf, roots, e, bits)
         side_a = (q**qa << bits, 0, 0)
         side_b = (q**qb << bits, 0, 0)
         for i, exp in enumerate(e):
@@ -422,11 +476,9 @@ def verify_relation(
         za = side_a[0] - side_b[0]
         zb = side_a[1] - side_b[1]
         zr = side_a[2] + side_b[2]
-        from math import isqrt
-
         mag = za * za + zb * zb
         upper_scaled = _isqrt_up(mag) + zr
-        lower_scaled = isqrt(mag) - zr
+        lower_scaled = math.isqrt(mag) - zr
         # separation 2^sep_log2 in the same 2^-bits scale
         sep_scaled = 1 << (bits + sep_log2)
         if upper_scaled < sep_scaled:
@@ -692,7 +744,7 @@ def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
         return 0
     if w.p == 2 and np_.length(half):
         return 0
-    sf = poly_squarefree_part(w.poly)
+    sf = w.squarefree
     _, v_part = _unit_part_mod_p(sf, w.p)
     if len(v_part) <= 1:
         return 0

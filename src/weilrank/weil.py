@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     FunctionalEquationFails,
@@ -51,13 +52,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeilPolynomial:
-    """A validated Weil q-polynomial.  Construct through `validate`."""
+    """A validated Weil q-polynomial.  Construct through `validate`.
+
+    The squarefree part and the factorization of P are computed once per
+    instance, on first use, so that no operation refactors P.
+    """
 
     poly: IntPoly
     q: int
     p: int
     v: int
     g: int
+
+    @cached_property
+    def squarefree(self) -> IntPoly:
+        """Product of the distinct irreducible factors of P."""
+        return poly_squarefree_part(self.poly)
+
+    @cached_property
+    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
+        """The irreducible factors of P with multiplicities, as `factor_over_integers`."""
+        return tuple(factor_over_integers(self.poly))
 
     def __str__(self):
         return f"{self.poly} over F_{self.q}"
@@ -223,8 +238,7 @@ def eigenvalue_structure(w: WeilPolynomial) -> EigenvalueDecomposition:
     irreducible factor is reported (each factor's root set is itself closed
     under alpha -> q/alpha, because q/alpha is the complex conjugate).
     """
-    factors = factor_over_integers(w.poly)
-    comps = tuple(_factor_structure(f, m, w) for f, m in factors)
+    comps = tuple(_factor_structure(f, m, w) for f, m in w.factors)
     return EigenvalueDecomposition(components=comps, simple=len(comps) == 1)
 
 
@@ -240,7 +254,7 @@ def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
     if n == 1:
         return w
     out = IntPoly([1])
-    for f, m in factor_over_integers(w.poly):
+    for f, m in w.factors:
         out = out * power_transform(f, n) ** m
     return validate(out, w.q**n)
 
@@ -256,7 +270,7 @@ def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:
     collected.  Empty exactly when the base field is "clean" for pairwise
     ratios.
     """
-    sf = poly_squarefree_part(w.poly)
+    sf = w.squarefree
     if sf.degree <= 1:
         return frozenset()
     ratios = product_transform(sf, sf).scale_argument(w.q).primitive_part()
@@ -271,7 +285,7 @@ def beta_polynomial(w: WeilPolynomial) -> IntPoly:
     One root per distinct eigenvalue; torsion among these is the other
     ingredient (besides pairwise ratio torsion) of the sufficiency test.
     """
-    sf = poly_squarefree_part(w.poly)
+    sf = w.squarefree
     squares = power_transform(sf, 2)
     return squares.scale_argument(w.q).primitive_part()
 

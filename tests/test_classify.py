@@ -3,6 +3,7 @@
 import pytest
 
 import weilrank.classify
+import weilrank.weil
 
 from weilrank.classify import (
     classify,
@@ -91,6 +92,48 @@ class TestTorsionOnce:
         with pytest.raises(DimensionTooLarge):
             classify_auto(validate(P(5, -1, 1) ** 4, 5))
         assert calls == []
+
+
+class TestSufficientFieldOnce:
+    def test_base_change_built_once(self, monkeypatch):
+        calls = []
+        real = weilrank.classify.base_change
+
+        def counting(w, n):
+            calls.append((w.q, n))
+            return real(w, n)
+
+        monkeypatch.setattr(weilrank.classify, "base_change", counting)
+        # t^2 + 5 over F_5 has a -1 ratio, and the product is cross-checked by the oracle
+        rep = classify_auto(validate(P(5, 0, 1) * P(5, -1, 1), 5))
+        assert rep.extension_from == (5, 2) and rep.rank == 1
+        assert calls == [(5, 2)]
+        assert sufficiency_degree(validate(P(5, 0, 1), 5)) == 2
+        assert calls == [(5, 2), (5, 2)]
+
+    def test_each_polynomial_factored_once(self, monkeypatch):
+        factored, squarefree = [], []
+        real_factor = weilrank.weil.factor_over_integers
+        real_sf = weilrank.weil.poly_squarefree_part
+
+        def counting_factor(f):
+            factored.append(f)
+            return real_factor(f)
+
+        def counting_sf(f):
+            squarefree.append(f)
+            return real_sf(f)
+
+        monkeypatch.setattr(weilrank.weil, "factor_over_integers", counting_factor)
+        monkeypatch.setattr(weilrank.weil, "poly_squarefree_part", counting_sf)
+        w = validate(P(5, 0, 1) * P(5, -1, 1), 5)
+        rep = classify_auto(w, force_oracle=True)
+        assert rep.oracle is not None
+        # w and its base change, each factored once, though the torsion
+        # checks, the base change, the classifier and the oracle all use them
+        assert factored == [w.poly, rep.poly]
+        for f in (w.poly, rep.poly):
+            assert squarefree.count(f) == 1
 
 
 class TestClassifySimple:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrank.errors import DegreeOverflow, PreconditionViolation
-from weilrank.exactcore import IntPoly
+import weilrank.relfinder
+from weilrank.errors import DegreeOverflow, PrecisionExhausted
+from weilrank.exactcore import IntPoly, prime_power
 from weilrank.relfinder import (
+    RelationCertificate,
     _echelon,
     _lattice_contains,
     _saturate,
@@ -18,6 +20,7 @@ from weilrank.relfinder import (
     relation_lattice,
     verify_relation,
 )
+from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import base_change, validate
 
 
@@ -118,7 +121,122 @@ class TestCertifiedRoots:
         assert all(r.radius <= Fraction(1, 2**200) for r in roots)
 
 
+# inputs with conjugate pairs only, with +-sqrt(q) irrational, and with an integer root
+START_CASES = [
+    (NON_NEAT, 9),
+    (_sextic_from_trace([-1, -4, 0, 1], 5), 5),
+    (P(-5, 0, 1) ** 2 * P(5, -1, 1), 5),
+    (P(-5, 1) ** 2 * P(25, -1, 1), 25),
+]
+
+
+def _same_disks(got, want):
+    """Same length, pairing and conjugation, and each disk holds the same root."""
+    assert len(got) == len(want)
+    for g, r in zip(got, want):
+        assert (g.index, g.pair_index, g.conjugate_index) == (r.index, r.pair_index, r.conjugate_index)
+        reach = g.radius + r.radius
+        assert abs(g.re - r.re) <= reach and abs(g.im - r.im) <= reach
+
+
+class TestRootStarts:
+    """Soundness rests on the radius bound and the disjointness checks, not on the starts."""
+
+    @pytest.mark.parametrize("poly, q", START_CASES)
+    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "mirrored"])
+    def test_order_independent_of_starts(self, monkeypatch, poly, q, perturb):
+        w = validate(poly, q)
+        roots = certified_roots(w)
+        oracle = oracle_rank(w)
+        real = weilrank.relfinder._double_starts
+
+        def moved(sf, q, count):
+            out = real(sf, q, count)
+            if perturb == "mirrored":  # starts in the lower half-plane
+                return [z.conjugate() for z in out]
+            return [z + abs(z) * complex(1e-12 * (j + 1), -1.7e-12 * (j + 2)) for j, z in enumerate(out)]
+
+        monkeypatch.setattr(weilrank.relfinder, "_double_starts", moved)
+        w = validate(poly, q)  # a fresh instance: nothing cached
+        _same_disks(certified_roots(w), roots)
+        again = oracle_rank(w)
+        assert again.rank == oracle.rank
+        assert again.lattice.representatives == oracle.lattice.representatives
+        assert again.lattice.basis == oracle.lattice.basis
+        assert [c.holds for c in again.lattice.certificates] == [
+            c.holds for c in oracle.lattice.certificates
+        ]
+
+    def test_conjugates_are_exact_mirrors(self):
+        for poly, q in START_CASES:
+            roots = certified_roots(validate(poly, q))
+            for r in roots:
+                c = roots[r.conjugate_index]
+                assert (c.re, c.im, c.radius) == (r.re, -r.im, r.radius)
+                # a root of absolute value sqrt(q) is real only at +-sqrt(q)
+                assert (r.im == 0) == r.is_self_paired
+            # canonical order: by real part, a pair's negative imaginary part first
+            assert [(r.re, r.im) for r in roots] == sorted((r.re, r.im) for r in roots)
+
+    @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
+    def test_two_starts_on_one_root_never_certify(self, monkeypatch, poly, q):
+        real = weilrank.relfinder._double_starts
+        monkeypatch.setattr(
+            weilrank.relfinder,
+            "_double_starts",
+            lambda sf, q, count: [real(sf, q, count)[0]] * count,
+        )
+        with pytest.raises(PrecisionExhausted):
+            certified_roots(validate(poly, q))
+
+    def test_non_finite_start(self, monkeypatch):
+        monkeypatch.setattr(
+            weilrank.relfinder, "_double_starts", lambda sf, q, count: [complex("nan")] * count
+        )
+        with pytest.raises(PrecisionExhausted):
+            certified_roots(validate(NON_NEAT, 9))
+
+    def test_small_boxes_all_certify(self):
+        # every Weil polynomial with g = 1, q <= 25; g = 2, q <= 5; g = 3, q = 2
+        boxes = [(1, q) for q in range(2, 26)] + [(2, q) for q in range(2, 6)] + [(3, 2)]
+        count = 0
+        for g, q in boxes:
+            if prime_power(q) is None:
+                continue
+            for w in enumerate_weil(SearchSpec(g=g, q=q)):
+                roots = certified_roots(w)
+                assert len(roots) == w.squarefree.degree
+                for r in roots:
+                    assert r.pair_index == r.conjugate_index  # q/alpha = conj(alpha)
+                for a, b in zip(roots, roots[1:]):
+                    assert (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.radius + b.radius) ** 2
+                count += 1
+        assert count == 727
+
+
 class TestVerifyRelation:
+    # certificates of the Fraction/mpmath implementation this one replaced
+    @pytest.mark.parametrize(
+        "poly, q, e, m, holds, sep, bits",
+        [
+            (NON_NEAT, 9, (2, 0, 2, 0, -2, 0), 1, True, -378, 442),
+            (NON_NEAT, 9, (2, 0, 2, 0, 2, 0), 3, False, -519, 583),
+            (NON_NEAT, 9, (2, 0, -2, 0, 0, 0), 0, False, -237, 301),
+            (P(64, -32, 4, 4, 1, -2, 1), 4, (2, 0, 2, 0, -2, 0), 1, True, -284, 348),
+            (P(64, -32, 4, 4, 1, -2, 1), 4, (2, 0, 2, 0, 2, 0), 3, False, -378, 442),
+        ],
+    )
+    def test_certificates_unchanged(self, poly, q, e, m, holds, sep, bits):
+        assert verify_relation(validate(poly, q), e, m) == RelationCertificate(
+            holds=holds,
+            exponents=e,
+            power_of_q=m,
+            separation_log2=sep,
+            conjugate_degree_bound=48,
+            precision_bits=bits,
+        )
+
+
     def test_trivial_pair_relation(self):
         w = validate(P(5, -1, 1), 5)
         cert = verify_relation(w, (1, 1), 1)

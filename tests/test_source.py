@@ -1,6 +1,9 @@
 """Invariants of the source tree itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -14,3 +17,13 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert list(SRC.rglob("*.py")) and found == []
+
+
+def test_import_leaves_mpmath_unloaded():
+    # the oracle runs on integers and numpy; mpmath is only a test dependency
+    code = "import sys, weilrank, weilrank.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
