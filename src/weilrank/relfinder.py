@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-import numpy as np
-
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, is_perfect_square, sqrt_upper
 from .exactcore.factor import _pgcd, _pstrip, modular_factor_degrees
@@ -219,6 +217,8 @@ def _double_starts(sf: IntPoly, q: int, count: int):
     absolute value of every root, so its coefficients stay in range of a
     double.
     """
+    import numpy as np  # only the oracle needs numpy; importing weilrank does not load it
+
     n = sf.degree
     s = (q.bit_length() - 1) // 2
     scaled = [c / (1 << (s * (n - i))) for i, c in enumerate(sf.coeffs)]
@@ -606,6 +606,8 @@ def _candidate_vectors(thetas, bound, tol=1e-6):
     Exhaustive over the box so no true relation at this height is missed;
     false positives are eliminated by exact verification downstream.
     """
+    import numpy as np
+
     d = len(thetas)
     theta = np.array(thetas, dtype=float)
     two_pi = 2.0 * math.pi
@@ -648,7 +650,8 @@ def relation_lattice(
     high-precision arguments of the beta; every candidate is settled by
     `verify_relation`.  The verified lattice is saturated (a root of unity
     in the eigenvalue group must be 1 over a sufficiently large field) and
-    each saturated basis vector is re-verified, so the basis is certified.
+    each saturated basis vector is verified, or keeps its certificate when
+    it is a verified candidate, so the basis is certified.
     Saturation and the basis's Hermite normal form come from `_echelon`.
     """
     if roots is None:
@@ -664,37 +667,36 @@ def relation_lattice(
             status="complete_up_to_H",
         )
     thetas = [_theta_of_root(roots[i]) for i in reps]
+
+    def verify(vec):
+        full = [0] * len(roots)
+        for j, i in enumerate(reps):
+            full[i] = 2 * vec[j]
+        return verify_relation(
+            w,
+            full,
+            sum(vec),
+            roots=roots,
+            precision_cap=precision_cap,
+            degree_cap=degree_cap,
+        )
+
     verified: list[list[int]] = []
+    proved: dict[tuple[int, ...], RelationCertificate] = {}
     for cand in _candidate_vectors(thetas, exponent_bound):
         if _lattice_contains(verified, list(cand)):
             continue
-        full = [0] * len(roots)
-        for j, i in enumerate(reps):
-            full[i] = 2 * cand[j]
-        cert = verify_relation(
-            w,
-            full,
-            sum(cand),
-            roots=roots,
-            precision_cap=precision_cap,
-            degree_cap=degree_cap,
-        )
+        cert = verify(cand)
         if cert.holds:
             verified.append(list(cand))
+            proved[tuple(cand)] = cert
     basis = _saturate(verified, d)
     certs = []
     for row in basis:
-        full = [0] * len(roots)
-        for j, i in enumerate(reps):
-            full[i] = 2 * row[j]
-        cert = verify_relation(
-            w,
-            full,
-            sum(row),
-            roots=roots,
-            precision_cap=precision_cap,
-            degree_cap=degree_cap,
-        )
+        # a basis row that is itself a verified candidate keeps its certificate
+        cert = proved.get(tuple(row))
+        if cert is None:
+            cert = verify(row)
         if not cert.holds:
             raise PreconditionViolation(
                 "saturated relation failed verification; field not sufficiently large?"

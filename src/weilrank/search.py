@@ -1,23 +1,29 @@
 """Enumeration harnesses: exhaustive Weil polynomial generation, the
 totally-real cubic constructor, and the targeted non-neat sextic finder.
 
-The enumerator walks the free half of the coefficient box (the functional
-equation forces the lower-degree half), converts each candidate to its
-trace polynomial, and applies an exact real-rootedness-and-range test, so
-only genuine Weil polynomials are ever materialized.  Everything is
-deterministic; there is no randomness anywhere in the search.
+For g <= 3 the enumerator walks the trace polynomial h, with
+P(t) = t^g h(t + q/t), one coefficient per level, and visits only
+coefficients that can still lead to a Weil polynomial: at each level an
+exact interval, computed in integers, holds exactly the values for which
+the derivative of h at that level keeps all its roots in
+[-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for root-unitary
+polynomials", 2008).  Every leaf is then a Weil polynomial by
+construction, and is not validated again.  For g >= 4 the enumerator
+walks the free half of the coefficient box and validates each leaf.
+Everything is deterministic; there is no randomness anywhere in the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 
 from .classify import classify_auto
 from .errors import (
     BSplitAtP,
     FunctionalEquationFails,
+    NotPrimePower,
     PreconditionViolation,
     QNotSquare,
     ResidueConditionFails,
@@ -29,13 +35,14 @@ from .exactcore import (
     is_irreducible,
     is_prime,
     legendre_symbol,
+    prime_power,
     squarefree_part,
     sturm_real_root_count,
 )
 from .newton import classify_newton, newton_polygon
 from .subfields import ConjugateFactorization, QuadraticElement, p_splits
 from .subfields import _qmul  # polynomial product over Q(sqrt(m))
-from .weil import WeilPolynomial, validate
+from .weil import _from_trace, validate
 
 __all__ = [
     "SearchSpec",
@@ -74,60 +81,88 @@ class SearchSpec:
         return default_bound(self.g, self.q, i)
 
 
-def _sign_nonneg_sqrt(a: int, b: int, q: int) -> bool:
-    """Exact test of a + b*sqrt(q) >= 0."""
-    if a >= 0 and b >= 0:
-        return True
-    if a < 0 and b < 0:
-        return False
-    if b >= 0:
-        return a * a <= b * b * q
-    return a * a >= b * b * q
+def _floor_surd(s: int, t: int, d: int, den: int = 1) -> int:
+    """floor((s + t sqrt(d)) / den) exactly, for integers s, t, d >= 0 and den > 0.
+
+    The ceiling is -_floor_surd(-s, -t, d, den).
+    """
+    r = isqrt(t * t * d)  # floor(|t| sqrt(d))
+    if t < 0:
+        r = -r if r * r == t * t * d else -r - 1
+    # floor((s + y) / den) = floor((s + floor(y)) / den) for integer s
+    return (s + r) // den
 
 
-def _trace_is_weil_g3(b2: int, b1: int, b0: int, q: int) -> bool:
-    """All roots of x^3 + b2 x^2 + b1 x + b0 real and within [-2 sqrt q, 2 sqrt q]."""
-    disc = (
-        18 * b2 * b1 * b0
-        - 4 * b2**3 * b0
-        + b2 * b2 * b1 * b1
-        - 4 * b1**3
-        - 27 * b0 * b0
-    )
-    if disc < 0:
-        return False
-    # roots <= 2 sqrt(q):  h, h', h'' all >= 0 there
-    if not _sign_nonneg_sqrt(4 * q * b2 + b0, 8 * q + 2 * b1, q):
-        return False
-    if not _sign_nonneg_sqrt(12 * q + b1, 4 * b2, q):
-        return False
-    if not _sign_nonneg_sqrt(2 * b2, 12, q):
-        return False
-    # roots >= -2 sqrt(q): alternating signs of derivatives there
-    if not _sign_nonneg_sqrt(-(4 * q * b2 + b0), 8 * q + 2 * b1, q):
-        return False
-    if not _sign_nonneg_sqrt(12 * q + b1, -4 * b2, q):
-        return False
-    if not _sign_nonneg_sqrt(-2 * b2, 12, q):
-        return False
-    return True
+def _level_interval(spec: SearchSpec, prefix: list[int]) -> tuple[int, int]:
+    """The least and greatest b_(g-k) at level k = len(prefix) + 1 of the trace walk.
+
+    prefix = [b_(g-1), ..., b_(g-k+1)] are the chosen top coefficients of
+    the monic trace polynomial h, and D_(k-1) = h^(g-k+1) already has all
+    its roots in I = [-2 sqrt(q), 2 sqrt(q)].  D_k = h^(g-k) has degree k,
+    a positive leading coefficient, constant term (g-k)! b_(g-k), and
+    derivative D_(k-1).  So its roots all lie in I exactly when
+    D_k(2 sqrt q) >= 0, (-1)^k D_k(-2 sqrt q) >= 0, and D_k alternates in
+    sign at the roots c_1 <= ... <= c_(k-1) of D_(k-1),
+    (-1)^(k-j) D_k(c_j) >= 0: these signs put a root in each of the k
+    pieces into which the c_j cut I, and roots of D_k in I interlace with
+    the c_j.  Each condition bounds b_(g-k) by a number s + t sqrt(d),
+    rounded exactly, so the interval is exact.
+    The interval is intersected with the box bound on
+    a_(2g-k) = b_(g-k) + (terms in b_(g-k+1), ..., b_g).
+    """
+    g, q = spec.g, spec.q
+    k = len(prefix) + 1
+    b = [1, *prefix]  # b[i] = b_(g-i)
+    # D_k = f b_(g-k) + sum over m = 1..k of e[m] x^m
+    e = [0] + [b[k - m] * factorial(g - k + m) // factorial(m) for m in range(1, k + 1)]
+    f = factorial(g - k)
+    # the non-constant part of D_k at x = +-2 sqrt(q) is s +- t sqrt(q)
+    s = sum(e[m] * 2**m * q ** (m // 2) for m in range(2, k + 1, 2))
+    t = sum(e[m] * 2**m * q ** (m // 2) for m in range(1, k + 1, 2))
+    shift = sum(comb(g - k + 2 * i, i) * q**i * b[k - 2 * i] for i in range(1, k // 2 + 1))
+    bound = spec.bound(2 * g - k)
+    lo = max(-bound - shift, -_floor_surd(s, t, q, f))
+    hi = bound - shift
+    if k % 2:
+        hi = min(hi, _floor_surd(-s, t, q, f))
+    else:
+        lo = max(lo, -_floor_surd(s, -t, q, f))
+    if k == 2:  # one critical point, -e1 / (2 e2), where D_2 <= 0
+        hi = min(hi, e[1] * e[1] // (4 * e[2] * f))
+    elif k == 3:  # critical points (u -+ sqrt(disc)) / w, roots of D_2 = e1 + 2 e2 x + 3 e3 x^2
+        u, w = -2 * e[2], 6 * e[3]
+        disc = 4 * e[2] * e[2] - 12 * e[1] * e[3]
+        # the non-constant part of D_3 there is (s3 -+ t3 sqrt(disc)) / w^3
+        s3 = e[3] * (u**3 + 3 * u * disc) + e[2] * w * (u * u + disc) + e[1] * w * w * u
+        t3 = e[3] * (3 * u * u + disc) + 2 * e[2] * w * u + e[1] * w * w
+        den = f * w**3
+        lo = max(lo, -_floor_surd(s3, -t3, disc, den))  # D_3(c_1) >= 0
+        hi = min(hi, _floor_surd(-s3, -t3, disc, den))  # D_3(c_2) <= 0
+    return lo, hi
 
 
-def _trace_is_weil_g2(b1: int, b0: int, q: int) -> bool:
-    """All roots of x^2 + b1 x + b0 real and within [-2 sqrt q, 2 sqrt q]."""
-    if b1 * b1 - 4 * b0 < 0:
-        return False
-    if not _sign_nonneg_sqrt(4 * q + b0, 2 * b1, q):
-        return False
-    if not _sign_nonneg_sqrt(4 * q + b0, -2 * b1, q):
-        return False
-    # vertex inside the interval: |b1/2| <= 2 sqrt(q) is implied by the
-    # two endpoint conditions plus realness only when b0 <= 4q; check it
-    if not _sign_nonneg_sqrt(-b1, 4, q):
-        return False
-    if not _sign_nonneg_sqrt(b1, 4, q):
-        return False
-    return True
+def _trace_walk(spec: SearchSpec):
+    """Every Weil polynomial in the box for g <= 3, walked in trace coordinates.
+
+    Only nodes whose D_k has all its roots in [-2 sqrt(q), 2 sqrt(q)] are
+    visited, and every leaf is a Weil polynomial, built without revalidation.
+    """
+    g, q = spec.g, spec.q
+    pp = prime_power(q)
+    if pp is None:
+        raise NotPrimePower(f"q = {q} is not a prime power")
+
+    def rec(prefix):
+        lo, hi = _level_interval(spec, prefix)
+        if len(prefix) + 1 < g:
+            for y in range(lo, hi + 1):
+                yield from rec([*prefix, y])
+            return
+        top = [*reversed(prefix), 1]
+        for y in range(lo, hi + 1):
+            yield _from_trace(IntPoly([y, *top]), q, pp)
+
+    return rec([])
 
 
 def _candidate_poly(g: int, q: int, free: tuple) -> IntPoly:
@@ -141,61 +176,46 @@ def _candidate_poly(g: int, q: int, free: tuple) -> IntPoly:
     return IntPoly(coeffs)
 
 
-def _weil_at_leaf(g: int, q: int, free: tuple) -> WeilPolynomial | None:
-    """The validated Weil polynomial of a box leaf, or None if RH fails.
+def _box_walk(spec: SearchSpec):
+    """Every Weil polynomial in the box, each leaf decided by `validate`."""
+    g, q = spec.g, spec.q
+    ranges = [range(-spec.bound(i), spec.bound(i) + 1) for i in range(2 * g - 1, g - 1, -1)]
 
-    For g <= 3 an exact sign test on the trace polynomial decides, and the
-    full validator re-checks each survivor defensively; for g >= 4 the
-    validator itself decides.
-    """
-    if g == 1:
-        (a1,) = free
-        passes = a1 * a1 <= 4 * q
-    elif g == 2:
-        a3, a2 = free
-        passes = _trace_is_weil_g2(a3, a2 - 2 * q, q)
-    elif g == 3:
-        a5, a4, a3 = free
-        passes = _trace_is_weil_g3(a5, a4 - 3 * q, a3 - 2 * q * a5, q)
-    else:
-        try:
-            return validate(_candidate_poly(g, q, free), q)
-        except RiemannHypothesisFails:
-            return None
-    return validate(_candidate_poly(g, q, free), q) if passes else None
+    def rec(prefix):
+        if len(prefix) == g:
+            try:
+                yield validate(_candidate_poly(g, q, prefix), q)
+            except RiemannHypothesisFails:
+                pass
+            return
+        for val in ranges[len(prefix)]:
+            yield from rec(prefix + (val,))
+
+    return rec(())
 
 
 def enumerate_weil(spec: SearchSpec):
     """Yield every valid Weil polynomial in the box, lexicographically.
 
-    The tuple (a_(2g-1), ..., a_g) of free ascending-index coefficients
-    runs in lexicographic order, each coordinate from -bound to +bound.
-    The exact real-rootedness test on the trace polynomial is equivalent
-    to validation, which is re-run on every emitted polynomial as a
-    defensive check.  At most `limit` polynomials are yielded.
+    The order is lexicographic in the free ascending-index coefficients
+    (a_(2g-1), ..., a_g), each within its box bound.  For g <= 3 the walk
+    runs over the trace polynomial's coefficients (b_(g-1), ..., b_0), a
+    unit-triangular change of coordinates that keeps this order, and each
+    level visits exactly the b that can still lead to a Weil polynomial.
+    For g >= 4 every box leaf is validated.  The filters apply to each
+    polynomial in turn; at most `limit` polynomials are yielded.
     """
-    g, q = spec.g, spec.q
     if spec.limit is not None and spec.limit < 0:
         raise PreconditionViolation(f"limit must be non-negative, got {spec.limit}")
-    ranges = [range(-spec.bound(i), spec.bound(i) + 1) for i in range(2 * g - 1, g - 1, -1)]
-    emitted = 0
-
-    def rec(prefix):
-        if len(prefix) == g:
-            w = _weil_at_leaf(g, q, prefix)
-            if w is not None:
-                yield w
-            return
-        for val in ranges[len(prefix)]:
-            yield from rec(prefix + (val,))
-
     if spec.limit == 0:
         return
-    for w in rec(()):
+    emitted = 0
+    walk = _trace_walk(spec) if 1 <= spec.g <= 3 else _box_walk(spec)
+    for w in walk:
         if spec.irreducible_only and not is_irreducible(w.poly):
             continue
         if spec.newton_label is not None:
-            labels = classify_newton(newton_polygon(w), g).labels
+            labels = classify_newton(newton_polygon(w), spec.g).labels
             if spec.newton_label not in labels:
                 continue
         if spec.non_neat_only:

@@ -52,7 +52,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeilPolynomial:
-    """A validated Weil q-polynomial.  Construct through `validate`.
+    """A validated Weil q-polynomial.  Construct through `validate`, or
+    through `_from_trace` from a trace polynomial proved to be in range.
 
     The squarefree part and the factorization of P are computed once per
     instance, on first use, so that no operation refactors P.
@@ -106,6 +107,22 @@ def _expand_trace(h: IntPoly, q: int, g: int) -> IntPoly:
     for k, c in enumerate(h.coeffs):
         out = out + (c * base**k).shift(g - k)
     return out
+
+
+def _from_trace(h: IntPoly, q: int, pp: tuple[int, int]) -> WeilPolynomial:
+    """The Weil polynomial t^g h(t + q/t), built without `validate`.
+
+    The caller must have proved that the monic h has all its roots real and
+    inside [-2 sqrt(q), 2 sqrt(q)], and pass pp = prime_power(q).  Then
+    every check of `validate` holds by construction: P is monic of degree
+    2g because h is monic of degree g; t + q/t is fixed by t -> q/t, so P
+    satisfies the functional equation; and each root r of h contributes
+    the two roots of t^2 - r t + q, whose discriminant r^2 - 4q is not
+    positive for real |r| <= 2 sqrt(q), so they are complex conjugates
+    with product q, each of absolute value sqrt(q).
+    """
+    g = h.degree
+    return WeilPolynomial(poly=_expand_trace(h, q, g), q=q, p=pp[0], v=pp[1], g=g)
 
 
 def validate(poly: IntPoly, q: int) -> WeilPolynomial:

@@ -1,6 +1,7 @@
 """The weilrank/1 JSON contract of the command line: keys, exit codes, batch lines."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ REPORT_KEYS = {
     "newton_labels", "polygon", "simple", "conditions", "witness",
     "components", "rank_source", "sufficiency_degree", "notes",
 }
+
+GOLDEN_ENUMERATE = Path(__file__).resolve().parent / "data" / "enumerate_g2_q3.jsonl"
 
 ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
 PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
@@ -135,3 +138,43 @@ class TestBatch:
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code, out = run(capsys, "classify", "--batch", str(tmp_path / "missing.jsonl"))
         assert code == 1 and out == []
+
+
+class TestEnumerateGolden:
+    """`weilrank enumerate` output, recorded from the full-box enumerator."""
+
+    def _enumerate(self, capsys, *argv):
+        code = main(["enumerate", "--g", "2", "--q", "3", *argv])
+        captured = capsys.readouterr()
+        return code, captured.out.splitlines(), captured.err
+
+    def test_g2_q3(self, capsys):
+        code, out, err = self._enumerate(capsys)
+        assert code == 0
+        assert out == GOLDEN_ENUMERATE.read_text().splitlines()
+        assert len(out) == 63 and err == "enumerated 63 polynomials\n"
+
+    def test_limit(self, capsys):
+        code, out, err = self._enumerate(capsys, "--limit", "5")
+        assert code == 0
+        assert out == GOLDEN_ENUMERATE.read_text().splitlines()[:5]
+        assert err == "enumerated 5 polynomials\n"
+
+    def test_bound_override(self, capsys):
+        code, out, _ = self._enumerate(capsys, "--bound-override", "2=1", "--bound-override", "3=2")
+        recs = [json.loads(line) for line in out]
+        assert code == 0
+        assert {(rec["schema"], rec["q"]) for rec in recs} == {("weilrank/1", "3")}
+        assert [rec["coeffs"] for rec in recs] == [
+            ["9", "-6", "1", "-2", "1"],
+            ["9", "-3", "-1", "-1", "1"],
+            ["9", "-3", "0", "-1", "1"],
+            ["9", "-3", "1", "-1", "1"],
+            ["9", "0", "-1", "0", "1"],
+            ["9", "0", "0", "0", "1"],
+            ["9", "0", "1", "0", "1"],
+            ["9", "3", "-1", "1", "1"],
+            ["9", "3", "0", "1", "1"],
+            ["9", "3", "1", "1", "1"],
+            ["9", "6", "1", "2", "1"],
+        ]

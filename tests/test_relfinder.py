@@ -346,6 +346,34 @@ class TestRelationLattice:
         assert lat.rank == 2
         assert lat.certificates[0].holds
 
+    @pytest.mark.parametrize(
+        "poly, q",
+        [
+            (NON_NEAT, 9),
+            (P(729, -486, 252, -102, 28, -6, 1), 9),
+            (P(64, -32, 4, 4, 1, -2, 1), 4),
+            (P(64, -48, -12, 22, -3, -3, 1), 4),
+        ],
+    )
+    def test_basis_reuses_candidate_certificates(self, monkeypatch, poly, q):
+        real = weilrank.relfinder.verify_relation
+        calls = []
+
+        def counted(w, e, m_power, **kwargs):
+            calls.append((tuple(e), m_power))
+            return real(w, e, m_power, **kwargs)
+
+        monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
+        w = validate(poly, q)
+        o = oracle_rank(w)
+        assert o.rank == 2 and len(o.lattice.basis) == 1
+        # the basis row is the verified candidate, proved once, not twice
+        assert len(calls) == 1
+        # and its certificate is the one a fresh proof gives
+        roots = certified_roots(w)
+        for cert in o.lattice.certificates:
+            assert cert == real(w, cert.exponents, cert.power_of_q, roots=roots)
+
     def test_trivial_lattice_containment(self):
         # vectors with e'(beta) = e'(1/beta) reduce to 0 on representatives,
         # so the zero vector must always be a member

@@ -1,13 +1,168 @@
-"""Weil polynomial enumeration: the limit and the g >= 4 fallback."""
+"""Weil polynomial enumeration: the pruned trace walk against a full-box
+reference, the exact surd rounding, the limit, and the g >= 4 fallback."""
 
+from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import weilrank.search
 from weilrank.errors import PreconditionViolation, RiemannHypothesisFails
-from weilrank.exactcore import IntPoly
-from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.exactcore import IntPoly, prime_power
+from weilrank.search import SearchSpec, _floor_surd, enumerate_weil
 from weilrank.weil import validate
+
+
+def _sign_nonneg_sqrt(a: int, b: int, q: int) -> bool:
+    """Exact test of a + b*sqrt(q) >= 0."""
+    if a >= 0 and b >= 0:
+        return True
+    if a < 0 and b < 0:
+        return False
+    if b >= 0:
+        return a * a <= b * b * q
+    return a * a >= b * b * q
+
+
+def _trace_is_weil_g3(b2: int, b1: int, b0: int, q: int) -> bool:
+    """All roots of x^3 + b2 x^2 + b1 x + b0 real and within [-2 sqrt q, 2 sqrt q]."""
+    disc = (
+        18 * b2 * b1 * b0
+        - 4 * b2**3 * b0
+        + b2 * b2 * b1 * b1
+        - 4 * b1**3
+        - 27 * b0 * b0
+    )
+    if disc < 0:
+        return False
+    # roots <= 2 sqrt(q):  h, h', h'' all >= 0 there
+    if not _sign_nonneg_sqrt(4 * q * b2 + b0, 8 * q + 2 * b1, q):
+        return False
+    if not _sign_nonneg_sqrt(12 * q + b1, 4 * b2, q):
+        return False
+    if not _sign_nonneg_sqrt(2 * b2, 12, q):
+        return False
+    # roots >= -2 sqrt(q): alternating signs of derivatives there
+    if not _sign_nonneg_sqrt(-(4 * q * b2 + b0), 8 * q + 2 * b1, q):
+        return False
+    if not _sign_nonneg_sqrt(12 * q + b1, -4 * b2, q):
+        return False
+    return _sign_nonneg_sqrt(-2 * b2, 12, q)
+
+
+def _trace_is_weil_g2(b1: int, b0: int, q: int) -> bool:
+    """All roots of x^2 + b1 x + b0 real and within [-2 sqrt q, 2 sqrt q]."""
+    if b1 * b1 - 4 * b0 < 0:
+        return False
+    if not _sign_nonneg_sqrt(4 * q + b0, 2 * b1, q):
+        return False
+    if not _sign_nonneg_sqrt(4 * q + b0, -2 * b1, q):
+        return False
+    # the vertex -b1/2 lies inside the interval
+    return _sign_nonneg_sqrt(-b1, 4, q) and _sign_nonneg_sqrt(b1, 4, q)
+
+
+def _full_box(spec: SearchSpec):
+    """Every box leaf in lexicographic order, kept by the sign tests above."""
+    g, q = spec.g, spec.q
+    ranges = [range(-spec.bound(i), spec.bound(i) + 1) for i in range(2 * g - 1, g - 1, -1)]
+    for free in product(*ranges):
+        if g == 1:
+            passes = free[0] ** 2 <= 4 * q
+        elif g == 2:
+            a3, a2 = free
+            passes = _trace_is_weil_g2(a3, a2 - 2 * q, q)
+        else:
+            a5, a4, a3 = free
+            passes = _trace_is_weil_g3(a5, a4 - 3 * q, a3 - 2 * q * a5, q)
+        if passes:
+            coeffs = [0] * (2 * g + 1)
+            for j, a in enumerate((1, *free)):
+                coeffs[2 * g - j] = a
+                coeffs[j] = q ** (g - j) * a
+            yield IntPoly(coeffs)
+
+
+def _prime_powers(lo, hi):
+    return [q for q in range(lo, hi + 1) if prime_power(q) is not None]
+
+
+FULL_BOXES = (
+    [(1, q) for q in _prime_powers(2, 64)]
+    + [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(3, q) for q in (2, 3)]
+)
+
+
+class TestTraceWalk:
+    @pytest.mark.parametrize("g, q", FULL_BOXES)
+    def test_equals_full_box(self, g, q):
+        spec = SearchSpec(g=g, q=q)
+        got = list(enumerate_weil(spec))
+        assert [w.poly for w in got] == list(_full_box(spec))
+        assert got and all(validate(w.poly, q) == w for w in got)
+
+    @pytest.mark.parametrize(
+        "g, q, bounds",
+        [
+            (2, 5, {3: 2}),
+            (2, 5, {2: 4}),
+            (2, 7, {3: 5, 2: 1}),
+            (3, 3, {5: 1, 3: 7}),
+            (3, 4, {4: 2}),
+            (3, 2, {5: 0, 4: 9, 3: 1}),
+        ],
+    )
+    def test_asymmetric_bounds(self, g, q, bounds):
+        spec = SearchSpec(g=g, q=q, bounds=bounds)
+        got = [w.poly for w in enumerate_weil(spec)]
+        assert got and got == list(_full_box(spec))
+        assert len(got) < len(list(enumerate_weil(SearchSpec(g=g, q=q))))
+
+    @pytest.mark.parametrize(
+        "g, q, bounds",
+        [(2, 3, {3: -1}), (2, 9, {2: -1}), (3, 2, {4: -1}), (3, 3, {3: -1})],
+    )
+    def test_empty_bounds(self, g, q, bounds):
+        assert list(enumerate_weil(SearchSpec(g=g, q=q, bounds=bounds))) == []
+
+    def test_leaves_are_not_revalidated(self, monkeypatch):
+        def refuse(poly, q):
+            raise AssertionError("validate called")
+
+        monkeypatch.setattr(weilrank.search, "validate", refuse)
+        assert len(list(enumerate_weil(SearchSpec(g=3, q=2)))) == 215
+
+
+def _surd_at_least(s: Fraction, t: Fraction, d: int, x: Fraction) -> bool:
+    """s + t sqrt(d) >= x, decided on rationals."""
+    rest = x - s  # need t sqrt(d) >= rest
+    if t >= 0:
+        return rest <= 0 or t * t * d >= rest * rest
+    return rest <= 0 and t * t * d <= rest * rest
+
+
+class TestFloorSurd:
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.integers(-(10**6), 10**6),
+        st.integers(0, 10**6),
+        st.integers(1, 10**4),
+    )
+    def test_against_fractions(self, s, t, d, den):
+        f = _floor_surd(s, t, d, den)
+        fs, ft = Fraction(s, den), Fraction(t, den)
+        assert _surd_at_least(fs, ft, d, Fraction(f))
+        assert not _surd_at_least(fs, ft, d, Fraction(f + 1))
+
+    def test_perfect_squares_are_exact(self):
+        assert _floor_surd(0, 3, 16) == 12 and _floor_surd(0, -3, 16) == -12
+        assert _floor_surd(1, -1, 2) == -1 and _floor_surd(-1, 1, 2) == 0
+        assert _floor_surd(-7, 0, 5, 2) == -4
+        assert _floor_surd(0, 1, isqrt(10**40) ** 2 + 1) == isqrt(10**40)
 
 
 class TestLimit:

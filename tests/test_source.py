@@ -19,11 +19,20 @@ def test_no_assert_statements():
     assert list(SRC.rglob("*.py")) and found == []
 
 
-def test_import_leaves_mpmath_unloaded():
-    # the oracle runs on integers and numpy; mpmath is only a test dependency
-    code = "import sys, weilrank, weilrank.cli; print('mpmath' in sys.modules)"
+def _loaded_after_import(module: str, imports: str) -> bool:
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_leaves_mpmath_unloaded():
+    # the oracle runs on integers and numpy; mpmath is only a test dependency
+    assert not _loaded_after_import("mpmath", "weilrank, weilrank.cli")
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the oracle's root starts and candidate scan use numpy, imported there
+    assert not _loaded_after_import("numpy", "weilrank, weilrank.cli, weilrank.search")
