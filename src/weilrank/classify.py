@@ -30,7 +30,6 @@ from .errors import (
     NotSufficientlyLarge,
     OracleDisagreement,
     PreconditionViolation,
-    TorsionBoundExceeded,
     WeilrankError,
 )
 from .exactcore import IntPoly, squarefree_part, sturm_real_root_count
@@ -54,7 +53,6 @@ from .weil import (
     EigenvalueStructure,
     WeilPolynomial,
     base_change,
-    beta_torsion_orders,
     eigenvalue_structure,
     ratio_torsion_orders,
     validate,
@@ -70,35 +68,23 @@ __all__ = [
     "fourfold_diagnostic",
 ]
 
-_TORSION_DOUBLINGS = 8
-
 
 def sufficiency_degree(w: WeilPolynomial) -> int:
-    """Minimal extension degree making the eigenvalue group torsion-free.
+    """Least extension degree after which no ratio of distinct eigenvalues
+    is a root of unity: the lcm of `ratio_torsion_orders(w)`, or 1.
 
-    Candidate: the lcm of all torsion orders among pairwise eigenvalue
-    ratios and among the q^(-1) alpha^2.  The candidate is verified on the
-    extended field and doubled on failure, up to a fixed budget (the paper
-    gives no completeness guarantee for the candidate set, so failure to
-    stabilize is surfaced, never guessed away).
+    Two facts make this one test enough.
+      * Torsion among the beta = q^(-1) alpha^2 is already ratio torsion.
+        For a non-real alpha, beta = alpha / conj(alpha) is a ratio of two
+        distinct roots; for alpha = +-sqrt(q), beta = 1.
+      * One base change is enough.  If (alpha/gamma)^n is a root of unity,
+        so is alpha/gamma, so every torsion ratio over F_(q^n) is the n-th
+        power of a torsion ratio over F_q.  With n the lcm of their orders
+        each of them becomes 1, and F_(q^n) has no ratio torsion left.
+    Torsion of the eigenvalue group beyond pairwise ratios is not detected
+    (ROADMAP item 1).
     """
-    return _sufficient_field(w)[0]
-
-
-def _sufficient_field(w: WeilPolynomial) -> tuple[int, WeilPolynomial]:
-    """(n, base_change(w, n)) for n = sufficiency_degree(w), built once."""
-    orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
-    if not orders:
-        return 1, w
-    n = lcm(*orders)
-    for _ in range(_TORSION_DOUBLINGS):
-        wn = base_change(w, n)
-        if not ratio_torsion_orders(wn) and not beta_torsion_orders(wn):
-            return n, wn
-        n *= 2
-    raise TorsionBoundExceeded(
-        f"torsion search did not stabilize within {_TORSION_DOUBLINGS} doublings"
-    )
+    return lcm(*ratio_torsion_orders(w))
 
 
 @dataclass(frozen=True)
@@ -161,9 +147,9 @@ def _component_report(c: EigenvalueStructure, w: WeilPolynomial) -> ComponentRep
 
 
 def _require_sufficient(w: WeilPolynomial):
-    orders = set(ratio_torsion_orders(w)) | set(beta_torsion_orders(w))
-    if orders:
-        raise NotSufficientlyLarge(lcm(*orders))
+    n = sufficiency_degree(w)
+    if n > 1:
+        raise NotSufficientlyLarge(n)
 
 
 def classify(
@@ -294,12 +280,13 @@ def classify_auto(
     """Extend to a sufficiently large field first, then classify.
 
     The report records which field the verdict refers to: `extension_from`
-    holds the original q and the degree applied.  `_sufficient_field` has
-    built and verified that field, so neither the base change nor the
-    torsion check of `classify` is repeated.
+    holds the original q and the degree applied.  By `sufficiency_degree`
+    that field has no ratio torsion, so the torsion check of `classify` is
+    not repeated there.
     """
     _require_dimension(w)
-    n, wn = _sufficient_field(w)
+    n = sufficiency_degree(w)
+    wn = base_change(w, n) if n > 1 else w
     report = _classify_sufficient(wn, exponent_bound, force_oracle)
     return ClassificationReport(
         **{

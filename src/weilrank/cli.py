@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import (
@@ -492,7 +493,16 @@ def main(argv=None) -> int:
         if args.q is None or args.poly is None:
             return _usage_error(f"{args.command} requires --q and --poly")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe early; point stdout at the null device
+        # so that the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except OracleDisagreement as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT

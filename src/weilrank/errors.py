@@ -60,10 +60,6 @@ class DimensionTooLarge(PreconditionViolation):
     pass
 
 
-class TorsionBoundExceeded(WeilrankError, RuntimeError):
-    """The torsion search exhausted its doubling budget without stabilizing."""
-
-
 class PrecisionExhausted(WeilrankError, RuntimeError):
     """Certified numerics hit the precision cap before reaching a verdict."""
 

@@ -641,8 +641,6 @@ def relation_lattice(
     w: WeilPolynomial,
     exponent_bound: int = DEFAULT_EXPONENT_BOUND,
     roots=None,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> RelationLattice:
     """Certified relation lattice among the beta = q^(-1) alpha^2.
 
@@ -672,14 +670,7 @@ def relation_lattice(
         full = [0] * len(roots)
         for j, i in enumerate(reps):
             full[i] = 2 * vec[j]
-        return verify_relation(
-            w,
-            full,
-            sum(vec),
-            roots=roots,
-            precision_cap=precision_cap,
-            degree_cap=degree_cap,
-        )
+        return verify_relation(w, full, sum(vec), roots=roots)
 
     verified: list[list[int]] = []
     proved: dict[tuple[int, ...], RelationCertificate] = {}
@@ -815,9 +806,6 @@ class OracleRank:
 def oracle_rank(
     w: WeilPolynomial,
     exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-    roots=None,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> OracleRank:
     """Rank of the eigenvalue-relation group, proven from certificates.
 
@@ -826,15 +814,8 @@ def oracle_rank(
     valuation certificate meets the relation count the confidence upgrades
     to 'certified_exact'.
     """
-    if roots is None:
-        roots = certified_roots(w)
-    lat = relation_lattice(
-        w,
-        exponent_bound=exponent_bound,
-        roots=roots,
-        precision_cap=precision_cap,
-        degree_cap=degree_cap,
-    )
+    roots = certified_roots(w)
+    lat = relation_lattice(w, exponent_bound=exponent_bound, roots=roots)
     rank = lat.rank
     if rank == 0:
         return OracleRank(rank=0, confidence="certified_exact", lattice=lat)

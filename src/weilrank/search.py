@@ -1,15 +1,15 @@
 """Enumeration harnesses: exhaustive Weil polynomial generation, the
 totally-real cubic constructor, and the targeted non-neat sextic finder.
 
-For g <= 3 the enumerator walks the trace polynomial h, with
-P(t) = t^g h(t + q/t), one coefficient per level, and visits only
-coefficients that can still lead to a Weil polynomial: at each level an
-exact interval, computed in integers, holds exactly the values for which
-the derivative of h at that level keeps all its roots in
-[-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search techniques for root-unitary
-polynomials", 2008).  Every leaf is then a Weil polynomial by
-construction, and is not validated again.  For g >= 4 the enumerator
-walks the free half of the coefficient box and validates each leaf.
+The enumerator walks the trace polynomial h, with P(t) = t^g h(t + q/t),
+one coefficient per level.  At level k an interval computed in integers
+bounds the coefficient by the condition that the derivative D_k of h of
+degree k keeps all its roots in [-2 sqrt(q), 2 sqrt(q)] (Kedlaya, "Search
+techniques for root-unitary polynomials", 2008).  For k <= 3 the
+interval is exact; from k = 4 on it keeps only the necessary endpoint
+signs.  So for g <= 3 every leaf is a Weil polynomial by construction and
+is not validated again, and for g >= 4 each leaf passes one exact range
+test on h first.
 Everything is deterministic; there is no randomness anywhere in the search.
 """
 
@@ -42,7 +42,7 @@ from .exactcore import (
 from .newton import classify_newton, newton_polygon
 from .subfields import ConjugateFactorization, QuadraticElement, p_splits
 from .subfields import _qmul  # polynomial product over Q(sqrt(m))
-from .weil import _from_trace, validate
+from .weil import _check_in_range, _from_trace, validate
 
 __all__ = [
     "SearchSpec",
@@ -106,7 +106,10 @@ def _level_interval(spec: SearchSpec, prefix: list[int]) -> tuple[int, int]:
     (-1)^(k-j) D_k(c_j) >= 0: these signs put a root in each of the k
     pieces into which the c_j cut I, and roots of D_k in I interlace with
     the c_j.  Each condition bounds b_(g-k) by a number s + t sqrt(d),
-    rounded exactly, so the interval is exact.
+    rounded exactly, so for k <= 3 the interval is exact.  For k >= 4 the
+    c_j are roots of a polynomial of degree >= 3, and only the two endpoint
+    signs are applied: necessary conditions, because by Gauss-Lucas the
+    roots of D_k lie in I whenever those of h do.
     The interval is intersected with the box bound on
     a_(2g-k) = b_(g-k) + (terms in b_(g-k+1), ..., b_g).
     """
@@ -142,10 +145,11 @@ def _level_interval(spec: SearchSpec, prefix: list[int]) -> tuple[int, int]:
 
 
 def _trace_walk(spec: SearchSpec):
-    """Every Weil polynomial in the box for g <= 3, walked in trace coordinates.
+    """Every Weil polynomial in the box, walked in trace coordinates.
 
-    Only nodes whose D_k has all its roots in [-2 sqrt(q), 2 sqrt(q)] are
-    visited, and every leaf is a Weil polynomial, built without revalidation.
+    Only nodes that pass `_level_interval` are visited.  For g <= 3 every
+    leaf is a Weil polynomial, built without revalidation; for g >= 4 a
+    leaf is kept when its trace polynomial passes `_check_in_range`.
     """
     g, q = spec.g, spec.q
     pp = prime_power(q)
@@ -159,59 +163,41 @@ def _trace_walk(spec: SearchSpec):
                 yield from rec([*prefix, y])
             return
         top = [*reversed(prefix), 1]
+        if g <= 3:
+            for y in range(lo, hi + 1):
+                yield _from_trace(IntPoly([y, *top]), q, pp)
+            return
         for y in range(lo, hi + 1):
-            yield _from_trace(IntPoly([y, *top]), q, pp)
+            h = IntPoly([y, *top])
+            try:
+                _check_in_range(h, q)
+            except RiemannHypothesisFails:
+                continue
+            yield _from_trace(h, q, pp)
 
     return rec([])
-
-
-def _candidate_poly(g: int, q: int, free: tuple) -> IntPoly:
-    """Assemble P from the free coefficients (a_(2g-1), ..., a_g)."""
-    coeffs = [0] * (2 * g + 1)
-    coeffs[2 * g] = 1
-    for j, val in enumerate(free):
-        coeffs[2 * g - 1 - j] = val
-    for i in range(g):
-        coeffs[i] = q ** (g - i) * coeffs[2 * g - i]
-    return IntPoly(coeffs)
-
-
-def _box_walk(spec: SearchSpec):
-    """Every Weil polynomial in the box, each leaf decided by `validate`."""
-    g, q = spec.g, spec.q
-    ranges = [range(-spec.bound(i), spec.bound(i) + 1) for i in range(2 * g - 1, g - 1, -1)]
-
-    def rec(prefix):
-        if len(prefix) == g:
-            try:
-                yield validate(_candidate_poly(g, q, prefix), q)
-            except RiemannHypothesisFails:
-                pass
-            return
-        for val in ranges[len(prefix)]:
-            yield from rec(prefix + (val,))
-
-    return rec(())
 
 
 def enumerate_weil(spec: SearchSpec):
     """Yield every valid Weil polynomial in the box, lexicographically.
 
     The order is lexicographic in the free ascending-index coefficients
-    (a_(2g-1), ..., a_g), each within its box bound.  For g <= 3 the walk
-    runs over the trace polynomial's coefficients (b_(g-1), ..., b_0), a
-    unit-triangular change of coordinates that keeps this order, and each
-    level visits exactly the b that can still lead to a Weil polynomial.
-    For g >= 4 every box leaf is validated.  The filters apply to each
-    polynomial in turn; at most `limit` polynomials are yielded.
+    (a_(2g-1), ..., a_g), each within its box bound.  The walk runs over
+    the trace polynomial's coefficients (b_(g-1), ..., b_0), a
+    unit-triangular change of coordinates that keeps this order.  For
+    g <= 3 each level visits exactly the b that can still lead to a Weil
+    polynomial; for g >= 4 the first three levels do, and each leaf is
+    checked exactly.  The filters apply to each polynomial in turn; at
+    most `limit` polynomials are yielded.
     """
+    if spec.g < 1:
+        raise PreconditionViolation(f"g must be at least 1, got {spec.g}")
     if spec.limit is not None and spec.limit < 0:
         raise PreconditionViolation(f"limit must be non-negative, got {spec.limit}")
     if spec.limit == 0:
         return
     emitted = 0
-    walk = _trace_walk(spec) if 1 <= spec.g <= 3 else _box_walk(spec)
-    for w in walk:
+    for w in _trace_walk(spec):
         if spec.irreducible_only and not is_irreducible(w.poly):
             continue
         if spec.newton_label is not None:

@@ -3,15 +3,14 @@
 A Weil q-polynomial is a monic integer polynomial of degree 2g whose roots
 all have absolute value q^(1/2).  Validation is fully exact: the functional
 equation is checked coefficient-wise, and the absolute-value condition is
-reduced to real-rootedness plus a range check on an auxiliary polynomial,
-both decided by Sturm counts.  The validator is the root of trust for
-everything downstream.
+reduced to real-rootedness of the trace polynomial plus a range check on
+the squares of its roots, both decided by Sturm counts.  The validator is
+the root of trust for everything downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -125,14 +124,36 @@ def _from_trace(h: IntPoly, q: int, pp: tuple[int, int]) -> WeilPolynomial:
     return WeilPolynomial(poly=_expand_trace(h, q, g), q=q, p=pp[0], v=pp[1], g=g)
 
 
+def _check_in_range(h: IntPoly, q: int) -> None:
+    """Raise `RiemannHypothesisFails` unless every root of h is real and
+    inside [-2 sqrt(q), 2 sqrt(q)].
+
+    Two Sturm counts decide it exactly: the squarefree part hsf of h must
+    have deg hsf real roots, and the squares r^2 of those roots, the roots
+    of power_transform(hsf, 2), must have none in (4q, oo).
+    """
+    hsf = poly_squarefree_part(h)
+    real_count = sturm_real_root_count(hsf)
+    if real_count != hsf.degree:
+        raise RiemannHypothesisFails(
+            f"trace polynomial has {hsf.degree - real_count} non-real root pair(s)"
+        )
+    squares = poly_squarefree_part(power_transform(hsf, 2))
+    outside = sturm_real_root_count(squares, 4 * q, None)
+    if outside:
+        raise RiemannHypothesisFails(
+            f"{outside} root pair(s) exceed absolute value sqrt({q})"
+        )
+
+
 def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     """Check that (poly, q) is a Weil q-polynomial; raise naming the failure.
 
     Checks, in order: monic; even degree >= 2; q a prime power; functional
     equation t^(2g) P(q/t) = q^g P(t) coefficient-wise; and the exact
-    absolute-value condition via the trace polynomial h — all roots of h
-    real (Sturm count on the squarefree part) and inside [-2 sqrt(q),
-    2 sqrt(q)] (no negative roots of prod (y - (4q - r^2))).
+    absolute-value condition on the trace polynomial h, by
+    `_check_in_range`: every root r of h is real with r^2 <= 4q, so each
+    root pair of t^2 - r t + q has absolute value sqrt(q).
     """
     if poly.is_zero or not poly.is_monic:
         raise NotMonic("polynomial must be monic")
@@ -151,28 +172,7 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     h = trace_polynomial(poly, q)
     if _expand_trace(h, q, g) != poly:
         raise WeilrankError("trace polynomial does not re-expand to the input")
-    hsf = poly_squarefree_part(h)
-    real_count = sturm_real_root_count(hsf)
-    if real_count != hsf.degree:
-        raise RiemannHypothesisFails(
-            f"trace polynomial has {hsf.degree - real_count} non-real root pair(s)"
-        )
-    # H(y) = prod over roots r of h of (y - (4q - r^2)) = (-1)^g u(4q - y)
-    # where u has roots r^2; RH needs every 4q - r^2 >= 0.
-    u = power_transform(hsf, 2)
-    lin = IntPoly([4 * q, -1])
-    comp = IntPoly()
-    for c in reversed(u.coeffs):
-        comp = comp * lin + IntPoly([c])
-    big_h = comp if hsf.degree % 2 == 0 else -comp
-    hh = poly_squarefree_part(big_h)
-    neg = sturm_real_root_count(hh, None, Fraction(0))
-    if hh.evaluate(0) == 0:
-        neg -= 1
-    if neg != 0:
-        raise RiemannHypothesisFails(
-            f"{neg} root pair(s) exceed absolute value sqrt({q})"
-        )
+    _check_in_range(h, q)
     return WeilPolynomial(poly=poly, q=q, p=p, v=v, g=g)
 
 
@@ -299,8 +299,8 @@ def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:
 def beta_polynomial(w: WeilPolynomial) -> IntPoly:
     """Primitive integer polynomial whose roots are q^(-1) alpha^2.
 
-    One root per distinct eigenvalue; torsion among these is the other
-    ingredient (besides pairwise ratio torsion) of the sufficiency test.
+    One root per distinct eigenvalue.  Its torsion is already ratio
+    torsion (see `classify.sufficiency_degree`), so no verdict reads it.
     """
     sf = w.squarefree
     squares = power_transform(sf, 2)

@@ -1,5 +1,7 @@
 """Classification engine: sufficiency, neatness, rank, diagnostics."""
 
+from math import lcm
+
 import pytest
 
 import weilrank.classify
@@ -18,9 +20,15 @@ from weilrank.errors import (
     OracleDisagreement,
     PreconditionViolation,
 )
-from weilrank.exactcore import IntPoly
+from weilrank.exactcore import IntPoly, prime_power
 from weilrank.relfinder import OracleRank
-from weilrank.weil import base_change, validate
+from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.weil import (
+    base_change,
+    beta_torsion_orders,
+    ratio_torsion_orders,
+    validate,
+)
 
 
 def P(*coeffs):
@@ -59,6 +67,27 @@ class TestSufficiency:
         assert sufficiency_degree(w) == 2
 
 
+SUFFICIENCY_BOXES = (
+    [(1, q) for q in range(2, 50) if prime_power(q) is not None]
+    + [(2, q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [(3, 2), (3, 3)]
+)
+
+
+class TestSufficiencyInvariants:
+    """Over every Weil polynomial of the boxes (2,396 in all)."""
+
+    @pytest.mark.parametrize("g, q", SUFFICIENCY_BOXES)
+    def test_one_base_change_clears_ratio_torsion(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            ratio = ratio_torsion_orders(w)
+            # beta torsion is ratio torsion, so it adds no order
+            assert beta_torsion_orders(w) <= ratio
+            n = sufficiency_degree(w)
+            assert n == lcm(*ratio)
+            assert not ratio_torsion_orders(base_change(w, n))
+
+
 class TestTorsionOnce:
     def _count_ratio_calls(self, monkeypatch):
         calls = []
@@ -81,7 +110,7 @@ class TestTorsionOnce:
         calls = self._count_ratio_calls(monkeypatch)
         rep = classify_auto(validate(P(5, 0, 1), 5))
         assert rep.extension_from == (5, 2)
-        assert calls == [5, 25]
+        assert calls == [5]
 
     def test_classify_keeps_its_check(self):
         with pytest.raises(NotSufficientlyLarge):
@@ -109,7 +138,7 @@ class TestSufficientFieldOnce:
         assert rep.extension_from == (5, 2) and rep.rank == 1
         assert calls == [(5, 2)]
         assert sufficiency_degree(validate(P(5, 0, 1), 5)) == 2
-        assert calls == [(5, 2), (5, 2)]
+        assert calls == [(5, 2)]
 
     def test_each_polynomial_factored_once(self, monkeypatch):
         factored, squarefree = [], []

@@ -1,6 +1,9 @@
 """The weilrank/1 JSON contract of the command line: keys, exit codes, batch lines."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ REPORT_KEYS = {
 }
 
 GOLDEN_ENUMERATE = Path(__file__).resolve().parent / "data" / "enumerate_g2_q3.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
 PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
@@ -178,3 +182,25 @@ class TestEnumerateGolden:
             ["9", "3", "1", "1", "1"],
             ["9", "6", "1", "2", "1"],
         ]
+
+
+class TestEnumerateStream:
+    def test_negative_dimension_is_invalid(self, capsys):
+        code, out = run(capsys, "enumerate", "--g", "-1", "--q", "3")
+        assert code == 2 and out == []
+
+    def test_reader_closing_early(self):
+        # g = 3, q = 4 writes about 130 KB, more than a pipe holds, so the
+        # writer is still printing when the reader closes its end
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "weilrank.cli", "enumerate", "--g", "3", "--q", "4"]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert json.loads(first)["q"] == "4"
+        assert "Traceback" not in err and "BrokenPipeError" not in err

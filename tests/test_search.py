@@ -1,5 +1,6 @@
 """Weil polynomial enumeration: the pruned trace walk against a full-box
-reference, the exact surd rounding, the limit, and the g >= 4 fallback."""
+reference, the exact surd rounding, the limit, the dimension check, and
+g = 4 boxes against direct validation."""
 
 from fractions import Fraction
 from itertools import product
@@ -178,6 +179,26 @@ class TestLimit:
             list(enumerate_weil(SearchSpec(g=2, q=3, limit=-5)))
 
 
+class TestDimension:
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_rejected_before_walking(self, g):
+        with pytest.raises(PreconditionViolation):
+            next(enumerate_weil(SearchSpec(g=g, q=3)))
+
+
+def _validated_fourfold_box(bounds):
+    """Every g = 4, q = 2 polynomial with |a_i| <= bounds[i], by `validate`."""
+    ranges = [range(-bounds[i], bounds[i] + 1) for i in (7, 6, 5, 4)]
+    out = []
+    for a7, a6, a5, a4 in product(*ranges):
+        coeffs = [16, 8 * a7, 4 * a6, 2 * a5, a4, a5, a6, a7, 1]
+        try:
+            out.append(validate(IntPoly(coeffs), 2).poly)
+        except RiemannHypothesisFails:
+            pass
+    return out
+
+
 class TestFourfoldBox:
     def test_box_matches_direct_validation(self):
         # g = 4, q = 2, free coefficients a7..a4 each in [-1, 1]
@@ -193,3 +214,13 @@ class TestFourfoldBox:
         assert got == expected
         assert len(got) == 65
         assert IntPoly([16, 0, 0, 0, 0, 0, 0, 0, 1]) in got  # t^8 + 16
+
+    @pytest.mark.parametrize(
+        "bounds, count",
+        [({7: 2, 6: 3, 5: 2, 4: 4}, 469), ({7: 0, 6: 3, 5: 4, 4: 6}, 243)],
+    )
+    def test_wider_boxes_match_direct_validation(self, bounds, count):
+        got = list(enumerate_weil(SearchSpec(g=4, q=2, bounds=bounds)))
+        assert [w.poly for w in got] == _validated_fourfold_box(bounds)
+        assert len(got) == count
+        assert all(validate(w.poly, 2) == w for w in got)

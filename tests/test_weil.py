@@ -1,6 +1,11 @@
 """Weil polynomial validation, eigenvalue structure, base change."""
 
+from fractions import Fraction
+from math import isqrt
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilrank.errors import (
     FunctionalEquationFails,
@@ -11,8 +16,15 @@ from weilrank.errors import (
     WeilrankError,
 )
 import weilrank.weil
-from weilrank.exactcore import IntPoly
+from weilrank.exactcore import (
+    IntPoly,
+    poly_squarefree_part,
+    power_transform,
+    sturm_real_root_count,
+)
 from weilrank.weil import (
+    _check_in_range,
+    _expand_trace,
     base_change,
     beta_torsion_orders,
     eigenvalue_structure,
@@ -76,6 +88,100 @@ class TestValidate:
             except RiemannHypothesisFails:
                 pass
         assert good == [a for a in range(-6, 7) if a * a <= 20]
+
+
+def _range_failure_reference(h: IntPoly, q: int):
+    """None when every root r of h is real with r^2 <= 4q, else the message.
+
+    The range check goes through H(y) = prod over the roots r of h of
+    (y - (4q - r^2)) = (-1)^g u(4q - y), where u has the roots r^2: RH
+    needs H to have no negative root.  H is composed by Horner's rule.
+    """
+    hsf = poly_squarefree_part(h)
+    real_count = sturm_real_root_count(hsf)
+    if real_count != hsf.degree:
+        return f"trace polynomial has {hsf.degree - real_count} non-real root pair(s)"
+    u = power_transform(hsf, 2)
+    lin = IntPoly([4 * q, -1])
+    comp = IntPoly()
+    for c in reversed(u.coeffs):
+        comp = comp * lin + IntPoly([c])
+    big_h = comp if hsf.degree % 2 == 0 else -comp
+    hh = poly_squarefree_part(big_h)
+    neg = sturm_real_root_count(hh, None, Fraction(0))
+    if hh.evaluate(0) == 0:
+        neg -= 1
+    if neg != 0:
+        return f"{neg} root pair(s) exceed absolute value sqrt({q})"
+    return None
+
+
+def _range_failure(h: IntPoly, q: int):
+    try:
+        _check_in_range(h, q)
+    except RiemannHypothesisFails as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _trace_polynomials(draw):
+    """(h, q): monic h of degree 1..5, built from linear and quadratic
+    factors whose roots lie near [-2 sqrt(q), 2 sqrt(q)], about a third of
+    them inside."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]))
+    reach = 2 * isqrt(4 * q) + 2
+    h = IntPoly([1])
+    degree = draw(st.integers(1, 5))
+    while h.degree < degree:
+        if degree - h.degree >= 2 and draw(st.booleans()):
+            b = draw(st.integers(-reach, reach))
+            c = draw(st.integers(-4 * q - 2, 4 * q + 2))
+            h = h * IntPoly([c, b, 1])
+        else:
+            h = h * IntPoly([-draw(st.integers(-reach, reach)), 1])
+    return h, q
+
+
+class TestRangeCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(_trace_polynomials())
+    def test_against_horner_reference(self, case):
+        h, q = case
+        assert _range_failure(h, q) == _range_failure_reference(h, q)
+
+    @pytest.mark.parametrize(
+        "h, q, inside",
+        [
+            # q a square: the end points +-2 sqrt(q) are integers
+            (P(-4, 1), 4, True),
+            (P(4, 1), 4, True),
+            (P(-16, 0, 1), 4, True),
+            (P(-4, 1) ** 2 * P(4, 1), 4, True),
+            (P(-5, 1), 4, False),
+            (P(-17, 0, 1), 4, False),
+            (P(-6, 1), 9, True),
+            (P(7, 1) * P(-6, 1), 9, False),
+            # q not a square: the end points are irrational
+            (P(-20, 0, 1), 5, True),
+            (P(-20, 0, 1) ** 2 * P(0, 1), 5, True),
+            (P(-21, 0, 1), 5, False),
+            (P(-8, 0, 1), 2, True),
+            (P(-4, 1), 5, True),
+            (P(-5, 1), 5, False),
+            # non-real roots
+            (P(1, 0, 1), 5, False),
+        ],
+    )
+    def test_end_points(self, h, q, inside):
+        got = _range_failure(h, q)
+        assert (got is None) == inside
+        assert got == _range_failure_reference(h, q)
+        if inside:
+            assert validate(_expand_trace(h, q, h.degree), q).g == h.degree
+        else:
+            with pytest.raises(RiemannHypothesisFails):
+                validate(_expand_trace(h, q, h.degree), q)
 
 
 class TestEigenvalueStructure:
