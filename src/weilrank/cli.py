@@ -124,6 +124,17 @@ def _report_json(report: ClassificationReport) -> dict:
     return out
 
 
+def _invalid_record(poly: IntPoly, q: int, exc: WeilrankError) -> dict:
+    return {
+        "schema": SCHEMA,
+        "valid": False,
+        "q": str(q),
+        "coeffs": _poly_json(poly),
+        "error": type(exc).__name__,
+        "detail": str(exc),
+    }
+
+
 def _analyze_record(poly: IntPoly, q: int) -> dict:
     w = validate(poly, q)
     decomp = eigenvalue_structure(w)
@@ -171,26 +182,14 @@ def _print_human_analysis(rec: dict):
 
 def _cmd_analyze(args) -> int:
     if args.batch:
-        return _run_batch(args.batch, lambda poly, q: _analyze_record(poly, q))
+        return _run_batch(args.batch, _analyze_record)
     poly = _parse_poly(args.poly)
     try:
         rec = _analyze_record(poly, args.q)
     except WeilrankError as exc:
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA,
-                        "valid": False,
-                        "q": str(args.q),
-                        "coeffs": _poly_json(poly),
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    }
-                )
-            )
-        else:
-            print(f"invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if not args.json:
+            raise
+        print(json.dumps(_invalid_record(poly, args.q, exc)))
         return EXIT_INVALID
     if args.json:
         print(json.dumps(rec))
@@ -200,59 +199,34 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.batch:
-        def run(poly, q):
-            w = validate(poly, q)
-            if args.auto_extend:
-                report = classify_auto(
-                    w, exponent_bound=args.bound, force_oracle=args.oracle_check
-                )
-            else:
-                report = classify(
-                    w, exponent_bound=args.bound, force_oracle=args.oracle_check
-                )
-            return _report_json(report)
+    def record(poly, q):
+        run = classify_auto if args.auto_extend else classify
+        w = validate(poly, q)
+        return _report_json(run(w, exponent_bound=args.bound, force_oracle=args.oracle_check))
 
-        return _run_batch(args.batch, run)
+    if args.batch:
+        return _run_batch(args.batch, record)
     poly = _parse_poly(args.poly)
-    try:
-        w = validate(poly, args.q)
-        if args.fourfold_diagnostic:
-            diag = fourfold_diagnostic(w, exponent_bound=args.bound)
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA,
-                        "q": str(args.q),
-                        "coeffs": _poly_json(poly),
-                        "decomposition": [
-                            [_poly_json(f), e] for f, e in diag.decomposition
-                        ],
-                        "newton": diag.newton_primary,
-                        "oracle_rank": diag.oracle.rank,
-                        "confidence": diag.oracle.confidence,
-                        "rank_is_three": diag.rank_is_three,
-                        "quadratic_subfield_in_component": diag.quadratic_subfield_in_component,
-                        "non_neat_threefold_component": diag.non_neat_threefold_component,
-                    }
-                )
+    if args.fourfold_diagnostic:
+        diag = fourfold_diagnostic(validate(poly, args.q), exponent_bound=args.bound)
+        print(
+            json.dumps(
+                {
+                    "schema": SCHEMA,
+                    "q": str(args.q),
+                    "coeffs": _poly_json(poly),
+                    "decomposition": [[_poly_json(f), e] for f, e in diag.decomposition],
+                    "newton": diag.newton_primary,
+                    "oracle_rank": diag.oracle.rank,
+                    "confidence": diag.oracle.confidence,
+                    "rank_is_three": diag.rank_is_three,
+                    "quadratic_subfield_in_component": diag.quadratic_subfield_in_component,
+                    "non_neat_threefold_component": diag.non_neat_threefold_component,
+                }
             )
-            return EXIT_OK
-        if args.auto_extend:
-            report = classify_auto(
-                w, exponent_bound=args.bound, force_oracle=args.oracle_check
-            )
-        else:
-            report = classify(
-                w, exponent_bound=args.bound, force_oracle=args.oracle_check
-            )
-    except OracleDisagreement as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    except WeilrankError as exc:
-        print(f"invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    print(json.dumps(_report_json(report)))
+        )
+        return EXIT_OK
+    print(json.dumps(record(poly, args.q)))
     return EXIT_OK
 
 
@@ -300,14 +274,7 @@ def _run_batch(path: str, fn) -> int:
                 out = {"schema": SCHEMA, "error": "OracleDisagreement", "detail": str(exc)}
                 worst = max(worst, EXIT_DISAGREEMENT)
             except WeilrankError as exc:
-                out = {
-                    "schema": SCHEMA,
-                    "valid": False,
-                    "q": str(q),
-                    "coeffs": [str(c) for c in poly.coeffs],
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                }
+                out = _invalid_record(poly, q, exc)
                 worst = max(worst, EXIT_INVALID)
             print(json.dumps(out))
     finally:
@@ -380,25 +347,14 @@ def _cmd_cubic_field(args) -> int:
 
 
 def _cmd_base_change(args) -> int:
-    poly = _parse_poly(args.poly)
-    try:
-        w = validate(poly, args.q)
-        wn = base_change(w, args.n)
-    except WeilrankError as exc:
-        print(f"invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    wn = base_change(validate(_parse_poly(args.poly), args.q), args.n)
     print(json.dumps({"schema": SCHEMA, "coeffs": _poly_json(wn.poly), "q": str(wn.q)}))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     poly = _parse_poly(args.poly)
-    try:
-        w = validate(poly, args.q)
-        result = oracle_rank(w, exponent_bound=args.bound)
-    except WeilrankError as exc:
-        print(f"invalid: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    result = oracle_rank(validate(poly, args.q), exponent_bound=args.bound)
     print(
         json.dumps(
             {

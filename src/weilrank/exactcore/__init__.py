@@ -17,7 +17,6 @@ from .poly import (
     lagrange_interpolate,
     poly_gcd,
     resultant,
-    sqrt_upper,
     squarefree_decomposition,
     sturm_real_root_count,
 )
@@ -26,7 +25,6 @@ from .transforms import (
     cyclotomic_order,
     cyclotomic_part_orders,
     cyclotomic_polynomial,
-    euler_phi,
     power_transform,
     product_transform,
     ratio_transform,
@@ -44,14 +42,12 @@ __all__ = [
     "sturm_real_root_count",
     "lagrange_interpolate",
     "fractions_to_intpoly",
-    "sqrt_upper",
     "power_transform",
     "product_transform",
     "ratio_transform",
     "cyclotomic_polynomial",
     "cyclotomic_order",
     "cyclotomic_part_orders",
-    "euler_phi",
     "factor_int",
     "squarefree_part",
     "prime_power",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from math import isqrt
+from math import isqrt, prod
 
 from ..errors import PreconditionViolation
 from .intfactor import is_prime
@@ -179,11 +179,8 @@ def _hensel_lift(f: IntPoly, factors_mod_p, p: int, target: int):
     lifted = [list(g) for g in factors_mod_p]
     pk = p
     while pk < target:
-        prod = [1]
-        for g in lifted:
-            prod = _imul(prod, g)
-        err = _isub(list(f.coeffs), prod)
-        err = [c // pk for c in err]
+        lifted_product = prod(map(IntPoly, lifted), start=IntPoly([1]))
+        err = [c // pk for c in (f - lifted_product).coeffs]
         err_p = _pstrip([c % p for c in err])
         new = []
         for g, s in zip(lifted, inverses):
@@ -199,22 +196,14 @@ def _hensel_lift(f: IntPoly, factors_mod_p, p: int, target: int):
     return lifted, pk
 
 
-def _imul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _isub(a, b):
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
+def _squarefree_mod_p(f: IntPoly, p: int):
+    """f mod p as a coefficient list when it keeps its degree and is
+    squarefree mod p; otherwise None."""
+    fp = _pstrip([c % p for c in f.coeffs])
+    if len(fp) - 1 != f.degree:
+        return None
+    dfp = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
+    return fp if dfp and len(_pgcd(fp, dfp, p)) == 1 else None
 
 
 # -- Zassenhaus recombination ----------------------------------------------
@@ -236,13 +225,9 @@ def _choose_prime(f: IntPoly):
     p = 3
     rng = random.Random(0x5EED ^ f.degree)
     while len(candidates) < 3 and p < 10000:
-        if is_prime(p) and f.leading % p != 0:
-            fp = _pstrip([c % p for c in f.coeffs])
-            if len(fp) - 1 == f.degree:
-                dfp = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
-                if dfp and len(_pgcd(fp, dfp, p)) == 1:
-                    facs = _factor_mod_p(_pmonic(fp, p), p, rng)
-                    candidates.append((len(facs), p, facs))
+        if is_prime(p) and (fp := _squarefree_mod_p(f, p)) is not None:
+            facs = _factor_mod_p(_pmonic(fp, p), p, rng)
+            candidates.append((len(facs), p, facs))
         p += 2
     if not candidates:
         raise PreconditionViolation("no usable factorization prime found")
@@ -258,7 +243,7 @@ def _factor_squarefree_monic(f: IntPoly):
         return [f]
     target = _mignotte_target(f)
     lifted, pk = _hensel_lift(f, facs, p, target)
-    lifted = [[_symmetric(c, pk) for c in g] for g in lifted]
+    lifted = [IntPoly([_symmetric(c, pk) for c in g]) for g in lifted]
 
     result = []
     remaining = f
@@ -267,10 +252,8 @@ def _factor_squarefree_monic(f: IntPoly):
     while 2 * size <= len(idx):
         accepted = False
         for combo in combinations(idx, size):
-            cand = [1]
-            for i in combo:
-                cand = _imul(cand, lifted[i])
-            candidate = IntPoly([_symmetric(c, pk) for c in cand])
+            cand = prod((lifted[i] for i in combo), start=IntPoly([1]))
+            candidate = IntPoly([_symmetric(c, pk) for c in cand.coeffs])
             c0 = candidate.coeffs[0]
             r0 = remaining.coeffs[0]
             if c0 == 0:
@@ -354,12 +337,9 @@ def modular_factor_degrees(f: IntPoly, p: int):
     Requires f squarefree mod p with degree preserved; distinct-degree
     factorization alone determines the degree multiset, no splitting.
     """
-    fp = _pstrip([c % p for c in f.coeffs])
-    if len(fp) - 1 != f.degree:
-        raise PreconditionViolation("leading coefficient vanishes mod p")
-    dfp = _pstrip([i * c % p for i, c in enumerate(fp)][1:])
-    if not dfp or len(_pgcd(fp, dfp, p)) != 1:
-        raise PreconditionViolation("not squarefree mod p")
+    fp = _squarefree_mod_p(f, p)
+    if fp is None:
+        raise PreconditionViolation("not squarefree mod p with its degree kept")
     return sorted(
         d for d, g in _distinct_degree(_pmonic(fp, p), p) for _ in range((len(g) - 1) // d)
     )

@@ -23,7 +23,6 @@ __all__ = [
     "sturm_real_root_count",
     "lagrange_interpolate",
     "fractions_to_intpoly",
-    "sqrt_upper",
 ]
 
 
@@ -156,10 +155,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def reversed_coeffs(self):
-        """t^deg * f(1/t); drops root multiplicity at zero."""
-        return IntPoly(tuple(reversed(self.coeffs)))
 
     def scale_argument(self, a):
         """f(a*t) for integer a."""
@@ -486,17 +481,3 @@ def fractions_to_intpoly(coeffs) -> IntPoly:
         denom = lcm(denom, Fraction(c).denominator)
     ints = [int(Fraction(c) * denom) for c in coeffs]
     return IntPoly(ints).primitive_part()
-
-
-def sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        raise PreconditionViolation("negative radicand")
-    if x == 0:
-        return Fraction(0)
-    num, den = x.numerator, x.denominator
-    r = isqrt(num * den)
-    if r * r < num * den:
-        r += 1
-    return Fraction(r, den)
-

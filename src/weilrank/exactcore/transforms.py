@@ -14,7 +14,6 @@ monic integer polynomial.
 from __future__ import annotations
 
 from ..errors import PreconditionViolation
-from .intfactor import factor_int
 from .poly import IntPoly
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "cyclotomic_order",
     "cyclotomic_part_orders",
-    "euler_phi",
 ]
 
 
@@ -114,15 +112,6 @@ def _phi_sieve(limit: int) -> list[int]:
             for m in range(p, limit + 1, p):
                 phi[m] -= phi[m] // p
     return phi
-
-
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise PreconditionViolation("phi of nonpositive integer")
-    out = 1
-    for p, e in factor_int(n).items():
-        out *= (p - 1) * p ** (e - 1)
-    return out
 
 
 _CYCLO_CACHE: dict[int, IntPoly] = {}

@@ -31,11 +31,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
-from .exactcore import IntPoly, is_perfect_square, sqrt_upper
-from .exactcore.factor import _pgcd, _pstrip, modular_factor_degrees
+from .exactcore import IntPoly, is_perfect_square
+from .newton import newton_polygon
 from .weil import WeilPolynomial
 
 __all__ = [
@@ -157,7 +157,9 @@ def _quotient_disk(q: int, x, scale: int):
 class CertifiedRoot:
     """One isolating disk per distinct eigenvalue.
 
-    The radius is rigorous: for any z, some root lies within
+    The disk has center (a + bi) / 2^k and radius m / 2^e, all integers;
+    `re`, `im` and `radius` give the same numbers as Fractions.  The radius
+    is rigorous: for any z, some root lies within
     deg * |P(z)/P'(z)| of z, evaluated in exact integer arithmetic at the
     center; pairwise disjointness of all the disks then pins exactly one
     root per disk.  Only the upper member of a conjugate pair is refined
@@ -170,38 +172,46 @@ class CertifiedRoot:
     """
 
     index: int
-    re: Fraction
-    im: Fraction
-    radius: Fraction
+    a: int
+    b: int
+    k: int
+    m: int
+    e: int
     pair_index: int
     conjugate_index: int
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, 1 << self.k)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, 1 << self.k)
+
+    @property
+    def radius(self) -> Fraction:
+        return Fraction(self.m, 1 << self.e)
 
     @property
     def is_self_paired(self) -> bool:
         """True for the fixed points of alpha -> q/alpha, i.e. +-sqrt(q)."""
         return self.pair_index == self.index
 
-    def approx(self) -> complex:
-        return complex(float(self.re), float(self.im))
 
-
-def certified_roots(w: WeilPolynomial, target_radius=None):
+def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
     Starts come from `_double_starts` in double precision.  Each upper
     start is refined by integer Newton steps until its radius is at most
-    2^-64 (or `target_radius`, if smaller); its conjugate is the mirror
-    image.  The goal doubles, up to 2^-8192, until the disks are pairwise
-    disjoint and both the alpha -> q/alpha pairing and complex conjugation
-    match each disk to exactly one disk.  A start that leads no disk to its
-    own root cannot pass those checks, so it ends in PrecisionExhausted.
+    2^-64; its conjugate is the mirror image.  The goal doubles, up to
+    2^-8192, until the disks are pairwise disjoint and both the
+    alpha -> q/alpha pairing and complex conjugation match each disk to
+    exactly one disk.  A start that leads no disk to its own root cannot
+    pass those checks, so it ends in PrecisionExhausted.
     """
     sf = w.squarefree
     starts = _starts(sf, w.q)
     bits = _ROOT_BITS
-    if target_radius:
-        t = Fraction(target_radius)  # 2^bits >= 1/t
-        bits = max(bits, (-(-t.denominator // t.numerator) - 1).bit_length())
     while bits <= _ROOT_BITS_CAP:
         try:
             return _certify_at(w.q, sf, starts, bits)
@@ -283,21 +293,11 @@ def _certify_at(q: int, sf: IntPoly, starts, bits: int):
     for i in range(n):
         if pair[pair[i]] != i or conj[conj[i]] != i:
             raise PrecisionExhausted("pairing not involutive")
+    # k >= _START_SCALE and e >= bits (e > k when m == 0): the shifts in re, im, radius are >= 0
     return tuple(
-        CertifiedRoot(
-            index=i,
-            re=_dyadic(a, k),
-            im=_dyadic(b, k),
-            radius=_dyadic(m, e),
-            pair_index=pair[i],
-            conjugate_index=conj[i],
-        )
-        for i, (_, (a, b, k, m, e)) in enumerate(ordered)
+        CertifiedRoot(i, *disk, pair_index=pair[i], conjugate_index=conj[i])
+        for i, (_, disk) in enumerate(ordered)
     )
-
-
-def _dyadic(x: int, k: int) -> Fraction:
-    return Fraction(x, 1 << k) if k >= 0 else Fraction(x << -k)
 
 
 # -- exact relation verification --------------------------------------------
@@ -376,22 +376,6 @@ def _degree_bound(w: WeilPolynomial, roots) -> int:
     return max(min(bound, factored), 1)
 
 
-def _root_parts(r: CertifiedRoot):
-    """(a, b, k, m, e): center (a + bi)/2^k and radius m/2^e of a disk.
-
-    Exact for the dyadic values that `certified_roots` returns.
-    """
-    k = max(r.re.denominator.bit_length(), r.im.denominator.bit_length()) - 1
-    e = r.radius.denominator.bit_length() - 1
-    return (
-        (r.re.numerator << k) // r.re.denominator,
-        (r.im.numerator << k) // r.im.denominator,
-        k,
-        -(-(r.radius.numerator << e) // r.radius.denominator),
-        e,
-    )
-
-
 def _relation_balls(sf: IntPoly, roots, e, bits: int) -> dict:
     """Integer balls at 2^-bits around the roots whose exponent is nonzero.
 
@@ -400,13 +384,14 @@ def _relation_balls(sf: IntPoly, roots, e, bits: int) -> dict:
     disk's root because it meets this isolating disk and no other.
     """
     dsf = sf.derivative()
-    cells = [_disk_at(*_root_parts(r), bits) for r in roots]
+    cells = [_disk_at(r.a, r.b, r.k, r.m, r.e, bits) for r in roots]
     refined = {}
     balls = {}
     for i in (i for i, x in enumerate(e) if x):
-        j = i if roots[i].im >= 0 else roots[i].conjugate_index
+        j = i if roots[i].b >= 0 else roots[i].conjugate_index
         if j not in refined:
-            ball = _disk_at(*_refine_scaled(sf, dsf, *_root_parts(roots[j])[:3], bits), bits)
+            r = roots[j]
+            ball = _disk_at(*_refine_scaled(sf, dsf, r.a, r.b, r.k, bits), bits)
             if [l for l, c in enumerate(cells) if _meet(ball, c)] != [j]:
                 raise PrecisionExhausted("refined disk left its isolating disk")
             refined[j] = ball
@@ -415,24 +400,16 @@ def _relation_balls(sf: IntPoly, roots, e, bits: int) -> dict:
     return balls
 
 
-def _log2_upper(x: Fraction) -> int:
-    return x.numerator.bit_length() - x.denominator.bit_length() + 1
-
-
-def verify_relation(
-    w: WeilPolynomial,
-    e,
-    m_power: int,
-    roots=None,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> RelationCertificate:
+def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationCertificate:
     """Exactly decide whether prod alpha_i^(e_i) = q^(m_power).
 
     `e` is indexed like `certified_roots(w)`.  Negative exponents and a
     negative power of q are moved across the equality so both sides are
     algebraic integers; the difference, if nonzero, has norm at least one,
-    which yields the separation bound from |conjugate| = sqrt(q).
+    which yields the separation bound from |conjugate| = sqrt(q) <=
+    ceil(sqrt(q)).  The ball arithmetic doubles its precision up to
+    DEFAULT_PRECISION_CAP bits, and a relation whose transform degree
+    deg^(nonzero exponents) exceeds DEFAULT_DEGREE_CAP raises DegreeOverflow.
     """
     sf = w.squarefree
     if roots is None:
@@ -450,21 +427,21 @@ def verify_relation(
             conjugate_degree_bound=1,
             precision_bits=0,
         )
-    if sf.degree**nonzero > degree_cap:
+    if sf.degree**nonzero > DEFAULT_DEGREE_CAP:
         raise DegreeOverflow(
-            f"implied transform degree {sf.degree}**{nonzero} exceeds cap {degree_cap}"
+            f"implied transform degree {sf.degree}**{nonzero} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
     q = w.q
     pos = sum(x for x in e if x > 0)
     neg = sum(-x for x in e if x < 0)
     qa = max(-m_power, 0)
     qb = max(m_power, 0)
-    su = sqrt_upper(Fraction(q))
-    conj_bound = su**pos * Fraction(q) ** qa + su**neg * Fraction(q) ** qb
+    su = _isqrt_up(q)
+    conj_bound = su**pos * q**qa + su**neg * q**qb
     degree_bound = _degree_bound(w, roots)
-    sep_log2 = -(degree_bound - 1) * _log2_upper(conj_bound) - 2
+    sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
-    while bits <= precision_cap:
+    while bits <= DEFAULT_PRECISION_CAP:
         balls = _relation_balls(sf, roots, e, bits)
         side_a = (q**qa << bits, 0, 0)
         side_b = (q**qb << bits, 0, 0)
@@ -480,19 +457,10 @@ def verify_relation(
         upper_scaled = _isqrt_up(mag) + zr
         lower_scaled = math.isqrt(mag) - zr
         # separation 2^sep_log2 in the same 2^-bits scale
-        sep_scaled = 1 << (bits + sep_log2)
-        if upper_scaled < sep_scaled:
+        holds = upper_scaled < 1 << (bits + sep_log2)
+        if holds or lower_scaled > 0:
             return RelationCertificate(
-                holds=True,
-                exponents=e,
-                power_of_q=m_power,
-                separation_log2=sep_log2,
-                conjugate_degree_bound=degree_bound,
-                precision_bits=bits,
-            )
-        if lower_scaled > 0:
-            return RelationCertificate(
-                holds=False,
+                holds=holds,
                 exponents=e,
                 power_of_q=m_power,
                 separation_log2=sep_log2,
@@ -500,7 +468,7 @@ def verify_relation(
                 precision_bits=bits,
             )
         bits *= 2
-    raise PrecisionExhausted(f"relation check needs more than {precision_cap} bits")
+    raise PrecisionExhausted(f"relation check needs more than {DEFAULT_PRECISION_CAP} bits")
 
 
 # -- relation lattice --------------------------------------------------------
@@ -524,16 +492,11 @@ class RelationLattice:
     basis: tuple[tuple[int, ...], ...]
     certificates: tuple[RelationCertificate, ...]
     exponent_bound: int
-    status: str
 
     @property
     def rank(self) -> int:
         """Rank of the group generated by R'_X (free part)."""
         return len(self.representatives) - len(self.basis)
-
-    def contains(self, vector) -> bool:
-        """Membership of an exponent vector on representatives."""
-        return _lattice_contains(list(self.basis), list(vector))
 
 
 def _echelon(rows, cols):
@@ -638,9 +601,7 @@ def _candidate_vectors(thetas, bound, tol=1e-6):
 
 
 def relation_lattice(
-    w: WeilPolynomial,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-    roots=None,
+    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
 ) -> RelationLattice:
     """Certified relation lattice among the beta = q^(-1) alpha^2.
 
@@ -652,17 +613,12 @@ def relation_lattice(
     it is a verified candidate, so the basis is certified.
     Saturation and the basis's Hermite normal form come from `_echelon`.
     """
-    if roots is None:
-        roots = certified_roots(w)
+    roots = certified_roots(w)
     reps = [r.index for r in roots if r.pair_index > r.index]
     d = len(reps)
     if d == 0:
         return RelationLattice(
-            representatives=(),
-            basis=(),
-            certificates=(),
-            exponent_bound=exponent_bound,
-            status="complete_up_to_H",
+            representatives=(), basis=(), certificates=(), exponent_bound=exponent_bound
         )
     thetas = [_theta_of_root(roots[i]) for i in reps]
 
@@ -698,108 +654,21 @@ def relation_lattice(
         basis=tuple(tuple(r) for r in basis),
         certificates=tuple(certs),
         exponent_bound=exponent_bound,
-        status="complete_up_to_H",
     )
-
-
-# -- p-adic independence certificate ----------------------------------------
-
-
-def _unit_part_mod_p(sf: IntPoly, p: int):
-    """(degree-of-t-power, unit factor V) of sf mod p; V(0) != 0."""
-    fp = _pstrip([c % p for c in sf.coeffs])
-    w = 0
-    while w < len(fp) and fp[w] == 0:
-        w += 1
-    return w, fp[w:]
-
-
-def _valuation_rank_lower_bound(w: WeilPolynomial, roots) -> int:
-    """Certified lower bound on the rank from p-adic valuations.
-
-    Regime: slopes within {0, 1/2, 1}, squarefree unit part mod p, and no
-    wild ramification (p = 2 with slope 1/2 is excluded).  The Frobenius
-    orbit structure of the Hensel-lifted unit roots is read off the mod-p
-    factorization of the unit part; which complex root pair sits over
-    which residue orbit is unknown, so the bound minimizes the rank of the
-    valuation constraints over every admissible matching.  Sound, possibly
-    conservative.
-    """
-    from .newton import newton_polygon
-
-    reps = [r for r in roots if r.pair_index > r.index]
-    d = len(reps)
-    if d == 0:
-        return 0
-    np_ = newton_polygon(w)
-    half = Fraction(1, 2)
-    if any(s not in (Fraction(0), half, Fraction(1)) for s in np_.slopes):
-        return 0
-    if w.p == 2 and np_.length(half):
-        return 0
-    sf = w.squarefree
-    _, v_part = _unit_part_mod_p(sf, w.p)
-    if len(v_part) <= 1:
-        return 0
-    p = w.p
-    dv = _pstrip([i * c % p for i, c in enumerate(v_part)][1:])
-    if not dv or len(_pgcd(v_part, dv, p)) != 1:
-        return 0  # unit part not squarefree mod p: out of certificate scope
-    d_u = len(v_part) - 1
-    d_h = d - d_u
-    if d_h < 0:
-        return 0
-    cycle_lengths = modular_factor_degrees(IntPoly(v_part), p)
-    # residue slots 0..d_u-1 partitioned into Frobenius cycles
-    perm = [0] * d_u
-    start = 0
-    for ln in cycle_lengths:
-        for i in range(ln):
-            perm[start + i] = start + (i + 1) % ln
-        start += ln
-    order = math.lcm(*cycle_lengths)
-    best = None
-    pair_idx = list(range(d))
-    # For the true embedding there exist: a set of ordinary pairs, a
-    # matching to the residue slots, and orientations eps so that the
-    # valuation row is c_i = eps_i and the Frobenius acts on relation
-    # vectors as the signed permutation T (tau from the slot cycles,
-    # signs eps_i * eps_tau(i)).  Each relation v then satisfies
-    # c . T^k v = 0 for every k, so rank{c T^k} bounds the rank from
-    # below; minimizing over all admissible choices keeps it sound.
-    for ordinary in combinations(pair_idx, d_u):
-        for assignment in permutations(range(d_u)):
-            # pair ordinary[j] sits on residue slot assignment[j]
-            slot_of = {ordinary[j]: assignment[j] for j in range(d_u)}
-            pair_on = {assignment[j]: ordinary[j] for j in range(d_u)}
-            tau = list(range(d))
-            for i in ordinary:
-                tau[i] = pair_on[perm[slot_of[i]]]
-            for signs in product((1, -1), repeat=d_u):
-                eps = [0] * d
-                for j in range(d_u):
-                    eps[ordinary[j]] = signs[j]
-                row = list(eps)
-                rows = [row]
-                for _ in range(2 * order - 1):
-                    prev = rows[-1]
-                    nxt = [0] * d
-                    # (c T)_i = c_tau(i) * eps_i * eps_tau(i)
-                    for i in range(d):
-                        if eps[i]:
-                            nxt[i] = prev[tau[i]] * eps[i] * eps[tau[i]]
-                    rows.append(nxt)
-                rank = len(_echelon(rows, d)[0])
-                best = rank if best is None else min(best, rank)
-                if best == 0:
-                    return 0
-    return best or 0
 
 
 @dataclass(frozen=True)
 class OracleRank:
+    """The oracle's rank and how far it is proven.
+
+    `rank` is an exact upper bound: every relation in `lattice` is
+    certified.  `confidence` is 'certified_exact' when a lower bound meets
+    it, which happens at rank 0, and at rank 1 when some Newton slope is
+    not 1/2; otherwise it is 'certified_relations_only'.
+    """
+
     rank: int
-    confidence: str  # 'certified_relations_only' or 'certified_exact'
+    confidence: str
     lattice: RelationLattice
 
 
@@ -810,15 +679,17 @@ def oracle_rank(
     """Rank of the eigenvalue-relation group, proven from certificates.
 
     The value is an exact upper bound (every counted relation is certified)
-    and conjecturally exact up to the exponent bound.  When the p-adic
-    valuation certificate meets the relation count the confidence upgrades
-    to 'certified_exact'.
+    and conjecturally exact up to the exponent bound.  The lower bound is
+    the valuation argument of Dupuy-Kedlaya-Roe-Vincent: if some Newton
+    slope is not 1/2, some eigenvalue alpha has v(alpha) != v(q)/2 at a
+    prime above p, so beta = alpha^2/q has nonzero valuation there, is not
+    a root of unity, and the rank is at least 1.  With every slope 1/2 the
+    lower bound is 0.  The confidence is 'certified_exact' when the lower
+    bound meets the rank.
     """
-    roots = certified_roots(w)
-    lat = relation_lattice(w, exponent_bound=exponent_bound, roots=roots)
-    rank = lat.rank
-    if rank == 0:
-        return OracleRank(rank=0, confidence="certified_exact", lattice=lat)
-    lower = _valuation_rank_lower_bound(w, roots)
-    confidence = "certified_exact" if lower >= rank else "certified_relations_only"
-    return OracleRank(rank=rank, confidence=confidence, lattice=lat)
+    lat = relation_lattice(w, exponent_bound=exponent_bound)
+    exact = lat.rank == 0 or (
+        lat.rank == 1 and set(newton_polygon(w).slopes) != {Fraction(1, 2)}
+    )
+    confidence = "certified_exact" if exact else "certified_relations_only"
+    return OracleRank(rank=lat.rank, confidence=confidence, lattice=lat)

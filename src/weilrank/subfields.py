@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import NotIrreducible, NotSextic, PreconditionViolation, WeilrankError
 from .exactcore import (
@@ -180,7 +181,8 @@ def _trager_split(f: IntPoly, m: int):
     """The monic degree-(n/2) factor G over Q(sqrt(m)) with G*conj(G) = f.
 
     f must be monic, irreducible over Q, of even degree.  Returns the
-    coefficient list of G, or None when f stays irreducible over Q(sqrt(m)).
+    witness G, checked by re-expansion, or None when f stays irreducible
+    over Q(sqrt(m)).
     """
     n = f.degree
     h = n // 2
@@ -207,31 +209,14 @@ def _trager_split(f: IntPoly, m: int):
             parts.append(g)
     if len(parts) != 2 or any(len(g) - 1 != h for g in parts):
         return None
-    # undo the shift: roots were moved by +s*sqrt(m)
-    out = []
-    for g in parts:
-        back = _q_compose_shift_back(g, s, m)
-        out.append(back)
-    # deterministic representative: smaller coefficient tuple
-    key = lambda g: tuple((c.a0, c.a1) for c in g)
-    out.sort(key=key)
-    g = out[0]
-    if _qmul(g, _q_conj(g), m) != _qstrip(fq):
-        raise WeilrankError("G * conj(G) does not reproduce the input")
-    return g
-
-
-def _q_compose_shift_back(g, s, m):
-    """g(t + s*sqrt(m))."""
-    lin = [_qe(m, 0, s), _qe(m, 1)]
-    out = []
-    for c in reversed(g):
-        out = _qmul(out, lin, m)
-        if not out:
-            out = [c]
-        else:
-            out[0] = out[0] + c
-    return _qstrip(out)
+    # undo the shift (roots were moved by +s*sqrt(m)); the representative
+    # is the factor with the smaller coefficient tuple
+    back = [_q_compose_shift(g, -s, m) for g in parts]
+    g = min(back, key=lambda g: [(c.a0, c.a1) for c in g])
+    cf = ConjugateFactorization(m=m, g=tuple(g))
+    if cf.expand() != f:
+        raise WeilrankError("witness does not re-expand to pmin")
+    return cf
 
 
 @dataclass(frozen=True)
@@ -272,11 +257,10 @@ def _candidate_ms(disc: int):
     return sorted((-s for s in subsets), key=abs)
 
 
-def _degree_patterns(f: IntPoly, count=20):
-    """(prime, has-odd-degree-factor) pairs at auxiliary primes."""
+def _degree_patterns(f: IntPoly, disc: int, count=20):
+    """(prime, has-odd-degree-factor) pairs at auxiliary primes; disc = disc(f)."""
     out = []
     r = 101
-    disc = discriminant(f)
     while len(out) < count and r < 20000:
         if is_prime(r) and disc % r != 0 and f.leading % r != 0:
             degs = modular_factor_degrees(f, r)
@@ -310,18 +294,9 @@ def conjugate_factorizations(pmin: IntPoly):
     if len(facs) != 1 or facs[0][1] != 1:
         raise NotIrreducible("polynomial must be irreducible")
     disc = discriminant(pmin)
-    patterns = _degree_patterns(pmin)
-    out = []
-    for m in _candidate_ms(disc):
-        if not _sieve_ok(m, patterns):
-            continue
-        g = _trager_split(pmin, m)
-        if g is not None:
-            cf = ConjugateFactorization(m=m, g=tuple(g))
-            if cf.expand() != pmin:
-                raise WeilrankError("witness does not re-expand to pmin")
-            out.append(cf)
-    return tuple(out)
+    patterns = _degree_patterns(pmin, disc)
+    splits = (_trager_split(pmin, m) for m in _candidate_ms(disc) if _sieve_ok(m, patterns))
+    return tuple(cf for cf in splits if cf is not None)
 
 
 def quadratic_subfields(pmin: IntPoly):
@@ -340,13 +315,7 @@ def conjugate_split(pmin: IntPoly, m: int):
     """Conjugate factorization of irreducible pmin over one given Q(sqrt(m))."""
     if m >= 0 or squarefree_part(m) != m:
         raise PreconditionViolation("m must be negative squarefree")
-    g = _trager_split(pmin, m)
-    if g is None:
-        return None
-    cf = ConjugateFactorization(m=m, g=tuple(g))
-    if cf.expand() != pmin:
-        raise WeilrankError("witness does not re-expand to pmin")
-    return cf
+    return _trager_split(pmin, m)
 
 
 def norm_one_witness(pmin: IntPoly, q: int):
@@ -366,7 +335,7 @@ def norm_one_witness(pmin: IntPoly, q: int):
 
     if not is_perfect_square(q):
         return None
-    root_q = isqrt_exact(q)
+    root_q = isqrt(q)
     c0, c1, c2, c3, c4, c5, _ = [Fraction(c) for c in pmin.coeffs]
     if c0 != q**3:
         return None
@@ -409,15 +378,6 @@ def norm_one_witness(pmin: IntPoly, q: int):
     return None
 
 
-def isqrt_exact(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
-    if r * r != n:
-        raise PreconditionViolation(f"{n} is not a perfect square")
-    return r
-
-
 def _rational_squarefree_kernel(x: Fraction) -> int:
     """Squarefree integer in the same rational square class as x."""
     return squarefree_part(x.numerator * x.denominator)
@@ -427,8 +387,6 @@ def _rational_sqrt(x: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
         return None
-    from math import isqrt
-
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn != x.numerator or rd * rd != x.denominator:
         return None

@@ -51,8 +51,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeilPolynomial:
-    """A validated Weil q-polynomial.  Construct through `validate`, or
-    through `_from_trace` from a trace polynomial proved to be in range.
+    """A validated Weil q-polynomial.  Construct through `validate`,
+    through `_from_trace` from a trace polynomial proved to be in range, or
+    through `base_change` from another one.
 
     The squarefree part and the factorization of P are computed once per
     instance, on first use, so that no operation refactors P.
@@ -199,14 +200,6 @@ class EigenvalueDecomposition:
     simple: bool
 
     @property
-    def pmin(self) -> IntPoly:
-        """Minimal polynomial of Frobenius: product of the distinct factors."""
-        out = IntPoly([1])
-        for c in self.components:
-            out = out * c.pmin
-        return out
-
-    @property
     def end_rank(self) -> int:
         """rank of End(X) = sum of multiplicity^2 over distinct roots."""
         return sum(c.r_count * c.e * c.e for c in self.components)
@@ -221,10 +214,6 @@ class EigenvalueDecomposition:
         if seen == {"minus"}:
             return "minus"
         return "both"
-
-    @property
-    def r_count(self) -> int:
-        return sum(c.r_count for c in self.components)
 
 
 def _factor_structure(pmin: IntPoly, e: int, w: WeilPolynomial) -> EigenvalueStructure:
@@ -263,8 +252,12 @@ def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
     """The Weil polynomial over F_(q^n): roots raised to the n-th power.
 
     Applies the power transform factor by factor so multiplicities carry
-    over, then revalidates (which must succeed: both defining conditions
-    are preserved under alpha -> alpha^n).
+    over, and builds the result without `validate`, because every check of
+    `validate` holds by construction: the power transform of a monic
+    integer polynomial is monic and integral, of the same degree 2g; the
+    root multiset stays closed under alpha^n -> q^n / alpha^n, and the
+    product of the roots is (q^g)^n = (q^n)^g, so P satisfies the
+    functional equation over q^n; and |alpha^n| = q^(n/2).
     """
     if n <= 0:
         raise PreconditionViolation("extension degree must be positive")
@@ -273,7 +266,7 @@ def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
     out = IntPoly([1])
     for f, m in w.factors:
         out = out * power_transform(f, n) ** m
-    return validate(out, w.q**n)
+    return WeilPolynomial(poly=out, q=w.q**n, p=w.p, v=w.v * n, g=w.g)
 
 
 def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:

@@ -23,11 +23,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
 PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
+NOT_WEIL = "5,-9,1"  # roots of absolute value > sqrt(5)
+NON_NEAT = "729,-324,72,-18,8,-4,1"  # the non-neat sextic over F_9
+INVALID_RECORD = {
+    "schema": "weilrank/1",
+    "valid": False,
+    "q": "5",
+    "coeffs": ["5", "-9", "1"],
+    "error": "RiemannHypothesisFails",
+    "detail": "1 root pair(s) exceed absolute value sqrt(5)",
+}
+RH_FAILS = "invalid: RiemannHypothesisFails: 1 root pair(s) exceed absolute value sqrt(5)\n"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out.splitlines()
+
+
+def run_err(capsys, *argv):
+    """Exit code, stdout lines and the whole of stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out.splitlines(), captured.err
 
 
 class TestClassifyJson:
@@ -75,10 +93,120 @@ class TestClassifyJson:
         assert rec["rank_source"] == "theorem" and rec["notes"] == []
 
 
+class TestSubcommandGolden:
+    """Output of the other subcommands, stdout and stderr, with exit codes."""
+
+    def test_analyze_human(self, capsys):
+        code, out, err = run_err(capsys, "analyze", "--q", "5", "--poly", ELLIPTIC)
+        assert code == 0 and err == ""
+        assert out == [
+            "Weil polynomial over F_5: valid (g = 1)",
+            "  p = 5, v = 1",
+            "  simple: True",
+            "  component 5,-1,1 e=1 pairs=1 sqrt_root=none",
+            "  endomorphism rank: 2",
+            "  newton: ordinary [['0', 1], ['1', 1]]",
+            "  sufficiency degree: 1",
+        ]
+
+    def test_analyze_json(self, capsys):
+        code, out, err = run_err(capsys, "analyze", "--q", "5", "--poly", PRODUCT, "--json")
+        assert code == 0 and err == "" and len(out) == 1
+        assert json.loads(out[0]) == {
+            "schema": "weilrank/1",
+            "valid": True,
+            "q": "5",
+            "coeffs": ["25", "-15", "12", "-3", "1"],
+            "g": 2,
+            "p": "5",
+            "v": 1,
+            "simple": False,
+            "components": [
+                {"pmin": ["5", "-2", "1"], "e": 1, "pairs": 1, "sqrt_root": "none"},
+                {"pmin": ["5", "-1", "1"], "e": 1, "pairs": 1, "sqrt_root": "none"},
+            ],
+            "end_rank": 4,
+            "newton": "ordinary",
+            "newton_labels": ["ordinary"],
+            "polygon": [["0", 2], ["1", 2]],
+            "sufficiency_degree": 1,
+        }
+
+    def test_analyze_invalid(self, capsys):
+        code, out, err = run_err(capsys, "analyze", "--q", "5", "--poly", NOT_WEIL, "--json")
+        assert code == 2 and err == ""
+        assert [json.loads(o) for o in out] == [INVALID_RECORD]
+        assert run_err(capsys, "analyze", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
+
+    def test_analyze_batch_invalid_line(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"coeffs": [5, -9, 1], "q": 5}\n')
+        code, out, err = run_err(capsys, "analyze", "--batch", str(path))
+        assert code == 2 and err == ""
+        assert [json.loads(o) for o in out] == [INVALID_RECORD]
+
+    def test_oracle(self, capsys):
+        code, out, err = run_err(capsys, "oracle", "--q", "9", "--poly", NON_NEAT)
+        assert code == 0 and err == "" and len(out) == 1
+        assert json.loads(out[0]) == {
+            "schema": "weilrank/1",
+            "q": "9",
+            "coeffs": ["729", "-324", "72", "-18", "8", "-4", "1"],
+            "rank": 2,
+            "confidence": "certified_relations_only",
+            "representatives": [0, 2, 4],
+            "basis": [[1, 1, -1]],
+            "exponent_bound": 20,
+        }
+        assert run_err(capsys, "oracle", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
+
+    def test_base_change(self, capsys):
+        code, out, err = run_err(capsys, "base-change", "--n", "2", "--q", "5", "--poly", ELLIPTIC)
+        assert code == 0 and err == ""
+        assert [json.loads(o) for o in out] == [
+            {"schema": "weilrank/1", "coeffs": ["25", "9", "1"], "q": "25"}
+        ]
+        assert run_err(capsys, "base-change", "--n", "2", "--q", "5", "--poly", NOT_WEIL) == (
+            2, [], RH_FAILS,
+        )
+
+    def test_cubic_field(self, capsys):
+        code, out, err = run_err(capsys, "cubic-field", "--p", "5", "--l", "3")
+        assert code == 0 and err == ""
+        assert [json.loads(o) for o in out] == [
+            {
+                "schema": "weilrank/1",
+                "p": "5",
+                "l": "3",
+                "cleared_coeffs": ["15", "-196608", "0", "65536"],
+                "eisenstein_at_l": True,
+                "real_root_count": 3,
+                "mod_p_shape": True,
+                "all_checks_pass": True,
+            }
+        ]
+        assert run_err(capsys, "cubic-field", "--p", "5", "--l", "5") == (
+            2, [], "rejected: PreconditionViolation: l = 5 must be a prime different from p\n",
+        )
+
+    def test_search_nonneat(self, capsys):
+        code, out, err = run_err(
+            capsys, "search-nonneat", "--p", "2", "--q", "4", "--m", "-1", "--limit", "1"
+        )
+        assert code == 0 and err == "found 1 non-neat sextics\n"
+        assert [json.loads(o) for o in out] == [
+            {
+                "schema": "weilrank/1",
+                "coeffs": ["64", "-32", "4", "4", "1", "-2", "1"],
+                "q": "4",
+                "witness": {"m": "-1", "g": [["8", "0"], ["-2", "4"], ["-1", "-2"], ["1", "0"]]},
+            }
+        ]
+
+
 class TestExitCodes:
     def test_invalid_weil_polynomial(self, capsys):
-        code, out = run(capsys, "classify", "--q", "5", "--poly", "5,-9,1")
-        assert code == 2 and out == []
+        assert run_err(capsys, "classify", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
 
     def test_usage_errors(self, capsys):
         assert main(["classify", "--q", "5"]) == 1

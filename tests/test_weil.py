@@ -22,6 +22,7 @@ from weilrank.exactcore import (
     power_transform,
     sturm_real_root_count,
 )
+from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import (
     _check_in_range,
     _expand_trace,
@@ -240,6 +241,18 @@ class TestBaseChange:
             wn = base_change(w, n)
             assert wn.q == 9**n
             assert wn.poly.degree == 4
+
+    def test_validate_accepts_every_small_box(self):
+        # base_change builds its result without validate; validate must agree
+        count = 0
+        for g in (1, 2):
+            for q in (2, 3, 4, 5):
+                for w in enumerate_weil(SearchSpec(g=g, q=q)):
+                    for n in (2, 3, 4):
+                        wn = base_change(w, n)
+                        assert validate(wn.poly, wn.q) == wn
+                        count += 1
+        assert count == 3 * 358
 
     def test_root_count_preserved(self):
         w = validate(P(5, -1, 1) ** 2, 5)
