@@ -32,7 +32,7 @@ from .errors import (
     PreconditionViolation,
     WeilrankError,
 )
-from .exactcore import IntPoly, squarefree_part, sturm_real_root_count
+from .exactcore import IntPoly, squarefree_part
 from .newton import (
     NewtonPolygon,
     NewtonType,
@@ -197,11 +197,12 @@ def _classify_sufficient(
         elif w.g <= 2:
             neat, rank = True, comp.d
         elif comp.pmin.degree == 6:
-            cond_i = sturm_real_root_count(comp.pmin) == 0
+            # (i) by theorem: the only real eigenvalues, +-sqrt(q), have degree
+            # at most 2, so an irreducible sextic Weil factor has no real root
+            cond_i = True
             cond_iii = "almost_ordinary" in ntype.labels
-            if cond_i:
-                witness = norm_one_witness(comp.pmin, w.q)
-                cond_ii = witness is not None
+            witness = norm_one_witness(comp.pmin, w.q)
+            cond_ii = witness is not None
             neat = not (cond_i and cond_ii and cond_iii)
             rank = 3 if neat else 2
         else:

@@ -55,6 +55,19 @@ def _parse_poly(text: str) -> IntPoly:
         raise SystemExit(_usage_error("polynomial coefficients must be integers"))
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1; argparse reports the ValueError of any other value."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def index_bound(text: str) -> tuple[int, int]:
+    """INDEX=BOUND, both integers."""
+    index, _, bound = text.partition("=")
+    return int(index), int(bound)
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_USAGE
@@ -284,14 +297,10 @@ def _run_batch(path: str, fn) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    bounds = {}
-    for item in args.bound_override or []:
-        idx, val = item.split("=", 1)
-        bounds[int(idx)] = int(val)
     spec = SearchSpec(
         g=args.g,
         q=args.q,
-        bounds=bounds,
+        bounds=dict(args.bound_override or []),
         irreducible_only=args.irreducible,
         newton_label=args.newton,
         non_neat_only=args.non_neat,
@@ -393,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--poly", type=str)
     p_cl.add_argument("--auto-extend", action="store_true", dest="auto_extend")
     p_cl.add_argument("--oracle-check", action="store_true", dest="oracle_check")
-    p_cl.add_argument("--bound", type=int, default=20, help="oracle exponent bound")
+    p_cl.add_argument("--bound", type=positive_int, default=20, help="oracle exponent bound")
     p_cl.add_argument(
         "--fourfold-diagnostic", action="store_true", dest="fourfold_diagnostic"
     )
@@ -409,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--limit", type=int, default=None)
     p_en.add_argument(
         "--bound-override",
+        type=index_bound,
         action="append",
         dest="bound_override",
         metavar="INDEX=BOUND",
@@ -436,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="certified relation-lattice rank")
     p_or.add_argument("--q", type=int, required=True)
     p_or.add_argument("--poly", type=str, required=True)
-    p_or.add_argument("--bound", type=int, default=20)
+    p_or.add_argument("--bound", type=positive_int, default=20)
     p_or.set_defaults(func=_cmd_oracle)
 
     return parser

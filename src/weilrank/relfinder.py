@@ -1,15 +1,21 @@
 """Independent certified oracle for multiplicative eigenvalue relations.
 
-Root isolation runs on plain integers.  `numpy.roots` gives double-precision
-starts, which are only guesses.  One start per complex-conjugate pair, the
-one in the upper half-plane, is refined by Newton steps on scaled integers
-(a + bi) / 2^k, and its disk gets the radius deg * |P/P'| at the center,
-which some root always lies within; the other member of the pair is the
-exact mirror image, and the only real roots a Weil polynomial can have,
-+-sqrt(q), are started from integer square roots and stay on the real line.
-When the n disks of the n distinct roots are pairwise disjoint, each holds
-exactly one root.  Soundness lies only in that radius bound and those
-disjointness checks: a bad start can make certification fail with
+Root isolation runs on the real line, on plain integers.  A non-real
+eigenvalue alpha is fixed, up to complex conjugation, by its trace
+r = alpha + q/alpha: alpha = (r + i sqrt(4q - r^2)) / 2, where r is a root
+of the degree-g trace polynomial h.  The only real eigenvalues, +-sqrt(q),
+stand for the roots +-2 sqrt(q) of h; those are divided out and the
+eigenvalues placed exactly, or in an integer square-root bracket.
+`numpy.roots` gives double-precision starts for the other roots of h,
+which are only guesses.  Each is refined by Newton steps on scaled integers
+x / 2^k until h changes sign across (x -+ 1) / 2^k, so by the intermediate
+value theorem a root lies in that interval.  The disk of alpha
+circumscribes the box the interval gives for its real and imaginary parts,
+and conj(alpha) = q/alpha is the exact mirror image.  `validate` proved
+that the squarefree h has deg h real simple roots, so deg h sign-change
+intervals with pairwise disjoint real projections hold each root exactly
+once.  Soundness lies only in those sign changes and that one sorted
+disjointness check: a bad start can make certification fail with
 PrecisionExhausted, never produce a wrong disk.
 
 Relations: candidate relations among the q^(-1) alpha^2 come from their
@@ -31,12 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
-from .exactcore import IntPoly, is_perfect_square
+from .exactcore import IntPoly, poly_gcd, poly_squarefree_part
 from .newton import newton_polygon
-from .weil import WeilPolynomial
+from .weil import WeilPolynomial, trace_polynomial
 
 __all__ = [
     "CertifiedRoot",
@@ -54,29 +59,26 @@ DEFAULT_EXPONENT_BOUND = 20
 DEFAULT_PRECISION_CAP = 1 << 16
 DEFAULT_DEGREE_CAP = 6**6 * 4
 _BASE_PRECISION = 128
-_ROOT_BITS = 64  # first radius goal of certified_roots, 2^-64
+_ROOT_BITS = 64  # first goal of certified_roots, and the largest radius it accepts, 2^-64
 _ROOT_BITS_CAP = 1 << 13
-_START_SCALE = 64  # a double start becomes (a + bi) / 2^64
-_GUARD_BITS = 32  # Newton works at most this far below the radius goal
+_START_SCALE = 64  # a double start becomes x / 2^64
+_GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than r
 
 
-# -- scaled-integer complex arithmetic ---------------------------------------
+# -- the real line: traces of eigenvalue pairs -------------------------------
 #
-# A center is (a + b*i) / 2^k with integer a, b, and a radius is m / 2^e
-# with an integer m of about 50 bits, rounded up.  Plain integers avoid
-# Fraction's gcd normalization, which dominates once denominators reach
-# hundreds of bits.
+# A point is x / 2^k with integers x and k, and a disk is (a + b*i) / 2^k
+# with radius m / 2^k.  Plain integers avoid Fraction's gcd normalization,
+# which dominates once denominators reach hundreds of bits.
 
 
-def _eval_scaled(coeffs, a: int, b: int, k: int):
-    """f((a + bi)/2^k) = (R + I*i)/2^(deg*k), all integer arithmetic."""
-    r, i = coeffs[-1], 0
-    e = 0
+def _scaled_value(coeffs, x: int, k: int) -> int:
+    """2^(deg*k) f(x / 2^k), in integer arithmetic."""
+    v, e = coeffs[-1], 0
     for c in reversed(coeffs[:-1]):
-        r, i = r * a - i * b, r * b + i * a
         e += k
-        r += c << e
-    return r, i, e
+        v = v * x + (c << e)
+    return v
 
 
 def _isqrt_up(n: int) -> int:
@@ -85,72 +87,79 @@ def _isqrt_up(n: int) -> int:
 
 
 def _round_div(x: int, d: int) -> int:
-    """round(x / d) for d > 0."""
+    """round(x / d), halves up, for d != 0: floor(x/d + 1/2)."""
     return (2 * x + d) // (2 * d)
 
 
-def _ceil_scaled(m: int, e: int, k: int) -> int:
-    """ceil(m / 2^e * 2^k)."""
-    return m << (k - e) if k >= e else -((-m) >> (e - k))
+def _split(w: WeilPolynomial):
+    """(h, signs): the traces of the non-real eigenvalue pairs, and the real eigenvalues.
 
-
-def _refine_scaled(sf: IntPoly, dsf: IntPoly, a: int, b: int, k: int, bits: int):
-    """Newton-iterate (a + bi)/2^k until its radius bound is at most 2^-bits.
-
-    Returns (a, b, k, m, e): the center and the rigorous radius m / 2^e >=
-    deg * |P/P'| there.  A step works at about twice the bits already
-    right, and never beyond bits + _GUARD_BITS, so the cost follows the
-    goal.  A start on the real line stays on it.
+    h is the squarefree part of the trace polynomial with its roots
+    +-2 sqrt(q) divided out; alpha + q/alpha = +-2 sqrt(q) exactly when
+    alpha = +-sqrt(q), so `signs` lists the signs of the real eigenvalues.
     """
-    n = sf.degree
+    h = poly_squarefree_part(trace_polynomial(w.poly, w.q))
+    ends = poly_gcd(h, IntPoly([-4 * w.q, 0, 1]))  # 1, x -+ 2 sqrt(q) or x^2 - 4q
+    signs = [-1, 1] if ends.degree == 2 else [1 if ends.coeffs[0] < 0 else -1] * ends.degree
+    return h.exact_div(ends), signs
+
+
+def _double_starts(h: IntPoly):
+    """Double-precision guesses at the roots of h, all of which are real.
+
+    h is solved in the variable x / 2^s with 2^s near the size of its
+    roots, so its coefficients stay in range of a double.
+    """
+    import numpy as np  # only the oracle needs numpy; importing weilrank does not load it
+
+    n = h.degree
+    s = max(abs(c).bit_length() // (n - i) for i, c in enumerate(h.coeffs[:-1]))
+    scaled = [c / (1 << (s * (n - i))) for i, c in enumerate(h.coeffs)]
+    return [float(z.real) * 2.0**s for z in np.roots(scaled[::-1])]
+
+
+def _refine(h: IntPoly, dh: IntPoly, x: int, k: int, goal: int):
+    """Newton steps on x / 2^k until h changes sign across (x -+ 1) / 2^k with k >= goal.
+
+    A step works at about twice the bits already right, and never beyond
+    goal, so the cost follows the goal.
+    """
     for _ in range(100):
-        pr, pi, _ = _eval_scaled(sf.coeffs, a, b, k)
-        dr, di, _ = _eval_scaled(dsf.coeffs, a, b, k)
-        dd = dr * dr + di * di
-        if dd == 0:
-            raise PrecisionExhausted("derivative vanishes at a center")
-        # radius = n*sqrt(num/dd)/2^k <= isqrt_up(ceil(num*2^sh/dd))/2^(k + sh/2)
-        num = (pr * pr + pi * pi) * n * n
-        sh = 100 - num.bit_length() + dd.bit_length()
-        sh += sh & 1
-        s = -((-(num << sh)) // dd) if sh >= 0 else -((-num) // (dd << -sh))
-        m, e = _isqrt_up(s), k + sh // 2
-        if m == 0 or (e >= bits and m <= 1 << (e - bits)):
-            return a, b, k, m, e
-        right = e - m.bit_length()
-        k2 = max(k, min(bits + _GUARD_BITS, max(2 * right + _GUARD_BITS, _START_SCALE)))
-        # P/P' = (pr + pi*i)(dr - di*i) / (dd * 2^k): subtract in 2^-k2 units
-        up = k2 - k
-        a = (a << up) - _round_div((pr * dr + pi * di) << up, dd)
-        b = (b << up) - _round_div((pi * dr - pr * di) << up, dd)
+        if k >= goal and _scaled_value(h.coeffs, x - 1, k) * _scaled_value(h.coeffs, x + 1, k) < 0:
+            return x, k
+        v = _scaled_value(h.coeffs, x, k)
+        d = _scaled_value(dh.coeffs, x, k)
+        if d == 0:
+            raise PrecisionExhausted("derivative vanishes at a start")
+        # h/h' = v / (d 2^k), so about k - log2|v/d| bits of x / 2^k are right
+        right = k - v.bit_length() + d.bit_length()
+        k2 = max(k, min(goal, max(2 * right, _START_SCALE)))
+        x = (x << (k2 - k)) - _round_div(v << (k2 - k), d)
         k = k2
-    raise PrecisionExhausted("Newton refinement did not reach target radius")
+    raise PrecisionExhausted("Newton refinement did not converge")
 
 
-def _disk_at(a: int, b: int, k: int, m: int, e: int, scale: int):
-    """The disk (a + bi)/2^k, radius m/2^e, as integers at 2^-scale, grown to hold it."""
-    if scale >= k:
-        return a << (scale - k), b << (scale - k), _ceil_scaled(m, e, scale)
-    d = 1 << (k - scale)
-    # each rounded coordinate moves by at most 1/2, the center by less than 1
-    return _round_div(a, d), _round_div(b, d), _ceil_scaled(m, e, scale) + 1
+def _pair_disk(q: int, x: int, k: int):
+    """(a, b, m): the disk (a + bi) / 2^(k+2), radius m / 2^(k+2), holding
+    alpha = (r + i sqrt(4q - r^2)) / 2 for every r in (x -+ 1) / 2^k.
+
+    Re alpha = r/2 lies in (x -+ 1) / 2^(k+1).  Im alpha = sqrt(4q - r^2)/2
+    falls as |r| grows, so it lies between its values at the two ends of
+    the range of |r|, bounded by isqrt at 2^-(k+1).  The disk
+    circumscribes that box; its center and radius are at 2^-(k+2).
+    """
+    top = 4 * q << (2 * k)
+    near = max(abs(x) - 1, 0)
+    far = abs(x) + 1
+    lo = math.isqrt(max(top - far * far, 0))
+    hi = _isqrt_up(top - near * near)
+    return 2 * x, lo + hi, _isqrt_up(4 + (hi - lo) ** 2)
 
 
-def _meet(x, y) -> bool:
-    """Do two integer disks (a, b, r) at one scale intersect?"""
-    s = x[2] + y[2]
-    return (x[0] - y[0]) ** 2 + (x[1] - y[1]) ** 2 <= s * s
-
-
-def _quotient_disk(q: int, x, scale: int):
-    """An integer disk at 2^-scale holding q / z for every z in the disk x."""
-    a, b, r = x
-    denom = a * a + b * b - r * r
-    if denom <= 0:
-        raise PrecisionExhausted("disk too large to invert")
-    # q / D(c, r) = D(q conj(c), q r) / (|c|^2 - r^2); |c|^2 - r^2 = denom / 2^(2 scale)
-    f = q << (2 * scale)
-    return _round_div(f * a, denom), _round_div(-f * b, denom), -((-f * r) // denom) + 1
+def _real_disk(q: int, sign: int, k: int):
+    """(a, b, m) at 2^-k for the real eigenvalue sign * sqrt(q): exact, or an isqrt bracket."""
+    s = math.isqrt(q << (2 * k))
+    return sign * s, 0, int(s * s != q << (2 * k))
 
 
 @dataclass(frozen=True)
@@ -158,16 +167,16 @@ class CertifiedRoot:
     """One isolating disk per distinct eigenvalue.
 
     The disk has center (a + bi) / 2^k and radius m / 2^e, all integers;
-    `re`, `im` and `radius` give the same numbers as Fractions.  The radius
-    is rigorous: for any z, some root lies within
-    deg * |P(z)/P'(z)| of z, evaluated in exact integer arithmetic at the
-    center; pairwise disjointness of all the disks then pins exactly one
-    root per disk.  Only the upper member of a conjugate pair is refined
-    (from a double-precision start, by integer Newton steps); its partner
-    is the exact mirror image, and real roots (+-sqrt(q)) have im == 0.
-    Ordering is by (re, im), so the two members of a pair sit next to each
-    other with the negative imaginary part first.  `pair_index` points at
-    the disk of q/alpha, `conjugate_index` at the complex conjugate;
+    `re`, `im` and `radius` give the same numbers as Fractions.  A non-real
+    root's disk holds the box of alpha = (r + i sqrt(4q - r^2)) / 2 over a
+    sign-change interval of the trace polynomial around its trace r; the
+    lower member of the pair is the exact mirror image of the upper one.
+    The real roots +-sqrt(q) have im == 0 and are exact or an integer
+    square-root bracket.  The real projections [re - radius, re + radius]
+    of the disks are pairwise disjoint.  Ordering is by (re, im): -sqrt(q)
+    first, +sqrt(q) last, and the two members of a pair next to each other
+    with the negative imaginary part first.  `conjugate_index` points at the
+    complex conjugate, which is also q/alpha because |alpha|^2 = q;
     `index` is this disk's own position.
     """
 
@@ -177,7 +186,6 @@ class CertifiedRoot:
     k: int
     m: int
     e: int
-    pair_index: int
     conjugate_index: int
 
     @property
@@ -193,6 +201,11 @@ class CertifiedRoot:
         return Fraction(self.m, 1 << self.e)
 
     @property
+    def pair_index(self) -> int:
+        """The disk of q/alpha, which is conj(alpha) because |alpha|^2 = q."""
+        return self.conjugate_index
+
+    @property
     def is_self_paired(self) -> bool:
         """True for the fixed points of alpha -> q/alpha, i.e. +-sqrt(q)."""
         return self.pair_index == self.index
@@ -201,103 +214,50 @@ class CertifiedRoot:
 def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    Starts come from `_double_starts` in double precision.  Each upper
-    start is refined by integer Newton steps until its radius is at most
-    2^-64; its conjugate is the mirror image.  The goal doubles, up to
-    2^-8192, until the disks are pairwise disjoint and both the
-    alpha -> q/alpha pairing and complex conjugation match each disk to
-    exactly one disk.  A start that leads no disk to its own root cannot
-    pass those checks, so it ends in PrecisionExhausted.
+    Starts for the traces r come from `_double_starts` in double precision.
+    Each is refined by integer Newton steps until the trace polynomial
+    changes sign across an interval of width 2^(1 - goal - 32) around it,
+    and gives the disk of the upper eigenvalue of its pair.  The goal
+    doubles from 64 up to 8192 until there is one start per root, every
+    radius is at most 2^-64, no upper disk reaches the real axis, and the
+    real projections of the disks are pairwise disjoint.  A start that
+    leads no interval to its own root cannot pass those checks, so it ends
+    in PrecisionExhausted.
     """
-    sf = w.squarefree
-    starts = _starts(sf, w.q)
+    h, signs = _split(w)
+    try:
+        starts = [round(x * 2.0**_START_SCALE) for x in (_double_starts(h) if h.degree else [])]
+    except (OverflowError, ValueError):
+        raise PrecisionExhausted("double-precision start is not finite") from None
     bits = _ROOT_BITS
     while bits <= _ROOT_BITS_CAP:
         try:
-            return _certify_at(w.q, sf, starts, bits)
+            return _certify_at(w.q, h, signs, starts, bits)
         except PrecisionExhausted:
             bits *= 2
     raise PrecisionExhausted(f"could not certify roots of {w.poly} below 2^-{bits // 2}")
 
 
-def _double_starts(sf: IntPoly, q: int, count: int):
-    """`count` double-precision guesses at the roots of sf, highest first.
-
-    sf is solved in the variable t / 2^s with 2^s near sqrt(q), the
-    absolute value of every root, so its coefficients stay in range of a
-    double.
-    """
-    import numpy as np  # only the oracle needs numpy; importing weilrank does not load it
-
-    n = sf.degree
-    s = (q.bit_length() - 1) // 2
-    scaled = [c / (1 << (s * (n - i))) for i, c in enumerate(sf.coeffs)]
-    guesses = sorted(np.roots(scaled[::-1]), key=lambda z: -z.imag)
-    return [complex(z) * 2.0**s for z in guesses[:count]]
-
-
-def _starts(sf: IntPoly, q: int):
-    """Scaled-integer starts: the real roots +-sqrt(q), then one per conjugate pair.
-
-    A root of absolute value sqrt(q) is real only at +-sqrt(q), so the real
-    roots are known exactly and the rest come in conjugate pairs.
-    """
-    k = _START_SCALE
-    if is_perfect_square(q):
-        s = math.isqrt(q)
-        real = [x << k for x in (-s, s) if sf.evaluate(x) == 0]
-    elif sf.mod_monic(IntPoly([-q, 0, 1])).is_zero:
-        r = math.isqrt(q << (2 * k))
-        real = [-r, r]
-    else:
-        real = []
-    out = [(x, 0) for x in real]
-    for z in _double_starts(sf, q, (sf.degree - len(real)) // 2):
-        try:
-            out.append((round(z.real * 2.0**k), round(z.imag * 2.0**k)))
-        except (OverflowError, ValueError):
-            raise PrecisionExhausted("double-precision start is not finite") from None
-    return out
-
-
-def _certify_at(q: int, sf: IntPoly, starts, bits: int):
-    dsf = sf.derivative()
-    disks = []
-    for a, b in starts:
-        a, b, k, m, e = _refine_scaled(sf, dsf, a, b, _START_SCALE, bits)
-        disks.append((a, b, k, m, e))
-        if b:
-            disks.append((a, -b, k, m, e))
-    if len(disks) != sf.degree:
+def _certify_at(q: int, h: IntPoly, signs, starts, bits: int):
+    if len(starts) != h.degree:
         raise PrecisionExhausted("starts do not cover the roots")
-    # every test runs on integers at one common scale, radii rounded up
-    scale = max(d[2] for d in disks)
-    ordered = sorted((_disk_at(*d, scale), d) for d in disks)
-    cells = [c for c, _ in ordered]
-    n = len(cells)
-    for i, j in combinations(range(n), 2):
-        if _meet(cells[i], cells[j]):
-            raise PrecisionExhausted("isolating disks overlap")
-    pair = [0] * n
-    conj = [0] * n
-    for i, (re, im, rad) in enumerate(cells):
-        inv = _quotient_disk(q, cells[i], scale)
-        hits = [j for j in range(n) if _meet(inv, cells[j])]
-        if len(hits) != 1:
-            raise PrecisionExhausted("pairing ambiguous")
-        pair[i] = hits[0]
-        chits = [j for j in range(n) if _meet((re, -im, rad), cells[j])]
-        if len(chits) != 1:
-            raise PrecisionExhausted("conjugation ambiguous")
-        conj[i] = chits[0]
-    for i in range(n):
-        if pair[pair[i]] != i or conj[conj[i]] != i:
-            raise PrecisionExhausted("pairing not involutive")
-    # k >= _START_SCALE and e >= bits (e > k when m == 0): the shifts in re, im, radius are >= 0
-    return tuple(
-        CertifiedRoot(i, *disk, pair_index=pair[i], conjugate_index=conj[i])
-        for i, (_, disk) in enumerate(ordered)
-    )
+    dh = h.derivative()
+    goal = bits + _GUARD_BITS
+    k = goal + 2  # _refine ends at 2^-goal, and _pair_disk works 2 bits finer
+    upper = sorted(_pair_disk(q, *_refine(h, dh, x, _START_SCALE, goal)) for x in starts)
+    cells = [_real_disk(q, -1, k)] * (-1 in signs) + upper + [_real_disk(q, 1, k)] * (1 in signs)
+    if any(m > 1 << (k - _ROOT_BITS) for _, _, m in cells):
+        raise PrecisionExhausted("isolating disk wider than 2^-64")
+    if any(b <= m for _, b, m in upper):
+        raise PrecisionExhausted("isolating disk reaches the real axis")
+    if any(x[0] + x[2] >= y[0] - y[2] for x, y in zip(cells, cells[1:])):
+        raise PrecisionExhausted("real projections overlap")
+    roots = []
+    for a, b, m in cells:
+        i = len(roots)
+        members = [(-b, i + 1), (b, i)] if b else [(0, i)]  # a pair, lower member first
+        roots += [CertifiedRoot(i + j, a, y, k, m, k, c) for j, (y, c) in enumerate(members)]
+    return tuple(roots)
 
 
 # -- exact relation verification --------------------------------------------
@@ -346,57 +306,52 @@ def _iball_pow(x, n, bits):
     return result
 
 
-def _degree_bound(w: WeilPolynomial, roots) -> int:
+def _degree_bound(w: WeilPolynomial) -> int:
     """Upper bound on [L:Q] for the splitting field of the roots.
 
-    Adjoining a root also adjoins its pair partner q/alpha, so each pair
-    costs a factor (remaining root count); intersecting with the product
-    of per-irreducible-factor bounds tightens products considerably.
+    L is the compositum of the splitting fields of the irreducible factors
+    of P, so the product of per-factor bounds bounds it.  Adjoining a root
+    also adjoins its pair partner q/alpha, so a factor with 2d roots in d
+    pairs costs at most (2d)(2d - 2)...2; t^2 - q costs 2, and t -+ sqrt(q)
+    costs 1.
     """
-    q = w.q
-    pairs = sum(1 for r in roots if r.pair_index > r.index)
-    bound = 1
-    remaining = w.squarefree.degree
-    for _ in range(pairs):
-        bound *= max(remaining, 2)
-        remaining -= 2
-    if any(r.is_self_paired for r in roots) and not is_perfect_square(q):
-        bound *= 2
-    factored = 1
-    for f, _ in w.factors:
-        d = f.degree
-        if f == IntPoly([-q, 0, 1]):
-            factored *= 2
-            continue
-        fp = d // 2
-        rem = d
-        for _ in range(fp):
-            factored *= max(rem, 2)
-            rem -= 2
-    return max(min(bound, factored), 1)
+    return math.prod(
+        2 if f == IntPoly([-w.q, 0, 1]) else math.prod(range(f.degree, 1, -2))
+        for f, _ in w.factors
+    )
 
 
-def _relation_balls(sf: IntPoly, roots, e, bits: int) -> dict:
-    """Integer balls at 2^-bits around the roots whose exponent is nonzero.
+def _relation_balls(q: int, h: IntPoly, roots, e, bits: int) -> dict:
+    """Integer balls (a, b, m) at 2^-bits around the roots whose exponent is nonzero.
 
-    Only the upper member of a conjugate pair is refined; the lower one is
-    its mirror image.  A refined disk holds some root, and it is this
-    disk's root because it meets this isolating disk and no other.
+    A real root's ball is exact or an isqrt bracket.  For a pair, the trace
+    r is refined from 2 re of the upper disk.  The doubled real projection
+    of that disk holds exactly one root of the trace polynomial, so a
+    refined sign-change interval inside it holds the same root, and the
+    upper disk it gives, rescaled to 2^-bits, is the ball.  The lower member
+    of the pair is its mirror image.
     """
-    dsf = sf.derivative()
-    cells = [_disk_at(r.a, r.b, r.k, r.m, r.e, bits) for r in roots]
-    refined = {}
+    dh = h.derivative()
     balls = {}
     for i in (i for i, x in enumerate(e) if x):
-        j = i if roots[i].b >= 0 else roots[i].conjugate_index
-        if j not in refined:
-            r = roots[j]
-            ball = _disk_at(*_refine_scaled(sf, dsf, r.a, r.b, r.k, bits), bits)
-            if [l for l, c in enumerate(cells) if _meet(ball, c)] != [j]:
-                raise PrecisionExhausted("refined disk left its isolating disk")
-            refined[j] = ball
-        a, b, rad = refined[j]
-        balls[i] = (a, b, rad) if i == j else (a, -b, rad)
+        r = roots[i]
+        if r.b == 0:
+            balls[i] = _real_disk(q, 1 if r.a > 0 else -1, bits)
+            continue
+        j = max(i, r.conjugate_index)  # the upper member
+        if j not in balls:
+            u = roots[j]
+            # 2 re = a / 2^(k-1), with doubled real projection [a -+ m] / 2^(k-1)
+            x, k = _refine(h, dh, u.a, u.k - 1, bits + _GUARD_BITS)
+            up = k - u.k + 1
+            if x - 1 < (u.a - u.m) << up or x + 1 > (u.a + u.m) << up:
+                raise PrecisionExhausted("refined interval left its isolating disk")
+            a, b, m = _pair_disk(q, x, k)
+            d = 1 << (k + 2 - bits)
+            # each rounded coordinate moves by at most 1/2, the center by less than 1
+            balls[j] = (_round_div(a, d), _round_div(b, d), -(-m // d) + 1)
+        a, b, m = balls[j]
+        balls[i] = (a, b, m) if i == j else (a, -b, m)
     return balls
 
 
@@ -411,7 +366,6 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     DEFAULT_PRECISION_CAP bits, and a relation whose transform degree
     deg^(nonzero exponents) exceeds DEFAULT_DEGREE_CAP raises DegreeOverflow.
     """
-    sf = w.squarefree
     if roots is None:
         roots = certified_roots(w)
     e = tuple(int(x) for x in e)
@@ -427,9 +381,9 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
             conjugate_degree_bound=1,
             precision_bits=0,
         )
-    if sf.degree**nonzero > DEFAULT_DEGREE_CAP:
+    if len(roots) ** nonzero > DEFAULT_DEGREE_CAP:
         raise DegreeOverflow(
-            f"implied transform degree {sf.degree}**{nonzero} exceeds cap {DEFAULT_DEGREE_CAP}"
+            f"implied transform degree {len(roots)}**{nonzero} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
     q = w.q
     pos = sum(x for x in e if x > 0)
@@ -438,11 +392,12 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     qb = max(m_power, 0)
     su = _isqrt_up(q)
     conj_bound = su**pos * q**qa + su**neg * q**qb
-    degree_bound = _degree_bound(w, roots)
+    h = _split(w)[0]
+    degree_bound = _degree_bound(w)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
     while bits <= DEFAULT_PRECISION_CAP:
-        balls = _relation_balls(sf, roots, e, bits)
+        balls = _relation_balls(q, h, roots, e, bits)
         side_a = (q**qa << bits, 0, 0)
         side_b = (q**qb << bits, 0, 0)
         for i, exp in enumerate(e):
@@ -612,7 +567,10 @@ def relation_lattice(
     each saturated basis vector is verified, or keeps its certificate when
     it is a verified candidate, so the basis is certified.
     Saturation and the basis's Hermite normal form come from `_echelon`.
+    An exponent bound below 1 scans no candidates, so it is refused.
     """
+    if exponent_bound < 1:
+        raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
     roots = certified_roots(w)
     reps = [r.index for r in roots if r.pair_index > r.index]
     d = len(reps)

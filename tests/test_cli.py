@@ -25,6 +25,8 @@ ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
 PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
 NOT_WEIL = "5,-9,1"  # roots of absolute value > sqrt(5)
 NON_NEAT = "729,-324,72,-18,8,-4,1"  # the non-neat sextic over F_9
+ORACLE_NON_NEAT = ["oracle", "--q", "9", "--poly", NON_NEAT]
+ENUMERATE_G1_Q3 = ["enumerate", "--g", "1", "--q", "3"]
 INVALID_RECORD = {
     "schema": "weilrank/1",
     "valid": False,
@@ -216,6 +218,29 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (ORACLE_NON_NEAT + ["--bound", "0"], "positive_int value: '0'"),
+            (ORACLE_NON_NEAT + ["--bound", "-3"], "positive_int value: '-3'"),
+            (ORACLE_NON_NEAT + ["--bound", "x"], "positive_int value: 'x'"),
+            (
+                ["classify", "--q", "5", "--poly", ELLIPTIC, "--bound", "0"],
+                "positive_int value: '0'",
+            ),
+            (ENUMERATE_G1_Q3 + ["--bound-override", "x"], "index_bound value: 'x'"),
+            (ENUMERATE_G1_Q3 + ["--bound-override", "1=x"], "index_bound value: '1=x'"),
+        ],
+    )
+    def test_bad_option_values(self, capsys, argv, value):
+        # a bound below 1 would scan no candidates and report a vacuous rank
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and f"invalid {value}" in captured.err
+        assert "Traceback" not in captured.err
 
     def test_oracle_disagreement(self, capsys, monkeypatch):
         real = weilrank.classify.oracle_rank

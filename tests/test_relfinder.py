@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import weilrank.relfinder
-from weilrank.errors import DegreeOverflow, PrecisionExhausted
-from weilrank.exactcore import IntPoly, prime_power
+import weilrank.weil
+from weilrank.errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
+from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
 from weilrank.relfinder import (
     RelationCertificate,
     _echelon,
@@ -21,7 +22,7 @@ from weilrank.relfinder import (
     verify_relation,
 )
 from weilrank.search import SearchSpec, enumerate_weil
-from weilrank.weil import base_change, validate
+from weilrank.weil import base_change, trace_polynomial, validate
 
 
 def P(*coeffs):
@@ -116,6 +117,16 @@ class TestCertifiedRoots:
             assert abs(val) < 1e-6 * 9**3
 
 
+    @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (P(-5, 0, 1) ** 2 * P(5, -1, 1), 5)])
+    def test_each_upper_disk_holds_one_trace(self, poly, q):
+        # checked apart from the sign changes: a Sturm count finds exactly one root of
+        # the trace polynomial, r = alpha + q/alpha = 2 Re alpha, per doubled real projection
+        w = validate(poly, q)
+        h = poly_squarefree_part(trace_polynomial(w.poly, q))
+        for r in (r for r in certified_roots(w) if r.im > 0):
+            assert sturm_real_root_count(h, 2 * (r.re - r.radius), 2 * (r.re + r.radius)) == 1
+
+
 # inputs with conjugate pairs only, with +-sqrt(q) irrational, and with an integer root
 START_CASES = [
     (NON_NEAT, 9),
@@ -135,21 +146,21 @@ def _same_disks(got, want):
 
 
 class TestRootStarts:
-    """Soundness rests on the radius bound and the disjointness checks, not on the starts."""
+    """Soundness rests on the sign changes and the disjointness check, not on the starts."""
 
     @pytest.mark.parametrize("poly, q", START_CASES)
-    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "mirrored"])
+    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed"])
     def test_order_independent_of_starts(self, monkeypatch, poly, q, perturb):
         w = validate(poly, q)
         roots = certified_roots(w)
         oracle = oracle_rank(w)
         real = weilrank.relfinder._double_starts
 
-        def moved(sf, q, count):
-            out = real(sf, q, count)
-            if perturb == "mirrored":  # starts in the lower half-plane
-                return [z.conjugate() for z in out]
-            return [z + abs(z) * complex(1e-12 * (j + 1), -1.7e-12 * (j + 2)) for j, z in enumerate(out)]
+        def moved(h):
+            out = real(h)
+            if perturb == "reversed":
+                return out[::-1]
+            return [x + abs(x) * 1e-12 * (j + 1) * (-1) ** j for j, x in enumerate(out)]
 
         monkeypatch.setattr(weilrank.relfinder, "_double_starts", moved)
         w = validate(poly, q)  # a fresh instance: nothing cached
@@ -177,19 +188,38 @@ class TestRootStarts:
     def test_two_starts_on_one_root_never_certify(self, monkeypatch, poly, q):
         real = weilrank.relfinder._double_starts
         monkeypatch.setattr(
-            weilrank.relfinder,
-            "_double_starts",
-            lambda sf, q, count: [real(sf, q, count)[0]] * count,
+            weilrank.relfinder, "_double_starts", lambda h: [real(h)[0]] * h.degree
         )
         with pytest.raises(PrecisionExhausted):
             certified_roots(validate(poly, q))
 
     def test_non_finite_start(self, monkeypatch):
         monkeypatch.setattr(
-            weilrank.relfinder, "_double_starts", lambda sf, q, count: [complex("nan")] * count
+            weilrank.relfinder, "_double_starts", lambda h: [float("nan")] * h.degree
         )
         with pytest.raises(PrecisionExhausted):
             certified_roots(validate(NON_NEAT, 9))
+
+    def test_trace_near_the_end_of_its_range(self):
+        # h = x^2 - (4q - 1): the traces sit 1 / (4 sqrt(q)) inside +-2 sqrt(q),
+        # so Im alpha = 1/2 against |alpha| = sqrt(q) = 2^35.5
+        q = 2**71
+        w = validate(P(q * q, 0, 1 - 2 * q, 0, 1), q)
+        roots = certified_roots(w)
+        assert len(roots) == 4
+        for r in roots:
+            assert abs(r.im) - r.radius <= Fraction(1, 2) <= abs(r.im) + r.radius
+            assert 0 < r.radius <= Fraction(1, 2**64)
+        assert verify_relation(w, (1, 1, 0, 0), 1, roots=roots).holds  # alpha conj(alpha) = q
+        assert not verify_relation(w, (2, 0, 0, 0), 1, roots=roots).holds
+
+    def test_roots_never_factor(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"factored {f}")
+
+        monkeypatch.setattr(weilrank.weil, "factor_over_integers", refuse)
+        for poly, q in START_CASES:
+            certified_roots(validate(poly, q))
 
     def test_small_boxes_all_certify(self):
         # every Weil polynomial with g = 1, q <= 25; g = 2, q <= 5; g = 3, q = 2
@@ -369,6 +399,12 @@ class TestRelationLattice:
         roots = certified_roots(w)
         for cert in o.lattice.certificates:
             assert cert == real(w, cert.exponents, cert.power_of_q, roots=roots)
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_bound_below_one_is_refused(self, bound):
+        # it would scan no candidates and report the pair count as the rank
+        with pytest.raises(PreconditionViolation):
+            relation_lattice(validate(NON_NEAT, 9), exponent_bound=bound)
 
     def test_trivial_lattice_containment(self):
         # vectors with e'(beta) = e'(1/beta) reduce to 0 on representatives,

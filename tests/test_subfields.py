@@ -71,7 +71,6 @@ class TestConjugateFactorizations:
 
     def test_generic_ordinary_sextic_has_none(self):
         # ordinary irreducible sextic over F_5 built from x^3 - 4x - 1
-        poly = P(125, -50, 70, -18, 14, -2, 1) if False else None
         base = IntPoly([5, 0, 1])
         out = IntPoly()
         for k, c in enumerate([-1, -4, 0, 1]):
@@ -112,11 +111,10 @@ class TestNormOneWitness:
         out = IntPoly()
         for k, c in enumerate([-1, -7, 1, 1]):
             out = out + (c * base**k).shift(3 - k)
-        # only meaningful when the sextic validates; the witness solver
-        # never invents one for a non-square q
-        assert norm_one_witness(out, 9) is None or norm_condition(
-            norm_one_witness(out, 9), 9
-        )
+        # the sextic validates and has no imaginary quadratic subfield
+        validate(out, 9)
+        assert conjugate_factorizations(out) == ()
+        assert norm_one_witness(out, 9) is None
 
     def test_non_square_q_short_circuits(self):
         base = IntPoly([5, 0, 1])
