@@ -297,6 +297,11 @@ def _run_batch(path: str, fn) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    for index, _ in args.bound_override or []:
+        if not args.g <= index < 2 * args.g:
+            free = f"t^{args.g}..t^{2 * args.g - 1}"
+            msg = f"invalid --bound-override index {index}: the free coefficients are {free}"
+            raise SystemExit(_usage_error(msg))
     spec = SearchSpec(
         g=args.g,
         q=args.q,

@@ -1,8 +1,9 @@
 """Integer polynomial factorization.
 
 Zassenhaus pipeline: squarefree decomposition, factorization modulo a small
-prime chosen among several candidates, linear multifactor Hensel lifting to
-a Mignotte-style coefficient bound, and brute-force subset recombination.
+prime chosen by distinct-degree factor counts (equal-degree splitting runs
+at that prime only), linear multifactor Hensel lifting to a Mignotte-style
+coefficient bound, and brute-force subset recombination.
 Degrees stay far below one hundred here, so exponential recombination with
 the subset size capped at half the degree is acceptable.
 
@@ -135,11 +136,6 @@ def _distinct_degree(f, p):
         yield len(rest) - 1, _pmonic(rest, p)
 
 
-def _factor_mod_p(f, p, rng):
-    """Irreducible monic factors of squarefree monic f over F_p (p odd)."""
-    return [h for d, g in _distinct_degree(f, p) for h in _equal_degree_split(g, d, p, rng)]
-
-
 # -- Hensel lifting --------------------------------------------------------
 
 
@@ -220,27 +216,34 @@ def _mignotte_target(f: IntPoly) -> int:
 
 
 def _choose_prime(f: IntPoly):
-    """A small odd prime keeping f squarefree mod p, fewest modular factors."""
+    """(count, p, dd): among the first three small odd primes keeping f
+    squarefree mod p, the one with the fewest irreducible factors of f mod
+    p (count), then the smallest.  dd, the distinct-degree factorization
+    of f mod p, alone gives each count, and a prime where f stays
+    irreducible ends the search, since no count is lower."""
     candidates = []
     p = 3
-    rng = random.Random(0x5EED ^ f.degree)
     while len(candidates) < 3 and p < 10000:
         if is_prime(p) and (fp := _squarefree_mod_p(f, p)) is not None:
-            facs = _factor_mod_p(_pmonic(fp, p), p, rng)
-            candidates.append((len(facs), p, facs))
+            dd = list(_distinct_degree(_pmonic(fp, p), p))
+            candidates.append((sum((len(g) - 1) // d for d, g in dd), p, dd))
+            if candidates[-1][0] == 1:
+                break
         p += 2
     if not candidates:
         raise PreconditionViolation("no usable factorization prime found")
-    return min(candidates, key=lambda t: (t[0], t[1]))
+    return min(candidates, key=lambda t: t[:2])
 
 
 def _factor_squarefree_monic(f: IntPoly):
     """Irreducible monic factors of a squarefree monic integer polynomial."""
     if f.degree <= 1:
         return [f]
-    _, p, facs = _choose_prime(f)
-    if len(facs) == 1:
+    count, p, dd = _choose_prime(f)
+    if count == 1:
         return [f]
+    rng = random.Random(0x5EED ^ f.degree)
+    facs = [h for d, g in dd for h in _equal_degree_split(g, d, p, rng)]
     target = _mignotte_target(f)
     lifted, pk = _hensel_lift(f, facs, p, target)
     lifted = [IntPoly([_symmetric(c, pk) for c in g]) for g in lifted]

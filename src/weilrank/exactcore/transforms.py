@@ -13,7 +13,10 @@ monic integer polynomial.
 
 from __future__ import annotations
 
+from itertools import count
+
 from ..errors import PreconditionViolation
+from .intfactor import factor_int, is_prime
 from .poly import IntPoly
 
 __all__ = [
@@ -132,56 +135,56 @@ def cyclotomic_polynomial(n: int) -> IntPoly:
     return poly
 
 
+_CANDIDATES: dict[int, tuple[int, ...]] = {}
+_ROOTS_OF_UNITY: dict[int, tuple[int, int]] = {}
+
+
+def _candidate_orders(d: int) -> tuple[int, ...]:
+    """The n with phi(n) <= d; phi(n) >= sqrt(n/2) bounds them by 2 d^2."""
+    if d not in _CANDIDATES:
+        phi = _phi_sieve(2 * d * d + 2)
+        _CANDIDATES[d] = tuple(n for n in range(1, len(phi)) if phi[n] <= d)
+    return _CANDIDATES[d]
+
+
+def _may_vanish(f: IntPoly, n: int) -> bool:
+    """f(w) = 0 mod l, for a prime l = 1 (mod n) below 2^30 and w of exact
+    order n in F_l (both cached per n), by Horner's rule."""
+    if n not in _ROOTS_OF_UNITY:
+        ell = ((1 << 30) - 2) // n * n + 1
+        while not is_prime(ell):
+            ell -= n
+        primes = factor_int(n)
+        for a in count(2):
+            w = pow(a, (ell - 1) // n, ell)
+            if all(pow(w, n // r, ell) != 1 for r in primes):
+                break
+        _ROOTS_OF_UNITY[n] = (ell, w)
+    ell, w = _ROOTS_OF_UNITY[n]
+    acc = 0
+    for c in reversed(f.coeffs):
+        acc = (acc * w + c) % ell
+    return acc == 0
+
+
 def cyclotomic_order(f: IntPoly):
-    """n when f is the n-th cyclotomic polynomial, else None.
-
-    Enumerate the finitely many n with phi(n) = deg f (phi(n) >= sqrt(n/2)
-    bounds the search) and compare exactly.
-    """
-    d = f.degree
-    if d < 1 or not f.is_monic:
-        return None
-    phi = _phi_sieve(2 * d * d + 2)
-    for n in range(1, len(phi)):
-        if phi[n] == d and f == cyclotomic_polynomial(n):
-            return n
-    return None
-
-
-_FILTER_PRIME = (1 << 61) - 1
-
-
-def _divisible_mod_prime(f: IntPoly, g: IntPoly, p: int) -> bool:
-    """Quick necessary test: g | f mod p (g monic, p large prime)."""
-    rem = [c % p for c in f.coeffs]
-    d = g.degree
-    if len(rem) - 1 < d:
-        return False
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            for j, gc in enumerate(g.coeffs):
-                rem[i - d + j] = (rem[i - d + j] - c * gc) % p
-    return all(c % p == 0 for c in rem[:d])
+    """n when f is the n-th cyclotomic polynomial, else None; the candidates
+    and their filter are those of `cyclotomic_part_orders`."""
+    cands = _candidate_orders(f.degree)
+    return next((n for n in cands if _may_vanish(f, n) and f == cyclotomic_polynomial(n)), None)
 
 
 def cyclotomic_part_orders(f: IntPoly) -> set[int]:
     """All n with the n-th cyclotomic polynomial dividing f.
 
-    Candidates are the n with phi(n) <= deg f; a single large-prime modular
-    division filters them before the exact division confirms.
+    Candidates are the n with phi(n) <= deg f.  A residue test filters
+    them before the exact division confirms, and it never drops a divisor:
+    w of exact order n in F_l is a root of no t^k - 1 with k a proper
+    divisor of n, so of Phi_n, as l does not divide n and t^n - 1 is the
+    product of the Phi_k for k | n; and Phi_n | f over Z (Phi_n monic, so
+    f = Phi_n s with s in Z[t]) then forces f(w) = 0 mod l.
     """
     if f.is_zero:
         raise PreconditionViolation("zero polynomial")
-    d = f.degree
-    if d < 1:
-        return set()
-    out = set()
-    phi = _phi_sieve(2 * d * d + 2)
-    for n in range(1, len(phi)):
-        if phi[n] > d:
-            continue
-        cyc = cyclotomic_polynomial(n)
-        if _divisible_mod_prime(f, cyc, _FILTER_PRIME) and cyc.divides(f):
-            out.add(n)
-    return out
+    cands = _candidate_orders(f.degree)
+    return {n for n in cands if _may_vanish(f, n) and cyclotomic_polynomial(n).divides(f)}

@@ -69,7 +69,7 @@ class SearchSpec:
 
     g: int
     q: int
-    bounds: dict = field(default_factory=dict)  # ascending index -> bound override
+    bounds: dict = field(default_factory=dict)  # index g..2g-1 -> bound override
     irreducible_only: bool = False
     newton_label: str | None = None
     non_neat_only: bool = False
@@ -194,6 +194,8 @@ def enumerate_weil(spec: SearchSpec):
         raise PreconditionViolation(f"g must be at least 1, got {spec.g}")
     if spec.limit is not None and spec.limit < 0:
         raise PreconditionViolation(f"limit must be non-negative, got {spec.limit}")
+    if not set(spec.bounds) <= set(range(spec.g, 2 * spec.g)):
+        raise PreconditionViolation(f"bounds keys must be in {spec.g}..{2 * spec.g - 1}")
     if spec.limit == 0:
         return
     emitted = 0

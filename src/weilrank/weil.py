@@ -56,7 +56,9 @@ class WeilPolynomial:
     through `base_change` from another one.
 
     The squarefree part and the factorization of P are computed once per
-    instance, on first use, so that no operation refactors P.
+    instance, on first use, so that no operation refactors P.  Only the
+    polynomial over the field that is classified gets factored: a base
+    change works on P itself, not on its factors.
     """
 
     poly: IntPoly
@@ -251,22 +253,20 @@ def eigenvalue_structure(w: WeilPolynomial) -> EigenvalueDecomposition:
 def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
     """The Weil polynomial over F_(q^n): roots raised to the n-th power.
 
-    Applies the power transform factor by factor so multiplicities carry
-    over, and builds the result without `validate`, because every check of
-    `validate` holds by construction: the power transform of a monic
-    integer polynomial is monic and integral, of the same degree 2g; the
-    root multiset stays closed under alpha^n -> q^n / alpha^n, and the
-    product of the roots is (q^g)^n = (q^n)^g, so P satisfies the
-    functional equation over q^n; and |alpha^n| = q^(n/2).
+    One power transform of P itself: it works on the root multiset, so
+    multiplicities carry over and P is never factored.  The result is
+    built without `validate`, because every check of `validate` holds by
+    construction: the power transform of a monic integer polynomial is
+    monic and integral, of the same degree 2g; the root multiset stays
+    closed under alpha^n -> q^n / alpha^n, and the product of the roots is
+    (q^g)^n = (q^n)^g, so P satisfies the functional equation over q^n;
+    and |alpha^n| = q^(n/2).
     """
     if n <= 0:
         raise PreconditionViolation("extension degree must be positive")
     if n == 1:
         return w
-    out = IntPoly([1])
-    for f, m in w.factors:
-        out = out * power_transform(f, n) ** m
-    return WeilPolynomial(poly=out, q=w.q**n, p=w.p, v=w.v * n, g=w.g)
+    return WeilPolynomial(poly=power_transform(w.poly, n), q=w.q**n, p=w.p, v=w.v * n, g=w.g)
 
 
 def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:

@@ -1,6 +1,6 @@
 """Classification engine: sufficiency, neatness, rank, diagnostics."""
 
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -20,7 +20,7 @@ from weilrank.errors import (
     OracleDisagreement,
     PreconditionViolation,
 )
-from weilrank.exactcore import IntPoly, prime_power
+from weilrank.exactcore import IntPoly, factor_over_integers, power_transform, prime_power
 from weilrank.relfinder import OracleRank
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import (
@@ -86,6 +86,28 @@ class TestSufficiencyInvariants:
             n = sufficiency_degree(w)
             assert n == lcm(*ratio)
             assert not ratio_torsion_orders(base_change(w, n))
+
+
+class TestBaseChangeWithoutFactoring:
+    def test_never_factors(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"factored {f}")
+
+        monkeypatch.setattr(weilrank.weil, "factor_over_integers", refuse)
+        cases = [(P(5, 0, 1) * P(5, -1, 1), 5), (NON_NEAT, 9), (P(-5, 0, 1) ** 2, 5)]
+        for poly, q in cases + [(P(3, 3, 1) ** 3, 3), (P(2, 0, 1) * P(2, 1, 1) ** 2, 2)]:
+            w = validate(poly, q)
+            for n in (2, 3, 4, 6):
+                assert base_change(w, n).q == q**n
+
+    @pytest.mark.parametrize("g, q", SUFFICIENCY_BOXES)
+    def test_equals_factorwise_power_transform(self, g, q):
+        # one transform of P carries the multiplicities of its factors
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            factors = factor_over_integers(w.poly)
+            for n in (2, 3, 4, 6):
+                expected = prod((power_transform(f, n) ** m for f, m in factors), start=P(1))
+                assert base_change(w, n).poly == expected
 
 
 class TestTorsionOnce:
@@ -158,9 +180,9 @@ class TestSufficientFieldOnce:
         w = validate(P(5, 0, 1) * P(5, -1, 1), 5)
         rep = classify_auto(w, force_oracle=True)
         assert rep.oracle is not None
-        # w and its base change, each factored once, though the torsion
-        # checks, the base change, the classifier and the oracle all use them
-        assert factored == [w.poly, rep.poly]
+        # only the base change is factored, once, though the classifier and
+        # the oracle both use it; the base change itself never factors w
+        assert factored == [rep.poly]
         # only the torsion check of w takes a squarefree part of P; the
         # oracle isolates roots on the trace polynomial instead
         assert squarefree.count(w.poly) == 1

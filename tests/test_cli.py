@@ -231,6 +231,13 @@ class TestExitCodes:
             ),
             (ENUMERATE_G1_Q3 + ["--bound-override", "x"], "index_bound value: 'x'"),
             (ENUMERATE_G1_Q3 + ["--bound-override", "1=x"], "index_bound value: '1=x'"),
+            (ENUMERATE_G1_Q3 + ["--bound-override", "7=0"], "--bound-override index 7"),
+            (ENUMERATE_G1_Q3 + ["--bound-override", "0=1"], "--bound-override index 0"),
+            (
+                ["enumerate", "--g", "2", "--q", "3", "--bound-override", "3=1"]
+                + ["--bound-override", "1=2"],
+                "--bound-override index 1",
+            ),
         ],
     )
     def test_bad_option_values(self, capsys, argv, value):

@@ -1,6 +1,9 @@
 """Exact-arithmetic substrate: polynomials, factorization, resultants, Sturm."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import comb, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +20,7 @@ from weilrank.exactcore import (
     fractions_to_intpoly,
     factor_over_integers,
     is_irreducible,
+    is_perfect_square,
     is_prime,
     lagrange_interpolate,
     poly_gcd,
@@ -29,10 +33,13 @@ from weilrank.exactcore import (
     squarefree_part,
     sturm_real_root_count,
 )
+from weilrank.exactcore import factor as factor_module
 from weilrank.exactcore.poly import squarefree_part as poly_sf
 from weilrank.exactcore.transforms import _from_power_sums, _phi_sieve
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import ratio_torsion_orders
+
+from test_classify import SUFFICIENCY_BOXES
 
 
 def P(*coeffs):
@@ -199,10 +206,60 @@ class TestFactor:
             mine = sorted((g.degree, m) for g, m in factor_over_integers(f))
             assert mine == sy
 
+    @pytest.mark.parametrize("g, q", [(g, q) for g in (1, 2) for q in (2, 3, 4, 5, 7, 8, 9)])
+    def test_weil_boxes_factor_into_irreducibles(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            fac = factor_over_integers(w.poly)
+            assert prod((f**m for f, m in fac), start=P(1)) == w.poly
+            assert all(_weil_divisor(f, q) is None for f, _ in fac)
+
+    def test_splits_at_one_prime(self, monkeypatch):
+        split_primes, primes_per_call = [], []
+        real_split = factor_module._equal_degree_split
+        real_factor = factor_module._factor_squarefree_monic
+
+        def counting_split(f, d, p, rng):
+            split_primes.append(p)
+            return real_split(f, d, p, rng)
+
+        def recording_factor(f):
+            split_primes.clear()
+            out = real_factor(f)
+            primes_per_call.append(set(split_primes))
+            return out
+
+        monkeypatch.setattr(factor_module, "_equal_degree_split", counting_split)
+        monkeypatch.setattr(factor_module, "_factor_squarefree_monic", recording_factor)
+        cases = [P(-1, *[0] * 11, 1), P(1, 1, 1, 1, 1, 1, 1) * P(5, -1, 1) * P(1, 0, 1)]
+        cases += [w.poly for w in enumerate_weil(SearchSpec(g=2, q=9))]
+        for f in cases:
+            factor_over_integers(f)
+        assert all(len(primes) <= 1 for primes in primes_per_call)
+        assert sum(len(primes) for primes in primes_per_call) > 10
+
     def test_is_irreducible(self):
         assert is_irreducible(P(5, -1, 1))
         assert not is_irreducible(P(-1, 0, 0, 0, 1))
         assert not is_irreducible(P(7))
+
+
+def _weil_divisor(f, q):
+    """A monic integer divisor of f of degree 1 .. deg f // 2, or None.
+
+    Every root of f has absolute value sqrt(q), so every monic divisor of
+    degree k has |t^(k-j) coefficient| <= C(k, j) q^(j/2) and constant term
+    +-q^(k/2); the search runs over all of those.
+    """
+    for k in range(1, f.degree // 2 + 1):
+        if not is_perfect_square(q**k):
+            continue
+        ranges = [range(-b, b + 1) for b in (isqrt(comb(k, j) ** 2 * q**j) for j in range(1, k))]
+        for const in (isqrt(q**k), -isqrt(q**k)):
+            for middle in product(*ranges):
+                g = IntPoly([const, *reversed(middle), 1])
+                if g.divides(f):
+                    return g
+    return None
 
 
 class TestResultant:
@@ -338,7 +395,7 @@ class TestTransforms:
             expected = frozenset()
             if sf.degree > 1:
                 ratios = _ref_ratio(sf, sf).exact_div(P(-1, 1) ** sf.degree)
-                expected = frozenset(n for n in cyclotomic_part_orders(ratios) if n > 1)
+                expected = frozenset(n for n in _trial_part_orders(ratios) if n > 1)
             assert ratio_torsion_orders(w) == expected
             seen |= expected
         assert seen  # some of them do have torsion
@@ -396,6 +453,20 @@ def _power_sums(f, count):
     return p
 
 
+def _trial_part_orders(f):
+    """Every n with phi(n) <= deg f whose cyclotomic polynomial divides f,
+    each by exact division: no modular filter, no cached table."""
+    d = f.degree
+    phi = _phi_sieve(2 * d * d + 2)
+    return {n for n in range(1, len(phi)) if phi[n] <= d and cyclotomic_polynomial(n).divides(f)}
+
+
+# (n, phi(n)) with phi(n) <= 30
+SMALL_ORDERS = [(n, k) for n, k in enumerate(_phi_sieve(2 * 30 * 30 + 2)) if 1 <= k <= 30]
+# non-cyclotomic Weil factors: an elliptic curve over F_5, a simple surface over F_3
+NON_CYCLOTOMIC = [P(5, -1, 1), P(9, -3, 1, -1, 1)]
+
+
 class TestCyclotomic:
     def test_orders(self):
         assert cyclotomic_order(P(1, 1, 1)) == 3
@@ -403,6 +474,35 @@ class TestCyclotomic:
         assert cyclotomic_order(P(5, -1, 1)) is None
         assert cyclotomic_order(P(-1, 1)) == 1
         assert cyclotomic_order(P(1, 1)) == 2
+
+    def test_order_of_each_small_cyclotomic(self):
+        for n, _ in SMALL_ORDERS:
+            cyc = cyclotomic_polynomial(n)
+            assert cyclotomic_order(cyc) == n
+            assert cyclotomic_order(cyc + P(3)) is None  # constant term 2 or 4
+            assert cyclotomic_order(cyc * P(-1, 1)) is None
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_part_orders_of_products_match_trial_division(self, count):
+        rng = random.Random(count)
+        for _ in range(40):
+            picks = rng.sample(SMALL_ORDERS, count)
+            f = rng.choice(NON_CYCLOTOMIC)
+            for n, _ in picks:
+                f = f * cyclotomic_polynomial(n)
+            expected = _trial_part_orders(f)
+            assert {n for n, _ in picks} <= expected
+            assert cyclotomic_part_orders(f) == expected
+
+    @pytest.mark.parametrize("g, q", SUFFICIENCY_BOXES)
+    def test_ratio_part_orders_match_trial_division(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            sf = poly_sf(w.poly)
+            if sf.degree <= 1:
+                continue
+            ratios = product_transform(sf, sf).scale_argument(q).primitive_part()
+            ratios = ratios.exact_div(P(-1, 1) ** sf.degree)
+            assert cyclotomic_part_orders(ratios) == _trial_part_orders(ratios)
 
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == P(-1, 1)

@@ -186,6 +186,17 @@ class TestDimension:
             next(enumerate_weil(SearchSpec(g=g, q=3)))
 
 
+class TestBoundsKeys:
+    @pytest.mark.parametrize(
+        "g, bounds",
+        [(1, {7: 0}), (1, {0: 3}), (1, {2: 1}), (2, {1: 5}), (2, {4: 1, 3: 2}), (3, {6: 0})],
+    )
+    def test_outside_the_free_coefficients_rejected(self, g, bounds):
+        # only a_g..a_(2g-1) are free; a bound on any other index bounds nothing
+        with pytest.raises(PreconditionViolation, match="bounds keys"):
+            next(enumerate_weil(SearchSpec(g=g, q=3, bounds=bounds)))
+
+
 def _validated_fourfold_box(bounds):
     """Every g = 4, q = 2 polynomial with |a_i| <= bounds[i], by `validate`."""
     ranges = [range(-bounds[i], bounds[i] + 1) for i in (7, 6, 5, 4)]

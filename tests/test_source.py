@@ -19,13 +19,18 @@ def test_no_assert_statements():
     assert list(SRC.rglob("*.py")) and found == []
 
 
-def _loaded_after_import(module: str, imports: str) -> bool:
-    code = f"import sys, {imports}; print({module!r} in sys.modules)"
+def _after_import(expr: str, imports: str) -> str:
+    """What a fresh interpreter prints for expr after `import sys, <imports>`."""
+    code = f"import sys, {imports}; print({expr})"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return out.stdout.strip() == "True"
+    return out.stdout.strip()
+
+
+def _loaded_after_import(module: str, imports: str) -> bool:
+    return _after_import(f"{module!r} in sys.modules", imports) == "True"
 
 
 def test_import_leaves_mpmath_unloaded():
@@ -36,3 +41,11 @@ def test_import_leaves_mpmath_unloaded():
 def test_import_leaves_numpy_unloaded():
     # only the oracle's root starts and candidate scan use numpy, imported there
     assert not _loaded_after_import("numpy", "weilrank, weilrank.cli, weilrank.search")
+
+
+def test_import_leaves_cyclotomic_tables_empty():
+    # the candidate orders and roots of unity are built on first use, so
+    # importing the package does not pay for them
+    tables = "[len(t._CANDIDATES), len(t._ROOTS_OF_UNITY), len(t._CYCLO_CACHE)]"
+    imports = "weilrank, weilrank.cli, weilrank.exactcore.transforms as t"
+    assert _after_import(tables, imports) == "[0, 0, 0]"
