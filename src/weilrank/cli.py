@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.set_defaults(func=_cmd_cubic_field)
 
     p_bc = sub.add_parser("base-change", help="extend the base field")
-    p_bc.add_argument("--n", type=int, required=True)
+    p_bc.add_argument("--n", type=positive_int, required=True)
     p_bc.add_argument("--q", type=int, required=True)
     p_bc.add_argument("--poly", type=str, required=True)
     p_bc.set_defaults(func=_cmd_base_change)

@@ -29,7 +29,10 @@ separation turns the numeric guess into a rigorous dichotomy.
 
 Soundness lives entirely in the exact verification; the numeric stage is
 only a candidate generator.  It is exhaustive over the exponent box, so
-the resulting lattice is complete up to the configured height.
+the resulting lattice is complete up to the configured height.  The scan
+sorts the residues of the exponent tails once and finds the hits of each
+leading exponent by binary search; candidates already in the lattice of
+verified relations, kept in Hermite normal form, are skipped.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
-from .exactcore import IntPoly, poly_gcd, poly_squarefree_part
+from .exactcore import IntPoly, poly_gcd
 from .newton import newton_polygon
-from .weil import WeilPolynomial, trace_polynomial
+from .weil import WeilPolynomial
 
 __all__ = [
     "CertifiedRoot",
@@ -97,8 +100,9 @@ def _split(w: WeilPolynomial):
     h is the squarefree part of the trace polynomial with its roots
     +-2 sqrt(q) divided out; alpha + q/alpha = +-2 sqrt(q) exactly when
     alpha = +-sqrt(q), so `signs` lists the signs of the real eigenvalues.
+    Both polynomials are read from `w`, which computes them once.
     """
-    h = poly_squarefree_part(trace_polynomial(w.poly, w.q))
+    h = w.trace_squarefree
     ends = poly_gcd(h, IntPoly([-4 * w.q, 0, 1]))  # 1, x -+ 2 sqrt(q) or x^2 - 4q
     signs = [-1, 1] if ends.degree == 2 else [1 if ends.coeffs[0] < 0 else -1] * ends.degree
     return h.exact_div(ends), signs
@@ -507,10 +511,10 @@ def _saturate(rows, dim):
     return _echelon(rows, dim)[0]
 
 
-def _lattice_contains(basis, vector) -> bool:
-    """Membership in the row lattice of `basis`: adding it keeps the HNF."""
-    h = _echelon(basis, len(vector))[0]
-    return _echelon(h + [list(vector)], len(vector))[0] == h
+def _lattice_contains(hnf, vector) -> bool:
+    """Membership in the row lattice with Hermite normal form `hnf`: adding it keeps the HNF."""
+    hnf = [list(r) for r in hnf]
+    return _echelon(hnf + [list(vector)], len(vector))[0] == hnf
 
 
 def _theta_of_root(r: CertifiedRoot) -> float:
@@ -518,39 +522,80 @@ def _theta_of_root(r: CertifiedRoot) -> float:
     return 2.0 * math.atan2(float(r.im), float(r.re))
 
 
+_GRIDS: dict = {}  # (d, bound) -> exponent tails; see _tail_grid
+_GRID_CACHE_SIZE = 4
+_GRID_CACHE_ROWS = 1 << 16
+
+
+def _tail_grid(d: int, bound: int):
+    """The exponent tails [-bound, bound]^(d-1) as rows, in lexicographic order.
+
+    A few grids of at most _GRID_CACHE_ROWS rows are kept, read-only, the
+    oldest dropped first; a larger grid is built per call, so a large
+    bound does not pin its memory.
+    """
+    grid = _GRIDS.get((d, bound))
+    if grid is None:
+        import numpy as np
+
+        rng = np.arange(-bound, bound + 1)
+        grid = np.stack([g.ravel() for g in np.meshgrid(*([rng] * (d - 1)), indexing="ij")], axis=1)
+        if len(grid) <= _GRID_CACHE_ROWS:
+            grid.flags.writeable = False
+            if len(_GRIDS) >= _GRID_CACHE_SIZE:
+                del _GRIDS[next(iter(_GRIDS))]
+            _GRIDS[(d, bound)] = grid
+    return grid
+
+
 def _candidate_vectors(thetas, bound, tol=1e-6):
     """All e with 0 < max|e_i| <= bound whose angle sum is ~0 mod 2pi.
 
     Exhaustive over the box so no true relation at this height is missed;
-    false positives are eliminated by exact verification downstream.
+    false positives are eliminated by exact verification downstream.  The
+    first nonzero entry of each e is positive, and the list is sorted by
+    (max |e_i|, sum |e_i|, e).
+
+    e = (L, tail), and a hit is a tail whose residue tail . theta[1:] mod 2pi
+    lies within tol of -L theta[0] mod 2pi.  The residues are reduced and
+    sorted once, with copies shifted by -+2pi for the wrap-around, and each
+    lead L takes the window of width -+2 tol around its target by binary
+    search.  Every vector in the window is re-tested with the predicate
+    |remainder(L theta[0] + tail . theta[1:] + pi, 2pi) - pi| < tol in the
+    same floating-point operations as a test of the whole grid, so the list
+    is exactly the one such a test gives.  Nothing outside the window can
+    pass that test: the predicate and the window differ only by rounding,
+    a few units in the last place of numbers at most 2pi (d bound + 1) in
+    size, which is far below the spare tol.
     """
     import numpy as np
 
     d = len(thetas)
-    theta = np.array(thetas, dtype=float)
     two_pi = 2.0 * math.pi
-    rng = np.arange(-bound, bound + 1)
-    out = []
     if d == 1:
-        for v in rng:
-            if v > 0 and abs(math.remainder(v * thetas[0], two_pi)) < tol:
-                out.append((int(v),))
-        return out
-    grids = np.meshgrid(*([rng] * (d - 1)), indexing="ij")
-    tail = np.stack([g.ravel() for g in grids], axis=1)
+        return [
+            (v,) for v in range(1, bound + 1) if abs(math.remainder(v * thetas[0], two_pi)) < tol
+        ]
+    theta = np.array(thetas, dtype=float)
+    tail = _tail_grid(d, bound)
     tail_dot = tail @ theta[1:]
-    for lead in range(0, bound + 1):
-        total = lead * theta[0] + tail_dot
-        res = np.abs(np.remainder(total + math.pi, two_pi) - math.pi)
-        hits = np.nonzero(res < tol)[0]
-        for h in hits:
-            vec = (lead, *map(int, tail[h]))
-            if not any(vec):
-                continue
-            first = next(x for x in vec if x)
-            if first < 0:
-                continue  # canonical sign: first nonzero positive
-            out.append(vec)
+    residues = np.remainder(tail_dot, two_pi)
+    order = np.argsort(residues)
+    ranked = residues[order]
+    ranked = np.concatenate([ranked - two_pi, ranked, ranked + two_pi])
+    targets = np.remainder(-np.arange(bound + 1) * theta[0], two_pi)
+    lo = np.searchsorted(ranked, targets - 2 * tol, side="left")
+    hi = np.searchsorted(ranked, targets + 2 * tol, side="right")
+    # all windows end to end: the k-th entry is lo[L] + k - (entries before L's window)
+    counts = hi - lo
+    leads = np.repeat(np.arange(bound + 1), counts)
+    at = np.arange(len(leads)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    window = order[at % len(order)]
+    total = leads * theta[0] + tail_dot[window]
+    hit = np.abs(np.remainder(total + math.pi, two_pi) - math.pi) < tol
+    rows = np.column_stack([leads[hit], tail[window[hit]]]).tolist()
+    # canonical sign: first nonzero entry positive
+    out = [tuple(v) for v in rows if next((x for x in v if x), 0) > 0]
     out.sort(key=lambda v: (max(abs(x) for x in v), sum(abs(x) for x in v), v))
     return out
 
@@ -586,14 +631,14 @@ def relation_lattice(
             full[i] = 2 * vec[j]
         return verify_relation(w, full, sum(vec), roots=roots)
 
-    verified: list[list[int]] = []
+    verified: list[list[int]] = []  # Hermite normal form of the verified relations
     proved: dict[tuple[int, ...], RelationCertificate] = {}
     for cand in _candidate_vectors(thetas, exponent_bound):
-        if _lattice_contains(verified, list(cand)):
+        if _lattice_contains(verified, cand):
             continue
         cert = verify(cand)
         if cert.holds:
-            verified.append(list(cand))
+            verified = _echelon(verified + [list(cand)], d)[0]
             proved[tuple(cand)] = cert
     basis = _saturate(verified, d)
     certs = []

@@ -55,10 +55,14 @@ class WeilPolynomial:
     through `_from_trace` from a trace polynomial proved to be in range, or
     through `base_change` from another one.
 
-    The squarefree part and the factorization of P are computed once per
-    instance, on first use, so that no operation refactors P.  Only the
-    polynomial over the field that is classified gets factored: a base
-    change works on P itself, not on its factors.
+    Four derived polynomials are computed once per instance, on first
+    use: the squarefree part of P, the trace polynomial h with
+    P(t) = t^g h(t + q/t), the squarefree part of h, and the factorization
+    of P, which is read off the factorization of h.  `validate` builds h
+    and its squarefree part anyway and seeds them, so the oracle's root
+    isolation and relation proofs never rebuild them.  Only the polynomial
+    over the field that is classified gets factored: a base change works on
+    P itself, not on its factors.
     """
 
     poly: IntPoly
@@ -73,9 +77,45 @@ class WeilPolynomial:
         return poly_squarefree_part(self.poly)
 
     @cached_property
+    def trace(self) -> IntPoly:
+        """The trace polynomial h, of degree g: P(t) = t^g h(t + q/t)."""
+        return trace_polynomial(self.poly, self.q)
+
+    @cached_property
+    def trace_squarefree(self) -> IntPoly:
+        """Product of the distinct irreducible factors of the trace polynomial."""
+        return poly_squarefree_part(self.trace)
+
+    @cached_property
     def factors(self) -> tuple[tuple[IntPoly, int], ...]:
-        """The irreducible factors of P with multiplicities, as `factor_over_integers`."""
-        return tuple(factor_over_integers(self.poly))
+        """The irreducible factors of P with multiplicities, as `factor_over_integers`.
+
+        P is factored through its trace polynomial h, of half the degree.
+        Each factor f of h, with multiplicity m, lifts to t^d f(t + q/t),
+        d = deg f.  The roots 2s of h with s^2 = q lift to (t - s)^2, so
+        x - 2s gives (t - s, 2m); for q not a square the factor x^2 - 4q
+        gives (t^2 - q)^2, so (t^2 - q, 2m).  Every other lift is
+        irreducible, with multiplicity m: it is monic of degree 2d and has
+        the root alpha, where r = alpha + q/alpha is a root of f.  The roots
+        of f are real, so Q(r) is totally real, while alpha is not real
+        because r^2 != 4q.  Hence alpha is not in Q(r), it is a root of
+        t^2 - r t + q over Q(r), [Q(alpha):Q] = 2d, and the lift is the
+        minimal polynomial of alpha.  The lifts of distinct factors of h
+        have disjoint roots, so no two of them merge.  Ordered as
+        `factor_over_integers` orders: by degree, then by coefficients.
+        """
+        q = self.q
+        out = []
+        for f, m in factor_over_integers(self.trace):
+            c = f.coeffs
+            if f.degree == 1 and c[0] % 2 == 0 and (c[0] // 2) ** 2 == q:
+                out.append((IntPoly([c[0] // 2, 1]), 2 * m))  # x - 2s -> t - s
+            elif f == IntPoly([-4 * q, 0, 1]):
+                out.append((IntPoly([-q, 0, 1]), 2 * m))
+            else:
+                out.append((_expand_trace(f, q, f.degree), m))
+        out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+        return tuple(out)
 
     def __str__(self):
         return f"{self.poly} over F_{self.q}"
@@ -127,9 +167,9 @@ def _from_trace(h: IntPoly, q: int, pp: tuple[int, int]) -> WeilPolynomial:
     return WeilPolynomial(poly=_expand_trace(h, q, g), q=q, p=pp[0], v=pp[1], g=g)
 
 
-def _check_in_range(h: IntPoly, q: int) -> None:
+def _check_in_range(h: IntPoly, q: int) -> IntPoly:
     """Raise `RiemannHypothesisFails` unless every root of h is real and
-    inside [-2 sqrt(q), 2 sqrt(q)].
+    inside [-2 sqrt(q), 2 sqrt(q)]; return the squarefree part it tested.
 
     Two Sturm counts decide it exactly: the squarefree part hsf of h must
     have deg hsf real roots, and the squares r^2 of those roots, the roots
@@ -147,6 +187,7 @@ def _check_in_range(h: IntPoly, q: int) -> None:
         raise RiemannHypothesisFails(
             f"{outside} root pair(s) exceed absolute value sqrt({q})"
         )
+    return hsf
 
 
 def validate(poly: IntPoly, q: int) -> WeilPolynomial:
@@ -156,7 +197,9 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     equation t^(2g) P(q/t) = q^g P(t) coefficient-wise; and the exact
     absolute-value condition on the trace polynomial h, by
     `_check_in_range`: every root r of h is real with r^2 <= 4q, so each
-    root pair of t^2 - r t + q has absolute value sqrt(q).
+    root pair of t^2 - r t + q has absolute value sqrt(q).  The result
+    keeps h and the squarefree part that check took as its `trace` and
+    `trace_squarefree`.
     """
     if poly.is_zero or not poly.is_monic:
         raise NotMonic("polynomial must be monic")
@@ -175,8 +218,10 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     h = trace_polynomial(poly, q)
     if _expand_trace(h, q, g) != poly:
         raise WeilrankError("trace polynomial does not re-expand to the input")
-    _check_in_range(h, q)
-    return WeilPolynomial(poly=poly, q=q, p=p, v=v, g=g)
+    hsf = _check_in_range(h, q)
+    w = WeilPolynomial(poly=poly, q=q, p=p, v=v, g=g)
+    vars(w).update(trace=h, trace_squarefree=hsf)  # seed the cached properties
+    return w
 
 
 @dataclass(frozen=True)

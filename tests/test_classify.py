@@ -27,6 +27,7 @@ from weilrank.weil import (
     base_change,
     beta_torsion_orders,
     ratio_torsion_orders,
+    trace_polynomial,
     validate,
 )
 
@@ -181,8 +182,9 @@ class TestSufficientFieldOnce:
         rep = classify_auto(w, force_oracle=True)
         assert rep.oracle is not None
         # only the base change is factored, once, though the classifier and
-        # the oracle both use it; the base change itself never factors w
-        assert factored == [rep.poly]
+        # the oracle both use it; the base change itself never factors w, and
+        # P is factored through its trace polynomial, of half the degree
+        assert factored == [trace_polynomial(rep.poly, rep.q)]
         # only the torsion check of w takes a squarefree part of P; the
         # oracle isolates roots on the trace polynomial instead
         assert squarefree.count(w.poly) == 1

@@ -238,6 +238,14 @@ class TestExitCodes:
                 + ["--bound-override", "1=2"],
                 "--bound-override index 1",
             ),
+            (
+                ["base-change", "--n", "0", "--q", "5", "--poly", ELLIPTIC],
+                "positive_int value: '0'",
+            ),
+            (
+                ["base-change", "--n", "-2", "--q", "5", "--poly", ELLIPTIC],
+                "positive_int value: '-2'",
+            ),
         ],
     )
     def test_bad_option_values(self, capsys, argv, value):

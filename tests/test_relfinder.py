@@ -1,8 +1,12 @@
 """Certified roots, exact relation verification, relation lattices."""
 
+import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +17,11 @@ from weilrank.errors import DegreeOverflow, PrecisionExhausted, PreconditionViol
 from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
 from weilrank.relfinder import (
     RelationCertificate,
+    _GRIDS,
+    _candidate_vectors,
     _echelon,
     _lattice_contains,
+    _theta_of_root,
     _saturate,
     certified_roots,
     oracle_rank,
@@ -349,6 +356,102 @@ class TestLatticeAlgebra:
         assert _lattice_contains([], [0, 0, 0])
 
 
+def _per_lead_scan(thetas, bound, tol=1e-6):
+    """The reference for `_candidate_vectors`: the residue of every vector
+    in the box, one lead at a time, in the predicate it must reproduce."""
+    d = len(thetas)
+    theta = np.array(thetas, dtype=float)
+    two_pi = 2.0 * math.pi
+    rng = np.arange(-bound, bound + 1)
+    out = []
+    if d == 1:
+        for v in rng:
+            if v > 0 and abs(math.remainder(v * thetas[0], two_pi)) < tol:
+                out.append((int(v),))
+        return out
+    grids = np.meshgrid(*([rng] * (d - 1)), indexing="ij")
+    tail = np.stack([g.ravel() for g in grids], axis=1)
+    tail_dot = tail @ theta[1:]
+    for lead in range(0, bound + 1):
+        total = lead * theta[0] + tail_dot
+        res = np.abs(np.remainder(total + math.pi, two_pi) - math.pi)
+        for h in np.nonzero(res < tol)[0]:
+            vec = (lead, *map(int, tail[h]))
+            if any(vec) and next(x for x in vec if x) > 0:
+                out.append(vec)
+    out.sort(key=lambda v: (max(abs(x) for x in v), sum(abs(x) for x in v), v))
+    return out
+
+
+def _scan_thetas(kind, d, seed):
+    """Angles for one scan case: seeded random, near 0, near +-pi, or a near-relation."""
+    rnd = random.Random(f"{kind} {d} {seed}")
+    tol = 1e-6
+    if kind == "random":
+        return [rnd.uniform(-math.pi, math.pi) for _ in range(d)]
+    if kind == "near_zero":
+        # sums of a few small angles fall on both sides of 0, and so of 2pi
+        return [rnd.uniform(-3, 3) * tol for _ in range(d)]
+    if kind == "near_pi":
+        return [rnd.choice([-1, 1]) * (math.pi - rnd.uniform(0, 3) * tol) for _ in range(d)]
+    # 3 theta_1 + 5 theta_2 + 2 theta_3 is seed/4 tol from 0 mod 2pi: inside
+    # the tolerance, near its edge, or just outside it
+    t1, t2 = (rnd.uniform(-math.pi, math.pi) for _ in range(2))
+    t3 = math.remainder(-(3 * t1 + 5 * t2) / 2 + seed / 8 * tol, 2 * math.pi)
+    return [t1, t2, t3] + [rnd.uniform(-math.pi, math.pi) for _ in range(d - 3)]
+
+
+SCAN_CASES = [
+    (kind, d, bound, seed)
+    for d in (1, 2, 3, 4)
+    for bound in (1, 2, 5, 20)
+    for kind in ("random", "near_zero", "near_pi", "near_relation")
+    for seed in (range(1, 6) if kind == "near_relation" else range(2))
+    if not (kind == "near_relation" and d < 3)
+    # the near-0 angles put a few percent of the 41^4 box within tol
+    if not (kind == "near_zero" and d == 4 and bound == 20)
+]
+
+
+class TestCandidateScan:
+    @pytest.mark.parametrize("kind, d, bound, seed", SCAN_CASES)
+    def test_matches_per_lead_scan(self, kind, d, bound, seed):
+        thetas = _scan_thetas(kind, d, seed)
+        assert _candidate_vectors(thetas, bound) == _per_lead_scan(thetas, bound)
+
+    def test_cases_reach_the_window_edges(self):
+        # the cases hit both ends of the tolerance and both sides of 0 mod 2pi
+        near_edge = straddles = 0
+        for kind, d, bound, seed in SCAN_CASES:
+            thetas = _scan_thetas(kind, d, seed)
+            for v in _per_lead_scan(thetas, bound):
+                tail = sum(e * t for e, t in zip(v[1:], thetas[1:]))
+                if abs(math.remainder(tail + v[0] * thetas[0], 2 * math.pi)) > 0.5e-6:
+                    near_edge += 1
+                # residue and target on opposite sides of 0 mod 2pi
+                if abs(tail % (2 * math.pi) - (-v[0] * thetas[0]) % (2 * math.pi)) > math.pi:
+                    straddles += 1
+        assert near_edge and straddles
+
+    def test_non_neat_sextic(self):
+        w = validate(NON_NEAT, 9)
+        roots = certified_roots(w)
+        thetas = [_theta_of_root(r) for r in roots if r.pair_index > r.index]
+        got = _candidate_vectors(thetas, 20)
+        assert got == _per_lead_scan(thetas, 20)
+        assert got[0] == (1, 1, -1)
+
+    def test_grid_cache_is_bounded(self):
+        _GRIDS.clear()
+        for bound in range(1, 8):
+            _candidate_vectors([0.1, 0.2, 0.3], bound)
+        assert len(_GRIDS) == 4 and set(_GRIDS) == {(3, b) for b in range(4, 8)}
+        # a grid past the row cap is built for its call and dropped
+        _candidate_vectors([0.1, 0.2, 0.3, 0.4], 20)
+        assert (4, 20) not in _GRIDS and len(_GRIDS) == 4
+        assert not any(g.flags.writeable for g in _GRIDS.values())
+
+
 class TestRelationLattice:
     def test_ordinary_elliptic(self):
         w = validate(P(5, -1, 1), 5)
@@ -449,6 +552,33 @@ class TestOracleRank:
         with mpmath.workprec(61):
             oracle_rank(validate(NON_NEAT, 9))
             assert mpmath.mp.prec == 61
+
+    def test_trace_polynomial_built_once(self, monkeypatch):
+        # validate builds h and its squarefree part; root isolation, every
+        # relation proof and the degree bound read them from w
+        h = trace_polynomial(NON_NEAT, 9)
+        real_trace, real_sf = weilrank.weil.trace_polynomial, weilrank.weil.poly_squarefree_part
+        traced, squarefree = [], []
+
+        def counting_trace(poly, q):
+            traced.append(poly)
+            return real_trace(poly, q)
+
+        def counting_sf(f):
+            squarefree.append(f)
+            return real_sf(f)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("weilrank"):
+                for attr, value in list(vars(mod).items()):
+                    if value is real_trace:
+                        monkeypatch.setattr(mod, attr, counting_trace)
+                    elif value is real_sf:
+                        monkeypatch.setattr(mod, attr, counting_sf)
+        o = oracle_rank(validate(NON_NEAT, 9))
+        assert o.rank == 2 and len(o.lattice.certificates) == 1
+        assert traced == [NON_NEAT]
+        assert squarefree.count(h) == 1
 
     def test_stable_in_bound(self):
         w = validate(NON_NEAT, 9)

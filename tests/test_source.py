@@ -49,3 +49,9 @@ def test_import_leaves_cyclotomic_tables_empty():
     tables = "[len(t._CANDIDATES), len(t._ROOTS_OF_UNITY), len(t._CYCLO_CACHE)]"
     imports = "weilrank, weilrank.cli, weilrank.exactcore.transforms as t"
     assert _after_import(tables, imports) == "[0, 0, 0]"
+
+
+def test_import_leaves_candidate_grids_empty():
+    # the oracle's exponent grids are built on its first scan
+    imports = "weilrank, weilrank.cli, weilrank.relfinder as r"
+    assert _after_import("len(r._GRIDS)", imports) == "0"

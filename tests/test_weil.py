@@ -18,8 +18,10 @@ from weilrank.errors import (
 import weilrank.weil
 from weilrank.exactcore import (
     IntPoly,
+    factor_over_integers,
     poly_squarefree_part,
     power_transform,
+    prime_power,
     sturm_real_root_count,
 )
 from weilrank.search import SearchSpec, enumerate_weil
@@ -259,6 +261,63 @@ class TestBaseChange:
         wn = base_change(w, 3)
         es = eigenvalue_structure(wn)
         assert es.components[0].e == 2
+
+
+FACTOR_BOXES = (
+    [(1, q) for q in range(2, 50) if prime_power(q)]
+    + [(2, q) for q in range(2, 10) if prime_power(q)]
+    + [(3, q) for q in (2, 3, 4)]
+)
+
+
+class TestFactorsThroughTrace:
+    @pytest.mark.parametrize("g, q", FACTOR_BOXES)
+    def test_box_and_its_base_change(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            assert w.factors == tuple(factor_over_integers(w.poly))
+            w2 = base_change(w, 2)
+            assert w2.factors == tuple(factor_over_integers(w2.poly))
+
+    @pytest.mark.parametrize(
+        "poly, q, factors",
+        [
+            # roots +-2 sqrt(q) of h, q a square: x - 2s lifts to (t - s)^2
+            (P(4, -4, 1), 4, [(P(-2, 1), 2)]),
+            ((P(-2, 1) * P(2, 1)) ** 2, 4, [(P(-2, 1), 2), (P(2, 1), 2)]),
+            (P(3, 1) ** 2 * P(9, -1, 1), 9, [(P(3, 1), 2), (P(9, -1, 1), 1)]),
+            # q not a square: x^2 - 4q lifts to (t^2 - q)^2
+            (P(-5, 0, 1) ** 2, 5, [(P(-5, 0, 1), 2)]),
+            (P(-5, 0, 1) ** 2 * P(5, -1, 1) ** 2, 5, [(P(-5, 0, 1), 2), (P(5, -1, 1), 2)]),
+            (P(-2, 0, 1) ** 2 * P(4, 2, 3, 1, 1), 2, [(P(-2, 0, 1), 2), (P(4, 2, 3, 1, 1), 1)]),
+        ],
+    )
+    def test_square_roots_of_q(self, poly, q, factors):
+        w = validate(poly, q)
+        assert w.factors == tuple(factors) == tuple(factor_over_integers(poly))
+
+    def test_factors_the_trace_polynomial(self, monkeypatch):
+        factored = []
+        real = weilrank.weil.factor_over_integers
+
+        def counting(f):
+            factored.append(f)
+            return real(f)
+
+        monkeypatch.setattr(weilrank.weil, "factor_over_integers", counting)
+        w = validate(P(-5, 0, 1) ** 2 * P(5, -1, 1), 5)
+        assert w.factors == ((P(-5, 0, 1), 2), (P(5, -1, 1), 1))
+        # h = (x - 1)(x^2 - 20), of half the degree of P
+        assert factored == [trace_polynomial(w.poly, 5)] == [P(-1, 1) * P(-20, 0, 1)]
+
+    def test_validate_seeds_the_trace(self):
+        w = validate(P(-5, 0, 1) ** 2 * P(5, -1, 1), 5)
+        h = trace_polynomial(w.poly, 5)
+        assert vars(w)["trace"] == h
+        assert vars(w)["trace_squarefree"] == poly_squarefree_part(h)
+        w2 = base_change(w, 2)
+        assert "trace" not in vars(w2)
+        assert w2.trace == trace_polynomial(w2.poly, 25)
+        assert w2.trace_squarefree == poly_squarefree_part(w2.trace)
 
 
 class TestTorsion:
