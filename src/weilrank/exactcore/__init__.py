@@ -19,6 +19,8 @@ from .poly import (
     resultant,
     squarefree_decomposition,
     sturm_real_root_count,
+    sturm_surd_counts,
+    surd_signs,
 )
 from .poly import squarefree_part as poly_squarefree_part
 from .transforms import (
@@ -40,6 +42,8 @@ __all__ = [
     "resultant",
     "discriminant",
     "sturm_real_root_count",
+    "sturm_surd_counts",
+    "surd_signs",
     "lagrange_interpolate",
     "fractions_to_intpoly",
     "power_transform",

@@ -21,6 +21,8 @@ __all__ = [
     "resultant",
     "discriminant",
     "sturm_real_root_count",
+    "sturm_surd_counts",
+    "surd_signs",
     "lagrange_interpolate",
     "fractions_to_intpoly",
 ]
@@ -396,29 +398,54 @@ def _sturm_chain(f: IntPoly):
 
 
 def _sign_at(poly: IntPoly, x):
+    """A number with the sign of the nonzero poly at x, or at x = "-inf" or "+inf"."""
     if x == "-inf":
-        if poly.is_zero:
-            return 0
-        lc = poly.leading
-        return lc if poly.degree % 2 == 0 else -lc
-    if x == "+inf":
-        return 0 if poly.is_zero else poly.leading
-    v = poly.evaluate(x)
-    return v
+        return -poly.leading if poly.degree % 2 else poly.leading
+    return poly.leading if x == "+inf" else poly.evaluate(x)
 
 
-def _variations(chain, x):
-    signs = []
-    for p in chain:
-        s = _sign_at(p, x)
-        s = (s > 0) - (s < 0)
-        if s != 0:
-            signs.append(s)
-    var = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            var += 1
-    return var
+def _variations(values):
+    """Sign changes along a sequence of numbers, zeros dropped."""
+    signs = [(v > 0) - (v < 0) for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def surd_signs(f: IntPoly, d: int) -> tuple[int, int]:
+    """The signs (-1, 0 or 1) of f(-sqrt(d)) and f(sqrt(d)) for an integer d >= 0.
+
+    Horner's rule with x^2 = d gives f(+-sqrt(d)) = s +- t sqrt(d) in integers.
+    Unless d is a square, s + t sqrt(d) has the sign of s if s^2 > t^2 d, else of t.
+    """
+    s = t = 0
+    for c in reversed(f.coeffs):
+        s, t = t * d + c, s
+    r = isqrt(d)
+    if r * r == d:
+        lo, hi = s - t * r, s + t * r
+    elif s * s > t * t * d:
+        lo = hi = s
+    else:
+        lo, hi = -t, t
+    return (lo > 0) - (lo < 0), (hi > 0) - (hi < 0)
+
+
+def sturm_surd_counts(f: IntPoly, d: int) -> tuple[IntPoly, int, int]:
+    """(fsf, real, inside): the squarefree part of f, and the counts of its
+    real roots and of those in [-sqrt(d), sqrt(d)], for an integer d >= 0.
+
+    One Sturm chain of f; its last entry, gcd(f, f') up to a constant,
+    divided out of every entry leaves a Sturm chain of fsf.  It is read at
+    -+oo and, by `surd_signs`, at -+sqrt(d); fsf(-sqrt(d)) = 0 adds one.
+    """
+    if f.is_zero:
+        raise PreconditionViolation("zero polynomial")
+    chain = _sturm_chain(f)
+    if chain[-1].degree > 0:
+        chain = [p.exact_div(chain[-1]) for p in chain]
+    real = _variations([_sign_at(p, "-inf") for p in chain]) - _variations(p.leading for p in chain)
+    ends = [surd_signs(p, d) for p in chain]
+    inside = _variations(lo for lo, _ in ends) - _variations(hi for _, hi in ends)
+    return chain[0].primitive_part(), real, inside + (ends[0][0] == 0)
 
 
 def sturm_real_root_count(f: IntPoly, lo=None, hi=None) -> int:
@@ -446,7 +473,8 @@ def sturm_real_root_count(f: IntPoly, lo=None, hi=None) -> int:
         return 0
     # dropping zero entries evaluates the variation count just above the
     # point, so V(lo+) - V(hi+) counts roots in the half-open (lo, hi]
-    return _variations(chain, lo_key) - _variations(chain, hi_key)
+    below, above = ([_sign_at(p, x) for p in chain] for x in (lo_key, hi_key))
+    return _variations(below) - _variations(above)
 
 
 # -- interpolation and rational square roots ------------------------------

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
-from .exactcore import IntPoly, poly_gcd
+from .exactcore import IntPoly, surd_signs
 from .newton import newton_polygon
 from .weil import WeilPolynomial
 
@@ -97,15 +97,19 @@ def _round_div(x: int, d: int) -> int:
 def _split(w: WeilPolynomial):
     """(h, signs): the traces of the non-real eigenvalue pairs, and the real eigenvalues.
 
-    h is the squarefree part of the trace polynomial with its roots
-    +-2 sqrt(q) divided out; alpha + q/alpha = +-2 sqrt(q) exactly when
-    alpha = +-sqrt(q), so `signs` lists the signs of the real eigenvalues.
-    Both polynomials are read from `w`, which computes them once.
+    h is the squarefree part of the trace polynomial, read from `w`, with
+    its roots +-2 sqrt(q), found by its exact signs there, divided out;
+    alpha + q/alpha = +-2 sqrt(q) exactly when alpha = +-sqrt(q), so
+    `signs` lists the signs of the real eigenvalues.
     """
     h = w.trace_squarefree
-    ends = poly_gcd(h, IntPoly([-4 * w.q, 0, 1]))  # 1, x -+ 2 sqrt(q) or x^2 - 4q
-    signs = [-1, 1] if ends.degree == 2 else [1 if ends.coeffs[0] < 0 else -1] * ends.degree
-    return h.exact_div(ends), signs
+    d = 4 * w.q
+    signs = [e for e, v in zip((-1, 1), surd_signs(h, d)) if v == 0]
+    if len(signs) == 2:
+        h = h.exact_div(IntPoly([-d, 0, 1]))
+    elif signs:  # q is a square
+        h = h.exact_div(IntPoly([-signs[0] * math.isqrt(d), 1]))
+    return h, signs
 
 
 def _double_starts(h: IntPoly):

@@ -1,17 +1,18 @@
 """Weil q-polynomials: validation, eigenvalue structure, base change.
 
 A Weil q-polynomial is a monic integer polynomial of degree 2g whose roots
-all have absolute value q^(1/2).  Validation is fully exact: the functional
-equation is checked coefficient-wise, and the absolute-value condition is
-reduced to real-rootedness of the trace polynomial plus a range check on
-the squares of its roots, both decided by Sturm counts.  The validator is
-the root of trust for everything downstream.
+all have absolute value q^(1/2).  Validation is fully exact and works on
+the trace polynomial h, P(t) = t^g h(t + q/t): peeling h off P proves the
+functional equation, and one Sturm chain of h, read exactly at -+2 sqrt(q),
+proves its roots real and inside [-2 sqrt(q), 2 sqrt(q)] (Kedlaya 2008).
+The validator is the root of trust for everything downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 from .errors import (
     FunctionalEquationFails,
@@ -30,7 +31,7 @@ from .exactcore import (
     power_transform,
     prime_power,
     product_transform,
-    sturm_real_root_count,
+    sturm_surd_counts,
 )
 from .exactcore.poly import squarefree_part as poly_squarefree_part
 
@@ -58,11 +59,11 @@ class WeilPolynomial:
     Four derived polynomials are computed once per instance, on first
     use: the squarefree part of P, the trace polynomial h with
     P(t) = t^g h(t + q/t), the squarefree part of h, and the factorization
-    of P, which is read off the factorization of h.  `validate` builds h
-    and its squarefree part anyway and seeds them, so the oracle's root
-    isolation and relation proofs never rebuild them.  Only the polynomial
-    over the field that is classified gets factored: a base change works on
-    P itself, not on its factors.
+    of P, which is read off the factorization of h.  `validate` peels h off
+    P, takes its squarefree part from the Sturm chain of the range check and
+    seeds both, so the oracle's root isolation and relation proofs never
+    rebuild them.  Only the polynomial over the field that is classified
+    gets factored: a base change works on P itself, not on its factors.
     """
 
     poly: IntPoly
@@ -122,24 +123,31 @@ class WeilPolynomial:
 
 
 def trace_polynomial(poly: IntPoly, q: int) -> IntPoly:
-    """The degree-g polynomial h with P(t) = t^g h(t + q/t).
+    """The degree-g polynomial h with P(t) = t^g h(t + q/t), whose roots are
+    the traces alpha + q/alpha; raise `FunctionalEquationFails(j)` if none.
 
-    Exists exactly when the functional equation holds; built through the
-    basis D_k(x) = t^k + (q/t)^k, D_0 = 2, D_1 = x, D_k = x D_(k-1) - q D_(k-2).
-    Its roots are alpha + q/alpha, the "real traces" of the root pairs.
+    Peeled off P from the top: for k = g, ..., 0, b_k is coefficient g + k
+    of what is left, and b_k t^(g-k) (t^2 + q)^k, of degree g + k, is
+    subtracted.  What is subtracted satisfies the functional equation and
+    the leftover lies below t^g, so its coefficient j is
+    a_j - q^(g-j) a_(2g-j): it is zero, proving P = t^g h(t + q/t), exactly
+    when the equation holds, and else its lowest nonzero j is where it fails.
     """
     n = poly.degree
     if n % 2:
         raise OddDegree("trace polynomial needs even degree")
     g = n // 2
-    a = poly.coeffs
-    d_prev = IntPoly([2])
-    d_cur = IntPoly([0, 1])
-    h = IntPoly([a[g]])
-    for k in range(1, g + 1):
-        h = h + a[g + k] * d_cur
-        d_prev, d_cur = d_cur, IntPoly([0, 1]) * d_cur - q * d_prev
-    return h
+    rem = list(poly.coeffs)
+    b = [0] * (g + 1)
+    for k in range(g, -1, -1):
+        b[k] = c = rem[g + k]
+        if c:
+            for i in range(k + 1):  # (t^2 + q)^k = sum of C(k, i) q^(k-i) t^(2i)
+                rem[g - k + 2 * i] -= c * comb(k, i) * q ** (k - i)
+    for j, c in enumerate(rem):
+        if c:
+            raise FunctionalEquationFails(j)
+    return IntPoly(b)
 
 
 def _expand_trace(h: IntPoly, q: int, g: int) -> IntPoly:
@@ -171,35 +179,29 @@ def _check_in_range(h: IntPoly, q: int) -> IntPoly:
     """Raise `RiemannHypothesisFails` unless every root of h is real and
     inside [-2 sqrt(q), 2 sqrt(q)]; return the squarefree part it tested.
 
-    Two Sturm counts decide it exactly: the squarefree part hsf of h must
-    have deg hsf real roots, and the squares r^2 of those roots, the roots
-    of power_transform(hsf, 2), must have none in (4q, oo).
+    One Sturm chain of h decides it exactly (`sturm_surd_counts`): the
+    squarefree part hsf of h must have deg hsf real roots, all in the interval.
     """
-    hsf = poly_squarefree_part(h)
-    real_count = sturm_real_root_count(hsf)
-    if real_count != hsf.degree:
-        raise RiemannHypothesisFails(
-            f"trace polynomial has {hsf.degree - real_count} non-real root pair(s)"
-        )
-    squares = poly_squarefree_part(power_transform(hsf, 2))
-    outside = sturm_real_root_count(squares, 4 * q, None)
-    if outside:
-        raise RiemannHypothesisFails(
-            f"{outside} root pair(s) exceed absolute value sqrt({q})"
-        )
-    return hsf
+    hsf, real, inside = sturm_surd_counts(h, 4 * q)
+    if real < hsf.degree:
+        detail = f"trace polynomial has {hsf.degree - real} non-real root pair(s)"
+    elif inside < real:
+        detail = f"{real - inside} root pair(s) exceed absolute value sqrt({q})"
+    else:
+        return hsf
+    raise RiemannHypothesisFails(detail)
 
 
 def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     """Check that (poly, q) is a Weil q-polynomial; raise naming the failure.
 
-    Checks, in order: monic; even degree >= 2; q a prime power; functional
-    equation t^(2g) P(q/t) = q^g P(t) coefficient-wise; and the exact
-    absolute-value condition on the trace polynomial h, by
-    `_check_in_range`: every root r of h is real with r^2 <= 4q, so each
-    root pair of t^2 - r t + q has absolute value sqrt(q).  The result
-    keeps h and the squarefree part that check took as its `trace` and
-    `trace_squarefree`.
+    Checks, in order: monic; even degree >= 2; q a prime power; the
+    functional equation t^(2g) P(q/t) = q^g P(t), proved with
+    P = t^g h(t + q/t) by peeling h off P (`trace_polynomial`); and the
+    exact absolute-value condition on h, by `_check_in_range`: every root
+    r of h is real with r^2 <= 4q, so each root pair of t^2 - r t + q has
+    absolute value sqrt(q).  The result keeps h and the squarefree part
+    that check took as its `trace` and `trace_squarefree`.
     """
     if poly.is_zero or not poly.is_monic:
         raise NotMonic("polynomial must be monic")
@@ -209,17 +211,9 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
     pp = prime_power(q)
     if pp is None:
         raise NotPrimePower(f"q = {q} is not a prime power")
-    p, v = pp
-    g = n // 2
-    a = poly.coeffs
-    for j in range(g):
-        if a[j] != q ** (g - j) * a[n - j]:
-            raise FunctionalEquationFails(j)
     h = trace_polynomial(poly, q)
-    if _expand_trace(h, q, g) != poly:
-        raise WeilrankError("trace polynomial does not re-expand to the input")
     hsf = _check_in_range(h, q)
-    w = WeilPolynomial(poly=poly, q=q, p=p, v=v, g=g)
+    w = WeilPolynomial(poly=poly, q=q, p=pp[0], v=pp[1], g=n // 2)
     vars(w).update(trace=h, trace_squarefree=hsf)  # seed the cached properties
     return w
 

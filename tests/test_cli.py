@@ -24,6 +24,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ELLIPTIC = "5,-1,1"  # t^2 - t + 5 over F_5
 PRODUCT = "25,-15,12,-3,1"  # (t^2 - t + 5)(t^2 - 2t + 5) over F_5
 NOT_WEIL = "5,-9,1"  # roots of absolute value > sqrt(5)
+NOT_WEIL_QUARTIC = "25,0,-11,0,1"  # traces +-sqrt(21): both eigenvalue pairs off the circle
 NON_NEAT = "729,-324,72,-18,8,-4,1"  # the non-neat sextic over F_9
 ORACLE_NON_NEAT = ["oracle", "--q", "9", "--poly", NON_NEAT]
 ENUMERATE_G1_Q3 = ["enumerate", "--g", "1", "--q", "3"]
@@ -209,6 +210,17 @@ class TestSubcommandGolden:
 class TestExitCodes:
     def test_invalid_weil_polynomial(self, capsys):
         assert run_err(capsys, "classify", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
+
+    def test_invalid_counts_every_pair_off_the_circle(self, capsys):
+        # the two traces -+sqrt(21) have the same square; each is one pair
+        detail = "2 root pair(s) exceed absolute value sqrt(5)"
+        code, out, err = run_err(capsys, "classify", "--q", "5", "--poly", NOT_WEIL_QUARTIC)
+        assert (code, out, err) == (2, [], f"invalid: RiemannHypothesisFails: {detail}\n")
+        code, out, err = run_err(capsys, "analyze", "--q", "5", "--poly", NOT_WEIL_QUARTIC, "--json")
+        assert code == 2 and err == ""
+        assert json.loads(out[0]) == {
+            **INVALID_RECORD, "coeffs": ["25", "0", "-11", "0", "1"], "detail": detail
+        }
 
     def test_usage_errors(self, capsys):
         assert main(["classify", "--q", "5"]) == 1

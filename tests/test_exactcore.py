@@ -32,6 +32,8 @@ from weilrank.exactcore import (
     squarefree_decomposition,
     squarefree_part,
     sturm_real_root_count,
+    sturm_surd_counts,
+    surd_signs,
 )
 from weilrank.exactcore import factor as factor_module
 from weilrank.exactcore.poly import squarefree_part as poly_sf
@@ -321,6 +323,42 @@ class TestSturm:
             sturm_real_root_count(f, 0, 1)
         # away from the repeated root, still counts distinct roots
         assert sturm_real_root_count(f, 0, 2) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys, st.integers(0, 40))
+    def test_surd_signs_against_sympy(self, f, d):
+        sympy = pytest.importorskip("sympy")
+        root = sympy.sqrt(d)
+        want = tuple(
+            int(sympy.sign(sympy.expand(sum(c * x**i for i, c in enumerate(f.coeffs)))))
+            for x in (-root, root)
+        )
+        assert surd_signs(f, d) == want
+
+    def test_surd_signs_examples(self):
+        assert surd_signs(P(-20, 0, 1), 20) == (0, 0)  # x^2 - 20 at -+sqrt(20)
+        assert surd_signs(P(-4, 1), 16) == (-1, 0)
+        assert surd_signs(P(0, 1) ** 3 - P(0, 20), 21) == (-1, 1)  # x(x^2 - 20)
+        assert surd_signs(IntPoly(), 5) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "f, d, counts",
+        [
+            (P(-20, 0, 1), 20, (2, 2)),  # both roots on the end points
+            (P(-20, 0, 1) ** 2 * P(0, 1) ** 3, 20, (3, 3)),  # repeated, also on an end point
+            (P(-21, 0, 1), 20, (2, 0)),
+            (P(-4, 1) ** 2 * P(5, 1), 16, (2, 1)),  # x = 4 on the end point, -5 outside
+            (P(4, 1) ** 3, 16, (1, 1)),  # the repeated root is the lower end point
+            (P(1, 0, 1) * P(-1, 1), 4, (1, 1)),
+            (P(7), 4, (0, 0)),
+        ],
+    )
+    def test_surd_counts(self, f, d, counts):
+        fsf, real, inside = sturm_surd_counts(f, d)
+        assert fsf == poly_sf(f)
+        assert (real, inside) == counts
+        with pytest.raises(PreconditionViolation):
+            sturm_surd_counts(IntPoly(), d)
 
 
 class TestTransforms:

@@ -554,31 +554,34 @@ class TestOracleRank:
             assert mpmath.mp.prec == 61
 
     def test_trace_polynomial_built_once(self, monkeypatch):
-        # validate builds h and its squarefree part; root isolation, every
-        # relation proof and the degree bound read them from w
+        # validate builds h, and its squarefree part from the Sturm chain of
+        # the range check; root isolation, every relation proof and the
+        # degree bound read them from w
         h = trace_polynomial(NON_NEAT, 9)
-        real_trace, real_sf = weilrank.weil.trace_polynomial, weilrank.weil.poly_squarefree_part
-        traced, squarefree = [], []
+        real = {
+            "trace": weilrank.weil.trace_polynomial,
+            "sf": weilrank.weil.poly_squarefree_part,
+            "chain": weilrank.weil.sturm_surd_counts,
+        }
+        calls = {key: [] for key in real}
 
-        def counting_trace(poly, q):
-            traced.append(poly)
-            return real_trace(poly, q)
+        def counting(key):
+            def wrapper(f, *args):
+                calls[key].append(f)
+                return real[key](f, *args)
 
-        def counting_sf(f):
-            squarefree.append(f)
-            return real_sf(f)
+            return wrapper
 
         for name, mod in list(sys.modules.items()):
             if name.startswith("weilrank"):
                 for attr, value in list(vars(mod).items()):
-                    if value is real_trace:
-                        monkeypatch.setattr(mod, attr, counting_trace)
-                    elif value is real_sf:
-                        monkeypatch.setattr(mod, attr, counting_sf)
+                    for key, fn in real.items():
+                        if value is fn:
+                            monkeypatch.setattr(mod, attr, counting(key))
         o = oracle_rank(validate(NON_NEAT, 9))
         assert o.rank == 2 and len(o.lattice.certificates) == 1
-        assert traced == [NON_NEAT]
-        assert squarefree.count(h) == 1
+        assert calls["trace"] == [NON_NEAT]
+        assert calls["chain"] == [h] and calls["sf"].count(h) == 0
 
     def test_stable_in_bound(self):
         w = validate(NON_NEAT, 9)

@@ -1,7 +1,7 @@
 """Weil polynomial validation, eigenvalue structure, base change."""
 
-from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from weilrank.errors import (
     NotPrimePower,
     OddDegree,
     RiemannHypothesisFails,
-    WeilrankError,
 )
 import weilrank.weil
 from weilrank.exactcore import (
@@ -54,11 +53,20 @@ class TestValidate:
             validate(P(5, -5, 1), 5)
 
     def test_reexpansion_is_a_real_check(self, monkeypatch):
-        # the re-expansion of the trace polynomial must raise, not assert,
-        # so that python -O keeps it
-        monkeypatch.setattr(weilrank.weil, "_expand_trace", lambda h, q, g: P(1))
-        with pytest.raises(WeilrankError, match="re-expand"):
-            validate(P(5, -1, 1), 5)
+        # the peel's zero leftover is what proves P = t^g h(t + q/t), and it
+        # raises, not asserts, so that python -O keeps it.  Moving only the
+        # constant term leaves every coefficient that the peel reads as it
+        # was; the leftover alone sees the change
+        poly = P(5, -1, 1) * P(5, -2, 1)
+        assert trace_polynomial(poly, 5) == P(-1, 1) * P(-2, 1)
+        with pytest.raises(FunctionalEquationFails) as exc:
+            trace_polynomial(P(26, *poly.coeffs[1:]), 5)
+        assert exc.value.index == 0
+        # a peel that subtracts a wrong constant term of (t^2 + q)^2 is caught the same way
+        monkeypatch.setattr(weilrank.weil, "comb", lambda k, i: comb(k, i) + ((k, i) == (2, 0)))
+        with pytest.raises(FunctionalEquationFails) as exc:
+            validate(poly, 5)
+        assert exc.value.index == 0
 
     def test_functional_equation_failure(self):
         with pytest.raises(FunctionalEquationFails) as exc:
@@ -96,27 +104,81 @@ class TestValidate:
 def _range_failure_reference(h: IntPoly, q: int):
     """None when every root r of h is real with r^2 <= 4q, else the message.
 
-    The range check goes through H(y) = prod over the roots r of h of
-    (y - (4q - r^2)) = (-1)^g u(4q - y), where u has the roots r^2: RH
-    needs H to have no negative root.  H is composed by Horner's rule.
+    sympy takes the squarefree part of h and isolates its real roots; each
+    root r counts once, as one eigenvalue pair, when r^2 - 4q is positive,
+    decided exactly when it is zero and at 50 digits otherwise.
     """
-    hsf = poly_squarefree_part(h)
-    real_count = sturm_real_root_count(hsf)
-    if real_count != hsf.degree:
-        return f"trace polynomial has {hsf.degree - real_count} non-real root pair(s)"
-    u = power_transform(hsf, 2)
-    lin = IntPoly([4 * q, -1])
-    comp = IntPoly()
-    for c in reversed(u.coeffs):
-        comp = comp * lin + IntPoly([c])
-    big_h = comp if hsf.degree % 2 == 0 else -comp
-    hh = poly_squarefree_part(big_h)
-    neg = sturm_real_root_count(hh, None, Fraction(0))
-    if hh.evaluate(0) == 0:
-        neg -= 1
-    if neg != 0:
-        return f"{neg} root pair(s) exceed absolute value sqrt({q})"
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    hsf = sympy.sqf_part(sympy.Poly(list(reversed(h.coeffs)), x))
+    roots = sympy.real_roots(hsf)
+    if len(roots) != hsf.degree():
+        return f"trace polynomial has {hsf.degree() - len(roots)} non-real root pair(s)"
+    outside = 0
+    for r in roots:
+        excess = sympy.expand(r**2 - 4 * q)
+        if excess != 0:
+            value = excess.evalf(50)
+            if abs(value) < 1e-30:
+                raise ValueError(f"cannot compare {r}^2 with {4 * q}")
+            if value > 0:
+                outside += 1
+    if outside:
+        return f"{outside} root pair(s) exceed absolute value sqrt({q})"
     return None
+
+
+def _two_chain_in_range(h: IntPoly, q: int) -> bool:
+    """The range check that one Sturm chain replaced, kept as a reference:
+    the squarefree part hsf of h has deg hsf real roots, and the squares of
+    those roots, the roots of power_transform(hsf, 2), have none in (4q, oo)."""
+    hsf = poly_squarefree_part(h)
+    if sturm_real_root_count(hsf) != hsf.degree:
+        return False
+    squares = poly_squarefree_part(power_transform(hsf, 2))
+    return sturm_real_root_count(squares, 4 * q, None) == 0
+
+
+def _trace_by_recurrence(poly: IntPoly, q: int) -> IntPoly:
+    """h with P(t) = t^g h(t + q/t) through the basis D_k(x) = t^k + (q/t)^k,
+    D_0 = 2, D_1 = x, D_k = x D_(k-1) - q D_(k-2): the construction the peel
+    replaced, kept as a reference."""
+    g = poly.degree // 2
+    a = poly.coeffs
+    d_prev, d_cur = IntPoly([2]), IntPoly([0, 1])
+    h = IntPoly([a[g]])
+    for k in range(1, g + 1):
+        h = h + a[g + k] * d_cur
+        d_prev, d_cur = d_cur, IntPoly([0, 1]) * d_cur - q * d_prev
+    return h
+
+
+def _first_functional_equation_failure(poly: IntPoly, q: int):
+    """The least j with a_j != q^(g-j) a_(2g-j), or None: the index that the
+    coefficient-wise check, which the peel replaced, raised."""
+    a = poly.coeffs
+    g = poly.degree // 2
+    return next((j for j in range(g) if a[j] != q ** (g - j) * a[2 * g - j]), None)
+
+
+def _moved(poly: IntPoly, upto: int):
+    """poly with one of its coefficients below t^upto moved by -2, -1, 1 or 2."""
+    for i in range(upto):
+        for step in (-2, -1, 1, 2):
+            c = list(poly.coeffs)
+            c[i] += step
+            yield IntPoly(c)
+
+
+# the boxes the range check and the peel are compared on: g <= 3 with
+# q in {2, 3, 4, 9}, and g <= 2 with q = 25
+RANGE_BOXES = [(g, q) for g in (1, 2, 3) for q in (2, 3, 4, 9)] + [(1, 25), (2, 25)]
+
+
+@lru_cache(maxsize=None)
+def _box(g: int, q: int):
+    """The Weil polynomials of a box, enumerated once for every test that reads them."""
+    return tuple(enumerate_weil(SearchSpec(g=g, q=q)))
 
 
 def _range_failure(h: IntPoly, q: int):
@@ -149,7 +211,7 @@ def _trace_polynomials(draw):
 class TestRangeCheck:
     @settings(max_examples=400, deadline=None)
     @given(_trace_polynomials())
-    def test_against_horner_reference(self, case):
+    def test_against_sympy_reference(self, case):
         h, q = case
         assert _range_failure(h, q) == _range_failure_reference(h, q)
 
@@ -185,6 +247,102 @@ class TestRangeCheck:
         else:
             with pytest.raises(RiemannHypothesisFails):
                 validate(_expand_trace(h, q, h.degree), q)
+
+    @pytest.mark.parametrize(
+        "h, q, outside",
+        [
+            (P(-17, 0, 1), 4, 2),
+            (P(-21, 0, 1), 5, 2),  # t^4 - 11t^2 + 25: traces +-sqrt(21)
+            (P(-21, 0, 1) ** 2 * P(-1, 1), 5, 2),
+            (P(-5, 1) * P(4, 1), 4, 1),
+            (P(-9, 1), 5, 1),  # t^2 - 9t + 5
+        ],
+    )
+    def test_counts_roots_outside(self, h, q, outside):
+        # each distinct root outside the interval is one eigenvalue pair off
+        # the circle, also when two of them have the same square
+        message = f"{outside} root pair(s) exceed absolute value sqrt({q})"
+        assert _range_failure(h, q) == message == _range_failure_reference(h, q)
+
+    @pytest.mark.parametrize("g, q", RANGE_BOXES)
+    def test_matches_two_chain_check(self, g, q):
+        # every trace polynomial of the box, and each with one coefficient
+        # moved; one Sturm chain accepts exactly what the two chains accepted
+        traces = [w.trace for w in _box(g, q)]
+        if (g, q) == (3, 9):
+            traces = traces[::8]  # 17,121 in all; an eighth keeps the test quick
+        cases = set(traces)
+        for h in traces:
+            cases.update(_moved(h, g))
+        rejected = 0
+        for h in cases:
+            accepted = _range_failure(h, q) is None
+            assert accepted == _two_chain_in_range(h, q), (h, q)
+            rejected += not accepted
+        assert 0 < rejected < len(cases) - len(traces) + 1
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 4, 9, 25])
+    def test_repeated_and_end_point_roots(self, q):
+        # products of up to three factors, repeats allowed, among the end
+        # points x -+ 2 sqrt(q) or x^2 - 4q, roots just inside and just
+        # outside, and a pair of non-real roots
+        s = isqrt(4 * q)
+        factors = [P(-4 * q, 0, 1), P(-4 * q - 1, 0, 1), P(-4 * q + 1, 0, 1), P(1, 0, 1)]
+        factors += [P(-c, 1) for c in {s + 1, -s - 1, s - 1, 1 - s, 0}]
+        if s * s == 4 * q:
+            factors += [P(-s, 1), P(s, 1)]
+        cases = [IntPoly([1])]
+        for _ in range(3):
+            cases = [f * g for f in cases for g in factors]
+        outcomes = set()
+        for h in cases:
+            got = _range_failure(h, q)
+            assert (got is None) == _two_chain_in_range(h, q), (h, q)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+class TestTracePolynomial:
+    @pytest.mark.parametrize("g, q", RANGE_BOXES)
+    def test_peel_matches_recurrence(self, g, q):
+        for w in _box(g, q):
+            h = trace_polynomial(w.poly, q)
+            assert h == _trace_by_recurrence(w.poly, q)
+            assert _expand_trace(h, q, g) == w.poly
+
+    @pytest.mark.parametrize("g, q", [(g, q) for g, q in RANGE_BOXES if (g, q) != (3, 9)])
+    def test_functional_equation_index(self, g, q):
+        # one coefficient below the top moved: the peel raises at the index
+        # the coefficient-wise check gave, and otherwise (a_g moved) its h
+        # is the recurrence's
+        for w in _box(g, q):
+            for poly in _moved(w.poly, 2 * g):
+                j = _first_functional_equation_failure(poly, q)
+                if j is None:
+                    assert trace_polynomial(poly, q) == _trace_by_recurrence(poly, q)
+                    continue
+                with pytest.raises(FunctionalEquationFails) as exc:
+                    trace_polynomial(poly, q)
+                assert exc.value.index == j
+
+    def test_validate_uses_neither_transform_nor_reexpansion(self, monkeypatch):
+        polys = [(w.poly, q) for g, q in RANGE_BOXES if g <= 2 for w in _box(g, q)]
+
+        def forbidden(*args):
+            raise AssertionError("validate called a transform or re-expanded h")
+
+        monkeypatch.setattr(weilrank.weil, "power_transform", forbidden)
+        monkeypatch.setattr(weilrank.weil, "_expand_trace", forbidden)
+        outcomes = set()
+        for poly, q in polys:
+            assert validate(poly, q).poly == poly
+            for moved in _moved(poly, 2 * (poly.degree // 2)):
+                try:
+                    validate(moved, q)
+                    outcomes.add("valid")
+                except (FunctionalEquationFails, RiemannHypothesisFails) as exc:
+                    outcomes.add(type(exc).__name__)
+        assert outcomes == {"valid", "FunctionalEquationFails", "RiemannHypothesisFails"}
 
 
 class TestEigenvalueStructure:
