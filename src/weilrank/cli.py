@@ -62,6 +62,13 @@ def positive_int(text: str) -> int:
     return int(text)
 
 
+def nonnegative_int(text: str) -> int:
+    """An integer of at least 0; argparse reports the ValueError of any other value."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def index_bound(text: str) -> tuple[int, int]:
     """INDEX=BOUND, both integers."""
     index, _, bound = text.partition("=")
@@ -420,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--irreducible", action="store_true")
     p_en.add_argument("--newton", type=str, default=None)
     p_en.add_argument("--non-neat", action="store_true", dest="non_neat")
-    p_en.add_argument("--limit", type=int, default=None)
+    p_en.add_argument("--limit", type=nonnegative_int, default=None)
     p_en.add_argument(
         "--bound-override",
         type=index_bound,
@@ -434,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nn.add_argument("--p", type=int, required=True)
     p_nn.add_argument("--q", type=int, required=True)
     p_nn.add_argument("--m", type=int, required=True)
-    p_nn.add_argument("--limit", type=int, default=None)
+    p_nn.add_argument("--limit", type=nonnegative_int, default=None)
     p_nn.set_defaults(func=_cmd_search_nonneat)
 
     p_cf = sub.add_parser("cubic-field", help="totally real cubic constructor")

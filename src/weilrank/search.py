@@ -28,7 +28,6 @@ from .errors import (
     QNotSquare,
     ResidueConditionFails,
     RiemannHypothesisFails,
-    WeilrankError,
 )
 from .exactcore import (
     IntPoly,
@@ -41,7 +40,6 @@ from .exactcore import (
 )
 from .newton import classify_newton, newton_polygon
 from .subfields import ConjugateFactorization, QuadraticElement, p_splits
-from .subfields import _qmul  # polynomial product over Q(sqrt(m))
 from .weil import _check_in_range, _from_trace, validate
 
 __all__ = [
@@ -220,23 +218,16 @@ def _integral_elements_in_disk(m: int, radius_sq: int):
     """Integral elements x = (u + v sqrt(m))/den of Q(sqrt(m)), |x|^2 <= radius_sq.
 
     den = 2 with u, v of equal parity when m = 1 mod 4, else den = 1.
-    Deterministic (u, v) order.
+    Yields the numerators (u, v) in a deterministic order.
     """
     den = 2 if m % 4 == 1 else 1
     cap = radius_sq * den * den
     umax = isqrt(cap)
-    out = []
     for u in range(-umax, umax + 1):
-        rest = cap - u * u
-        if rest < 0:
-            continue
-        vmax = isqrt(rest // (-m))
+        vmax = isqrt((cap - u * u) // (-m))  # so that u^2 - m v^2 <= cap
         for v in range(-vmax, vmax + 1):
-            if den == 2 and (u - v) % 2:
-                continue
-            if u * u - m * v * v <= cap:
-                out.append(QuadraticElement(Fraction(u, den), Fraction(v, den), m))
-    return out
+            if den == 1 or (u - v) % 2 == 0:
+                yield u, v
 
 
 def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
@@ -245,34 +236,41 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
     G = t^3 + A t^2 + B t + C with A integral of absolute value at most
     3 sqrt(q), C = +-q^(3/2), and B forced to conj(A) * C / q: eigenvalue
     closure under alpha -> q/alpha demands it, so free-B candidates can
-    never validate.  Each surviving P is validated, checked irreducible
-    and almost ordinary, classified over a sufficiently large field, and
-    emitted with its factorization witness only when non-neat.
+    never validate.  With den the denominator of A, den G = U + sqrt(m) V
+    for integer polynomials U and V, and P = (U^2 - m V^2) / den^2.  Each
+    integral P is validated, checked irreducible and almost ordinary,
+    classified over a sufficiently large field, and emitted with its
+    factorization witness only when non-neat; at most `limit` are emitted.
     """
     if not is_prime(p):
         raise PreconditionViolation(f"{p} is not prime")
     root_q = isqrt(q)
     if root_q * root_q != q:
         raise QNotSquare(f"q = {q} is not a perfect square")
+    pp = prime_power(q)
+    if pp is None or pp[0] != p:
+        raise PreconditionViolation(f"q = {q} is not a power of p = {p}")
     if m >= 0 or squarefree_part(m) != m:
         raise PreconditionViolation("m must be negative squarefree")
     if p_splits(m, p) == "split":
         raise BSplitAtP(f"p = {p} splits in Q(sqrt({m}))")
+    if limit is not None and limit < 0:
+        raise PreconditionViolation(f"limit must be non-negative, got {limit}")
     if a_bound_sq is None:
         a_bound_sq = 9 * q
-    one = QuadraticElement(Fraction(1), Fraction(0), m)
+    den = 2 if m % 4 == 1 else 1
     count = 0
     for sign in (1, -1):
-        big_c = QuadraticElement(Fraction(sign * root_q**3), Fraction(0), m)
-        for a_elt in _integral_elements_in_disk(m, a_bound_sq):
-            b_elt = a_elt.conjugate() * Fraction(sign * root_q)
-            g_coeffs = [big_c, b_elt, a_elt, one]
-            prod = _qmul(g_coeffs, [c.conjugate() for c in g_coeffs], m)
-            if not all(c.is_rational for c in prod):
-                raise WeilrankError("G * conj(G) has an irrational coefficient")
-            if not all(c.a0.denominator == 1 for c in prod):
+        c = sign * root_q  # C = c^3 and B = conj(A) c
+        for u, v in _integral_elements_in_disk(m, a_bound_sq):
+            if limit is not None and count >= limit:
+                return
+            big_u = IntPoly([c**3 * den, c * u, u, den])
+            big_v = IntPoly([0, -c * v, v])
+            prod = big_u * big_u - big_v * big_v * m
+            if any(x % (den * den) for x in prod.coeffs):
                 continue
-            poly = IntPoly([int(c.a0) for c in prod])
+            poly = IntPoly([x // (den * den) for x in prod.coeffs])
             try:
                 w = validate(poly, q)
             except (FunctionalEquationFails, RiemannHypothesisFails):
@@ -284,10 +282,10 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
             report = classify_auto(w, force_oracle=True)
             if report.neat:
                 continue
-            yield w, ConjugateFactorization(m=m, g=tuple(g_coeffs))
+            a0, a1 = Fraction(u, den), Fraction(v, den)
+            g = ((c**3, 0), (a0 * c, -a1 * c), (a0, a1), (1, 0))
+            yield w, ConjugateFactorization(m=m, g=tuple(QuadraticElement(x, y, m) for x, y in g))
             count += 1
-            if limit is not None and count >= limit:
-                return
 
 
 @dataclass(frozen=True)

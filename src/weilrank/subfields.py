@@ -7,13 +7,20 @@ disc(pmin) (a quadratic subfield ramifies only inside the field
 discriminant, which divides disc(pmin)); each candidate is screened by a
 splitting-pattern sieve at auxiliary primes and then settled exactly by
 factoring pmin over Q(sqrt(m)) with Trager's norm method.
+
+That factoring runs on polynomials over Z[sqrt(m)], each held as a pair
+(U, V) of IntPoly meaning U + sqrt(m) V: shifts t -> t + s sqrt(m) by
+repeated synthetic division, norms U^2 - m V^2 in Z[t], and gcds by
+fraction-free pseudo-remainders.  A QuadraticElement, with rational parts,
+is built only for each coefficient of a returned witness G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from itertools import zip_longest
+from math import gcd, isqrt, lcm
 
 from .errors import NotIrreducible, NotSextic, PreconditionViolation, WeilrankError
 from .exactcore import (
@@ -21,13 +28,15 @@ from .exactcore import (
     discriminant,
     factor_int,
     factor_over_integers,
+    is_irreducible,
+    is_perfect_square,
     is_prime,
     legendre_symbol,
     poly_gcd,
     squarefree_part,
 )
 from .exactcore.factor import modular_factor_degrees
-from .weil import WeilPolynomial
+from .weil import WeilPolynomial, trace_polynomial
 
 __all__ = [
     "QuadraticElement",
@@ -101,77 +110,45 @@ class QuadraticElement:
         return f"{self.a0} + {self.a1}*sqrt({self.m})"
 
 
-def _qe(m, a0=0, a1=0):
-    return QuadraticElement(Fraction(a0), Fraction(a1), m)
+# -- polynomials over Z[sqrt(m)]: pairs (U, V) of IntPoly meaning U + sqrt(m) V --
 
 
-# -- polynomials over Q(sqrt(m)): ascending coefficient tuples -------------
+def _lead(p):
+    """The degree of the nonzero pair p and its leading coefficient, a pair of integers."""
+    d = max(x.degree for x in p)
+    return d, tuple(x.leading if x.degree == d else 0 for x in p)
 
 
-def _qstrip(cs):
-    n = len(cs)
-    while n and cs[n - 1].is_zero:
-        n -= 1
-    return list(cs[:n])
+def _shift(p, s, m):
+    """p(t + s sqrt(m)), by repeated synthetic division (the Taylor shift)."""
+    n = max(len(x.coeffs) for x in p)
+    u, v = ([*x.coeffs] + [0] * (n - len(x.coeffs)) for x in p)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            u[j], v[j] = u[j] + s * m * v[j + 1], v[j] + s * u[j + 1]
+    return IntPoly(u), IntPoly(v)
 
 
-def _qmul(a, b, m):
-    if not a or not b:
-        return []
-    out = [_qe(m)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca.is_zero:
-            for j, cb in enumerate(b):
-                out[i + j] = out[i + j] + ca * cb
-    return _qstrip(out)
+def _gcd(a, b, m):
+    """A gcd of the pairs a and b over Q(sqrt(m)), up to a factor in Q(sqrt(m)).
 
-
-def _qdivmod(a, b, m):
-    a = list(a)
-    db = len(b) - 1
-    inv = b[-1].inverse()
-    if len(a) - 1 < db:
-        return [], _qstrip(a)
-    q = [_qe(m)] * (len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * inv
-        q[i - db] = c
-        if not c.is_zero:
-            for j, cb in enumerate(b):
-                a[i - db + j] = a[i - db + j] - c * cb
-    return _qstrip(q), _qstrip(a[:db])
-
-
-def _qgcd(a, b, m):
-    a, b = _qstrip(a), _qstrip(b)
-    while b:
-        _, a = _qdivmod(a, b, m)
-        a, b = b, a
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
+    A fraction-free pseudo-remainder sequence: times the conjugate of its
+    leading coefficient, the divisor has the integer norm N as leading
+    coefficient, so the dividend times N leaves a remainder in Z[sqrt(m)][t].
+    The integer content of each remainder is divided out.
+    """
+    while not (b[0].is_zero and b[1].is_zero):
+        d, (x, y) = _lead(b)
+        bu, bv = b[0] * x - b[1] * (m * y), b[1] * x - b[0] * y
+        n = x * x - m * y * y
+        u, v = a
+        while max(u.degree, v.degree) >= d:
+            k, (cu, cv) = _lead((u, v))
+            u = u * n - (bu * cu + bv * (m * cv)).shift(k - d)
+            v = v * n - (bv * cu + bu * cv).shift(k - d)
+        c = gcd(u.content(), v.content()) or 1
+        a, b = b, (IntPoly([e // c for e in u.coeffs]), IntPoly([e // c for e in v.coeffs]))
     return a
-
-
-def _q_from_int(f: IntPoly, m: int):
-    return [_qe(m, c) for c in f.coeffs]
-
-
-def _q_conj(a):
-    return [c.conjugate() for c in a]
-
-
-def _q_compose_shift(f, s, m):
-    """f(t - s*sqrt(m)) over Q(sqrt(m)), by Horner."""
-    lin = [_qe(m, 0, -s), _qe(m, 1)]  # t - s*sqrt(m)
-    out = []
-    for c in reversed(f):
-        out = _qmul(out, lin, m)
-        if not out:
-            out = [c]
-        else:
-            out[0] = out[0] + c
-    return _qstrip(out)
 
 
 # -- Trager factorization over a quadratic field ----------------------------
@@ -180,40 +157,37 @@ def _q_compose_shift(f, s, m):
 def _trager_split(f: IntPoly, m: int):
     """The monic degree-(n/2) factor G over Q(sqrt(m)) with G*conj(G) = f.
 
-    f must be monic, irreducible over Q, of even degree.  Returns the
-    witness G, checked by re-expansion, or None when f stays irreducible
-    over Q(sqrt(m)).
+    f must be monic, irreducible over Q, of even degree.  The shift
+    f(t - s sqrt(m)) is a pair (U, V) for s = 0, 1, ..., until its norm
+    U^2 - m V^2, computed in Z[t], is squarefree.  The norm then splits over
+    Q exactly when f splits over Q(sqrt(m)), into the norms of the two
+    shifted factors, and the gcd of (U, V) with one of them is that factor.
+    Returns the witness G, checked by re-expansion, or None when f stays
+    irreducible over Q(sqrt(m)).
     """
     n = f.degree
-    h = n // 2
-    fq = _q_from_int(f, m)
+    zero = IntPoly()
     for s in range(0, 4 * n * n + 5):
-        shifted = _q_compose_shift(fq, s, m)
-        norm_q = _qmul(shifted, _q_conj(shifted), m)
-        if not all(c.is_rational for c in norm_q):
-            raise WeilrankError("norm over Q(sqrt(m)) has an irrational coefficient")
-        norm = IntPoly([int(c.a0) for c in norm_q])
+        u, v = shifted = _shift((f, zero), -s, m)
+        norm = u * u - v * v * m
         if poly_gcd(norm, norm.derivative()).degree == 0:
             break
     else:  # pragma: no cover - squarefree shift always exists
         raise PreconditionViolation("no squarefree norm shift found")
     factors = factor_over_integers(norm)
-    if len(factors) == 1:
+    if len(factors) != 2:
         return None
-    parts = []
-    for fac, mult in factors:
-        if mult != 1:
-            raise WeilrankError("squarefree norm has a repeated factor")
-        g = _qgcd(shifted, _q_from_int(fac, m), m)
-        if len(g) - 1 >= 1:
-            parts.append(g)
-    if len(parts) != 2 or any(len(g) - 1 != h for g in parts):
+    # undo the shift (roots were moved by +s*sqrt(m))
+    g = _shift(_gcd(shifted, (factors[0][0], zero), m), s, m)
+    d, (x, y) = _lead(g)
+    if d != n // 2:
         return None
-    # undo the shift (roots were moved by +s*sqrt(m)); the representative
-    # is the factor with the smaller coefficient tuple
-    back = [_q_compose_shift(g, -s, m) for g in parts]
-    g = min(back, key=lambda g: [(c.a0, c.a1) for c in g])
-    cf = ConjugateFactorization(m=m, g=tuple(g))
+    # G is g made monic or its conjugate, whichever has the smaller coefficient tuple
+    nrm = x * x - m * y * y
+    cs = zip_longest(*(c.coeffs for c in g), fillvalue=0)
+    g = [(Fraction(a * x - m * b * y, nrm), Fraction(b * x - a * y, nrm)) for a, b in cs]
+    g = min(g, [(a0, -a1) for a0, a1 in g])
+    cf = ConjugateFactorization(m=m, g=tuple(QuadraticElement(a0, a1, m) for a0, a1 in g))
     if cf.expand() != f:
         raise WeilrankError("witness does not re-expand to pmin")
     return cf
@@ -234,15 +208,19 @@ class ConjugateFactorization:
     def constant_term(self) -> QuadraticElement:
         return self.g[0]
 
-    def conjugate_coeffs(self):
-        return tuple(c.conjugate() for c in self.g)
-
     def expand(self) -> IntPoly:
-        """G * conj(G), re-expanded; must reproduce pmin exactly."""
-        prod = _qmul(list(self.g), list(self.conjugate_coeffs()), self.m)
-        if not all(c.is_rational and c.a0.denominator == 1 for c in prod):
+        """G * conj(G), re-expanded; must reproduce pmin exactly.
+
+        With d the common denominator, d G = A + sqrt(m) B for integer
+        polynomials A and B, and d^2 G conj(G) = A^2 - m B^2.
+        """
+        d = lcm(*(x.denominator for c in self.g for x in (c.a0, c.a1)))
+        a = IntPoly([c.a0 * d for c in self.g])
+        b = IntPoly([c.a1 * d for c in self.g])
+        prod = a * a - b * b * self.m
+        if any(c % (d * d) for c in prod.coeffs):
             raise WeilrankError("G * conj(G) is not an integer polynomial")
-        return IntPoly([int(c.a0) for c in prod])
+        return IntPoly([c // (d * d) for c in prod.coeffs])
 
     def __str__(self):
         return f"G over Q(sqrt({self.m})): [{', '.join(str(c) for c in self.g)}]"
@@ -290,8 +268,7 @@ def conjugate_factorizations(pmin: IntPoly):
         raise PreconditionViolation("even degree >= 2 required")
     if not pmin.is_monic:
         raise PreconditionViolation("monic polynomial required")
-    facs = factor_over_integers(pmin)
-    if len(facs) != 1 or facs[0][1] != 1:
+    if not is_irreducible(pmin):
         raise NotIrreducible("polynomial must be irreducible")
     disc = discriminant(pmin)
     patterns = _degree_patterns(pmin, disc)
@@ -331,8 +308,6 @@ def norm_one_witness(pmin: IntPoly, q: int):
     """
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
-    from .exactcore import is_perfect_square
-
     if not is_perfect_square(q):
         return None
     root_q = isqrt(q)
@@ -354,18 +329,11 @@ def norm_one_witness(pmin: IntPoly, q: int):
         m = _rational_squarefree_kernel(lead)
         if m >= 0:
             continue
-        if x != 0:
-            a1 = _rational_sqrt(x / m)
-            if a1 is None:
-                continue
-            b1 = y / (m * a1)
-        else:
-            a1 = Fraction(0)
-            if y != 0:
-                continue
-            b1 = _rational_sqrt(z / m)
-            if b1 is None:
-                continue
+        # lead / m is a rational square, since m is the squarefree kernel of
+        # lead; x = 0 forces y = 0, as x z = y^2
+        r = lead / m
+        root = Fraction(isqrt(r.numerator), isqrt(r.denominator))
+        a1, b1 = (root, y / (m * root)) if x != 0 else (Fraction(0), root)
         g = (
             QuadraticElement(big_c, Fraction(0), m),
             QuadraticElement(b0, b1, m),
@@ -381,16 +349,6 @@ def norm_one_witness(pmin: IntPoly, q: int):
 def _rational_squarefree_kernel(x: Fraction) -> int:
     """Squarefree integer in the same rational square class as x."""
     return squarefree_part(x.numerator * x.denominator)
-
-
-def _rational_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
 
 
 def norm_condition(cf: ConjugateFactorization, q: int) -> bool:
@@ -439,9 +397,6 @@ def cubic_resolvent_is_galois(pmin: IntPoly, q: int) -> bool:
     perfect square.  Informational only; the non-neat configuration should
     always report False.
     """
-    from .exactcore import is_perfect_square
-    from .weil import trace_polynomial
-
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
     h = trace_polynomial(pmin, q)

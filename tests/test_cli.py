@@ -28,6 +28,7 @@ NOT_WEIL_QUARTIC = "25,0,-11,0,1"  # traces +-sqrt(21): both eigenvalue pairs of
 NON_NEAT = "729,-324,72,-18,8,-4,1"  # the non-neat sextic over F_9
 ORACLE_NON_NEAT = ["oracle", "--q", "9", "--poly", NON_NEAT]
 ENUMERATE_G1_Q3 = ["enumerate", "--g", "1", "--q", "3"]
+SEARCH_F9 = ["search-nonneat", "--p", "3", "--q", "9"]
 INVALID_RECORD = {
     "schema": "weilrank/1",
     "valid": False,
@@ -206,6 +207,34 @@ class TestSubcommandGolden:
             }
         ]
 
+    def test_search_nonneat_half_integer_witness(self, capsys):
+        # m = -3 is 1 mod 4, so A and B may have denominator 2
+        code, out, err = run_err(capsys, *SEARCH_F9, "--m", "-3", "--limit", "1")
+        assert code == 0 and err == "found 1 non-neat sextics\n"
+        assert [json.loads(o) for o in out] == [
+            {
+                "schema": "weilrank/1",
+                "coeffs": ["729", "-405", "-18", "51", "-2", "-5", "1"],
+                "q": "9",
+                "witness": {
+                    "m": "-3",
+                    "g": [["27", "0"], ["-15/2", "9/2"], ["-5/2", "-3/2"], ["1", "0"]],
+                },
+            }
+        ]
+
+    def test_search_nonneat_limit_zero(self, capsys):
+        code, out, err = run_err(capsys, *SEARCH_F9, "--m", "-1", "--limit", "0")
+        assert (code, out, err) == (0, [], "found 0 non-neat sextics\n")
+
+    def test_search_nonneat_wrong_characteristic(self, capsys):
+        # 3 splits in Q(sqrt(-2)); the gate must test p = 3, not the given 5
+        code, out, err = run_err(
+            capsys, "search-nonneat", "--p", "5", "--q", "9", "--m", "-2"
+        )
+        assert (code, out) == (2, [])
+        assert err == "invalid: PreconditionViolation: q = 9 is not a power of p = 5\n"
+
 
 class TestExitCodes:
     def test_invalid_weil_polynomial(self, capsys):
@@ -258,6 +287,9 @@ class TestExitCodes:
                 ["base-change", "--n", "-2", "--q", "5", "--poly", ELLIPTIC],
                 "positive_int value: '-2'",
             ),
+            (ENUMERATE_G1_Q3 + ["--limit", "-1"], "nonnegative_int value: '-1'"),
+            (ENUMERATE_G1_Q3 + ["--limit", "x"], "nonnegative_int value: 'x'"),
+            (SEARCH_F9 + ["--m", "-1", "--limit", "-1"], "nonnegative_int value: '-1'"),
         ],
     )
     def test_bad_option_values(self, capsys, argv, value):

@@ -1,6 +1,7 @@
 """Weil polynomial enumeration: the pruned trace walk against a full-box
 reference, the exact surd rounding, the limit, the dimension check, and
-g = 4 boxes against direct validation."""
+g = 4 boxes against direct validation; the non-neat search's limit and
+characteristic checks."""
 
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import weilrank.search
 from weilrank.errors import PreconditionViolation, RiemannHypothesisFails
 from weilrank.exactcore import IntPoly, prime_power
-from weilrank.search import SearchSpec, _floor_surd, enumerate_weil
+from weilrank.search import SearchSpec, _floor_surd, enumerate_weil, find_non_neat_sextics
 from weilrank.weil import validate
 
 
@@ -177,6 +178,25 @@ class TestLimit:
     def test_negative_rejected(self):
         with pytest.raises(PreconditionViolation):
             list(enumerate_weil(SearchSpec(g=2, q=3, limit=-5)))
+
+
+class TestNonNeatSearch:
+    def test_limit_zero_yields_nothing(self):
+        assert list(find_non_neat_sextics(3, 9, -1, limit=0)) == []
+
+    def test_limit_counts_emitted_sextics(self):
+        found = list(find_non_neat_sextics(3, 9, -1, limit=2))
+        assert len(found) == 2 and found[0][0].poly == IntPoly([729, -324, 72, -18, 8, -4, 1])
+
+    @pytest.mark.parametrize("limit", [-1, -2])
+    def test_negative_limit_rejected(self, limit):
+        with pytest.raises(PreconditionViolation, match="limit"):
+            next(find_non_neat_sextics(3, 9, -1, limit=limit))
+
+    @pytest.mark.parametrize("p, q, m", [(5, 9, -2), (2, 9, -1), (3, 25, -1), (2, 1, -1)])
+    def test_p_must_be_the_characteristic(self, p, q, m):
+        with pytest.raises(PreconditionViolation, match="not a power of p"):
+            next(find_non_neat_sextics(p, q, m))
 
 
 class TestDimension:

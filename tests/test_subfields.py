@@ -1,11 +1,14 @@
-"""Imaginary quadratic subfields, conjugate factorizations, norm condition."""
+"""Imaginary quadratic subfields, conjugate factorizations, norm condition,
+and Trager's splitting against a reference on lists of QuadraticElement."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from weilrank.errors import NotIrreducible, NotSextic, PreconditionViolation
-from weilrank.exactcore import IntPoly
+from weilrank.exactcore import IntPoly, discriminant, factor_over_integers, poly_gcd
+from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.subfields import (
     ConjugateFactorization,
     QuadraticElement,
@@ -18,6 +21,7 @@ from weilrank.subfields import (
     p_splits,
     quadratic_subfields,
 )
+from weilrank.subfields import _candidate_ms, _degree_patterns, _sieve_ok
 from weilrank.weil import validate
 
 
@@ -35,6 +39,9 @@ ROUND_TRIP = P(-27, 3, 0, 1) * P(-27, 3, 0, 1) + P(0, 0, 0, 0, 1)
 
 # the first non-neat sextic the search finds over F_9
 NON_NEAT = P(729, -324, 72, -18, 8, -4, 1)
+
+# the first it finds over F_9 with m = -3, where G has half-integer coefficients
+HALF_INTEGER = P(729, -405, -18, 51, -2, -5, 1)
 
 
 class TestQuadraticElement:
@@ -172,3 +179,157 @@ class TestEllipticCmField:
 class TestResolvent:
     def test_non_neat_has_non_galois_cubic(self):
         assert not cubic_resolvent_is_galois(NON_NEAT, 9)
+
+
+# -- reference: Trager's method on lists of QuadraticElement ----------------
+# The arithmetic over Q(sqrt(m)) that the Z[sqrt(m)] pairs of `subfields`
+# replaced, kept as an independent reference for the factorizations.
+
+
+def _qe(m, a0=0, a1=0):
+    return QuadraticElement(Fraction(a0), Fraction(a1), m)
+
+
+def _qstrip(cs):
+    n = len(cs)
+    while n and cs[n - 1].is_zero:
+        n -= 1
+    return list(cs[:n])
+
+
+def _qmul(a, b, m):
+    if not a or not b:
+        return []
+    out = [_qe(m)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca.is_zero:
+            for j, cb in enumerate(b):
+                out[i + j] = out[i + j] + ca * cb
+    return _qstrip(out)
+
+
+def _qdivmod(a, b, m):
+    a = list(a)
+    db = len(b) - 1
+    inv = b[-1].inverse()
+    if len(a) - 1 < db:
+        return [], _qstrip(a)
+    q = [_qe(m)] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i] * inv
+        q[i - db] = c
+        if not c.is_zero:
+            for j, cb in enumerate(b):
+                a[i - db + j] = a[i - db + j] - c * cb
+    return _qstrip(q), _qstrip(a[:db])
+
+
+def _qgcd(a, b, m):
+    a, b = _qstrip(a), _qstrip(b)
+    while b:
+        _, a = _qdivmod(a, b, m)
+        a, b = b, a
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+def _q_from_int(f, m):
+    return [_qe(m, c) for c in f.coeffs]
+
+
+def _q_conj(a):
+    return [c.conjugate() for c in a]
+
+
+def _q_compose_shift(f, s, m):
+    """f(t - s*sqrt(m)) over Q(sqrt(m)), by Horner."""
+    lin = [_qe(m, 0, -s), _qe(m, 1)]
+    out = []
+    for c in reversed(f):
+        out = _qmul(out, lin, m)
+        if not out:
+            out = [c]
+        else:
+            out[0] = out[0] + c
+    return _qstrip(out)
+
+
+def _reference_split(f, m):
+    """The monic G over Q(sqrt(m)) with G*conj(G) = f, or None."""
+    n = f.degree
+    fq = _q_from_int(f, m)
+    for s in range(0, 4 * n * n + 5):
+        shifted = _q_compose_shift(fq, s, m)
+        norm_q = _qmul(shifted, _q_conj(shifted), m)
+        assert all(c.is_rational for c in norm_q)
+        norm = IntPoly([int(c.a0) for c in norm_q])
+        if poly_gcd(norm, norm.derivative()).degree == 0:
+            break
+    factors = factor_over_integers(norm)
+    if len(factors) == 1:
+        return None
+    parts = [_qgcd(shifted, _q_from_int(fac, m), m) for fac, _ in factors]
+    parts = [g for g in parts if len(g) > 1]
+    if len(parts) != 2 or any(len(g) - 1 != n // 2 for g in parts):
+        return None
+    back = [_q_compose_shift(g, -s, m) for g in parts]
+    g = min(back, key=lambda g: [(c.a0, c.a1) for c in g])
+    prod = _qmul(g, _q_conj(g), m)
+    assert all(c.is_rational for c in prod) and IntPoly([int(c.a0) for c in prod]) == f
+    return ConjugateFactorization(m=m, g=tuple(g))
+
+
+@pytest.fixture(scope="module")
+def reference_corpus():
+    """A seeded sample of irreducible Weil polynomials from g = 2, 3 boxes.
+
+    Each polynomial comes with the m that `conjugate_factorizations` tries,
+    the sieved candidates, and with -1, -2, -3 and -7, which it need not.
+    """
+    boxes = [(2, 4, None), (2, 9, None), (2, 25, 300), (3, 4, 300), (3, 9, 200)]
+    pool = [
+        w.poly
+        for g, q, limit in boxes
+        for w in enumerate_weil(SearchSpec(g, q, irreducible_only=True, limit=limit))
+    ]
+    polys = random.Random(14).sample(pool, 50)
+    # the F_25 quartic, the F_9 sextic over Q(i), and an F_9 sextic over
+    # Q(sqrt(-3)), whose witness has half-integer coefficients
+    polys += [P(625, -100, 35, -4, 1), NON_NEAT, HALF_INTEGER]
+    out = []
+    for f in polys:
+        disc = discriminant(f)
+        patterns = _degree_patterns(f, disc)
+        sieved = [m for m in _candidate_ms(disc) if _sieve_ok(m, patterns)]
+        out.append((f, sieved, sorted({*sieved, -1, -2, -3, -7}, key=abs)))
+    return out
+
+
+class TestAgainstListReference:
+    def test_corpus_covers_the_named_cases(self, reference_corpus):
+        pairs = {(f, m) for f, _, ms in reference_corpus for m in ms}
+        assert (P(625, -100, 35, -4, 1), -1) in pairs and (NON_NEAT, -1) in pairs
+        assert (HALF_INTEGER, -3) in pairs
+        assert 200 <= len(pairs) <= 400
+
+    def test_conjugate_split_and_factorizations(self, reference_corpus):
+        splits = 0
+        for f, sieved, ms in reference_corpus:
+            ref = {m: _reference_split(f, m) for m in ms}
+            assert {m: conjugate_split(f, m) for m in ms} == ref
+            found = conjugate_factorizations(f)
+            assert found == tuple(ref[m] for m in sieved if ref[m] is not None)
+            if f.degree == 6:
+                assert quadratic_subfields(f) == found
+            splits += sum(cf is not None for cf in ref.values())
+        assert splits >= 10
+
+    def test_half_integer_witness(self):
+        # the conjugate of the witness `find_non_neat_sextics` emits: the
+        # smaller coefficient tuple of the two
+        cf = conjugate_split(HALF_INTEGER, -3)
+        assert [(str(c.a0), str(c.a1)) for c in cf.g] == [
+            ("27", "0"), ("-15/2", "-9/2"), ("-5/2", "3/2"), ("1", "0")
+        ]
