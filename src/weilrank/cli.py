@@ -93,7 +93,7 @@ def _witness_json(cf):
         return None
     return {
         "m": str(cf.m),
-        "g": [[str(c.a0), str(c.a1)] for c in cf.g],
+        "g": [[str(a), str(b)] for a, b in cf.coefficients],
     }
 
 

@@ -174,7 +174,7 @@ def _real_disk(q: int, sign: int, k: int):
 class CertifiedRoot:
     """One isolating disk per distinct eigenvalue.
 
-    The disk has center (a + bi) / 2^k and radius m / 2^e, all integers;
+    The disk has center (a + bi) / 2^k and radius m / 2^k, all integers;
     `re`, `im` and `radius` give the same numbers as Fractions.  A non-real
     root's disk holds the box of alpha = (r + i sqrt(4q - r^2)) / 2 over a
     sign-change interval of the trace polynomial around its trace r; the
@@ -193,7 +193,6 @@ class CertifiedRoot:
     b: int
     k: int
     m: int
-    e: int
     conjugate_index: int
 
     @property
@@ -206,17 +205,7 @@ class CertifiedRoot:
 
     @property
     def radius(self) -> Fraction:
-        return Fraction(self.m, 1 << self.e)
-
-    @property
-    def pair_index(self) -> int:
-        """The disk of q/alpha, which is conj(alpha) because |alpha|^2 = q."""
-        return self.conjugate_index
-
-    @property
-    def is_self_paired(self) -> bool:
-        """True for the fixed points of alpha -> q/alpha, i.e. +-sqrt(q)."""
-        return self.pair_index == self.index
+        return Fraction(self.m, 1 << self.k)
 
 
 def certified_roots(w: WeilPolynomial):
@@ -264,7 +253,7 @@ def _certify_at(q: int, h: IntPoly, signs, starts, bits: int):
     for a, b, m in cells:
         i = len(roots)
         members = [(-b, i + 1), (b, i)] if b else [(0, i)]  # a pair, lower member first
-        roots += [CertifiedRoot(i + j, a, y, k, m, k, c) for j, (y, c) in enumerate(members)]
+        roots += [CertifiedRoot(i + j, a, y, k, m, c) for j, (y, c) in enumerate(members)]
     return tuple(roots)
 
 
@@ -621,7 +610,7 @@ def relation_lattice(
     if exponent_bound < 1:
         raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
     roots = certified_roots(w)
-    reps = [r.index for r in roots if r.pair_index > r.index]
+    reps = [r.index for r in roots if r.conjugate_index > r.index]
     d = len(reps)
     if d == 0:
         return RelationLattice(

@@ -16,7 +16,6 @@ Everything is deterministic; there is no randomness anywhere in the search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial, isqrt
 
 from .classify import classify_auto
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .exactcore import (
     IntPoly,
-    is_irreducible,
     is_prime,
     legendre_symbol,
     prime_power,
@@ -39,7 +37,7 @@ from .exactcore import (
     sturm_real_root_count,
 )
 from .newton import classify_newton, newton_polygon
-from .subfields import ConjugateFactorization, QuadraticElement, p_splits
+from .subfields import ConjugateFactorization, p_splits
 from .weil import _check_in_range, _from_trace, validate
 
 __all__ = [
@@ -198,7 +196,7 @@ def enumerate_weil(spec: SearchSpec):
         return
     emitted = 0
     for w in _trace_walk(spec):
-        if spec.irreducible_only and not is_irreducible(w.poly):
+        if spec.irreducible_only and w.factors != ((w.poly, 1),):
             continue
         if spec.newton_label is not None:
             labels = classify_newton(newton_polygon(w), spec.g).labels
@@ -237,10 +235,11 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
     3 sqrt(q), C = +-q^(3/2), and B forced to conj(A) * C / q: eigenvalue
     closure under alpha -> q/alpha demands it, so free-B candidates can
     never validate.  With den the denominator of A, den G = U + sqrt(m) V
-    for integer polynomials U and V, and P = (U^2 - m V^2) / den^2.  Each
-    integral P is validated, checked irreducible and almost ordinary,
-    classified over a sufficiently large field, and emitted with its
-    factorization witness only when non-neat; at most `limit` are emitted.
+    for integer polynomials U and V, and P = (U^2 - m V^2) / den^2 is
+    integral because A is.  Each P is validated, checked irreducible and
+    almost ordinary, classified over a sufficiently large field, and
+    emitted with its factorization witness only when non-neat; at most
+    `limit` are emitted.
     """
     if not is_prime(p):
         raise PreconditionViolation(f"{p} is not prime")
@@ -265,26 +264,20 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
         for u, v in _integral_elements_in_disk(m, a_bound_sq):
             if limit is not None and count >= limit:
                 return
-            big_u = IntPoly([c**3 * den, c * u, u, den])
-            big_v = IntPoly([0, -c * v, v])
-            prod = big_u * big_u - big_v * big_v * m
-            if any(x % (den * den) for x in prod.coeffs):
-                continue
-            poly = IntPoly([x // (den * den) for x in prod.coeffs])
+            big_u, big_v = IntPoly([c**3 * den, c * u, u, den]), IntPoly([0, -c * v, v])
+            cf = ConjugateFactorization(m, big_u, big_v, den)
             try:
-                w = validate(poly, q)
+                w = validate(cf.expand(), q)
             except (FunctionalEquationFails, RiemannHypothesisFails):
                 continue
-            if not is_irreducible(poly):
+            if w.factors != ((w.poly, 1),):
                 continue
             if "almost_ordinary" not in classify_newton(newton_polygon(w), 3).labels:
                 continue
             report = classify_auto(w, force_oracle=True)
             if report.neat:
                 continue
-            a0, a1 = Fraction(u, den), Fraction(v, den)
-            g = ((c**3, 0), (a0 * c, -a1 * c), (a0, a1), (1, 0))
-            yield w, ConjugateFactorization(m=m, g=tuple(QuadraticElement(x, y, m) for x, y in g))
+            yield w, cf
             count += 1
 
 

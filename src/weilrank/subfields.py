@@ -11,8 +11,8 @@ factoring pmin over Q(sqrt(m)) with Trager's norm method.
 That factoring runs on polynomials over Z[sqrt(m)], each held as a pair
 (U, V) of IntPoly meaning U + sqrt(m) V: shifts t -> t + s sqrt(m) by
 repeated synthetic division, norms U^2 - m V^2 in Z[t], and gcds by
-fraction-free pseudo-remainders.  A QuadraticElement, with rational parts,
-is built only for each coefficient of a returned witness G.
+fraction-free pseudo-remainders.  A witness G is such a pair over a
+positive integer denominator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .errors import NotIrreducible, NotSextic, PreconditionViolation, WeilrankError
 from .exactcore import (
@@ -39,7 +39,6 @@ from .exactcore.factor import modular_factor_degrees
 from .weil import WeilPolynomial, trace_polynomial
 
 __all__ = [
-    "QuadraticElement",
     "ConjugateFactorization",
     "quadratic_subfields",
     "conjugate_factorizations",
@@ -50,64 +49,6 @@ __all__ = [
     "elliptic_cm_field",
     "cubic_resolvent_is_galois",
 ]
-
-
-@dataclass(frozen=True)
-class QuadraticElement:
-    """a0 + a1 * sqrt(m) with rational parts; m squarefree, not 0 or 1."""
-
-    a0: Fraction
-    a1: Fraction
-    m: int
-
-    def __post_init__(self):
-        if self.m in (0, 1) or squarefree_part(self.m) != self.m:
-            raise PreconditionViolation("m must be squarefree and not 0 or 1")
-        object.__setattr__(self, "a0", Fraction(self.a0))
-        object.__setattr__(self, "a1", Fraction(self.a1))
-
-    def __add__(self, other):
-        return QuadraticElement(self.a0 + other.a0, self.a1 + other.a1, self.m)
-
-    def __sub__(self, other):
-        return QuadraticElement(self.a0 - other.a0, self.a1 - other.a1, self.m)
-
-    def __neg__(self):
-        return QuadraticElement(-self.a0, -self.a1, self.m)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadraticElement(self.a0 * other, self.a1 * other, self.m)
-        return QuadraticElement(
-            self.a0 * other.a0 + self.a1 * other.a1 * self.m,
-            self.a0 * other.a1 + self.a1 * other.a0,
-            self.m,
-        )
-
-    __rmul__ = __mul__
-
-    def conjugate(self):
-        return QuadraticElement(self.a0, -self.a1, self.m)
-
-    def norm(self) -> Fraction:
-        return self.a0 * self.a0 - self.a1 * self.a1 * self.m
-
-    def inverse(self):
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero element")
-        return QuadraticElement(self.a0 / n, -self.a1 / n, self.m)
-
-    @property
-    def is_zero(self):
-        return self.a0 == 0 and self.a1 == 0
-
-    @property
-    def is_rational(self):
-        return self.a1 == 0
-
-    def __str__(self):
-        return f"{self.a0} + {self.a1}*sqrt({self.m})"
 
 
 # -- polynomials over Z[sqrt(m)]: pairs (U, V) of IntPoly meaning U + sqrt(m) V --
@@ -182,12 +123,13 @@ def _trager_split(f: IntPoly, m: int):
     d, (x, y) = _lead(g)
     if d != n // 2:
         return None
-    # G is g made monic or its conjugate, whichever has the smaller coefficient tuple
-    nrm = x * x - m * y * y
-    cs = zip_longest(*(c.coeffs for c in g), fillvalue=0)
-    g = [(Fraction(a * x - m * b * y, nrm), Fraction(b * x - a * y, nrm)) for a, b in cs]
-    g = min(g, [(a0, -a1) for a0, a1 in g])
-    cf = ConjugateFactorization(m=m, g=tuple(QuadraticElement(a0, a1, m) for a0, a1 in g))
+    # times the conjugate of its leading coefficient, g has the leading coefficient
+    # x^2 - m y^2 > 0; G is g over that, or its conjugate: the one whose first
+    # nonzero sqrt(m)-part is negative
+    u, v = g[0] * x - g[1] * (m * y), g[1] * x - g[0] * y
+    if next((c for c in v.coeffs if c), 0) > 0:
+        v = -v
+    cf = ConjugateFactorization(m, u, v, x * x - m * y * y)
     if cf.expand() != f:
         raise WeilrankError("witness does not re-expand to pmin")
     return cf
@@ -195,35 +137,44 @@ def _trager_split(f: IntPoly, m: int):
 
 @dataclass(frozen=True)
 class ConjugateFactorization:
-    """Witness that pmin = G * conj(G) over Q(sqrt(m)), m negative squarefree."""
+    """Witness that pmin = G * conj(G) over Q(sqrt(m)), m negative squarefree.
+
+    G = (u + sqrt(m) v) / den for integer polynomials u and v.  The common
+    factor of den and the contents of u and v is divided out on
+    construction, so den > 0 and (u, v, den) is in lowest terms.
+    """
 
     m: int
-    g: tuple[QuadraticElement, ...]
+    u: IntPoly
+    v: IntPoly
+    den: int
+
+    def __post_init__(self):
+        if self.den <= 0:
+            raise PreconditionViolation("den must be positive")
+        c = gcd(self.u.content(), self.v.content(), self.den)
+        if c > 1:
+            object.__setattr__(self, "u", IntPoly([x // c for x in self.u.coeffs]))
+            object.__setattr__(self, "v", IntPoly([x // c for x in self.v.coeffs]))
+            object.__setattr__(self, "den", self.den // c)
 
     @property
     def degree(self):
-        return len(self.g) - 1
+        return self.u.degree
 
     @property
-    def constant_term(self) -> QuadraticElement:
-        return self.g[0]
+    def coefficients(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The coefficients of G, constant term first, as (rational part, sqrt(m)-part)."""
+        cs = zip_longest(self.u.coeffs, self.v.coeffs, fillvalue=0)
+        return tuple((Fraction(a, self.den), Fraction(b, self.den)) for a, b in cs)
 
     def expand(self) -> IntPoly:
-        """G * conj(G), re-expanded; must reproduce pmin exactly.
-
-        With d the common denominator, d G = A + sqrt(m) B for integer
-        polynomials A and B, and d^2 G conj(G) = A^2 - m B^2.
-        """
-        d = lcm(*(x.denominator for c in self.g for x in (c.a0, c.a1)))
-        a = IntPoly([c.a0 * d for c in self.g])
-        b = IntPoly([c.a1 * d for c in self.g])
-        prod = a * a - b * b * self.m
-        if any(c % (d * d) for c in prod.coeffs):
+        """G * conj(G) = (u^2 - m v^2) / den^2; must reproduce pmin exactly."""
+        prod = self.u * self.u - self.v * self.v * self.m
+        d2 = self.den * self.den
+        if any(c % d2 for c in prod.coeffs):
             raise WeilrankError("G * conj(G) is not an integer polynomial")
-        return IntPoly([c // (d * d) for c in prod.coeffs])
-
-    def __str__(self):
-        return f"G over Q(sqrt({self.m})): [{', '.join(str(c) for c in self.g)}]"
+        return IntPoly([c // d2 for c in prod.coeffs])
 
 
 def _candidate_ms(disc: int):
@@ -292,75 +243,67 @@ def conjugate_split(pmin: IntPoly, m: int):
     """Conjugate factorization of irreducible pmin over one given Q(sqrt(m))."""
     if m >= 0 or squarefree_part(m) != m:
         raise PreconditionViolation("m must be negative squarefree")
+    if not is_irreducible(pmin):
+        raise NotIrreducible("polynomial must be irreducible")
     return _trager_split(pmin, m)
 
 
 def norm_one_witness(pmin: IntPoly, q: int):
     """Witness with norm-one constant term, solved in closed form.
 
-    G(0)^2 = q^3 forces G(0) = +-q^(3/2) rational, which makes the
-    coefficient system for pmin = G * conj(G) triangular: the rational
-    parts of the quadratic and linear coefficients follow directly, and
-    the sqrt(m)-parts satisfy a1^2 m = X, a1 b1 m = Y, b1^2 m = Z with X,
-    Y, Z known integers, so m is the squarefree kernel of X (or Z).  Much
-    faster than the general subfield search; returns None when no
-    imaginary witness with the norm condition exists.
+    For G = t^3 + A t^2 + B t + C, G(0)^2 = q^3 forces C = +-r^3 with
+    r = sqrt(q) an integer, which makes the coefficient system for
+    pmin = G * conj(G) triangular.  With
+    den = 2 r^3, den G = U + sqrt(m) V for integer polynomials U and V: the
+    t^5 and t coefficients of pmin give U directly, and V = a t^2 + b t
+    satisfies a^2 m = x, a b m = y, b^2 m = z with x, y, z known integers,
+    so m is the squarefree kernel of x (or z).  Much faster than the general
+    subfield search; returns None when no imaginary witness with the norm
+    condition exists.
     """
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
     if not is_perfect_square(q):
         return None
-    root_q = isqrt(q)
-    c0, c1, c2, c3, c4, c5, _ = [Fraction(c) for c in pmin.coeffs]
+    r3 = isqrt(q) ** 3
+    c0, c1, c2, c3, c4, c5, _ = pmin.coeffs
     if c0 != q**3:
         return None
-    a0 = c5 / 2
-    for s in (1, -1):
-        big_c = Fraction(s * root_q**3)
-        b0 = c1 / (2 * big_c)
-        x = a0 * a0 + 2 * b0 - c4
-        y = (2 * big_c + 2 * a0 * b0 - c3) / 2
-        z = 2 * a0 * big_c + b0 * b0 - c2
+    den = 2 * r3
+    for big_c in (r3, -r3):
+        u1, u2 = c1 * r3 // big_c, c5 * r3  # den times the rational parts of B and A
+        x = u2 * u2 + 2 * den * u1 - den * den * c4
+        y = den * den * big_c + u2 * u1 - den * den * c3 // 2
+        z = 2 * u2 * big_c * den + u1 * u1 - den * den * c2
         if x * z != y * y:
             continue
         if x == 0 and z == 0:
             continue  # rational G would make pmin reducible
         lead = x if x != 0 else z
-        m = _rational_squarefree_kernel(lead)
+        m = squarefree_part(lead)
         if m >= 0:
             continue
-        # lead / m is a rational square, since m is the squarefree kernel of
-        # lead; x = 0 forces y = 0, as x z = y^2
-        r = lead / m
-        root = Fraction(isqrt(r.numerator), isqrt(r.denominator))
-        a1, b1 = (root, y / (m * root)) if x != 0 else (Fraction(0), root)
-        g = (
-            QuadraticElement(big_c, Fraction(0), m),
-            QuadraticElement(b0, b1, m),
-            QuadraticElement(a0, a1, m),
-            QuadraticElement(Fraction(1), Fraction(0), m),
-        )
-        cf = ConjugateFactorization(m=m, g=g)
+        # lead / m is a square, since m is the squarefree kernel of lead, and
+        # y / (m a) is an integer, since m (y / (m a))^2 = z; x = 0 forces y = 0
+        root = isqrt(lead // m)
+        a, b = (root, y // (m * root)) if x != 0 else (0, root)
+        u = IntPoly([big_c * den, u1, u2, den])
+        cf = ConjugateFactorization(m, u, IntPoly([0, b, a]), den)
         if cf.expand() == pmin:
             return cf
     return None
-
-
-def _rational_squarefree_kernel(x: Fraction) -> int:
-    """Squarefree integer in the same rational square class as x."""
-    return squarefree_part(x.numerator * x.denominator)
 
 
 def norm_condition(cf: ConjugateFactorization, q: int) -> bool:
     """Whether Norm_(E/B)(q^(-1) Fr^2) = 1, read off the witness.
 
     The norm equals q^(-h) G(0)^2 for h = deg G, so the condition is
-    G(0)^2 = q^h as elements of Q(sqrt(m)).
+    G(0)^2 = q^h as elements of Q(sqrt(m)).  With G(0) = (a + sqrt(m) b) / den,
+    G(0)^2 = (a^2 + m b^2 + 2 a b sqrt(m)) / den^2: the condition is a b = 0
+    and a^2 + m b^2 = q^h den^2.
     """
-    c = cf.constant_term
-    h = cf.degree
-    sq = c * c
-    return sq.is_rational and sq.a0 == q**h
+    a, b = cf.u.evaluate(0), cf.v.evaluate(0)
+    return a * b == 0 and a * a + cf.m * b * b == q**cf.degree * cf.den**2
 
 
 def p_splits(m: int, p: int) -> str:

@@ -99,22 +99,21 @@ class TestCertifiedRoots:
         for r in roots:
             assert abs(float(r.re) - 0.5) < 1e-9
             assert abs(abs(float(r.im)) - 2.179449471770337) < 1e-6
-        assert roots[0].pair_index == 1 and roots[1].pair_index == 0
-        assert roots[0].conjugate_index == 1
+        assert roots[0].conjugate_index == 1 and roots[1].conjugate_index == 0
 
     def test_self_paired_real_root(self):
         w = base_change(validate(P(5, 0, 1), 5), 2)  # (t + 5)^2 over q = 25
         roots = certified_roots(w)
         assert len(roots) == 1
         r = roots[0]
-        assert r.is_self_paired and r.conjugate_index == 0
+        assert r.conjugate_index == r.index == 0
         assert float(r.re) == pytest.approx(-5.0)
 
     def test_disks_disjoint_and_rigorous(self):
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
         assert len(roots) == 6
-        pairs = sorted(r.pair_index for r in roots)
+        pairs = sorted(r.conjugate_index for r in roots)
         assert pairs == [0, 1, 2, 3, 4, 5]
         for r in roots:
             # evaluate: |P(center)| <= deg * radius * |P'(center)| check is
@@ -147,7 +146,7 @@ def _same_disks(got, want):
     """Same length, pairing and conjugation, and each disk holds the same root."""
     assert len(got) == len(want)
     for g, r in zip(got, want):
-        assert (g.index, g.pair_index, g.conjugate_index) == (r.index, r.pair_index, r.conjugate_index)
+        assert (g.index, g.conjugate_index) == (r.index, r.conjugate_index)
         reach = g.radius + r.radius
         assert abs(g.re - r.re) <= reach and abs(g.im - r.im) <= reach
 
@@ -187,7 +186,7 @@ class TestRootStarts:
                 c = roots[r.conjugate_index]
                 assert (c.re, c.im, c.radius) == (r.re, -r.im, r.radius)
                 # a root of absolute value sqrt(q) is real only at +-sqrt(q)
-                assert (r.im == 0) == r.is_self_paired
+                assert (r.im == 0) == (r.conjugate_index == r.index)
             # canonical order: by real part, a pair's negative imaginary part first
             assert [(r.re, r.im) for r in roots] == sorted((r.re, r.im) for r in roots)
 
@@ -238,8 +237,6 @@ class TestRootStarts:
             for w in enumerate_weil(SearchSpec(g=g, q=q)):
                 roots = certified_roots(w)
                 assert len(roots) == w.squarefree.degree
-                for r in roots:
-                    assert r.pair_index == r.conjugate_index  # q/alpha = conj(alpha)
                 for a, b in zip(roots, roots[1:]):
                     assert (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.radius + b.radius) ** 2
                 count += 1
@@ -283,7 +280,7 @@ class TestVerifyRelation:
         # some orientation of the three pairs multiplies to q^3
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
-        reps = [r.index for r in roots if r.pair_index > r.index]
+        reps = [r.index for r in roots if r.conjugate_index > r.index]
         found = False
         for signs in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]:
             e = [0] * len(roots)
@@ -436,7 +433,7 @@ class TestCandidateScan:
     def test_non_neat_sextic(self):
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
-        thetas = [_theta_of_root(r) for r in roots if r.pair_index > r.index]
+        thetas = [_theta_of_root(r) for r in roots if r.conjugate_index > r.index]
         got = _candidate_vectors(thetas, 20)
         assert got == _per_lead_scan(thetas, 20)
         assert got[0] == (1, 1, -1)

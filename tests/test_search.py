@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import weilrank.search
 from weilrank.errors import PreconditionViolation, RiemannHypothesisFails
-from weilrank.exactcore import IntPoly, prime_power
+from weilrank.exactcore import IntPoly, is_irreducible, prime_power
 from weilrank.search import SearchSpec, _floor_surd, enumerate_weil, find_non_neat_sextics
 from weilrank.weil import validate
 
@@ -180,6 +180,16 @@ class TestLimit:
             list(enumerate_weil(SearchSpec(g=2, q=3, limit=-5)))
 
 
+class TestIrreducibleFilter:
+    @pytest.mark.parametrize("g, q", [(2, 9), (3, 4)])
+    def test_agrees_with_zassenhaus_on_p(self, g, q):
+        # the filter reads WeilPolynomial.factors, which factors the trace polynomial
+        every = [w.poly for w in enumerate_weil(SearchSpec(g=g, q=q))]
+        kept = [w.poly for w in enumerate_weil(SearchSpec(g=g, q=q, irreducible_only=True))]
+        assert kept == [f for f in every if is_irreducible(f)]
+        assert 0 < len(kept) < len(every)
+
+
 class TestNonNeatSearch:
     def test_limit_zero_yields_nothing(self):
         assert list(find_non_neat_sextics(3, 9, -1, limit=0)) == []
@@ -192,6 +202,11 @@ class TestNonNeatSearch:
     def test_negative_limit_rejected(self, limit):
         with pytest.raises(PreconditionViolation, match="limit"):
             next(find_non_neat_sextics(3, 9, -1, limit=limit))
+
+    @pytest.mark.parametrize("m", [-4, 0, 1, 2])
+    def test_m_must_be_negative_squarefree(self, m):
+        with pytest.raises(PreconditionViolation, match="negative squarefree"):
+            next(find_non_neat_sextics(3, 9, m))
 
     @pytest.mark.parametrize("p, q, m", [(5, 9, -2), (2, 9, -1), (3, 25, -1), (2, 1, -1)])
     def test_p_must_be_the_characteristic(self, p, q, m):

@@ -1,8 +1,10 @@
 """Imaginary quadratic subfields, conjugate factorizations, norm condition,
-and Trager's splitting against a reference on lists of QuadraticElement."""
+and Trager's splitting against a reference on lists of elements of Q(sqrt(m))."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,8 +12,6 @@ from weilrank.errors import NotIrreducible, NotSextic, PreconditionViolation
 from weilrank.exactcore import IntPoly, discriminant, factor_over_integers, poly_gcd
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.subfields import (
-    ConjugateFactorization,
-    QuadraticElement,
     conjugate_factorizations,
     conjugate_split,
     cubic_resolvent_is_galois,
@@ -29,10 +29,6 @@ def P(*coeffs):
     return IntPoly(coeffs)
 
 
-def QE(a0, a1, m):
-    return QuadraticElement(Fraction(a0), Fraction(a1), m)
-
-
 # a sextic with a Q(i)-factorization: (t^3 + 3t - 27)^2 + t^4, built from
 # G = t^3 + i t^2 + 3t - 27 (the product with its conjugate)
 ROUND_TRIP = P(-27, 3, 0, 1) * P(-27, 3, 0, 1) + P(0, 0, 0, 0, 1)
@@ -44,23 +40,6 @@ NON_NEAT = P(729, -324, 72, -18, 8, -4, 1)
 HALF_INTEGER = P(729, -405, -18, 51, -2, -5, 1)
 
 
-class TestQuadraticElement:
-    def test_arithmetic_closed(self):
-        a = QE(1, 2, -1)
-        b = QE(3, -1, -1)
-        assert a + b == QE(4, 1, -1)
-        assert a * b == QE(1 * 3 + 2 * (-1) * (-1), 1 * (-1) + 2 * 3, -1)
-        assert a.conjugate() == QE(1, -2, -1)
-        assert (a * a.inverse()) == QE(1, 0, -1)
-        assert a.norm() == Fraction(5)
-
-    def test_rejects_bad_m(self):
-        with pytest.raises(PreconditionViolation):
-            QE(1, 1, 4)
-        with pytest.raises(PreconditionViolation):
-            QE(1, 1, 1)
-
-
 class TestConjugateFactorizations:
     def test_round_trip_recovers_field(self):
         cfs = quadratic_subfields(ROUND_TRIP)
@@ -68,8 +47,7 @@ class TestConjugateFactorizations:
         cf = cfs[0]
         assert cf.expand() == ROUND_TRIP
         # G recovered up to conjugation: constant term is -27, rational
-        assert cf.constant_term.a0 == -27
-        assert cf.constant_term.a1 == 0
+        assert cf.coefficients[0] == (-27, 0)
 
     def test_non_neat_instance(self):
         cfs = quadratic_subfields(NON_NEAT)
@@ -104,6 +82,19 @@ class TestConjugateFactorizations:
     def test_conjugate_split_single_field(self):
         assert conjugate_split(NON_NEAT, -1) is not None
         assert conjugate_split(NON_NEAT, -2) is None
+
+    @pytest.mark.parametrize("m", [-4, 0, 1, 2])
+    def test_conjugate_split_rejects_bad_m(self, m):
+        with pytest.raises(PreconditionViolation, match="negative squarefree"):
+            conjugate_split(NON_NEAT, m)
+
+    def test_conjugate_split_rejects_reducible(self):
+        # (t^2 + 1)^2 has no squarefree norm shift, and t^4 + 9t^2 + 25 =
+        # (t^2 - t + 5)(t^2 + t + 5) is G conj(G) for G = t^2 + (9 - sqrt(-19))/2
+        with pytest.raises(NotIrreducible):
+            conjugate_split(P(1, 0, 1) ** 2, -1)
+        with pytest.raises(NotIrreducible):
+            conjugate_split(P(5, -1, 1) * P(5, 1, 1), -19)
 
 
 class TestNormOneWitness:
@@ -141,9 +132,8 @@ class TestNormCondition:
     def test_non_square_q_false(self):
         cf = conjugate_factorizations(P(5, -1, 1))[0]
         # G(0)^2 = q for the quadratic case; alpha conj(alpha) = 5 means true
-        assert norm_condition(cf, 5) == (
-            (cf.constant_term * cf.constant_term).a0 == 5
-        )
+        c = _qe(cf.m, *cf.coefficients[0])
+        assert norm_condition(cf, 5) == ((c * c).is_rational and (c * c).a0 == 5)
 
 
 class TestSplitting:
@@ -181,13 +171,48 @@ class TestResolvent:
         assert not cubic_resolvent_is_galois(NON_NEAT, 9)
 
 
-# -- reference: Trager's method on lists of QuadraticElement ----------------
-# The arithmetic over Q(sqrt(m)) that the Z[sqrt(m)] pairs of `subfields`
-# replaced, kept as an independent reference for the factorizations.
+# -- reference: Trager's method on lists of elements of Q(sqrt(m)) ------------
+# The element arithmetic and the list arithmetic over Q(sqrt(m)) that the
+# Z[sqrt(m)] pairs of `subfields` replaced, kept as an independent reference
+# for the factorizations.
+
+
+@dataclass(frozen=True)
+class _QE:
+    """a0 + a1 sqrt(m) with rational parts a0 and a1."""
+
+    m: int
+    a0: Fraction
+    a1: Fraction
+
+    def __add__(self, other):
+        return _QE(self.m, self.a0 + other.a0, self.a1 + other.a1)
+
+    def __sub__(self, other):
+        return _QE(self.m, self.a0 - other.a0, self.a1 - other.a1)
+
+    def __mul__(self, other):
+        a0 = self.a0 * other.a0 + self.a1 * other.a1 * self.m
+        return _QE(self.m, a0, self.a0 * other.a1 + self.a1 * other.a0)
+
+    def conjugate(self):
+        return _QE(self.m, self.a0, -self.a1)
+
+    def inverse(self):
+        n = self.a0 * self.a0 - self.a1 * self.a1 * self.m
+        return _QE(self.m, self.a0 / n, -self.a1 / n)
+
+    @property
+    def is_zero(self):
+        return self.a0 == 0 and self.a1 == 0
+
+    @property
+    def is_rational(self):
+        return self.a1 == 0
 
 
 def _qe(m, a0=0, a1=0):
-    return QuadraticElement(Fraction(a0), Fraction(a1), m)
+    return _QE(m, Fraction(a0), Fraction(a1))
 
 
 def _qstrip(cs):
@@ -257,7 +282,7 @@ def _q_compose_shift(f, s, m):
 
 
 def _reference_split(f, m):
-    """The monic G over Q(sqrt(m)) with G*conj(G) = f, or None."""
+    """The coefficients of the monic G over Q(sqrt(m)) with G*conj(G) = f, or None."""
     n = f.degree
     fq = _q_from_int(f, m)
     for s in range(0, 4 * n * n + 5):
@@ -278,58 +303,85 @@ def _reference_split(f, m):
     g = min(back, key=lambda g: [(c.a0, c.a1) for c in g])
     prod = _qmul(g, _q_conj(g), m)
     assert all(c.is_rational for c in prod) and IntPoly([int(c.a0) for c in prod]) == f
-    return ConjugateFactorization(m=m, g=tuple(g))
+    return tuple((c.a0, c.a1) for c in g)
 
 
 @pytest.fixture(scope="module")
 def reference_corpus():
     """A seeded sample of irreducible Weil polynomials from g = 2, 3 boxes.
 
-    Each polynomial comes with the m that `conjugate_factorizations` tries,
-    the sieved candidates, and with -1, -2, -3 and -7, which it need not.
+    Each polynomial f comes with its q, the m that `conjugate_factorizations`
+    tries, the sieved candidates, and the reference split of f over each of
+    those m and over -1, -2, -3 and -7, which it need not try.
     """
     boxes = [(2, 4, None), (2, 9, None), (2, 25, 300), (3, 4, 300), (3, 9, 200)]
     pool = [
-        w.poly
+        (w.poly, q)
         for g, q, limit in boxes
         for w in enumerate_weil(SearchSpec(g, q, irreducible_only=True, limit=limit))
     ]
-    polys = random.Random(14).sample(pool, 50)
+    cases = random.Random(14).sample(pool, 50)
     # the F_25 quartic, the F_9 sextic over Q(i), and an F_9 sextic over
     # Q(sqrt(-3)), whose witness has half-integer coefficients
-    polys += [P(625, -100, 35, -4, 1), NON_NEAT, HALF_INTEGER]
+    cases += [(P(625, -100, 35, -4, 1), 25), (NON_NEAT, 9), (HALF_INTEGER, 9)]
     out = []
-    for f in polys:
+    for f, q in cases:
         disc = discriminant(f)
         patterns = _degree_patterns(f, disc)
         sieved = [m for m in _candidate_ms(disc) if _sieve_ok(m, patterns)]
-        out.append((f, sieved, sorted({*sieved, -1, -2, -3, -7}, key=abs)))
+        ms = sorted({*sieved, -1, -2, -3, -7}, key=abs)
+        out.append((f, q, sieved, {m: _reference_split(f, m) for m in ms}))
     return out
+
+
+def _coefficients(cf):
+    return None if cf is None else cf.coefficients
 
 
 class TestAgainstListReference:
     def test_corpus_covers_the_named_cases(self, reference_corpus):
-        pairs = {(f, m) for f, _, ms in reference_corpus for m in ms}
+        pairs = {(f, m) for f, _, _, ref in reference_corpus for m in ref}
         assert (P(625, -100, 35, -4, 1), -1) in pairs and (NON_NEAT, -1) in pairs
         assert (HALF_INTEGER, -3) in pairs
         assert 200 <= len(pairs) <= 400
 
     def test_conjugate_split_and_factorizations(self, reference_corpus):
         splits = 0
-        for f, sieved, ms in reference_corpus:
-            ref = {m: _reference_split(f, m) for m in ms}
-            assert {m: conjugate_split(f, m) for m in ms} == ref
+        for f, _, sieved, ref in reference_corpus:
+            assert {m: _coefficients(conjugate_split(f, m)) for m in ref} == ref
             found = conjugate_factorizations(f)
-            assert found == tuple(ref[m] for m in sieved if ref[m] is not None)
+            want = [(m, ref[m]) for m in sieved if ref[m] is not None]
+            assert [(cf.m, cf.coefficients) for cf in found] == want
             if f.degree == 6:
                 assert quadratic_subfields(f) == found
-            splits += sum(cf is not None for cf in ref.values())
+            splits += sum(g is not None for g in ref.values())
         assert splits >= 10
+
+    def test_witnesses_in_lowest_terms(self, reference_corpus):
+        for f, q, _, ref in reference_corpus:
+            cfs = [conjugate_split(f, m) for m in ref]
+            if f.degree == 6:
+                cfs.append(norm_one_witness(f, q))
+            for cf in (cf for cf in cfs if cf is not None):
+                assert cf.den > 0 and gcd(cf.u.content(), cf.v.content(), cf.den) == 1
+                assert cf.expand() == f
+
+    def test_norm_condition_matches_reference(self, reference_corpus):
+        # G(0)^2 = q^h, h = deg G, in the reference's element arithmetic
+        held = 0
+        for f, q, _, ref in reference_corpus:
+            for m, g in ref.items():
+                if g is not None:
+                    c = _qe(m, *g[0])
+                    want = (c * c).is_rational and (c * c).a0 == q ** (len(g) - 1)
+                    assert norm_condition(conjugate_split(f, m), q) == want
+                    held += want
+        assert held >= 2
 
     def test_half_integer_witness(self):
         # the conjugate of the witness `find_non_neat_sextics` emits: the
         # smaller coefficient tuple of the two
         cf = conjugate_split(HALF_INTEGER, -3)
-        assert [(str(c.a0), str(c.a1)) for c in cf.g] == [
+        assert [(str(a), str(b)) for a, b in cf.coefficients] == [
             ("27", "0"), ("-15/2", "-9/2"), ("-5/2", "3/2"), ("1", "0")
         ]
