@@ -43,8 +43,8 @@ from .newton import (
 from .relfinder import OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
+    _trager_split,
     conjugate_factorizations,
-    conjugate_split,
     norm_condition,
     norm_one_witness,
     p_splits,
@@ -267,7 +267,8 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     # exactly one quartic (degrees forbid two) plus at most one elliptic factor
     if not fields:
         return 2
-    cf = conjugate_split(quartic[0].pmin, fields.pop())
+    # WeilPolynomial.factors proves the quartic irreducible: skip conjugate_split's check
+    cf = _trager_split(quartic[0].pmin, fields.pop())
     # shared field with non-torsion norm: the elliptic factor adds nothing
     collapse = cf is not None and not norm_condition(cf, w.q)
     return 2 if collapse else 3

@@ -1,5 +1,5 @@
 """Trusted exact-arithmetic substrate: integer polynomials, factorization,
-resultants, Sturm counting, and root transforms.  No floating point."""
+resultants, Sturm counting and isolation, root transforms.  No floating point."""
 
 from .factor import factor_over_integers, is_irreducible
 from .intfactor import (

@@ -1,9 +1,9 @@
 """Integer polynomial factorization.
 
-Zassenhaus pipeline: squarefree decomposition, factorization modulo a small
-prime chosen by distinct-degree factor counts (equal-degree splitting runs
-at that prime only), linear multifactor Hensel lifting to a Mignotte-style
-coefficient bound, and brute-force subset recombination.
+Zassenhaus pipeline: squarefree decomposition, factorization modulo the
+first small odd prime that keeps f squarefree (distinct-degree, then
+equal-degree splitting), linear multifactor Hensel lifting to a
+Mignotte-style coefficient bound, and brute-force subset recombination.
 Degrees stay far below one hundred here, so exponential recombination with
 the subset size capped at half the degree is acceptable.
 
@@ -216,23 +216,13 @@ def _mignotte_target(f: IntPoly) -> int:
 
 
 def _choose_prime(f: IntPoly):
-    """(count, p, dd): among the first three small odd primes keeping f
-    squarefree mod p, the one with the fewest irreducible factors of f mod
-    p (count), then the smallest.  dd, the distinct-degree factorization
-    of f mod p, alone gives each count, and a prime where f stays
-    irreducible ends the search, since no count is lower."""
-    candidates = []
-    p = 3
-    while len(candidates) < 3 and p < 10000:
+    """(count, p, dd) at the first odd prime p keeping f squarefree mod p: dd
+    is the distinct-degree factorization of f mod p, count its factor count."""
+    for p in range(3, 10000, 2):
         if is_prime(p) and (fp := _squarefree_mod_p(f, p)) is not None:
             dd = list(_distinct_degree(_pmonic(fp, p), p))
-            candidates.append((sum((len(g) - 1) // d for d, g in dd), p, dd))
-            if candidates[-1][0] == 1:
-                break
-        p += 2
-    if not candidates:
-        raise PreconditionViolation("no usable factorization prime found")
-    return min(candidates, key=lambda t: t[:2])
+            return sum((len(g) - 1) // d for d, g in dd), p, dd
+    raise PreconditionViolation("no usable factorization prime found")
 
 
 def _factor_squarefree_monic(f: IntPoly):

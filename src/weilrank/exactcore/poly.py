@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from ..errors import PreconditionViolation, WeilrankError
+from ..errors import PrecisionExhausted, PreconditionViolation, WeilrankError
 
 __all__ = [
     "IntPoly",
@@ -23,6 +23,7 @@ __all__ = [
     "sturm_real_root_count",
     "sturm_surd_counts",
     "surd_signs",
+    "real_root_brackets",
     "lagrange_interpolate",
     "fractions_to_intpoly",
 ]
@@ -475,6 +476,84 @@ def sturm_real_root_count(f: IntPoly, lo=None, hi=None) -> int:
     # point, so V(lo+) - V(hi+) counts roots in the half-open (lo, hi]
     below, above = ([_sign_at(p, x) for p in chain] for x in (lo_key, hi_key))
     return _variations(below) - _variations(above)
+
+
+# -- real root isolation: a point is x / 2^k, integers x and k >= 0 -------
+
+
+def _scaled_value(coeffs, x: int, k: int) -> int:
+    """2^(deg*k) f(x / 2^k): the sign of f(x / 2^k), without Fraction's gcds."""
+    v, e = coeffs[-1], 0
+    for c in reversed(coeffs[:-1]):
+        e += k
+        v = v * x + (c << e)
+    return v
+
+
+def _round_div(x: int, d: int) -> int:
+    """round(x / d), halves up, for d != 0: floor(x/d + 1/2)."""
+    return (2 * x + d) // (2 * d)
+
+
+def real_root_brackets(f: IntPoly):
+    """Isolating brackets (lo, hi, k) for the real roots of a squarefree f, ascending.
+
+    (lo / 2^k, hi / 2^k) holds one root, and f is nonzero at both ends, so it changes
+    sign across it.  Bisection from (-2^b, 2^b), beyond Fujiwara's root bound, counts
+    roots with one Sturm chain; a midpoint that is a root moves right off it.
+    """
+    chain = _sturm_chain(f)
+    if chain[-1].degree > 0:
+        raise PreconditionViolation(f"{f} is not squarefree")
+    n, e = f.degree, abs(f.leading).bit_length() - 1  # 2^e <= |f_n|
+    # each |f_j / f_n|^(1/(n - j)) < 2^(b - 1), so the roots lie in (-2^b, 2^b)
+    b = 1 + max([0] + [-((e - abs(c).bit_length()) // (n - j)) for j, c in enumerate(f.coeffs[:n])])
+
+    def variations(x, k):
+        return _variations([_scaled_value(p.coeffs, x, k) for p in chain])
+
+    out, todo = [], [(-1 << b, 1 << b, 0, variations(-1 << b, 0), variations(1 << b, 0))]
+    while todo:
+        lo, hi, k, vlo, vhi = todo.pop()
+        if vlo - vhi == 1:
+            out.append((lo, hi, k))
+        if vlo - vhi < 2:
+            continue
+        if (hi - lo) % 2:
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+        mid = (lo + hi) // 2
+        while (at := [_scaled_value(p.coeffs, mid, k) for p in chain])[0] == 0:
+            lo, hi, mid, k = 2 * lo, 2 * hi, 2 * mid + 1, k + 1
+        v = _variations(at)
+        todo += [(mid, hi, k, v, vhi), (lo, mid, k, vlo, v)]  # the left half is taken first
+    return out
+
+
+def _refine(f: IntPoly, df: IntPoly, lo: int, hi: int, k: int, goal: int):
+    """(x, k): f changes sign across (x -+ 1) / 2^k, with k = max(goal, k + 1).
+
+    f changes sign across the bracket (lo, hi) / 2^k; df is f'.  Newton steps start at its
+    midpoint, each at about twice the bits already right but never past goal.  The sign of
+    f at each point narrows the bracket; a step leaving it, or at f' = 0, becomes a bisection.
+    """
+    up = _scaled_value(f.coeffs, hi, k) > 0
+    lo, hi, x, k = 2 * lo, 2 * hi, lo + hi, k + 1  # x: the midpoint
+    for _ in range(100):
+        if k >= goal and _scaled_value(f.coeffs, x - 1, k) * _scaled_value(f.coeffs, x + 1, k) < 0:
+            return x, k
+        v = _scaled_value(f.coeffs, x, k)
+        if v:
+            lo, hi = (lo, x) if (v > 0) == up else (x, hi)
+        d = _scaled_value(df.coeffs, x, k)
+        # f/f' = v / (d 2^k), so about k - log2|v/d| bits of x / 2^k are right
+        s = max(0, min(goal, max(2 * (k - v.bit_length() + d.bit_length()), 64)) - k)
+        lo, hi, x, k = lo << s, hi << s, x << s, k + s
+        if not (d and lo < (y := x - _round_div(v << s, d)) < hi):  # bisect instead
+            if hi - lo < 2 and k < goal:
+                lo, hi, k = 2 * lo, 2 * hi, k + 1
+            y = (lo + hi) // 2
+        x = y
+    raise PrecisionExhausted("Newton refinement did not converge")
 
 
 # -- interpolation and rational square roots ------------------------------

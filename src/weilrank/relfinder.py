@@ -1,38 +1,16 @@
-"""Independent certified oracle for multiplicative eigenvalue relations.
+"""Independent certified oracle for multiplicative eigenvalue relations, on plain integers.
 
-Root isolation runs on the real line, on plain integers.  A non-real
-eigenvalue alpha is fixed, up to complex conjugation, by its trace
-r = alpha + q/alpha: alpha = (r + i sqrt(4q - r^2)) / 2, where r is a root
-of the degree-g trace polynomial h.  The only real eigenvalues, +-sqrt(q),
-stand for the roots +-2 sqrt(q) of h; those are divided out and the
-eigenvalues placed exactly, or in an integer square-root bracket.
-`numpy.roots` gives double-precision starts for the other roots of h,
-which are only guesses.  Each is refined by Newton steps on scaled integers
-x / 2^k until h changes sign across (x -+ 1) / 2^k, so by the intermediate
-value theorem a root lies in that interval.  The disk of alpha
-circumscribes the box the interval gives for its real and imaginary parts,
-and conj(alpha) = q/alpha is the exact mirror image.  `validate` proved
-that the squarefree h has deg h real simple roots, so deg h sign-change
-intervals with pairwise disjoint real projections hold each root exactly
-once.  Soundness lies only in those sign changes and that one sorted
-disjointness check: a bad start can make certification fail with
-PrecisionExhausted, never produce a wrong disk.
+Roots.  A non-real eigenvalue alpha is fixed, up to conjugation, by its
+trace r = alpha + q/alpha, a root of the degree-g trace polynomial h:
+alpha = (r + i sqrt(4q - r^2)) / 2.  The real eigenvalues +-sqrt(q) stand
+for the roots +-2 sqrt(q) of h, which are divided out.  Sturm bisection
+and bracketed Newton steps on integers x / 2^k put the other roots of h in
+sign-change intervals, and each gives a disk for alpha; conj(alpha) =
+q/alpha is its mirror image (`certified_roots`).
 
-Relations: candidate relations among the q^(-1) alpha^2 come from their
-arguments, and each is settled exactly.  A claimed identity
-prod alpha_i^(e_i) = q^M is an equality between algebraic integers, so
-either it holds or the difference has absolute value at least
-C^(1 - [L:Q]) where C bounds every conjugate (all conjugates of the
-eigenvalues have absolute value sqrt(q)) and L is the splitting field.
-Evaluating the difference in integer ball arithmetic finer than that
-separation turns the numeric guess into a rigorous dichotomy.
-
-Soundness lives entirely in the exact verification; the numeric stage is
-only a candidate generator.  It is exhaustive over the exponent box, so
-the resulting lattice is complete up to the configured height.  The scan
-sorts the residues of the exponent tails once and finds the hits of each
-leading exponent by binary search; candidates already in the lattice of
-verified relations, kept in Hermite normal form, are skipped.
+Relations.  Candidates prod beta_i^(e_i) = 1 among the beta_i = q^(-1) alpha_i^2 are rows
+of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) built from their arguments,
+the only doubles here (`relation_lattice`); `verify_relation` settles each exactly.
 """
 
 from __future__ import annotations
@@ -43,6 +21,7 @@ from fractions import Fraction
 
 from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, surd_signs
+from .exactcore.poly import _refine, _round_div, real_root_brackets
 from .newton import newton_polygon
 from .weil import WeilPolynomial
 
@@ -64,34 +43,20 @@ DEFAULT_DEGREE_CAP = 6**6 * 4
 _BASE_PRECISION = 128
 _ROOT_BITS = 64  # first goal of certified_roots, and the largest radius it accepts, 2^-64
 _ROOT_BITS_CAP = 1 << 13
-_START_SCALE = 64  # a double start becomes x / 2^64
 _GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than r
+# eps = 2^-46 bounds the error of `_turns` in turns, mod 1.  In radians the disk
+# center moves arg(alpha) by < 2^-64 (radius <= 2^-64, |alpha| >= sqrt 2), doubles
+# by <= 2^-53; dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
+_ANGLE_ERROR_BITS = 46
+_LATTICE_SCALES = (28, 44)  # N = 2^28, then 2^44: the largest N with N eps <= 1/4
 
 
 # -- the real line: traces of eigenvalue pairs -------------------------------
-#
-# A point is x / 2^k with integers x and k, and a disk is (a + b*i) / 2^k
-# with radius m / 2^k.  Plain integers avoid Fraction's gcd normalization,
-# which dominates once denominators reach hundreds of bits.
-
-
-def _scaled_value(coeffs, x: int, k: int) -> int:
-    """2^(deg*k) f(x / 2^k), in integer arithmetic."""
-    v, e = coeffs[-1], 0
-    for c in reversed(coeffs[:-1]):
-        e += k
-        v = v * x + (c << e)
-    return v
 
 
 def _isqrt_up(n: int) -> int:
     r = math.isqrt(n)
     return r if r * r == n else r + 1
-
-
-def _round_div(x: int, d: int) -> int:
-    """round(x / d), halves up, for d != 0: floor(x/d + 1/2)."""
-    return (2 * x + d) // (2 * d)
 
 
 def _split(w: WeilPolynomial):
@@ -110,41 +75,6 @@ def _split(w: WeilPolynomial):
     elif signs:  # q is a square
         h = h.exact_div(IntPoly([-signs[0] * math.isqrt(d), 1]))
     return h, signs
-
-
-def _double_starts(h: IntPoly):
-    """Double-precision guesses at the roots of h, all of which are real.
-
-    h is solved in the variable x / 2^s with 2^s near the size of its
-    roots, so its coefficients stay in range of a double.
-    """
-    import numpy as np  # only the oracle needs numpy; importing weilrank does not load it
-
-    n = h.degree
-    s = max(abs(c).bit_length() // (n - i) for i, c in enumerate(h.coeffs[:-1]))
-    scaled = [c / (1 << (s * (n - i))) for i, c in enumerate(h.coeffs)]
-    return [float(z.real) * 2.0**s for z in np.roots(scaled[::-1])]
-
-
-def _refine(h: IntPoly, dh: IntPoly, x: int, k: int, goal: int):
-    """Newton steps on x / 2^k until h changes sign across (x -+ 1) / 2^k with k >= goal.
-
-    A step works at about twice the bits already right, and never beyond
-    goal, so the cost follows the goal.
-    """
-    for _ in range(100):
-        if k >= goal and _scaled_value(h.coeffs, x - 1, k) * _scaled_value(h.coeffs, x + 1, k) < 0:
-            return x, k
-        v = _scaled_value(h.coeffs, x, k)
-        d = _scaled_value(dh.coeffs, x, k)
-        if d == 0:
-            raise PrecisionExhausted("derivative vanishes at a start")
-        # h/h' = v / (d 2^k), so about k - log2|v/d| bits of x / 2^k are right
-        right = k - v.bit_length() + d.bit_length()
-        k2 = max(k, min(goal, max(2 * right, _START_SCALE)))
-        x = (x << (k2 - k)) - _round_div(v << (k2 - k), d)
-        k = k2
-    raise PrecisionExhausted("Newton refinement did not converge")
 
 
 def _pair_disk(q: int, x: int, k: int):
@@ -211,37 +141,32 @@ class CertifiedRoot:
 def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    Starts for the traces r come from `_double_starts` in double precision.
-    Each is refined by integer Newton steps until the trace polynomial
-    changes sign across an interval of width 2^(1 - goal - 32) around it,
-    and gives the disk of the upper eigenvalue of its pair.  The goal
-    doubles from 64 up to 8192 until there is one start per root, every
-    radius is at most 2^-64, no upper disk reaches the real axis, and the
-    real projections of the disks are pairwise disjoint.  A start that
-    leads no interval to its own root cannot pass those checks, so it ends
-    in PrecisionExhausted.
+    `real_root_brackets` isolates the roots of the trace polynomial h, and
+    `_refine` narrows each bracket to an interval of width 2^(1 - bits - 32)
+    that h changes sign across: the disk of the upper eigenvalue of a pair.
+    bits doubles from 64 up to 8192 until every radius is at most 2^-64, no
+    upper disk reaches the real axis, and the real projections of the disks
+    are pairwise disjoint.  `validate` proved that h has deg h real simple
+    roots, so deg h such intervals hold each root once: the disks are sound.
     """
     h, signs = _split(w)
-    try:
-        starts = [round(x * 2.0**_START_SCALE) for x in (_double_starts(h) if h.degree else [])]
-    except (OverflowError, ValueError):
-        raise PrecisionExhausted("double-precision start is not finite") from None
+    brackets = real_root_brackets(h)
     bits = _ROOT_BITS
     while bits <= _ROOT_BITS_CAP:
         try:
-            return _certify_at(w.q, h, signs, starts, bits)
+            return _certify_at(w.q, h, signs, brackets, bits)
         except PrecisionExhausted:
             bits *= 2
     raise PrecisionExhausted(f"could not certify roots of {w.poly} below 2^-{bits // 2}")
 
 
-def _certify_at(q: int, h: IntPoly, signs, starts, bits: int):
-    if len(starts) != h.degree:
-        raise PrecisionExhausted("starts do not cover the roots")
+def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
+    if len(brackets) != h.degree:
+        raise PrecisionExhausted("brackets do not cover the roots")
     dh = h.derivative()
-    goal = bits + _GUARD_BITS
-    k = goal + 2  # _refine ends at 2^-goal, and _pair_disk works 2 bits finer
-    upper = sorted(_pair_disk(q, *_refine(h, dh, x, _START_SCALE, goal)) for x in starts)
+    goal = max([bits + _GUARD_BITS] + [k + 1 for *_, k in brackets])  # one scale for all
+    k = goal + 2  # _pair_disk works 2 bits finer
+    upper = sorted(_pair_disk(q, *_refine(h, dh, *b, goal)) for b in brackets)
     cells = [_real_disk(q, -1, k)] * (-1 in signs) + upper + [_real_disk(q, 1, k)] * (1 in signs)
     if any(m > 1 << (k - _ROOT_BITS) for _, _, m in cells):
         raise PrecisionExhausted("isolating disk wider than 2^-64")
@@ -323,10 +248,10 @@ def _relation_balls(q: int, h: IntPoly, roots, e, bits: int) -> dict:
 
     A real root's ball is exact or an isqrt bracket.  For a pair, the trace
     r is refined from 2 re of the upper disk.  The doubled real projection
-    of that disk holds exactly one root of the trace polynomial, so a
-    refined sign-change interval inside it holds the same root, and the
-    upper disk it gives, rescaled to 2^-bits, is the ball.  The lower member
-    of the pair is its mirror image.
+    of that disk holds exactly one root of the trace polynomial, and none
+    at its ends, so it is a bracket for `_refine`.  A refined sign-change
+    interval inside it holds the same root, and the upper disk it gives,
+    rescaled to 2^-bits, is the ball; the lower member is its mirror image.
     """
     dh = h.derivative()
     balls = {}
@@ -339,7 +264,7 @@ def _relation_balls(q: int, h: IntPoly, roots, e, bits: int) -> dict:
         if j not in balls:
             u = roots[j]
             # 2 re = a / 2^(k-1), with doubled real projection [a -+ m] / 2^(k-1)
-            x, k = _refine(h, dh, u.a, u.k - 1, bits + _GUARD_BITS)
+            x, k = _refine(h, dh, u.a - u.m, u.a + u.m, u.k - 1, bits + _GUARD_BITS)
             up = k - u.k + 1
             if x - 1 < (u.a - u.m) << up or x + 1 > (u.a + u.m) << up:
                 raise PrecisionExhausted("refined interval left its isolating disk")
@@ -434,10 +359,8 @@ class RelationLattice:
     alpha -> q/alpha (self-paired roots give the unit of R'_X and carry no
     rank).  `basis` rows live in exponent space on those representatives:
     a row v means prod (q^(-1) alpha_i^2)^(v_i) = 1, certified.  The basis
-    is saturated, primitive, and in Hermite normal form; the lattice holds
-    every relation with sup-norm at most `exponent_bound`.  Membership,
-    saturation and the normal form all come from `_echelon`, the one
-    integer Hermite-normal-form routine.
+    is saturated, primitive, and in Hermite normal form (`_echelon`).  It holds every relation
+    of sup-norm <= `exponent_bound`, by the LLL certificate of `relation_lattice`.
     """
 
     representatives: tuple[int, ...]
@@ -452,7 +375,7 @@ class RelationLattice:
 
 
 def _echelon(rows, cols):
-    """Row Hermite normal form with its transform; all lattice algebra reads it.
+    """Row Hermite normal form with its transform; saturation reads it.
 
     Returns (H, U).  H holds the nonzero rows of the row HNF of `rows`
     (positive pivots, entries above each pivot reduced into [0, pivot)),
@@ -504,93 +427,91 @@ def _saturate(rows, dim):
     return _echelon(rows, dim)[0]
 
 
-def _lattice_contains(hnf, vector) -> bool:
-    """Membership in the row lattice with Hermite normal form `hnf`: adding it keeps the HNF."""
-    hnf = [list(r) for r in hnf]
-    return _echelon(hnf + [list(vector)], len(vector))[0] == hnf
+def _lll(rows):
+    """LLL reduction, delta = 99/100, of linearly independent integer rows.
 
-
-def _theta_of_root(r: CertifiedRoot) -> float:
-    # argument of beta = alpha^2/q is twice the argument of alpha
-    return 2.0 * math.atan2(float(r.im), float(r.re))
-
-
-_GRIDS: dict = {}  # (d, bound) -> exponent tails; see _tail_grid
-_GRID_CACHE_SIZE = 4
-_GRID_CACHE_ROWS = 1 << 16
-
-
-def _tail_grid(d: int, bound: int):
-    """The exponent tails [-bound, bound]^(d-1) as rows, in lexicographic order.
-
-    A few grids of at most _GRID_CACHE_ROWS rows are kept, read-only, the
-    oldest dropped first; a larger grid is built per call, so a large
-    bound does not pin its memory.
+    Returns the reduced rows and the Gram determinants dets of their prefixes:
+    Gram-Schmidt vector i (from 0) has squared length dets[i + 1] / dets[i].
+    Integral LLL (Cohen, A Course in Computational Algebraic Number Theory,
+    2.6.7): lam[i][j] = dets[j + 1] mu_ij is exact.
     """
-    grid = _GRIDS.get((d, bound))
-    if grid is None:
-        import numpy as np
+    b = [list(r) for r in rows]
+    n = len(b)
+    dets, lam = [1] + [0] * n, [[0] * n for _ in b]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
+            lam[k][j] = u
+        dets[k + 1] = lam[k][k]
 
-        rng = np.arange(-bound, bound + 1)
-        grid = np.stack([g.ravel() for g in np.meshgrid(*([rng] * (d - 1)), indexing="ij")], axis=1)
-        if len(grid) <= _GRID_CACHE_ROWS:
-            grid.flags.writeable = False
-            if len(_GRIDS) >= _GRID_CACHE_SIZE:
-                del _GRIDS[next(iter(_GRIDS))]
-            _GRIDS[(d, bound)] = grid
-    return grid
+    def reduce(k, l):  # b_k -= round(mu_kl) b_l, when |mu_kl| > 1/2
+        if 2 * abs(lam[k][l]) > dets[l + 1]:
+            t = _round_div(lam[k][l], dets[l + 1])
+            b[k] = [x - t * y for x, y in zip(b[k], b[l])]
+            for i in range(l):
+                lam[k][i] -= t * lam[l][i]
+            lam[k][l] -= t * dets[l + 1]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 100 * dets[k + 1] * dets[k - 1] >= 99 * dets[k] ** 2 - 100 * mu * mu:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        # the Lovasz condition fails: swap rows k - 1 and k
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        new = (dets[k - 1] * dets[k + 1] + mu * mu) // dets[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (dets[k + 1] * lam[i][k - 1] - mu * t) // dets[k]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // dets[k + 1]
+        dets[k] = new
+        k = max(1, k - 1)
+    return b, dets
 
 
-def _candidate_vectors(thetas, bound, tol=1e-6):
-    """All e with 0 < max|e_i| <= bound whose angle sum is ~0 mod 2pi.
+def _turns(r: CertifiedRoot) -> float:
+    """arg(beta) / 2pi for beta = alpha^2 / q, that is arg(alpha) / pi, as a double."""
+    return math.atan2(r.b / (1 << r.k), r.a / (1 << r.k)) / math.pi  # int / int rounds once
 
-    Exhaustive over the box so no true relation at this height is missed;
-    false positives are eliminated by exact verification downstream.  The
-    first nonzero entry of each e is positive, and the list is sorted by
-    (max |e_i|, sum |e_i|, e).
 
-    e = (L, tail), and a hit is a tail whose residue tail . theta[1:] mod 2pi
-    lies within tol of -L theta[0] mod 2pi.  The residues are reduced and
-    sorted once, with copies shifted by -+2pi for the wrap-around, and each
-    lead L takes the window of width -+2 tol around its target by binary
-    search.  Every vector in the window is re-tested with the predicate
-    |remainder(L theta[0] + tail . theta[1:] + pi, 2pi) - pi| < tol in the
-    same floating-point operations as a test of the whole grid, so the list
-    is exactly the one such a test gives.  Nothing outside the window can
-    pass that test: the predicate and the window differ only by rounding,
-    a few units in the last place of numbers at most 2pi (d bound + 1) in
-    size, which is far below the spare tol.
-    """
-    import numpy as np
+def _short_rows(turns, bound: int, k: int):
+    """[(e, viable)] for rows 1..j of `relation_lattice`'s reduced lattice at N = 2^k: e is the
+    row's first d entries, first nonzero one positive; viable: the row (e, c) is at most R long
+    and |c| <= sum |e_i| (1/2 + N eps), as for any relation."""
+    d, eps = len(turns), _ANGLE_ERROR_BITS
+    rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, k))]
+            for i, t in enumerate(turns)]
+    rows, dets = _lll(rows + [[0] * d + [1 << k]])
+    # in integers times 2^eps: 1/2 + N eps = (2^(eps - 1) + N) / 2^eps
+    slack = (1 << eps - 1) + (1 << k)
+    r2 = (d * bound**2 << 2 * eps) + (d * bound * slack) ** 2
+    j = max((i for i in range(1, d + 2) if dets[i] << 2 * eps <= r2 * dets[i - 1]), default=0)
+    return [
+        (tuple(x if next(y for y in row if y) > 0 else -x for x in row[:d]),
+         sum(x * x for x in row) << 2 * eps <= r2
+         and abs(row[d]) << eps <= sum(abs(x) for x in row[:d]) * slack)
+        for row in rows[:j]
+    ]
 
-    d = len(thetas)
-    two_pi = 2.0 * math.pi
-    if d == 1:
-        return [
-            (v,) for v in range(1, bound + 1) if abs(math.remainder(v * thetas[0], two_pi)) < tol
-        ]
-    theta = np.array(thetas, dtype=float)
-    tail = _tail_grid(d, bound)
-    tail_dot = tail @ theta[1:]
-    residues = np.remainder(tail_dot, two_pi)
-    order = np.argsort(residues)
-    ranked = residues[order]
-    ranked = np.concatenate([ranked - two_pi, ranked, ranked + two_pi])
-    targets = np.remainder(-np.arange(bound + 1) * theta[0], two_pi)
-    lo = np.searchsorted(ranked, targets - 2 * tol, side="left")
-    hi = np.searchsorted(ranked, targets + 2 * tol, side="right")
-    # all windows end to end: the k-th entry is lo[L] + k - (entries before L's window)
-    counts = hi - lo
-    leads = np.repeat(np.arange(bound + 1), counts)
-    at = np.arange(len(leads)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    window = order[at % len(order)]
-    total = leads * theta[0] + tail_dot[window]
-    hit = np.abs(np.remainder(total + math.pi, two_pi) - math.pi) < tol
-    rows = np.column_stack([leads[hit], tail[window[hit]]]).tolist()
-    # canonical sign: first nonzero entry positive
-    out = [tuple(v) for v in rows if next((x for x in v if x), 0) > 0]
-    out.sort(key=lambda v: (max(abs(x) for x in v), sum(abs(x) for x in v), v))
-    return out
+
+def _box_points(hnf, bound: int):
+    """Vectors of sup-norm <= bound, first nonzero entry positive, in the row lattice with
+    HNF `hnf`: among rows i.., row i alone sets its pivot column, which bounds its coefficient."""
+    points = [[0] * len(hnf[0])]
+    for row in hnf:
+        p, h = next((c, x) for c, x in enumerate(row) if x)
+        points = [[x + m * y for x, y in zip(v, row)] for v in points
+                  for m in range(-((bound + v[p]) // h), (bound - v[p]) // h + 1)]
+    return [tuple(v) for v in points
+            if any(v) and max(map(abs, v)) <= bound and next(x for x in v if x) > 0]
 
 
 def relation_lattice(
@@ -598,25 +519,29 @@ def relation_lattice(
 ) -> RelationLattice:
     """Certified relation lattice among the beta = q^(-1) alpha^2.
 
-    Candidates come from an exhaustive scan of exponent vectors against
-    high-precision arguments of the beta; every candidate is settled by
-    `verify_relation`.  The verified lattice is saturated (a root of unity
-    in the eigenvalue group must be 1 over a sufficiently large field) and
-    each saturated basis vector is verified, or keeps its certificate when
-    it is a verified candidate, so the basis is certified.
-    Saturation and the basis's Hermite normal form come from `_echelon`.
-    An exponent bound below 1 scans no candidates, so it is refused.
+    `_turns` gives tau_i = arg(beta_i) / 2pi within eps = 2^-46, mod 1.
+    With N = 2^28 and t_i = round(N tau_i), the rows (u_i, t_i), u_i the
+    unit vectors, and (0, ..., 0, N) span a lattice.  A relation e has
+    e . tau = -m, m an integer, so (e, e . t + m N) is in it with last entry
+    at most sum |e_i| (1/2 + N eps), and length at most
+    R = sqrt(d H^2 + (d H (1/2 + N eps))^2) if every |e_i| <= H = exponent_bound.
+    Let j be the last LLL-reduced row whose Gram-Schmidt vector is at most R
+    long: a vector with a nonzero coordinate on a row i > j is longer, so
+    every relation with sup-norm <= H is an integer combination of rows
+    1..j, and the box is complete once `verify_relation` proves them.  A row
+    that fails, or that no relation can be (`_short_rows`), sends the search
+    to N = 2^44, the largest N with N eps <= 1/4; a failure there is a
+    near-relation the angles cannot resolve, and then each of the at most
+    1024 vectors of sup-norm <= H in the span of rows 1..j is proved or
+    refuted.  The proven relations are saturated (a root of unity in the
+    eigenvalue group is 1 over a sufficiently large field), and each basis
+    vector is verified or keeps its proof.  An exponent bound below 1 is refused.
     """
     if exponent_bound < 1:
         raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
     roots = certified_roots(w)
     reps = [r.index for r in roots if r.conjugate_index > r.index]
     d = len(reps)
-    if d == 0:
-        return RelationLattice(
-            representatives=(), basis=(), certificates=(), exponent_bound=exponent_bound
-        )
-    thetas = [_theta_of_root(roots[i]) for i in reps]
 
     def verify(vec):
         full = [0] * len(roots)
@@ -624,27 +549,32 @@ def relation_lattice(
             full[i] = 2 * vec[j]
         return verify_relation(w, full, sum(vec), roots=roots)
 
-    verified: list[list[int]] = []  # Hermite normal form of the verified relations
-    proved: dict[tuple[int, ...], RelationCertificate] = {}
-    for cand in _candidate_vectors(thetas, exponent_bound):
-        if _lattice_contains(verified, cand):
-            continue
-        cert = verify(cand)
-        if cert.holds:
-            verified = _echelon(verified + [list(cand)], d)[0]
-            proved[tuple(cand)] = cert
-    basis = _saturate(verified, d)
+    turns = [_turns(roots[i]) for i in reps]
+    tried: dict[tuple[int, ...], RelationCertificate] = {}  # the proof of each row tried
+
+    def proven(e, viable):  # a refuted or unviable row fails
+        if e not in tried and viable:
+            tried[e] = verify(e)
+        return e in tried and tried[e].holds
+
+    for k in _LATTICE_SCALES:
+        rows = _short_rows(turns, exponent_bound, k)
+        if all(proven(e, viable) for e, viable in rows):
+            break
+    else:  # a near-relation closer than the angles resolve: prove each box vector of the span
+        points = _box_points(_echelon([list(e) for e, _ in rows], d)[0], exponent_bound)
+        if len(points) > 1024:
+            raise PrecisionExhausted(f"{len(points)} box vectors to prove for {w.poly}")
+        for e in points:
+            proven(e, True)
+    basis = _saturate([e for e, cert in tried.items() if cert.holds], d)
     certs = []
-    for row in basis:
-        # a basis row that is itself a verified candidate keeps its certificate
-        cert = proved.get(tuple(row))
-        if cert is None:
-            cert = verify(row)
-        if not cert.holds:
+    for row in basis:  # a basis row that is itself a proven row keeps its certificate
+        certs.append(tried.get(tuple(row)) or verify(row))
+        if not certs[-1].holds:
             raise PreconditionViolation(
                 "saturated relation failed verification; field not sufficiently large?"
             )
-        certs.append(cert)
     return RelationLattice(
         representatives=tuple(reps),
         basis=tuple(tuple(r) for r in basis),

@@ -15,14 +15,16 @@ import weilrank.relfinder
 import weilrank.weil
 from weilrank.errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
 from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
+from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
+    _LATTICE_SCALES,
     RelationCertificate,
-    _GRIDS,
-    _candidate_vectors,
     _echelon,
-    _lattice_contains,
-    _theta_of_root,
+    _lll,
     _saturate,
+    _short_rows,
+    _split,
+    _turns,
     certified_roots,
     oracle_rank,
     relation_lattice,
@@ -46,6 +48,12 @@ def _sextic_from_trace(hc, q):
     for k, c in enumerate(hc):
         out = out + (c * base**k).shift(g - k)
     return out
+
+
+def _lattice_contains(hnf, vector) -> bool:
+    """Membership in the row lattice with Hermite normal form `hnf`: adding it keeps the HNF."""
+    hnf = [list(r) for r in hnf]
+    return _echelon(hnf + [list(vector)], len(vector))[0] == hnf
 
 
 def _fraction_rank(rows):
@@ -80,6 +88,29 @@ def _fraction_det(rows):
             f = mat[i][c] / mat[c][c]
             mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
     return det
+
+
+square_matrices = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-50, 50), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+def _dot(u, v):
+    return sum((Fraction(x) * y for x, y in zip(u, v)), Fraction(0))
+
+
+def _gram_schmidt(rows):
+    """The Gram-Schmidt vectors of `rows`, in Fractions."""
+    out = []
+    for r in rows:
+        v = [Fraction(x) for x in r]
+        for u in out:
+            mu = _dot(r, u) / _dot(u, u)
+            v = [a - mu * b for a, b in zip(v, u)]
+        out.append(v)
+    return out
 
 
 small_matrices = st.integers(0, 4).flatmap(
@@ -151,24 +182,38 @@ def _same_disks(got, want):
         assert abs(g.re - r.re) <= reach and abs(g.im - r.im) <= reach
 
 
+def _bisected(h, bracket, steps):
+    """`bracket` narrowed by up to `steps` bisections, keeping the half h changes sign across."""
+    lo, hi, k = bracket
+    for _ in range(steps):
+        side = h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(lo + hi, 2 ** (k + 1)))
+        if side == 0:  # the midpoint is the root
+            break
+        lo, hi, k = 2 * lo, 2 * hi, k + 1
+        lo, hi = (lo, (lo + hi) // 2) if side < 0 else ((lo + hi) // 2, hi)
+    return lo, hi, k
+
+
 class TestRootStarts:
-    """Soundness rests on the sign changes and the disjointness check, not on the starts."""
+    """Soundness rests on the sign changes and the disjointness check, not on the brackets."""
 
     @pytest.mark.parametrize("poly, q", START_CASES)
     @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed"])
     def test_order_independent_of_starts(self, monkeypatch, poly, q, perturb):
+        # the isolator's brackets in reverse order, or each narrowed by a
+        # different number of extra bisection steps, give the same disks
         w = validate(poly, q)
         roots = certified_roots(w)
         oracle = oracle_rank(w)
-        real = weilrank.relfinder._double_starts
+        real = weilrank.relfinder.real_root_brackets
 
         def moved(h):
             out = real(h)
             if perturb == "reversed":
                 return out[::-1]
-            return [x + abs(x) * 1e-12 * (j + 1) * (-1) ** j for j, x in enumerate(out)]
+            return [_bisected(h, b, 3 * j + 1) for j, b in enumerate(out)]
 
-        monkeypatch.setattr(weilrank.relfinder, "_double_starts", moved)
+        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", moved)
         w = validate(poly, q)  # a fresh instance: nothing cached
         _same_disks(certified_roots(w), roots)
         again = oracle_rank(w)
@@ -192,19 +237,39 @@ class TestRootStarts:
 
     @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
     def test_two_starts_on_one_root_never_certify(self, monkeypatch, poly, q):
-        real = weilrank.relfinder._double_starts
+        # a duplicated bracket leaves a root uncovered: the disks overlap at every precision
+        real = weilrank.relfinder.real_root_brackets
         monkeypatch.setattr(
-            weilrank.relfinder, "_double_starts", lambda h: [real(h)[0]] * h.degree
+            weilrank.relfinder, "real_root_brackets", lambda h: [real(h)[0]] * h.degree
         )
         with pytest.raises(PrecisionExhausted):
             certified_roots(validate(poly, q))
 
-    def test_non_finite_start(self, monkeypatch):
-        monkeypatch.setattr(
-            weilrank.relfinder, "_double_starts", lambda h: [float("nan")] * h.degree
-        )
-        with pytest.raises(PrecisionExhausted):
-            certified_roots(validate(NON_NEAT, 9))
+    def test_roots_at_dyadic_points(self):
+        # a certify input whose trace polynomial is (x - 1)(x - 2)(x - 3): every
+        # root is a bisection point, so each midpoint that is a root moves off it
+        w = validate(P(125, -150, 130, -66, 26, -6, 1), 5)
+        h = _split(w)[0]
+        assert h == P(-6, 11, -6, 1)
+        brackets = real_root_brackets(h)
+        for (lo, hi, k), root in zip(brackets, (1, 2, 3)):
+            assert Fraction(lo, 2**k) < root < Fraction(hi, 2**k)
+            assert h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(hi, 2**k)) < 0
+        assert len(brackets) == 3
+        assert [float(r.re) for r in certified_roots(w)] == [0.5, 0.5, 1.0, 1.0, 1.5, 1.5]
+
+    def test_start_outside_the_newton_basin(self):
+        # h = x^3 - x and the bracket (1/8, 65/64) around the root 1: its
+        # midpoint 73/128 lies left of the critical point 1/sqrt(3), where a
+        # Newton step lands near -15 and unguarded steps would end at -1
+        h = P(0, -1, 0, 1)
+        dh = h.derivative()
+        start = Fraction(73, 128)
+        assert start - h.evaluate(start) / dh.evaluate(start) < -15
+        x, k = _refine(h, dh, 8, 65, 6, 100)
+        assert k == 100 and x == 2**100
+        x, k = _refine(h, dh, -65, -8, 6, 100)  # its mirror image
+        assert k == 100 and x == -(2**100)
 
     def test_trace_near_the_end_of_its_range(self):
         # h = x^2 - (4q - 1): the traces sit 1 / (4 sqrt(q)) inside +-2 sqrt(q),
@@ -239,6 +304,15 @@ class TestRootStarts:
                 assert len(roots) == w.squarefree.degree
                 for a, b in zip(roots, roots[1:]):
                     assert (a.re - b.re) ** 2 + (a.im - b.im) ** 2 > (a.radius + b.radius) ** 2
+                # each bracket of the isolator holds one root by a Sturm count
+                # and a sign change, and together they hold every root
+                h = _split(w)[0]
+                brackets = real_root_brackets(h)
+                assert len(brackets) == h.degree
+                for lo, hi, k in brackets:
+                    ends = Fraction(lo, 2**k), Fraction(hi, 2**k)
+                    assert sturm_real_root_count(h, *ends) == 1
+                    assert h.evaluate(ends[0]) * h.evaluate(ends[1]) < 0
                 count += 1
         assert count == 727
 
@@ -338,6 +412,24 @@ class TestLatticeAlgebra:
             assert all(sum(x * row[j] for x, row in zip(kernel_row, rows)) == 0 for j in range(cols))
         assert r == _fraction_rank(rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices)
+    def test_lll_properties(self, rows):
+        if _fraction_det(rows) == 0:
+            return
+        reduced, dets = _lll(rows)
+        n = len(rows)
+        assert _echelon(reduced, n)[0] == _echelon(rows, n)[0]  # the same lattice
+        gs = _gram_schmidt(reduced)
+        for i in range(n):
+            # dets gives the Gram-Schmidt lengths
+            assert Fraction(dets[i + 1], dets[i]) == _dot(gs[i], gs[i])
+            mu = [_dot(reduced[i], u) / _dot(u, u) for u in gs[:i]]
+            assert all(abs(m) <= Fraction(1, 2) for m in mu)  # size-reduced
+            if i:  # the Lovasz condition, delta = 99/100
+                bound = (Fraction(99, 100) - mu[-1] ** 2) * _dot(gs[i - 1], gs[i - 1])
+                assert _dot(gs[i], gs[i]) >= bound
+
     def test_saturate(self):
         # lattice spanned by (2, 2): saturation is (1, 1)
         assert _saturate([[2, 2]], 2) == [[1, 1]]
@@ -410,11 +502,25 @@ SCAN_CASES = [
 ]
 
 
+def _thetas(roots):
+    """arg(beta) = 2 arg(alpha) of each representative in radians, as the reference scans them."""
+    return [2.0 * math.atan2(float(r.im), float(r.re)) for r in roots if r.conjugate_index > r.index]
+
+
 class TestCandidateScan:
+    """The reduced lattice's rows reach every hit of the exhaustive per-lead scan."""
+
     @pytest.mark.parametrize("kind, d, bound, seed", SCAN_CASES)
-    def test_matches_per_lead_scan(self, kind, d, bound, seed):
+    def test_matches_per_lead_scan(self, monkeypatch, kind, d, bound, seed):
+        # at N = 2^20 and eps = 2^-22 turns, the certificate of `relation_lattice`
+        # covers every e whose angle sum is within 2pi eps > 1e-6 of 0 mod 2pi,
+        # so each hit of the scan is an integer combination of the rows 1..j
+        monkeypatch.setattr(weilrank.relfinder, "_ANGLE_ERROR_BITS", 22)
         thetas = _scan_thetas(kind, d, seed)
-        assert _candidate_vectors(thetas, bound) == _per_lead_scan(thetas, bound)
+        rows = _short_rows([t / (2 * math.pi) for t in thetas], bound, 20)
+        span = _echelon([list(e) for e, _ in rows], d)[0]
+        for e in _per_lead_scan(thetas, bound):
+            assert _lattice_contains(span, e)
 
     def test_cases_reach_the_window_edges(self):
         # the cases hit both ends of the tolerance and both sides of 0 mod 2pi
@@ -433,20 +539,41 @@ class TestCandidateScan:
     def test_non_neat_sextic(self):
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
-        thetas = [_theta_of_root(r) for r in roots if r.conjugate_index > r.index]
-        got = _candidate_vectors(thetas, 20)
-        assert got == _per_lead_scan(thetas, 20)
-        assert got[0] == (1, 1, -1)
+        turns = [_turns(r) for r in roots if r.conjugate_index > r.index]
+        for k in _LATTICE_SCALES:
+            assert _short_rows(turns, 20, k) == [((1, 1, -1), True)]
+        assert _per_lead_scan(_thetas(roots), 20)[0] == (1, 1, -1)
 
-    def test_grid_cache_is_bounded(self):
-        _GRIDS.clear()
-        for bound in range(1, 8):
-            _candidate_vectors([0.1, 0.2, 0.3], bound)
-        assert len(_GRIDS) == 4 and set(_GRIDS) == {(3, b) for b in range(4, 8)}
-        # a grid past the row cap is built for its call and dropped
-        _candidate_vectors([0.1, 0.2, 0.3, 0.4], 20)
-        assert (4, 20) not in _GRIDS and len(_GRIDS) == 4
-        assert not any(g.flags.writeable for g in _GRIDS.values())
+    def test_lattice_is_the_saturated_scan(self):
+        # on the g = 2, q <= 5 and g = 3, q = 2 boxes and NON_NEAT, relation_lattice
+        # is the saturation of the scan's candidates that verify, or both refuse
+        boxes = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+        ws = [w for g, q in boxes for w in enumerate_weil(SearchSpec(g=g, q=q))]
+        refused = 0
+        for w in ws + [validate(NON_NEAT, 9)]:
+            roots = certified_roots(w)
+            reps = [r.index for r in roots if r.conjugate_index > r.index]
+
+            def holds(e):
+                full = [0] * len(roots)
+                for j, i in enumerate(reps):
+                    full[i] = 2 * e[j]
+                return verify_relation(w, full, sum(e), roots=roots).holds
+
+            verified = []
+            for e in _per_lead_scan(_thetas(roots), 20) if reps else []:
+                if not _lattice_contains(verified, e) and holds(e):
+                    verified = _echelon(verified + [list(e)], len(reps))[0]
+            basis = _saturate(verified, len(reps))
+            if all(holds(row) for row in basis):
+                lat = relation_lattice(w)
+                assert lat.representatives == tuple(reps)
+                assert lat.basis == tuple(map(tuple, basis))
+            else:
+                refused += 1
+                with pytest.raises(PreconditionViolation):
+                    relation_lattice(w)
+        assert (len(ws), refused) == (543, 241)
 
 
 class TestRelationLattice:
@@ -499,6 +626,62 @@ class TestRelationLattice:
         roots = certified_roots(w)
         for cert in o.lattice.certificates:
             assert cert == real(w, cert.exponents, cert.power_of_q, roots=roots)
+
+    def test_tiny_arguments_need_few_proofs(self, monkeypatch):
+        # t^4 - (2q - 1) t^2 + q^2 with q = 2^71: every beta is within 2^-35 of
+        # 1, so a fixed tolerance on the angles sent 821 vectors to proof
+        real = weilrank.relfinder.verify_relation
+        calls = []
+
+        def counted(w, e, m_power, **kwargs):
+            calls.append((tuple(e), m_power))
+            return real(w, e, m_power, **kwargs)
+
+        monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
+        q = 2**71
+        o = oracle_rank(validate(P(q * q, 0, 1 - 2 * q, 0, 1), q))
+        assert (o.rank, o.lattice.basis) == (1, ((1, 1),))
+        assert len(calls) <= 2
+
+    def test_near_torsion_beyond_the_angles(self, monkeypatch):
+        # t^2 - t + q with q = 2^101: beta is within 2^-50 of -1, closer than the
+        # angles resolve, so the row (2) is refuted at both scales; its multiples
+        # in the box, (2), (4), ..., (20), are proved or refuted one by one
+        real = weilrank.relfinder.verify_relation
+        calls = []
+
+        def counted(w, e, m_power, **kwargs):
+            calls.append(tuple(e))
+            return real(w, e, m_power, **kwargs)
+
+        monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
+        q = 2**101
+        o = oracle_rank(validate(P(q, -1, 1), q))
+        assert (o.rank, o.lattice.basis, o.confidence) == (1, (), "certified_exact")
+        assert sorted(set(calls)) == [(4 * m, 0) for m in range(1, 11)]
+
+    def test_long_near_relation_stays_unproved(self, monkeypatch):
+        # at N = 2^40 this sextic over F_2 has the reduced row (794, 270, -840, 42):
+        # a tiny last entry, but far longer than R, and a proof of it would pass
+        # the precision cap.  Rows are candidates by their Gram-Schmidt lengths,
+        # so it is none, and no proof runs at any scale
+        w = validate(P(8, -8, 0, 3, 0, -2, 1), 2)
+        turns = [_turns(r) for r in certified_roots(w) if r.conjugate_index > r.index]
+        units = [[int(i == j) for j in range(3)] for i in range(3)]
+        rows = [u + [round(math.ldexp(t, 40))] for u, t in zip(units, turns)]
+        assert [794, 270, -840, 42] in _lll(rows + [[0, 0, 0, 2**40]])[0]
+        assert all(_short_rows(turns, 20, k) == [] for k in (28, 40, 44))
+        real = weilrank.relfinder.verify_relation
+        certs = []
+
+        def counted(w, e, m_power, **kwargs):
+            certs.append(real(w, e, m_power, **kwargs))
+            return certs[-1]
+
+        monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
+        o = oracle_rank(w)
+        assert (o.rank, o.lattice.basis) == (3, ())
+        assert certs == []
 
     @pytest.mark.parametrize("bound", [0, -3])
     def test_bound_below_one_is_refused(self, bound):
