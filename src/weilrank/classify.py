@@ -21,25 +21,20 @@ one side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
 
 from .errors import (
     DimensionTooLarge,
+    NonIntegralPolygon,
     NotSufficientlyLarge,
     OracleDisagreement,
     PreconditionViolation,
     WeilrankError,
 )
-from .exactcore import IntPoly, squarefree_part
-from .newton import (
-    NewtonPolygon,
-    NewtonType,
-    classify_newton,
-    newton_polygon,
-    root_valuation_segments,
-)
+from .exactcore import IntPoly
+from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
 from .relfinder import OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
@@ -59,7 +54,6 @@ from .weil import (
 )
 
 __all__ = [
-    "ComponentReport",
     "ClassificationReport",
     "sufficiency_degree",
     "classify",
@@ -88,18 +82,6 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
 
 
 @dataclass(frozen=True)
-class ComponentReport:
-    """Per-irreducible-factor summary."""
-
-    pmin: IntPoly
-    e: int
-    d: int  # eigenvalue pairs contributed
-    newton_primary: str
-    supersingular: bool
-    cm_disc: int | None  # squarefree disc of the CM field when pmin is quadratic
-
-
-@dataclass(frozen=True)
 class ClassificationReport:
     g: int
     q: int
@@ -114,7 +96,7 @@ class ClassificationReport:
     condition_ii: bool
     condition_iii: bool
     witness: ConjugateFactorization | None
-    components: tuple[ComponentReport, ...]
+    components: tuple[EigenvalueStructure, ...]
     oracle: OracleRank | None
     extension_from: tuple[int, int] | None = None  # (original q, degree applied)
 
@@ -125,25 +107,6 @@ class ClassificationReport:
     @property
     def pmin_degree(self) -> int:
         return sum(c.pmin.degree for c in self.components)
-
-
-def _component_report(c: EigenvalueStructure, w: WeilPolynomial) -> ComponentReport:
-    pmin, e = c.pmin, c.e
-    segments = root_valuation_segments(pmin, w.p, w.v)
-    scaled = NewtonPolygon(segments=tuple((s, l * e) for s, l in segments))
-    dim2 = pmin.degree * e
-    ntype = classify_newton(scaled, dim2 // 2) if dim2 % 2 == 0 else None
-    cm_disc = None
-    if pmin.degree == 2 and c.sqrt_root == "none":
-        cm_disc = squarefree_part(pmin.coeffs[1] ** 2 - 4 * pmin.coeffs[0])
-    return ComponentReport(
-        pmin=pmin,
-        e=e,
-        d=c.d,
-        newton_primary=ntype.primary if ntype else "odd",
-        supersingular=all(s == Fraction(1, 2) for s, _ in segments),
-        cm_disc=cm_disc,
-    )
 
 
 def _require_sufficient(w: WeilPolynomial):
@@ -180,11 +143,21 @@ def _require_dimension(w: WeilPolynomial):
 def _classify_sufficient(
     w: WeilPolynomial, exponent_bound: int, force_oracle: bool
 ) -> ClassificationReport:
-    """The classification body, for a field already known to be sufficient."""
-    decomp = eigenvalue_structure(w)
+    """The classification body, for a field already known to be sufficient.
+
+    A polygon with a non-integral segment is refused first: slopes and
+    lengths do not change under base change, so `classify` and
+    `classify_auto` refuse the same P.
+    """
     polygon = newton_polygon(w)
+    for s, l in polygon.segments:
+        if (s * l).denominator != 1:
+            raise NonIntegralPolygon(
+                f"Newton polygon slope {s} has length {l}, and {s} * {l} is not"
+                f" an integer: no abelian variety of dimension {w.g} has these eigenvalues"
+            )
     ntype = classify_newton(polygon, w.g)
-    comps = tuple(_component_report(c, w) for c in decomp.components)
+    comps = w.components
     witness = None
     cond_i = cond_ii = cond_iii = False
     oracle: OracleRank | None = None
@@ -290,13 +263,7 @@ def classify_auto(
     n = sufficiency_degree(w)
     wn = base_change(w, n) if n > 1 else w
     report = _classify_sufficient(wn, exponent_bound, force_oracle)
-    return ClassificationReport(
-        **{
-            **report.__dict__,
-            "sufficiency_degree": n,
-            "extension_from": (w.q, n),
-        }
-    )
+    return replace(report, sufficiency_degree=n, extension_from=(w.q, n))
 
 
 # -- theorem-level diagnostics ----------------------------------------------
@@ -364,8 +331,7 @@ def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremD
             if not ok:
                 contradictions.append("slope_parity")
     else:
-        comps = [_component_report(c, w) for c in decomp.components]
-        active = [c for c in comps if not c.supersingular]
+        active = [c for c in decomp.components if not c.supersingular]
         if len(active) == 2:
             # component ranks from pair counts (both components neat: g <= 2)
             r_parts = [c.d for c in active]
@@ -393,7 +359,7 @@ def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremD
     )
 
 
-def _imaginary_fields(c: ComponentReport):
+def _imaginary_fields(c: EigenvalueStructure):
     """The m < 0 with Q(sqrt(m)) inside the component's field."""
     if c.cm_disc is not None:
         return [c.cm_disc] if c.cm_disc < 0 else []
@@ -430,7 +396,7 @@ def fourfold_diagnostic(w: WeilPolynomial, exponent_bound: int = 20) -> Fourfold
     has_quad = False
     non_neat_threefold = False
     if rk.rank == 3:
-        has_quad = any(_imaginary_fields(_component_report(c, w)) for c in decomp.components)
+        has_quad = any(_imaginary_fields(c) for c in decomp.components)
         sextics = [c for c in decomp.components if c.pmin.degree == 6 and c.e == 1]
         elliptics = [c for c in decomp.components if c.pmin.degree == 2 and c.e == 1]
         if len(sextics) == 1 and len(elliptics) == 1 and len(decomp.components) == 2:

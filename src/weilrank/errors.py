@@ -60,6 +60,11 @@ class DimensionTooLarge(PreconditionViolation):
     pass
 
 
+class NonIntegralPolygon(PreconditionViolation):
+    """A Newton polygon slope times its length is not an integer, so no
+    abelian variety of dimension g has these eigenvalues (Honda-Tate)."""
+
+
 class PrecisionExhausted(WeilrankError, RuntimeError):
     """Certified numerics hit the precision cap before reaching a verdict."""
 

@@ -230,13 +230,6 @@ class IntPoly:
             raise PreconditionViolation("inexact polynomial division")
         return q
 
-    def mod_monic(self, modulus):
-        """Remainder modulo a monic polynomial; stays in Z[t]."""
-        if not modulus.is_monic:
-            raise PreconditionViolation("modulus must be monic")
-        _, r = self.divmod_exact(modulus)
-        return r
-
 
 def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd over Z with positive leading coefficient.

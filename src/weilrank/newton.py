@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionViolation, WeilrankError
-from .weil import WeilPolynomial
+
+if TYPE_CHECKING:  # weil imports this module for the slopes of its components
+    from .weil import WeilPolynomial
 
 __all__ = [
     "NewtonPolygon",
@@ -115,7 +118,8 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
     of the half-slope length are checked before returning; their failure
     would mean an invalid polynomial slipped through validation.  The
     stronger normalized integrality is a property of polygons of actual
-    abelian varieties and is exposed as `is_integral`, not enforced.
+    abelian varieties and is exposed as `is_integral`; `classify` refuses
+    a polygon without it.
     """
     segments = root_valuation_segments(w.poly, w.p, w.v)
     np_ = NewtonPolygon(segments=segments)

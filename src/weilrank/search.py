@@ -22,6 +22,7 @@ from .classify import classify_auto
 from .errors import (
     BSplitAtP,
     FunctionalEquationFails,
+    NonIntegralPolygon,
     NotPrimePower,
     PreconditionViolation,
     QNotSquare,
@@ -203,8 +204,10 @@ def enumerate_weil(spec: SearchSpec):
             if spec.newton_label not in labels:
                 continue
         if spec.non_neat_only:
-            report = classify_auto(w)
-            if report.neat:
+            try:
+                if classify_auto(w).neat:
+                    continue
+            except NonIntegralPolygon:  # no abelian variety of dimension g
                 continue
         yield w
         emitted += 1
@@ -228,7 +231,7 @@ def _integral_elements_in_disk(m: int, radius_sq: int):
                 yield u, v
 
 
-def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
+def find_non_neat_sextics(p: int, q: int, m: int, limit=None):
     """Search conjugate-cubic products G * conj(G) for non-neat threefolds.
 
     G = t^3 + A t^2 + B t + C with A integral of absolute value at most
@@ -255,13 +258,11 @@ def find_non_neat_sextics(p: int, q: int, m: int, a_bound_sq=None, limit=None):
         raise BSplitAtP(f"p = {p} splits in Q(sqrt({m}))")
     if limit is not None and limit < 0:
         raise PreconditionViolation(f"limit must be non-negative, got {limit}")
-    if a_bound_sq is None:
-        a_bound_sq = 9 * q
     den = 2 if m % 4 == 1 else 1
     count = 0
     for sign in (1, -1):
         c = sign * root_q  # C = c^3 and B = conj(A) c
-        for u, v in _integral_elements_in_disk(m, a_bound_sq):
+        for u, v in _integral_elements_in_disk(m, 9 * q):
             if limit is not None and count >= limit:
                 return
             big_u, big_v = IntPoly([c**3 * den, c * u, u, den]), IntPoly([0, -c * v, v])

@@ -186,11 +186,11 @@ def _candidate_ms(disc: int):
     return sorted((-s for s in subsets), key=abs)
 
 
-def _degree_patterns(f: IntPoly, disc: int, count=20):
-    """(prime, has-odd-degree-factor) pairs at auxiliary primes; disc = disc(f)."""
+def _degree_patterns(f: IntPoly, disc: int):
+    """(prime, has-odd-degree-factor) pairs at 20 auxiliary primes; disc = disc(f)."""
     out = []
     r = 101
-    while len(out) < count and r < 20000:
+    while len(out) < 20 and r < 20000:
         if is_prime(r) and disc % r != 0 and f.leading % r != 0:
             degs = modular_factor_degrees(f, r)
             out.append((r, any(d % 2 for d in degs)))

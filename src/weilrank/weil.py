@@ -11,6 +11,7 @@ The validator is the root of trust for everything downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import comb
 
@@ -21,19 +22,19 @@ from .errors import (
     OddDegree,
     PreconditionViolation,
     RiemannHypothesisFails,
-    WeilrankError,
 )
 from .exactcore import (
     IntPoly,
     cyclotomic_part_orders,
     factor_over_integers,
-    is_perfect_square,
     power_transform,
     prime_power,
     product_transform,
+    squarefree_part,
     sturm_surd_counts,
 )
 from .exactcore.poly import squarefree_part as poly_squarefree_part
+from .newton import NewtonPolygon, classify_newton, root_valuation_segments
 
 __all__ = [
     "WeilPolynomial",
@@ -56,10 +57,10 @@ class WeilPolynomial:
     through `_from_trace` from a trace polynomial proved to be in range, or
     through `base_change` from another one.
 
-    Four derived polynomials are computed once per instance, on first
-    use: the squarefree part of P, the trace polynomial h with
-    P(t) = t^g h(t + q/t), the squarefree part of h, and the factorization
-    of P, which is read off the factorization of h.  `validate` peels h off
+    Derived data is computed once per instance, on first use: the
+    squarefree part of P, the trace polynomial h with P(t) = t^g h(t + q/t),
+    the squarefree part of h, and `components`, one record per irreducible
+    factor of P, read off the factorization of h.  `validate` peels h off
     P, takes its squarefree part from the Sturm chain of the range check and
     seeds both, so the oracle's root isolation and relation proofs never
     rebuild them.  Only the polynomial over the field that is classified
@@ -88,35 +89,43 @@ class WeilPolynomial:
         return poly_squarefree_part(self.trace)
 
     @cached_property
-    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
-        """The irreducible factors of P with multiplicities, as `factor_over_integers`.
+    def components(self) -> tuple[EigenvalueStructure, ...]:
+        """One `EigenvalueStructure` per irreducible factor of P, ordered as
+        `factor_over_integers` orders: by degree, then by coefficients.
 
         P is factored through its trace polynomial h, of half the degree.
         Each factor f of h, with multiplicity m, lifts to t^d f(t + q/t),
         d = deg f.  The roots 2s of h with s^2 = q lift to (t - s)^2, so
-        x - 2s gives (t - s, 2m); for q not a square the factor x^2 - 4q
-        gives (t^2 - q)^2, so (t^2 - q, 2m).  Every other lift is
-        irreducible, with multiplicity m: it is monic of degree 2d and has
-        the root alpha, where r = alpha + q/alpha is a root of f.  The roots
-        of f are real, so Q(r) is totally real, while alpha is not real
-        because r^2 != 4q.  Hence alpha is not in Q(r), it is a root of
-        t^2 - r t + q over Q(r), [Q(alpha):Q] = 2d, and the lift is the
-        minimal polynomial of alpha.  The lifts of distinct factors of h
-        have disjoint roots, so no two of them merge.  Ordered as
-        `factor_over_integers` orders: by degree, then by coefficients.
+        x - 2s gives t - s, multiplicity 2m, with the one real eigenvalue
+        s; for q not a square the factor x^2 - 4q gives (t^2 - q)^2, so
+        t^2 - q, multiplicity 2m, with both.  Every other lift is
+        irreducible, with multiplicity m and d pairs: it is monic of degree
+        2d and has the root alpha, where r = alpha + q/alpha is a root of
+        f.  The roots of f are real, so Q(r) is totally real, while alpha
+        is not real because r^2 != 4q.  Hence alpha is not in Q(r), it is a
+        root of t^2 - r t + q over Q(r), [Q(alpha):Q] = 2d, and the lift is
+        the minimal polynomial of alpha.  The lifts of distinct factors of
+        h have disjoint roots, so no two of them merge.
         """
         q = self.q
         out = []
         for f, m in factor_over_integers(self.trace):
             c = f.coeffs
             if f.degree == 1 and c[0] % 2 == 0 and (c[0] // 2) ** 2 == q:
-                out.append((IntPoly([c[0] // 2, 1]), 2 * m))  # x - 2s -> t - s
+                sign = "minus" if c[0] > 0 else "plus"
+                shape = (IntPoly([c[0] // 2, 1]), 2 * m, 1, 0, sign)  # x - 2s -> t - s
             elif f == IntPoly([-4 * q, 0, 1]):
-                out.append((IntPoly([-q, 0, 1]), 2 * m))
+                shape = (IntPoly([-q, 0, 1]), 2 * m, 2, 0, "both")
             else:
-                out.append((_expand_trace(f, q, f.degree), m))
-        out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+                shape = (_expand_trace(f, q, f.degree), m, 2 * f.degree, f.degree, "none")
+            out.append(EigenvalueStructure(*shape, p=self.p, v=self.v))
+        out.sort(key=lambda c: (c.pmin.degree, c.pmin.coeffs))
         return tuple(out)
+
+    @property
+    def factors(self) -> tuple[tuple[IntPoly, int], ...]:
+        """The irreducible factors of P with multiplicities, as `factor_over_integers`."""
+        return tuple((c.pmin, c.e) for c in self.components)
 
     def __str__(self):
         return f"{self.poly} over F_{self.q}"
@@ -220,12 +229,13 @@ def validate(poly: IntPoly, q: int) -> WeilPolynomial:
 
 @dataclass(frozen=True)
 class EigenvalueStructure:
-    """Eigenvalue data of one irreducible factor.
+    """One irreducible factor of P, made by `WeilPolynomial.components`.
 
     pmin: the irreducible factor; e: its multiplicity in P; r_count: number
     of distinct roots it contributes; d: number of two-element orbits of
     the pairing alpha <-> q/alpha; sqrt_root: which of +-sqrt(q) occur among
-    its roots ('none' / 'plus' / 'minus' / 'both').
+    its roots ('none' / 'plus' / 'minus' / 'both'); q = p^v.  The p-adic
+    data, `slopes` and what follows from them, is computed on first read.
     """
 
     pmin: IntPoly
@@ -233,6 +243,30 @@ class EigenvalueStructure:
     r_count: int
     d: int
     sqrt_root: str
+    p: int
+    v: int
+
+    @cached_property
+    def slopes(self) -> tuple[tuple[Fraction, int], ...]:
+        """(slope, count) pairs of the roots of pmin, normalized by ord(q) = 1."""
+        return root_valuation_segments(self.pmin, self.p, self.v)
+
+    @property
+    def supersingular(self) -> bool:
+        return all(s == Fraction(1, 2) for s, _ in self.slopes)
+
+    @cached_property
+    def newton_primary(self) -> str:
+        """Primary Newton label of pmin^e, of even degree for every component."""
+        scaled = NewtonPolygon(segments=tuple((s, l * self.e) for s, l in self.slopes))
+        return classify_newton(scaled, self.pmin.degree * self.e // 2).primary
+
+    @cached_property
+    def cm_disc(self) -> int | None:
+        """Squarefree discriminant of the CM field of a quadratic pmin, else None."""
+        if self.pmin.degree != 2 or self.sqrt_root != "none":
+            return None
+        return squarefree_part(self.pmin.coeffs[1] ** 2 - 4 * self.pmin.coeffs[0])
 
 
 @dataclass(frozen=True)
@@ -257,36 +291,13 @@ class EigenvalueDecomposition:
         return "both"
 
 
-def _factor_structure(pmin: IntPoly, e: int, w: WeilPolynomial) -> EigenvalueStructure:
-    q = w.q
-    fixed = 0
-    sqrt_root = "none"
-    if pmin.degree == 1:
-        s = -pmin.coeffs[0]
-        if s * s == q:
-            fixed = 1
-            sqrt_root = "plus" if s > 0 else "minus"
-    elif pmin == IntPoly([-q, 0, 1]):
-        # irreducible t^2 - q: both square roots, irrational
-        fixed = 2
-        sqrt_root = "both"
-    r = pmin.degree
-    if (r - fixed) % 2:
-        raise WeilrankError(f"the roots of {pmin} other than +-sqrt(q) do not pair up")
-    return EigenvalueStructure(
-        pmin=pmin, e=e, r_count=r, d=(r - fixed) // 2, sqrt_root=sqrt_root
-    )
-
-
 def eigenvalue_structure(w: WeilPolynomial) -> EigenvalueDecomposition:
-    """Factor P and report the pairing structure of each component.
+    """The components of P, and whether there is just one (`simple`).
 
-    For simple varieties P = pmin^e with pmin irreducible; otherwise every
-    irreducible factor is reported (each factor's root set is itself closed
-    under alpha -> q/alpha, because q/alpha is the complex conjugate).
+    Each factor's root set is closed under alpha -> q/alpha, because
+    q/alpha is the complex conjugate.
     """
-    comps = tuple(_factor_structure(f, m, w) for f, m in w.factors)
-    return EigenvalueDecomposition(components=comps, simple=len(comps) == 1)
+    return EigenvalueDecomposition(components=w.components, simple=len(w.components) == 1)
 
 
 def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
@@ -351,11 +362,4 @@ def has_unresolved_square_roots(w: WeilPolynomial) -> bool:
     Such polynomials validate but cannot be classified until a base change
     removes the -1 ratio (the field is not sufficiently large).
     """
-    if is_perfect_square(w.q):
-        from math import isqrt
-
-        s = isqrt(w.q)
-        return w.poly.evaluate(s) == 0 and w.poly.evaluate(-s) == 0
-    # irrational square roots come paired inside a t^2 - q factor
-    rem = w.poly.mod_monic(IntPoly([-w.q, 0, 1]))
-    return rem.is_zero
+    return eigenvalue_structure(w).sqrt_root == "both"

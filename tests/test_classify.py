@@ -16,11 +16,13 @@ from weilrank.classify import (
 )
 from weilrank.errors import (
     DimensionTooLarge,
+    NonIntegralPolygon,
     NotSufficientlyLarge,
     OracleDisagreement,
     PreconditionViolation,
 )
 from weilrank.exactcore import IntPoly, factor_over_integers, power_transform, prime_power
+from weilrank.newton import newton_polygon
 from weilrank.relfinder import OracleRank
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import (
@@ -164,9 +166,10 @@ class TestSufficientFieldOnce:
         assert calls == [(5, 2)]
 
     def test_each_polynomial_factored_once(self, monkeypatch):
-        factored, squarefree = [], []
+        factored, squarefree, slopes = [], [], []
         real_factor = weilrank.weil.factor_over_integers
         real_sf = weilrank.weil.poly_squarefree_part
+        real_segments = weilrank.weil.root_valuation_segments
 
         def counting_factor(f):
             factored.append(f)
@@ -176,8 +179,17 @@ class TestSufficientFieldOnce:
             squarefree.append(f)
             return real_sf(f)
 
+        def counting_segments(f, p, v):
+            slopes.append(f)
+            return real_segments(f, p, v)
+
         monkeypatch.setattr(weilrank.weil, "factor_over_integers", counting_factor)
         monkeypatch.setattr(weilrank.weil, "poly_squarefree_part", counting_sf)
+        monkeypatch.setattr(weilrank.weil, "root_valuation_segments", counting_segments)
+        # reading the factors alone computes no component slopes
+        assert validate(NON_NEAT, 9).factors == ((NON_NEAT, 1),)
+        assert slopes == []
+        factored.clear()
         w = validate(P(5, 0, 1) * P(5, -1, 1), 5)
         rep = classify_auto(w, force_oracle=True)
         assert rep.oracle is not None
@@ -189,6 +201,39 @@ class TestSufficientFieldOnce:
         # oracle isolates roots on the trace polynomial instead
         assert squarefree.count(w.poly) == 1
         assert squarefree.count(rep.poly) == 0
+        # each component's slopes are computed once, on first read
+        labels = [(c.supersingular, c.newton_primary, c.cm_disc) for c in rep.components]
+        assert labels == [(True, "supersingular", None), (False, "ordinary", -19)]
+        assert slopes == [c.pmin for c in rep.components]
+
+
+NON_INTEGRAL_F4 = P(64, -48, 0, 10, 0, -3, 1)  # polygon {(0,1), (1/4,2), (3/4,2), (1,1)}
+
+
+class TestNonIntegralPolygon:
+    """No abelian variety of dimension g has a polygon with a non-integral segment."""
+
+    def test_example_refused_in_both_entry_points(self):
+        w = validate(NON_INTEGRAL_F4, 4)
+        assert sufficiency_degree(w) == 1
+        for run in (classify, classify_auto):
+            with pytest.raises(NonIntegralPolygon, match="slope 1/4 has length 2"):
+                run(w)
+
+    @pytest.mark.parametrize("g, count", [(2, 10), (3, 240)])
+    def test_every_non_integral_member_of_the_q4_box(self, g, count):
+        refused = 0
+        for w in enumerate_weil(SearchSpec(g=g, q=4)):
+            if newton_polygon(w).is_integral:
+                continue
+            slope = next(s for s, l in newton_polygon(w).segments if (s * l).denominator != 1)
+            with pytest.raises(NonIntegralPolygon, match=f"slope {slope} "):
+                classify_auto(w)
+            if sufficiency_degree(w) == 1:
+                with pytest.raises(NonIntegralPolygon, match=f"slope {slope} "):
+                    classify(w)
+            refused += 1
+        assert refused == count
 
 
 class TestClassifySimple:

@@ -10,7 +10,9 @@ import pytest
 
 import weilrank.classify
 from weilrank.cli import main
+from weilrank.newton import newton_polygon
 from weilrank.relfinder import OracleRank
+from weilrank.search import SearchSpec, enumerate_weil
 
 REPORT_KEYS = {
     "schema", "q", "coeffs", "g", "neat", "rank", "gamma_rank", "newton",
@@ -394,6 +396,38 @@ class TestEnumerateGolden:
             ["9", "3", "1", "1", "1"],
             ["9", "6", "1", "2", "1"],
         ]
+
+
+NON_INTEGRAL_F4 = "64,-48,0,10,0,-3,1"  # over F_4: slope 1/4 of length 2
+
+
+class TestNonIntegralPolygon:
+    def test_classify_exits_two_naming_the_slope(self, capsys):
+        code, out, err = run_err(capsys, "classify", "--q", "4", "--poly", NON_INTEGRAL_F4)
+        assert code == 2 and out == []
+        assert err == (
+            "invalid: NonIntegralPolygon: Newton polygon slope 1/4 has length 2, and"
+            " 1/4 * 2 is not an integer: no abelian variety of dimension 3 has these"
+            " eigenvalues\n"
+        )
+
+    def test_every_non_integral_quartic_over_f4(self, tmp_path, capsys):
+        quartics = [
+            w.poly.coeffs
+            for w in enumerate_weil(SearchSpec(g=2, q=4))
+            if not newton_polygon(w).is_integral
+        ]
+        assert len(quartics) == 10
+        for coeffs in quartics:
+            argv = ["classify", "--auto-extend", "--q", "4", "--poly", ",".join(map(str, coeffs))]
+            code, out, err = run_err(capsys, *argv)
+            assert code == 2 and out == []
+            assert err.startswith("invalid: NonIntegralPolygon: Newton polygon slope ")
+        path = tmp_path / "in.jsonl"
+        path.write_text("".join(json.dumps({"coeffs": c, "q": 4}) + "\n" for c in quartics))
+        code, out, err = run_err(capsys, "classify", "--auto-extend", "--batch", str(path))
+        assert code == 2 and err == ""
+        assert [json.loads(o)["error"] for o in out] == ["NonIntegralPolygon"] * 10
 
 
 class TestEnumerateStream:

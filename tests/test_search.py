@@ -15,6 +15,8 @@ import weilrank.search
 from weilrank.errors import PreconditionViolation, RiemannHypothesisFails
 from weilrank.exactcore import IntPoly, is_irreducible, prime_power
 from weilrank.search import SearchSpec, _floor_surd, enumerate_weil, find_non_neat_sextics
+from weilrank.classify import classify_auto
+from weilrank.newton import newton_polygon
 from weilrank.weil import validate
 
 
@@ -212,6 +214,14 @@ class TestNonNeatSearch:
     def test_p_must_be_the_characteristic(self, p, q, m):
         with pytest.raises(PreconditionViolation, match="not a power of p"):
             next(find_non_neat_sextics(p, q, m))
+
+
+class TestNonNeatFilter:
+    def test_skips_non_integral_polygons(self):
+        # the g = 3, q = 4 box has 240 polygons that classify refuses
+        found = list(enumerate_weil(SearchSpec(g=3, q=4, non_neat_only=True)))
+        assert found and all(newton_polygon(w).is_integral for w in found)
+        assert all(not classify_auto(w).neat for w in found)
 
 
 class TestDimension:

@@ -1,7 +1,11 @@
 """Weil polynomial validation, eigenvalue structure, base change."""
 
+import json
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from weilrank.errors import (
     NotPrimePower,
     OddDegree,
     RiemannHypothesisFails,
+    WeilrankError,
 )
 import weilrank.weil
 from weilrank.exactcore import (
@@ -20,9 +25,12 @@ from weilrank.exactcore import (
     factor_over_integers,
     poly_squarefree_part,
     power_transform,
+    is_perfect_square,
     prime_power,
+    squarefree_part,
     sturm_real_root_count,
 )
+from weilrank.newton import NewtonPolygon, classify_newton, root_valuation_segments
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import (
     _check_in_range,
@@ -378,6 +386,122 @@ class TestEigenvalueStructure:
         w = validate((P(-2, 1) * P(2, 1)) ** 2, 4)
         assert has_unresolved_square_roots(w)
         assert eigenvalue_structure(w).sqrt_root == "both"
+
+
+# -- references: each component's facts worked out apart from the factor loop --
+
+
+@dataclass(frozen=True)
+class _Structure:
+    pmin: IntPoly
+    e: int
+    r_count: int
+    d: int
+    sqrt_root: str
+
+
+def _factor_structure_reference(pmin: IntPoly, e: int, q: int) -> _Structure:
+    """Pairing structure of one factor of P, recognizing +-sqrt(q) from pmin itself."""
+    fixed = 0
+    sqrt_root = "none"
+    if pmin.degree == 1:
+        s = -pmin.coeffs[0]
+        if s * s == q:
+            fixed = 1
+            sqrt_root = "plus" if s > 0 else "minus"
+    elif pmin == IntPoly([-q, 0, 1]):
+        # irreducible t^2 - q: both square roots, irrational
+        fixed = 2
+        sqrt_root = "both"
+    r = pmin.degree
+    if (r - fixed) % 2:
+        raise WeilrankError(f"the roots of {pmin} other than +-sqrt(q) do not pair up")
+    return _Structure(pmin=pmin, e=e, r_count=r, d=(r - fixed) // 2, sqrt_root=sqrt_root)
+
+
+def _component_report_reference(c: _Structure, p: int, v: int):
+    """(newton_primary, supersingular, cm_disc) of one component, from its own hull."""
+    pmin, e = c.pmin, c.e
+    segments = root_valuation_segments(pmin, p, v)
+    scaled = NewtonPolygon(segments=tuple((s, l * e) for s, l in segments))
+    dim2 = pmin.degree * e
+    ntype = classify_newton(scaled, dim2 // 2) if dim2 % 2 == 0 else None
+    cm_disc = None
+    if pmin.degree == 2 and c.sqrt_root == "none":
+        cm_disc = squarefree_part(pmin.coeffs[1] ** 2 - 4 * pmin.coeffs[0])
+    supersingular = all(s == Fraction(1, 2) for s, _ in segments)
+    return ntype.primary if ntype else "odd", supersingular, cm_disc
+
+
+def _has_unresolved_square_roots_reference(w) -> bool:
+    """Both +-sqrt(q) are roots of P, by evaluation or by division by t^2 - q."""
+    if is_perfect_square(w.q):
+        s = isqrt(w.q)
+        return w.poly.evaluate(s) == 0 and w.poly.evaluate(-s) == 0
+    _, rem = w.poly.divmod_exact(IntPoly([-w.q, 0, 1]))
+    return rem.is_zero
+
+
+def _sqrt_root_of_whole_reference(structures) -> str:
+    seen = {c.sqrt_root for c in structures} - {"none"}
+    if not seen:
+        return "none"
+    if seen == {"plus"}:
+        return "plus"
+    if seen == {"minus"}:
+        return "minus"
+    return "both"
+
+
+COMPONENT_BOXES = [(g, q) for g in (1, 2) for q in range(2, 10) if prime_power(q)] + [
+    (3, q) for q in (2, 3, 4)
+]
+PERFBENCH_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _bench_inputs():
+    for name in ("census", "certify"):
+        data = json.loads((PERFBENCH_INPUTS / f"{name}.json").read_text())
+        for entry in data["fixed"] + data["pool"]:
+            yield validate(IntPoly(entry["coeffs"]), entry["q"])
+
+
+def _assert_components_match_references(w):
+    refs = [_factor_structure_reference(f, e, w.q) for f, e in factor_over_integers(w.poly)]
+    comps = w.components
+    assert [(c.pmin, c.e, c.r_count, c.d, c.sqrt_root) for c in comps] == [
+        (r.pmin, r.e, r.r_count, r.d, r.sqrt_root) for r in refs
+    ]
+    for c, r in zip(comps, refs):
+        assert (c.p, c.v) == (w.p, w.v)
+        assert (c.newton_primary, c.supersingular, c.cm_disc) == _component_report_reference(
+            r, w.p, w.v
+        )
+    es = eigenvalue_structure(w)
+    assert es.components == comps and es.simple == (len(refs) == 1)
+    assert es.sqrt_root == _sqrt_root_of_whole_reference(refs)
+    assert has_unresolved_square_roots(w) == _has_unresolved_square_roots_reference(w)
+
+
+class TestComponentsMatchReferences:
+    """The factor loop's one record per component agrees with each fact worked out apart."""
+
+    @pytest.mark.parametrize("g, q", COMPONENT_BOXES)
+    def test_box(self, g, q):
+        for w in _box(g, q):
+            _assert_components_match_references(w)
+
+    def test_census_and_certify_inputs(self):
+        count = 0
+        for w in _bench_inputs():
+            _assert_components_match_references(w)
+            count += 1
+        assert count == 279 + 289
+
+    def test_references_see_every_square_root_shape(self):
+        # plus, minus and both occur in the boxes, so the comparisons above are not vacuous
+        seen = {c.sqrt_root for g, q in COMPONENT_BOXES for w in _box(g, q) for c in w.components}
+        assert seen == {"none", "plus", "minus", "both"}
 
 
 class TestBaseChange:
