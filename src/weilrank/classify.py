@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exactcore import IntPoly
 from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
-from .relfinder import OracleRank, oracle_rank
+from .relfinder import DEFAULT_EXPONENT_BOUND, OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
     _trager_split,
@@ -117,7 +117,7 @@ def _require_sufficient(w: WeilPolynomial):
 
 def classify(
     w: WeilPolynomial,
-    exponent_bound: int = 20,
+    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
     force_oracle: bool = False,
 ) -> ClassificationReport:
     """Neatness, rank, and condition flags over a sufficiently large field.
@@ -249,7 +249,7 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
 
 def classify_auto(
     w: WeilPolynomial,
-    exponent_bound: int = 20,
+    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
     force_oracle: bool = False,
 ) -> ClassificationReport:
     """Extend to a sufficiently large field first, then classify.
@@ -279,7 +279,9 @@ class TheoremDiagnostics:
     contradictions: tuple[str, ...]
 
 
-def theorem_diagnostics(w: WeilPolynomial, exponent_bound: int = 20) -> TheoremDiagnostics:
+def theorem_diagnostics(
+    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
+) -> TheoremDiagnostics:
     """Evaluate the non-split-subfield, slope-parity, and collapse criteria.
 
     (a) simple with an imaginary quadratic subfield in which p does not
@@ -378,7 +380,9 @@ class FourfoldDiagnostic:
     non_neat_threefold_component: bool
 
 
-def fourfold_diagnostic(w: WeilPolynomial, exponent_bound: int = 20) -> FourfoldDiagnostic:
+def fourfold_diagnostic(
+    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
+) -> FourfoldDiagnostic:
     """Informational report for g = 4: decomposition, polygon, oracle rank.
 
     When the rank is 3, reports whether some component's CM field contains

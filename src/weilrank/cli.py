@@ -23,8 +23,8 @@ from .classify import (
 )
 from .errors import OracleDisagreement, WeilrankError
 from .exactcore import IntPoly
-from .newton import classify_newton, newton_polygon
-from .relfinder import oracle_rank
+from .newton import NEWTON_LABELS, classify_newton, newton_polygon
+from .relfinder import DEFAULT_EXPONENT_BOUND, oracle_rank
 from .search import (
     SearchSpec,
     construct_totally_real_cubic,
@@ -218,35 +218,32 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _fourfold_json(w, diag) -> dict:
+    return {
+        "schema": SCHEMA,
+        "q": str(w.q),
+        "coeffs": _poly_json(w.poly),
+        "decomposition": [[_poly_json(f), e] for f, e in diag.decomposition],
+        "newton": diag.newton_primary,
+        "oracle_rank": diag.oracle.rank,
+        "confidence": diag.oracle.confidence,
+        "rank_is_three": diag.rank_is_three,
+        "quadratic_subfield_in_component": diag.quadratic_subfield_in_component,
+        "non_neat_threefold_component": diag.non_neat_threefold_component,
+    }
+
+
 def _cmd_classify(args) -> int:
     def record(poly, q):
-        run = classify_auto if args.auto_extend else classify
         w = validate(poly, q)
+        if args.fourfold_diagnostic:
+            return _fourfold_json(w, fourfold_diagnostic(w, exponent_bound=args.bound))
+        run = classify_auto if args.auto_extend else classify
         return _report_json(run(w, exponent_bound=args.bound, force_oracle=args.oracle_check))
 
     if args.batch:
         return _run_batch(args.batch, record)
-    poly = _parse_poly(args.poly)
-    if args.fourfold_diagnostic:
-        diag = fourfold_diagnostic(validate(poly, args.q), exponent_bound=args.bound)
-        print(
-            json.dumps(
-                {
-                    "schema": SCHEMA,
-                    "q": str(args.q),
-                    "coeffs": _poly_json(poly),
-                    "decomposition": [[_poly_json(f), e] for f, e in diag.decomposition],
-                    "newton": diag.newton_primary,
-                    "oracle_rank": diag.oracle.rank,
-                    "confidence": diag.oracle.confidence,
-                    "rank_is_three": diag.rank_is_three,
-                    "quadratic_subfield_in_component": diag.quadratic_subfield_in_component,
-                    "non_neat_threefold_component": diag.non_neat_threefold_component,
-                }
-            )
-        )
-        return EXIT_OK
-    print(json.dumps(record(poly, args.q)))
+    print(json.dumps(record(_parse_poly(args.poly), args.q)))
     return EXIT_OK
 
 
@@ -414,10 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--poly", type=str)
     p_cl.add_argument("--auto-extend", action="store_true", dest="auto_extend")
     p_cl.add_argument("--oracle-check", action="store_true", dest="oracle_check")
-    p_cl.add_argument("--bound", type=positive_int, default=20, help="oracle exponent bound")
-    p_cl.add_argument(
-        "--fourfold-diagnostic", action="store_true", dest="fourfold_diagnostic"
-    )
+    p_cl.add_argument("--bound", type=positive_int, default=DEFAULT_EXPONENT_BOUND,
+                      help="oracle exponent bound")
+    p_cl.add_argument("--fourfold-diagnostic", action="store_true")
     p_cl.add_argument("--batch", type=str)
     p_cl.set_defaults(func=_cmd_classify)
 
@@ -425,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_en.add_argument("--g", type=int, required=True)
     p_en.add_argument("--q", type=int, required=True)
     p_en.add_argument("--irreducible", action="store_true")
-    p_en.add_argument("--newton", type=str, default=None)
+    p_en.add_argument("--newton", choices=NEWTON_LABELS, default=None)
     p_en.add_argument("--non-neat", action="store_true", dest="non_neat")
     p_en.add_argument("--limit", type=nonnegative_int, default=None)
     p_en.add_argument(
@@ -458,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="certified relation-lattice rank")
     p_or.add_argument("--q", type=int, required=True)
     p_or.add_argument("--poly", type=str, required=True)
-    p_or.add_argument("--bound", type=positive_int, default=20)
+    p_or.add_argument("--bound", type=positive_int, default=DEFAULT_EXPONENT_BOUND)
     p_or.set_defaults(func=_cmd_oracle)
 
     return parser

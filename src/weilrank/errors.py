@@ -69,10 +69,6 @@ class PrecisionExhausted(WeilrankError, RuntimeError):
     """Certified numerics hit the precision cap before reaching a verdict."""
 
 
-class DegreeOverflow(WeilrankError, RuntimeError):
-    """A relation's implied transform degree exceeds the configured cap."""
-
-
 class QNotSquare(PreconditionViolation):
     pass
 

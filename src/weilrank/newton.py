@@ -22,6 +22,7 @@ __all__ = [
     "newton_polygon",
     "root_valuation_segments",
     "classify_newton",
+    "NEWTON_LABELS",
     "slope_divisibility_check",
 ]
 
@@ -144,11 +145,11 @@ class NewtonType:
         return self.primary
 
 
-_PRECEDENCE = ["ordinary", "supersingular", "almost_ordinary", "k3_type"]
+NEWTON_LABELS = ("ordinary", "supersingular", "almost_ordinary", "k3_type", "other")
 
 
 def classify_newton(np_: NewtonPolygon, g: int) -> NewtonType:
-    """Slope-pattern labels with a designated primary label.
+    """Slope-pattern labels; the primary one is the first of NEWTON_LABELS that applies.
 
     ordinary: slopes {0, 1}; supersingular: {1/2}; almost_ordinary:
     {0, 1/2, 1} with length(1/2) = 2; k3_type: slopes within {0, 1/2, 1}
@@ -168,7 +169,7 @@ def classify_newton(np_: NewtonPolygon, g: int) -> NewtonType:
         labels.add("k3_type")
     if not labels:
         labels.add("other")
-    primary = next(l for l in _PRECEDENCE + ["other"] if l in labels)
+    primary = next(l for l in NEWTON_LABELS if l in labels)
     return NewtonType(labels=frozenset(labels), primary=primary)
 
 

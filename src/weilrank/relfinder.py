@@ -5,12 +5,12 @@ trace r = alpha + q/alpha, a root of the degree-g trace polynomial h:
 alpha = (r + i sqrt(4q - r^2)) / 2.  The real eigenvalues +-sqrt(q) stand
 for the roots +-2 sqrt(q) of h, which are divided out.  Sturm bisection
 and bracketed Newton steps on integers x / 2^k put the other roots of h in
-sign-change intervals, and each gives a disk for alpha; conj(alpha) =
-q/alpha is its mirror image (`certified_roots`).
+sign-change intervals, and `_disks` makes each a disk for alpha, for the
+isolation (`certified_roots`) and for every proof; conj(alpha) = q/alpha is its mirror image.
 
 Relations.  Candidates prod beta_i^(e_i) = 1 among the beta_i = q^(-1) alpha_i^2 are rows
-of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) built from their arguments,
-the only doubles here (`relation_lattice`); `verify_relation` settles each exactly.
+of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from their
+arguments, the only doubles here (`relation_lattice`); `verify_relation` settles each exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
+from .errors import PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, surd_signs
 from .exactcore.poly import _refine, _round_div, real_root_brackets
 from .newton import newton_polygon
@@ -39,7 +39,6 @@ __all__ = [
 
 DEFAULT_EXPONENT_BOUND = 20
 DEFAULT_PRECISION_CAP = 1 << 16
-DEFAULT_DEGREE_CAP = 6**6 * 4
 _BASE_PRECISION = 128
 _ROOT_BITS = 64  # first goal of certified_roots, and the largest radius it accepts, 2^-64
 _ROOT_BITS_CAP = 1 << 13
@@ -48,7 +47,7 @@ _GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than
 # center moves arg(alpha) by < 2^-64 (radius <= 2^-64, |alpha| >= sqrt 2), doubles
 # by <= 2^-53; dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
 _ANGLE_ERROR_BITS = 46
-_LATTICE_SCALES = (28, 44)  # N = 2^28, then 2^44: the largest N with N eps <= 1/4
+_LATTICE_BITS = 44  # N = 2^44, the largest N with N eps <= 1/4
 
 
 # -- the real line: traces of eigenvalue pairs -------------------------------
@@ -141,9 +140,8 @@ class CertifiedRoot:
 def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    `real_root_brackets` isolates the roots of the trace polynomial h, and
-    `_refine` narrows each bracket to an interval of width 2^(1 - bits - 32)
-    that h changes sign across: the disk of the upper eigenvalue of a pair.
+    `real_root_brackets` isolates the roots of the trace polynomial h, and `_disks`
+    refines each bracket to 2^-(bits + 32): the disk of the upper eigenvalue of a pair.
     bits doubles from 64 up to 8192 until every radius is at most 2^-64, no
     upper disk reaches the real axis, and the real projections of the disks
     are pairwise disjoint.  `validate` proved that h has deg h real simple
@@ -163,10 +161,7 @@ def certified_roots(w: WeilPolynomial):
 def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
     if len(brackets) != h.degree:
         raise PrecisionExhausted("brackets do not cover the roots")
-    dh = h.derivative()
-    goal = max([bits + _GUARD_BITS] + [k + 1 for *_, k in brackets])  # one scale for all
-    k = goal + 2  # _pair_disk works 2 bits finer
-    upper = sorted(_pair_disk(q, *_refine(h, dh, *b, goal)) for b in brackets)
+    k, upper = _disks(q, h, brackets, bits)
     cells = [_real_disk(q, -1, k)] * (-1 in signs) + upper + [_real_disk(q, 1, k)] * (1 in signs)
     if any(m > 1 << (k - _ROOT_BITS) for _, _, m in cells):
         raise PrecisionExhausted("isolating disk wider than 2^-64")
@@ -180,6 +175,24 @@ def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
         members = [(-b, i + 1), (b, i)] if b else [(0, i)]  # a pair, lower member first
         roots += [CertifiedRoot(i + j, a, y, k, m, c) for j, (y, c) in enumerate(members)]
     return tuple(roots)
+
+
+def _disks(q: int, h: IntPoly, brackets, bits: int):
+    """(k, cells): the disks (a, b, m) at 2^-k of the upper eigenvalues, one per bracket, ascending.
+
+    A bracket (lo, hi, kb) holds one root of h, which changes sign across (lo, hi) / 2^kb.
+    `_refine` narrows each to one scale, bits + 32 or finer; an interval that reaches past
+    its bracket (it may end on a bracket end) might hold another root, and is refused.
+    """
+    dh = h.derivative()
+    goal = max([bits + _GUARD_BITS] + [kb + 1 for *_, kb in brackets])
+    cells = []
+    for lo, hi, kb in brackets:
+        x, k = _refine(h, dh, lo, hi, kb, goal)
+        if x - 1 < lo << (k - kb) or x + 1 > hi << (k - kb):
+            raise PrecisionExhausted("refined interval left its bracket")
+        cells.append(_pair_disk(q, x, k))
+    return goal + 2, sorted(cells)
 
 
 # -- exact relation verification --------------------------------------------
@@ -243,40 +256,6 @@ def _degree_bound(w: WeilPolynomial) -> int:
     )
 
 
-def _relation_balls(q: int, h: IntPoly, roots, e, bits: int) -> dict:
-    """Integer balls (a, b, m) at 2^-bits around the roots whose exponent is nonzero.
-
-    A real root's ball is exact or an isqrt bracket.  For a pair, the trace
-    r is refined from 2 re of the upper disk.  The doubled real projection
-    of that disk holds exactly one root of the trace polynomial, and none
-    at its ends, so it is a bracket for `_refine`.  A refined sign-change
-    interval inside it holds the same root, and the upper disk it gives,
-    rescaled to 2^-bits, is the ball; the lower member is its mirror image.
-    """
-    dh = h.derivative()
-    balls = {}
-    for i in (i for i, x in enumerate(e) if x):
-        r = roots[i]
-        if r.b == 0:
-            balls[i] = _real_disk(q, 1 if r.a > 0 else -1, bits)
-            continue
-        j = max(i, r.conjugate_index)  # the upper member
-        if j not in balls:
-            u = roots[j]
-            # 2 re = a / 2^(k-1), with doubled real projection [a -+ m] / 2^(k-1)
-            x, k = _refine(h, dh, u.a - u.m, u.a + u.m, u.k - 1, bits + _GUARD_BITS)
-            up = k - u.k + 1
-            if x - 1 < (u.a - u.m) << up or x + 1 > (u.a + u.m) << up:
-                raise PrecisionExhausted("refined interval left its isolating disk")
-            a, b, m = _pair_disk(q, x, k)
-            d = 1 << (k + 2 - bits)
-            # each rounded coordinate moves by at most 1/2, the center by less than 1
-            balls[j] = (_round_div(a, d), _round_div(b, d), -(-m // d) + 1)
-        a, b, m = balls[j]
-        balls[i] = (a, b, m) if i == j else (a, -b, m)
-    return balls
-
-
 def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationCertificate:
     """Exactly decide whether prod alpha_i^(e_i) = q^(m_power).
 
@@ -284,17 +263,16 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     negative power of q are moved across the equality so both sides are
     algebraic integers; the difference, if nonzero, has norm at least one,
     which yields the separation bound from |conjugate| = sqrt(q) <=
-    ceil(sqrt(q)).  The ball arithmetic doubles its precision up to
-    DEFAULT_PRECISION_CAP bits, and a relation whose transform degree
-    deg^(nonzero exponents) exceeds DEFAULT_DEGREE_CAP raises DegreeOverflow.
+    ceil(sqrt(q)) and `_degree_bound`.  Ball arithmetic on the disks of the
+    roots with a nonzero exponent, refined by `_disks`, doubles its
+    precision up to DEFAULT_PRECISION_CAP bits.
     """
     if roots is None:
         roots = certified_roots(w)
     e = tuple(int(x) for x in e)
     if len(e) != len(roots):
         raise PreconditionViolation("exponent vector length mismatch")
-    nonzero = sum(1 for x in e if x)
-    if nonzero == 0:
+    if not any(e):
         return RelationCertificate(
             holds=(m_power == 0),
             exponents=e,
@@ -302,10 +280,6 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
             separation_log2=0,
             conjugate_degree_bound=1,
             precision_bits=0,
-        )
-    if len(roots) ** nonzero > DEFAULT_DEGREE_CAP:
-        raise DegreeOverflow(
-            f"implied transform degree {len(roots)}**{nonzero} exceeds cap {DEFAULT_DEGREE_CAP}"
         )
     q = w.q
     pos = sum(x for x in e if x > 0)
@@ -318,8 +292,17 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     degree_bound = _degree_bound(w)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
+    pairs = [r for r in roots if r.b > 0 and (e[r.index] or e[r.conjugate_index])]
     while bits <= DEFAULT_PRECISION_CAP:
-        balls = _relation_balls(q, h, roots, e, bits)
+        # 2 re = a / 2^(k-1): the doubled real projection [a -+ m] / 2^(k-1) of an upper
+        # disk holds one root of the trace polynomial, and none at its ends, so it is a bracket
+        k, cells = _disks(q, h, [(r.a - r.m, r.a + r.m, r.k - 1) for r in pairs], bits)
+        balls = {r.index: _real_disk(q, 1 if r.a > 0 else -1, bits) for r in roots if not r.b}
+        d = 1 << (k - bits)
+        for r, (a, b, m) in zip(pairs, cells):
+            # each rounded coordinate moves by at most 1/2, the center by less than 1
+            a, b, m = _round_div(a, d), _round_div(b, d), -(-m // d) + 1
+            balls[r.index], balls[r.conjugate_index] = (a, b, m), (a, -b, m)
         side_a = (q**qa << bits, 0, 0)
         side_b = (q**qb << bits, 0, 0)
         for i, exp in enumerate(e):
@@ -520,17 +503,16 @@ def relation_lattice(
     """Certified relation lattice among the beta = q^(-1) alpha^2.
 
     `_turns` gives tau_i = arg(beta_i) / 2pi within eps = 2^-46, mod 1.
-    With N = 2^28 and t_i = round(N tau_i), the rows (u_i, t_i), u_i the
-    unit vectors, and (0, ..., 0, N) span a lattice.  A relation e has
-    e . tau = -m, m an integer, so (e, e . t + m N) is in it with last entry
+    With N = 2^44, the largest N with N eps <= 1/4, and t_i = round(N tau_i), the
+    rows (u_i, t_i), u_i the unit vectors, and (0, ..., 0, N) span a lattice.  A relation
+    e has e . tau = -m, m an integer, so (e, e . t + m N) is in it with last entry
     at most sum |e_i| (1/2 + N eps), and length at most
     R = sqrt(d H^2 + (d H (1/2 + N eps))^2) if every |e_i| <= H = exponent_bound.
     Let j be the last LLL-reduced row whose Gram-Schmidt vector is at most R
     long: a vector with a nonzero coordinate on a row i > j is longer, so
     every relation with sup-norm <= H is an integer combination of rows
     1..j, and the box is complete once `verify_relation` proves them.  A row
-    that fails, or that no relation can be (`_short_rows`), sends the search
-    to N = 2^44, the largest N with N eps <= 1/4; a failure there is a
+    that fails, or that no relation can be (`_short_rows`), is a
     near-relation the angles cannot resolve, and then each of the at most
     1024 vectors of sup-norm <= H in the span of rows 1..j is proved or
     refuted.  The proven relations are saturated (a root of unity in the
@@ -557,11 +539,9 @@ def relation_lattice(
             tried[e] = verify(e)
         return e in tried and tried[e].holds
 
-    for k in _LATTICE_SCALES:
-        rows = _short_rows(turns, exponent_bound, k)
-        if all(proven(e, viable) for e, viable in rows):
-            break
-    else:  # a near-relation closer than the angles resolve: prove each box vector of the span
+    rows = _short_rows(turns, exponent_bound, _LATTICE_BITS)
+    if not all(proven(e, viable) for e, viable in rows):
+        # a near-relation closer than the angles resolve: prove each box vector of the span
         points = _box_points(_echelon([list(e) for e, _ in rows], d)[0], exponent_bound)
         if len(points) > 1024:
             raise PrecisionExhausted(f"{len(points)} box vectors to prove for {w.poly}")

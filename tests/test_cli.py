@@ -292,6 +292,7 @@ class TestExitCodes:
             (ENUMERATE_G1_Q3 + ["--limit", "-1"], "nonnegative_int value: '-1'"),
             (ENUMERATE_G1_Q3 + ["--limit", "x"], "nonnegative_int value: 'x'"),
             (SEARCH_F9 + ["--m", "-1", "--limit", "-1"], "nonnegative_int value: '-1'"),
+            (ENUMERATE_G1_Q3 + ["--newton", "ordinay"], "choice: 'ordinay'"),
         ],
     )
     def test_bad_option_values(self, capsys, argv, value):
@@ -356,6 +357,20 @@ class TestBatch:
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         code, out = run(capsys, "classify", "--batch", str(tmp_path / "missing.jsonl"))
         assert code == 1 and out == []
+
+    def test_fourfold_diagnostic(self, tmp_path, capsys):
+        # each line gets the record of the single-input run: (t^2 - t + 5)^2 (t^2 - 2t + 5)^2
+        # over F_5, and a fourfold over F_2 that needs an extension of degree 4
+        fourfold = "625,-750,825,-510,284,-102,33,-6,1"
+        argv = ["classify", "--fourfold-diagnostic"]
+        code, single = run(capsys, *argv, "--q", "5", "--poly", fourfold)
+        assert code == 0 and json.loads(single[0])["oracle_rank"] == 2
+        path = tmp_path / "in.jsonl"
+        lines = [f'{{"coeffs": [{fourfold}], "q": 5}}', '{"coeffs": [16,0,0,0,1,0,0,0,1], "q": 2}']
+        path.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, *argv, "--batch", str(path))
+        assert code == 2 and out[0] == single[0]
+        assert json.loads(out[1])["error"] == "NotSufficientlyLarge"
 
 
 class TestEnumerateGolden:

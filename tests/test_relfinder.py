@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import weilrank.relfinder
 import weilrank.weil
-from weilrank.errors import DegreeOverflow, PrecisionExhausted, PreconditionViolation
+from weilrank.errors import PrecisionExhausted, PreconditionViolation
 from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
 from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
-    _LATTICE_SCALES,
+    _LATTICE_BITS,
     RelationCertificate,
     _echelon,
     _lll,
@@ -377,12 +377,35 @@ class TestVerifyRelation:
         b = verify_relation(w, (1, 1), 1)
         assert a == b
 
-    def test_degree_cap(self):
-        # squarefree degree 8 and six nonzero exponents: 8^6 > DEFAULT_DEGREE_CAP = 6^6 * 4
+    def test_six_exponents_over_eight_roots(self):
+        # squarefree degree 8 and six nonzero exponents: the separation bound from the
+        # splitting field decides it within the precision cap
         w = validate(_sextic_from_trace([5, 0, -5, 0, 1], 2), 2)
         assert w.squarefree.degree == 8
-        with pytest.raises(DegreeOverflow):
-            verify_relation(w, (1, 1, 1, 1, 1, 1, 0, 0), 3)
+        cert = verify_relation(w, (1, 1, 1, 1, 1, 1, 0, 0), 3)
+        assert (cert.holds, cert.precision_bits) == (True, 2747)
+
+    def test_large_q_with_one_pair_left_out(self):
+        # (t^4 - (2q - 1) t^2 + q^2)(t^2 - 3t + q) over F_(2^71): only the disks of the
+        # quartic's pairs are refined; certificates of the per-root ball routine this one replaced
+        q = 2**71
+        w = validate(P(q * q, 0, 1 - 2 * q, 0, 1) * P(q, -3, 1), q)
+        assert verify_relation(w, (2, 0, 0, 0, 2, 0), 2) == RelationCertificate(
+            holds=True,
+            exponents=(2, 0, 0, 0, 2, 0),
+            power_of_q=2,
+            separation_log2=-2162,
+            conjugate_degree_bound=16,
+            precision_bits=4452,
+        )
+        assert verify_relation(w, (0, 1, 0, 0, -1, 0), 0) == RelationCertificate(
+            holds=False,
+            exponents=(0, 1, 0, 0, -1, 0),
+            power_of_q=0,
+            separation_log2=-557,
+            conjugate_degree_bound=16,
+            precision_bits=621,
+        )
 
 
 class TestLatticeAlgebra:
@@ -540,7 +563,7 @@ class TestCandidateScan:
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
         turns = [_turns(r) for r in roots if r.conjugate_index > r.index]
-        for k in _LATTICE_SCALES:
+        for k in (28, _LATTICE_BITS):
             assert _short_rows(turns, 20, k) == [((1, 1, -1), True)]
         assert _per_lead_scan(_thetas(roots), 20)[0] == (1, 1, -1)
 
@@ -645,7 +668,7 @@ class TestRelationLattice:
 
     def test_near_torsion_beyond_the_angles(self, monkeypatch):
         # t^2 - t + q with q = 2^101: beta is within 2^-50 of -1, closer than the
-        # angles resolve, so the row (2) is refuted at both scales; its multiples
+        # angles resolve, so the row (2) is refuted at N = 2^44; its multiples
         # in the box, (2), (4), ..., (20), are proved or refuted one by one
         real = weilrank.relfinder.verify_relation
         calls = []
