@@ -65,7 +65,8 @@ __all__ = [
 
 def sufficiency_degree(w: WeilPolynomial) -> int:
     """Least extension degree after which no ratio of distinct eigenvalues
-    is a root of unity: the lcm of `ratio_torsion_orders(w)`, or 1.
+    is a root of unity: the lcm of `ratio_torsion_orders(w)`, or 1.  Those
+    orders are read off the symmetric square of P, of degree g(2g + 1).
 
     Two facts make this one test enough.
       * Torsion among the beta = q^(-1) alpha^2 is already ratio torsion.

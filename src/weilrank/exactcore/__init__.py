@@ -30,6 +30,7 @@ from .transforms import (
     power_transform,
     product_transform,
     ratio_transform,
+    symmetric_square,
 )
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "fractions_to_intpoly",
     "power_transform",
     "product_transform",
+    "symmetric_square",
     "ratio_transform",
     "cyclotomic_polynomial",
     "cyclotomic_order",

@@ -5,7 +5,8 @@ first small odd prime that keeps f squarefree (distinct-degree, then
 equal-degree splitting), linear multifactor Hensel lifting to a
 Mignotte-style coefficient bound, and brute-force subset recombination.
 Degrees stay far below one hundred here, so exponential recombination with
-the subset size capped at half the degree is acceptable.
+the subset size capped at half the degree is acceptable.  A monic quadratic
+skips the pipeline: its discriminant decides it.
 
 The output ordering is deterministic (degree, then coefficient tuple), so
 factorizations are byte-stable across runs.
@@ -302,6 +303,8 @@ def factor_over_integers(f: IntPoly):
     """
     if f.is_zero:
         raise PreconditionViolation("zero polynomial")
+    if f.degree == 2 and f.is_monic:
+        return _factor_monic_quadratic(f)
     out = []
     for part, mult in squarefree_decomposition(f):
         for g in _factor_squarefree(part):
@@ -314,6 +317,18 @@ def factor_over_integers(f: IntPoly):
         else:
             merged.append((g, m))
     return merged
+
+
+def _factor_monic_quadratic(f: IntPoly):
+    """x^2 + b x + c is irreducible unless D = b^2 - 4c is a square s^2; then
+    its roots (-b -+ s) / 2 are integers, as b = s mod 2."""
+    c, b, _ = f.coeffs
+    s = isqrt(max(b * b - 4 * c, 0))
+    if s * s != b * b - 4 * c:
+        return [(f, 1)]
+    if s == 0:
+        return [(IntPoly([b // 2, 1]), 2)]
+    return [(IntPoly([(b - s) // 2, 1]), 1), (IntPoly([(b + s) // 2, 1]), 1)]
 
 
 def is_irreducible(f: IntPoly) -> bool:

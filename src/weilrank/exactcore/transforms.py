@@ -1,14 +1,15 @@
 """Exact root transforms and cyclotomic detection.
 
 Each transform produces the integer polynomial whose roots are images of
-the input roots (n-th powers, pairwise products, pairwise ratios), with
-multiplicity.  The power sums p_k of a monic integer polynomial are
-integers given by Newton's identities, and the image roots have power sums
-that are simple in those: p_(kn) for n-th powers, p_k(f) p_k(g) for
-products.  Newton's identities run backwards then rebuild the monic target
-polynomial, all in Z.  Ratios reduce to products: alpha / beta is
-alpha * (c / beta) / c for c = g(0), and c / beta runs over the roots of a
-monic integer polynomial.
+the input roots (n-th powers, pairwise products, pairwise ratios, and the
+symmetric square: products alpha_i alpha_j for i <= j), with multiplicity.
+The power sums p_k of a monic integer polynomial are integers given by
+Newton's identities, and the image roots have power sums that are simple
+in those: p_(kn) for n-th powers, p_k(f) p_k(g) for products,
+(p_k^2 + p_(2k)) / 2 for the symmetric square.  Newton's identities run
+backwards then rebuild the monic target polynomial, all in Z.  Ratios
+reduce to products: alpha / beta is alpha * (c / beta) / c for c = g(0),
+and c / beta runs over the roots of a monic integer polynomial.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .poly import IntPoly
 __all__ = [
     "power_transform",
     "product_transform",
+    "symmetric_square",
     "ratio_transform",
     "cyclotomic_polynomial",
     "cyclotomic_order",
@@ -83,6 +85,16 @@ def product_transform(f: IntPoly, g: IntPoly) -> IntPoly:
     deg = f.degree * g.degree
     sums = zip(_power_sums(f, deg), _power_sums(g, deg))
     return _from_power_sums([a * b for a, b in sums])
+
+
+def symmetric_square(f: IntPoly) -> IntPoly:
+    """Monic polynomial with root multiset {alpha_i alpha_j : i <= j}, of
+    degree n(n + 1)/2 for n = deg f; its power sums are (p_k^2 + p_(2k)) / 2."""
+    if not f.is_monic:
+        raise PreconditionViolation("symmetric square needs a monic polynomial")
+    deg = f.degree * (f.degree + 1) // 2
+    p = _power_sums(f, 2 * deg)
+    return _from_power_sums([(p[k] * p[k] + p[2 * k + 1]) // 2 for k in range(deg)])
 
 
 def ratio_transform(f: IntPoly, g: IntPoly) -> IntPoly:

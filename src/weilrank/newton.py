@@ -86,28 +86,24 @@ def _ord_p(n: int, p: int) -> int:
 def root_valuation_segments(poly, p: int, v: int) -> tuple:
     """(valuation, count) pairs for the roots of any integer polynomial.
 
-    Lower convex hull of (i, ord_p(a_i)/v); hull slopes negated are the
-    root valuations.  Used directly for per-factor slope data.
+    Lower convex hull of (i, ord_p(a_i)), built on integers; the slopes of
+    its edges, negated and divided by v, are the root valuations.  Used
+    directly for per-factor slope data.
     """
-    pts = []
-    for i, c in enumerate(poly.coeffs):
-        if c != 0:
-            pts.append((i, Fraction(_ord_p(c, p), v)))
+    pts = [(i, _ord_p(c, p)) for i, c in enumerate(poly.coeffs) if c != 0]
     # lower convex hull, left to right (Andrew monotone chain, lower part)
-    hull: list[tuple[int, Fraction]] = []
-    for pt in pts:
+    hull: list[tuple[int, int]] = []
+    for x, y in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+            if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append(pt)
-    counts: dict[Fraction, int] = {}
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slope = -Fraction(y2 - y1, x2 - x1)
-        counts[slope] = counts.get(slope, 0) + (x2 - x1)
-    return tuple(sorted(counts.items()))
+        hull.append((x, y))
+    # edge slopes strictly increase, so reversed edges give increasing valuations
+    edges = reversed(list(zip(hull, hull[1:])))
+    return tuple((Fraction(y1 - y2, v * (x2 - x1)), x2 - x1) for (x1, y1), (x2, y2) in edges)
 
 
 def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:

@@ -29,9 +29,9 @@ from .exactcore import (
     factor_over_integers,
     power_transform,
     prime_power,
-    product_transform,
     squarefree_part,
     sturm_surd_counts,
+    symmetric_square,
 )
 from .exactcore.poly import squarefree_part as poly_squarefree_part
 from .newton import NewtonPolygon, classify_newton, root_valuation_segments
@@ -57,14 +57,14 @@ class WeilPolynomial:
     through `_from_trace` from a trace polynomial proved to be in range, or
     through `base_change` from another one.
 
-    Derived data is computed once per instance, on first use: the
-    squarefree part of P, the trace polynomial h with P(t) = t^g h(t + q/t),
-    the squarefree part of h, and `components`, one record per irreducible
-    factor of P, read off the factorization of h.  `validate` peels h off
-    P, takes its squarefree part from the Sturm chain of the range check and
-    seeds both, so the oracle's root isolation and relation proofs never
-    rebuild them.  Only the polynomial over the field that is classified
-    gets factored: a base change works on P itself, not on its factors.
+    Derived data is computed once per instance, on first use: the trace
+    polynomial h with P(t) = t^g h(t + q/t), the squarefree part of h, and
+    `components`, one record per irreducible factor of P, read off the
+    factorization of h.  `validate` peels h off P, takes its squarefree
+    part from the Sturm chain of the range check and seeds both, so the
+    oracle's root isolation and relation proofs never rebuild them.  Only
+    the polynomial over the field that is classified gets factored: a base
+    change works on P itself, not on its factors.
     """
 
     poly: IntPoly
@@ -72,11 +72,6 @@ class WeilPolynomial:
     p: int
     v: int
     g: int
-
-    @cached_property
-    def squarefree(self) -> IntPoly:
-        """Product of the distinct irreducible factors of P."""
-        return poly_squarefree_part(self.poly)
 
     @cached_property
     def trace(self) -> IntPoly:
@@ -322,21 +317,16 @@ def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
 def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:
     """Orders of roots of unity among ratios of distinct eigenvalues.
 
-    alpha / beta = alpha * conj(beta) / q, and conj(beta) = q / beta runs over
-    the roots of the squarefree part as beta does, so the ratio polynomial is
-    the product transform of the squarefree part with itself, argument
-    scaled by q.  The (t-1)^r factor of the trivial ratios alpha/alpha is
-    stripped, and the orders of the cyclotomic factors of what remains are
-    collected.  Empty exactly when the base field is "clean" for pairwise
-    ratios.
+    alpha / beta = alpha * conj(beta) / q, and conj(beta) = q / beta runs
+    over the eigenvalues as beta does, so the ratios are the roots of the
+    symmetric square of P (products alpha_i alpha_j, i <= j), argument
+    scaled by q; a repeated root of P only repeats a value.  The orders
+    n > 1 of its cyclotomic factors are collected.  Empty exactly when the
+    base field is "clean" for pairwise ratios.
     """
-    sf = w.squarefree
-    if sf.degree <= 1:
-        return frozenset()
-    ratios = product_transform(sf, sf).scale_argument(w.q).primitive_part()
-    ratios = ratios.exact_div(IntPoly([-1, 1]) ** sf.degree)
-    orders = {n for n in cyclotomic_part_orders(ratios) if n > 1}
-    return frozenset(orders)
+    ratios = symmetric_square(w.poly).scale_argument(w.q).primitive_part()
+    # built from a set: one filled from a generator may print the orders in another order
+    return frozenset({n for n in cyclotomic_part_orders(ratios) if n > 1})
 
 
 def beta_polynomial(w: WeilPolynomial) -> IntPoly:
@@ -345,8 +335,7 @@ def beta_polynomial(w: WeilPolynomial) -> IntPoly:
     One root per distinct eigenvalue.  Its torsion is already ratio
     torsion (see `classify.sufficiency_degree`), so no verdict reads it.
     """
-    sf = w.squarefree
-    squares = power_transform(sf, 2)
+    squares = power_transform(poly_squarefree_part(w.poly), 2)
     return squares.scale_argument(w.q).primitive_part()
 
 

@@ -197,9 +197,10 @@ class TestSufficientFieldOnce:
         # the oracle both use it; the base change itself never factors w, and
         # P is factored through its trace polynomial, of half the degree
         assert factored == [trace_polynomial(rep.poly, rep.q)]
-        # only the torsion check of w takes a squarefree part of P; the
-        # oracle isolates roots on the trace polynomial instead
-        assert squarefree.count(w.poly) == 1
+        # no squarefree part of P is taken: the torsion check reads the
+        # symmetric square of P, and the oracle isolates roots on the
+        # trace polynomial
+        assert squarefree.count(w.poly) == 0
         assert squarefree.count(rep.poly) == 0
         # each component's slopes are computed once, on first read
         labels = [(c.supersingular, c.newton_primary, c.cm_disc) for c in rep.components]

@@ -34,6 +34,7 @@ from weilrank.exactcore import (
     sturm_real_root_count,
     sturm_surd_counts,
     surd_signs,
+    symmetric_square,
 )
 from weilrank.exactcore import factor as factor_module
 from weilrank.exactcore.poly import squarefree_part as poly_sf
@@ -42,6 +43,11 @@ from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import ratio_torsion_orders
 
 from test_classify import SUFFICIENCY_BOXES
+
+# g = 1 for q <= 64, g = 2 for q <= 25, g = 3 for q <= 5: 12,967 polynomials
+TORSION_BOXES = [
+    (g, q) for g, top in ((1, 64), (2, 25), (3, 5)) for q in range(2, top + 1) if prime_power(q)
+]
 
 
 def P(*coeffs):
@@ -239,10 +245,63 @@ class TestFactor:
         assert all(len(primes) <= 1 for primes in primes_per_call)
         assert sum(len(primes) for primes in primes_per_call) > 10
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            P(1, 1, 1),  # D < 0
+            P(5, 0, 1),
+            P(9, 6, 1),  # D = 0
+            P(49, -14, 1),
+            P(-10, 3, 1),  # D = 49
+            P(0, 3, 1),
+            P(-1, 0, 1),
+            P(-2, 0, 1),  # D = 8
+            P(1, 3, 1),
+            P(-(2**72), 0, 1),  # D = 2^74, square: (x - 2^36)(x + 2^36)
+            P(-(2**71), 0, 1),  # D = 2^73
+            P(2**71, 1, 1),  # D < 0
+            P(2**72, -(2**37), 1),  # (x - 2^36)^2
+            P(-(2**72) + 2**36, 1, 1),  # (x - 2^36 + 1)(x + 2^36)
+            P((2**36 - 3) * (2**35 + 7), 2**36 + 2**35 + 4, 1),  # (x + 2^36 - 3)(x + 2^35 + 7)
+            P(2 * 2**71 - 5, -(2**36) + 3, 1),  # trace-quadratic sizes at q = 2^71
+        ],
+    )
+    def test_monic_quadratic_matches_zassenhaus(self, f):
+        assert factor_over_integers(f) == _zassenhaus_factors(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(-300, 300), st.integers(-300, 300)),
+            st.tuples(st.integers(-(2**74), 2**74), st.integers(-(2**74), 2**74)),
+        ),
+        st.booleans(),
+    )
+    def test_monic_quadratics_against_zassenhaus(self, pair, split):
+        # split draws the two roots (D a square, or 0 when they meet); else b and c
+        a, b = pair
+        f = P(-a, 1) * P(-b, 1) if split else P(b, a, 1)
+        assert factor_over_integers(f) == _zassenhaus_factors(f)
+
     def test_is_irreducible(self):
         assert is_irreducible(P(5, -1, 1))
         assert not is_irreducible(P(-1, 0, 0, 0, 1))
         assert not is_irreducible(P(7))
+
+
+def _zassenhaus_factors(f):
+    """`factor_over_integers` without its closed form for monic quadratics:
+    the squarefree decomposition, each part through `_factor_squarefree`."""
+    parts = squarefree_decomposition(f)
+    out = [(g, m) for part, m in parts for g in factor_module._factor_squarefree(part)]
+    out.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    merged = []
+    for g, m in out:
+        if merged and merged[-1][0] == g:
+            merged[-1] = (g, merged[-1][1] + m)
+        else:
+            merged.append((g, m))
+    return merged
 
 
 def _weil_divisor(f, q):
@@ -423,6 +482,7 @@ class TestTransforms:
     def test_against_resultant_interpolation(self, f, g, n):
         assert power_transform(f, n) == _ref_power(f, n)
         assert product_transform(f, g) == _ref_product(f, g)
+        assert symmetric_square(f) ** 2 == product_transform(f, f) * power_transform(f, 2)
         if g.coeffs[0] != 0:
             assert ratio_transform(f, g) == _ref_ratio(f, g)
 
@@ -434,9 +494,34 @@ class TestTransforms:
             if sf.degree > 1:
                 ratios = _ref_ratio(sf, sf).exact_div(P(-1, 1) ** sf.degree)
                 expected = frozenset(n for n in _trial_part_orders(ratios) if n > 1)
-            assert ratio_torsion_orders(w) == expected
+            assert ratio_torsion_orders(w) == expected == _torsion_by_products(w)
             seen |= expected
         assert seen  # some of them do have torsion
+
+    @pytest.mark.parametrize("g, q", TORSION_BOXES)
+    def test_ratio_torsion_orders_match_products(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            assert ratio_torsion_orders(w) == _torsion_by_products(w)
+
+    def test_symmetric_square_examples(self):
+        # roots 2, 3 give 4, 6, 9; the repeated root of (t - 1)^2 gives 1 three times
+        assert symmetric_square(P(6, -5, 1)) == P(-4, 1) * P(-6, 1) * P(-9, 1)
+        assert symmetric_square(P(1, -2, 1)) == P(-1, 1) ** 3
+        assert symmetric_square(P(5, 0, 1)).degree == 3
+        with pytest.raises(PreconditionViolation, match="monic"):
+            symmetric_square(P(1, 2))
+
+
+def _torsion_by_products(w):
+    """Ratio torsion orders as the product transform of the squarefree part
+    of P with itself, argument scaled by q, with the (t - 1)^r of the
+    trivial ratios divided out: the ratio polynomial of degree r^2 - r."""
+    sf = poly_sf(w.poly)
+    if sf.degree <= 1:
+        return frozenset()
+    ratios = product_transform(sf, sf).scale_argument(w.q).primitive_part()
+    ratios = ratios.exact_div(P(-1, 1) ** sf.degree)
+    return frozenset(n for n in cyclotomic_part_orders(ratios) if n > 1)
 
 
 # Reference transforms: resultants at integer points (Sylvester
@@ -541,6 +626,9 @@ class TestCyclotomic:
             ratios = product_transform(sf, sf).scale_argument(q).primitive_part()
             ratios = ratios.exact_div(P(-1, 1) ** sf.degree)
             assert cyclotomic_part_orders(ratios) == _trial_part_orders(ratios)
+            # and on the symmetric square that `ratio_torsion_orders` reads
+            sym = symmetric_square(w.poly).scale_argument(q).primitive_part()
+            assert cyclotomic_part_orders(sym) == _trial_part_orders(sym)
 
     def test_polynomials(self):
         assert cyclotomic_polynomial(1) == P(-1, 1)

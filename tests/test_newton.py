@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weilrank.errors import PreconditionViolation
 from weilrank.exactcore import IntPoly
@@ -10,6 +12,7 @@ from weilrank.newton import (
     NewtonPolygon,
     classify_newton,
     newton_polygon,
+    root_valuation_segments,
     slope_divisibility_check,
 )
 from weilrank.weil import base_change, validate
@@ -142,3 +145,53 @@ class TestInvariantsAndDivisibility:
         assert np_.segments == seg(((1, 3), 1), ((2, 3), 1))
         assert not np_.is_integral
         assert classify_newton(np_, 1).primary == "other"
+
+
+def _fraction_segments(poly, p, v):
+    """Root valuations from the lower hull of the points (i, ord_p(a_i)/v),
+    built on `Fraction`s, with the lengths of equal slopes added up."""
+    pts = []
+    for i, c in enumerate(poly.coeffs):
+        if c:
+            k = 0
+            while c % p == 0:
+                c //= p
+                k += 1
+            pts.append((i, Fraction(k, v)))
+    hull = []
+    for pt in pts:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    counts = {}
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        slope = -Fraction(y2 - y1, x2 - x1)
+        counts[slope] = counts.get(slope, 0) + (x2 - x1)
+    return tuple(sorted(counts.items()))
+
+
+# a coefficient: zero, or a unit-ish integer times a power of p
+_terms = st.lists(
+    st.one_of(st.just(None), st.tuples(st.integers(-40, 40).filter(bool), st.integers(0, 14))),
+    min_size=1,
+    max_size=10,
+)
+
+
+class TestIntegerHull:
+    @settings(max_examples=300, deadline=None)
+    @given(_terms, st.sampled_from([2, 3, 5, 7]), st.integers(1, 4))
+    def test_matches_fraction_hull(self, terms, p, v):
+        poly = IntPoly([0 if t is None else t[0] * p ** t[1] for t in terms])
+        assert root_valuation_segments(poly, p, v) == _fraction_segments(poly, p, v)
+
+    def test_collinear_points_make_one_segment(self):
+        # 8 + 4t + 2t^2 + t^3 at p = 2: four collinear points, three roots of valuation 1
+        assert root_valuation_segments(P(8, 4, 2, 1), 2, 1) == seg(((1, 1), 3))
+        assert root_valuation_segments(P(8, 4, 2, 1), 2, 3) == seg(((1, 3), 3))
+        assert root_valuation_segments(P(1, 2, 4, 8), 2, 1) == seg(((-1, 1), 3))
+        assert root_valuation_segments(P(7), 7, 1) == ()
