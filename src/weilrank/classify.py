@@ -105,10 +105,6 @@ class ClassificationReport:
     def gamma_rank(self) -> int:
         return self.rank + 1
 
-    @property
-    def pmin_degree(self) -> int:
-        return sum(c.pmin.degree for c in self.components)
-
 
 def _require_sufficient(w: WeilPolynomial):
     n = sufficiency_degree(w)
@@ -151,6 +147,9 @@ def _classify_sufficient(
     `classify_auto` refuse the same P.
     """
     polygon = newton_polygon(w)
+    # slope * length is an integer on the polygon of every abelian variety; a formal
+    # Weil polynomial can break it, so no variety has its eigenvalues: t^2 + 2t + 8
+    # over F_8 has slopes 1/3 and 2/3 of length one
     for s, l in polygon.segments:
         if (s * l).denominator != 1:
             raise NonIntegralPolygon(
@@ -210,7 +209,7 @@ def _classify_sufficient(
         components=comps,
         oracle=oracle,
     )
-    if not 0 <= rank <= w.g or report.gamma_rank > report.pmin_degree // 2 + 1:
+    if not 0 <= rank <= w.g or report.gamma_rank > sum(c.pmin.degree for c in comps) // 2 + 1:
         raise WeilrankError(f"rank {rank} out of range for {w.poly}")
     if (rank == 0) != ("supersingular" in ntype.labels):
         raise WeilrankError(f"rank {rank} contradicts the Newton polygon of {w.poly}")
@@ -226,8 +225,16 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     K1 meets K2 K3 only in Q, and a relation would force beta_1^a = +-1,
     which is torsion and therefore 1 over a sufficiently large field.  A
     quartic surface gives 2, and an elliptic factor adds 1 unless its CM
-    field lies in the surface's and the relative norm of q^(-1) Fr^2 to
-    it is not 1.
+    field K lies in the surface's, which `_trager_split` decides.
+
+    The relative norm of q^(-1) Fr^2 to K is then never 1, so it is not
+    tested.  The split pmin = G * conj(G), G = t^2 + A t + B over K, puts
+    one root of each conjugate pair in G: if G held alpha and conj(alpha),
+    so would conj(G), and pmin would have a double root.  The norm is 1
+    exactly when B = alpha_a alpha_b = +-q, that is alpha_a = +-conj(alpha_b).
+    The + sign puts a root twice in pmin; the - sign makes alpha_a /
+    conj(alpha_b) = -1 a ratio of distinct eigenvalues, which
+    `ratio_torsion_orders` reports, so no sufficiently large field has it.
     """
     active = [c for c in comps if not c.supersingular]
     quad = [c for c in active if c.pmin.degree == 2]
@@ -241,11 +248,9 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     # exactly one quartic (degrees forbid two) plus at most one elliptic factor
     if not fields:
         return 2
-    # WeilPolynomial.factors proves the quartic irreducible: skip conjugate_split's check
-    cf = _trager_split(quartic[0].pmin, fields.pop())
-    # shared field with non-torsion norm: the elliptic factor adds nothing
-    collapse = cf is not None and not norm_condition(cf, w.q)
-    return 2 if collapse else 3
+    # a shared field collapses the product; WeilPolynomial.factors proves the quartic
+    # irreducible, so conjugate_split's check is skipped
+    return 2 if _trager_split(quartic[0].pmin, fields.pop()) is not None else 3
 
 
 def classify_auto(

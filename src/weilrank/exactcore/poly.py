@@ -372,7 +372,14 @@ def _primitive_keep_sign(p: IntPoly) -> IntPoly:
 
 
 def _sturm_chain(f: IntPoly):
-    """Sturm sequence over Q, entries scaled by positive rationals to Z[t]."""
+    """Sturm sequence in Z[t] of the squarefree part of a nonzero f, up to sign.
+
+    The one of f, entries scaled to Z[t] by positive rationals, ends in gcd(f, f')
+    up to a constant; divided out of every entry, that leaves a Sturm sequence of
+    f / gcd(f, f'), whose roots are the distinct roots of f.
+    """
+    if f.is_zero:
+        raise PreconditionViolation("zero polynomial")
     chain = [_primitive_keep_sign(f)]
     d = f.derivative()
     if not d.is_zero:
@@ -388,14 +395,14 @@ def _sturm_chain(f: IntPoly):
             scale_negative = b.leading < 0 and (delta + 1) % 2 == 1
             nxt = r if scale_negative else -r
             chain.append(_primitive_keep_sign(nxt))
+    if chain[-1].degree > 0:
+        chain = [p.exact_div(chain[-1]) for p in chain]
     return chain
 
 
-def _sign_at(poly: IntPoly, x):
-    """A number with the sign of the nonzero poly at x, or at x = "-inf" or "+inf"."""
-    if x == "-inf":
-        return -poly.leading if poly.degree % 2 else poly.leading
-    return poly.leading if x == "+inf" else poly.evaluate(x)
+def _infinity_signs(chain):
+    """The leading coefficients that give the chain's signs at -oo and at +oo."""
+    return [-p.leading if p.degree % 2 else p.leading for p in chain], [p.leading for p in chain]
 
 
 def _variations(values):
@@ -427,47 +434,32 @@ def sturm_surd_counts(f: IntPoly, d: int) -> tuple[IntPoly, int, int]:
     """(fsf, real, inside): the squarefree part of f, and the counts of its
     real roots and of those in [-sqrt(d), sqrt(d)], for an integer d >= 0.
 
-    One Sturm chain of f; its last entry, gcd(f, f') up to a constant,
-    divided out of every entry leaves a Sturm chain of fsf.  It is read at
-    -+oo and, by `surd_signs`, at -+sqrt(d); fsf(-sqrt(d)) = 0 adds one.
+    One Sturm chain of fsf, read at -+oo and, by `surd_signs`, at -+sqrt(d);
+    fsf(-sqrt(d)) = 0 adds one.
     """
-    if f.is_zero:
-        raise PreconditionViolation("zero polynomial")
     chain = _sturm_chain(f)
-    if chain[-1].degree > 0:
-        chain = [p.exact_div(chain[-1]) for p in chain]
-    real = _variations([_sign_at(p, "-inf") for p in chain]) - _variations(p.leading for p in chain)
+    minus, plus = _infinity_signs(chain)
+    real = _variations(minus) - _variations(plus)
     ends = [surd_signs(p, d) for p in chain]
     inside = _variations(lo for lo, _ in ends) - _variations(hi for _, hi in ends)
     return chain[0].primitive_part(), real, inside + (ends[0][0] == 0)
 
 
 def sturm_real_root_count(f: IntPoly, lo=None, hi=None) -> int:
-    """Exact count of distinct real roots of f in (lo, hi].
+    """Exact count of the distinct real roots of a nonzero f in (lo, hi].
 
-    `lo`/`hi` may be ints, Fractions, or None for -/+ infinity.  The caller
-    is expected to pass a squarefree polynomial; a repeated-root input with
-    a root sitting at a finite endpoint is rejected, every other input is
-    counted correctly (multiplicity collapses to one).
+    `lo`/`hi` may be ints, Fractions, or None for -/+ infinity.  The chain is
+    that of the squarefree part, so a repeated root counts once, also at an
+    endpoint.
     """
-    if f.is_zero:
-        raise PreconditionViolation("zero polynomial")
-    if f.degree == 0:
-        return 0
     chain = _sturm_chain(f)
-    if chain[-1].degree > 0:
-        for endpoint in (lo, hi):
-            if endpoint is not None and f.evaluate(endpoint) == 0:
-                raise PreconditionViolation(
-                    "non-squarefree input with a root at an endpoint"
-                )
-    lo_key = "-inf" if lo is None else Fraction(lo)
-    hi_key = "+inf" if hi is None else Fraction(hi)
-    if lo_key != "-inf" and hi_key != "+inf" and lo_key >= hi_key:
+    if lo is not None and hi is not None and Fraction(lo) >= Fraction(hi):
         return 0
+    minus, plus = _infinity_signs(chain)
     # dropping zero entries evaluates the variation count just above the
     # point, so V(lo+) - V(hi+) counts roots in the half-open (lo, hi]
-    below, above = ([_sign_at(p, x) for p in chain] for x in (lo_key, hi_key))
+    below = minus if lo is None else [p.evaluate(Fraction(lo)) for p in chain]
+    above = plus if hi is None else [p.evaluate(Fraction(hi)) for p in chain]
     return _variations(below) - _variations(above)
 
 
@@ -496,7 +488,7 @@ def real_root_brackets(f: IntPoly):
     roots with one Sturm chain; a midpoint that is a root moves right off it.
     """
     chain = _sturm_chain(f)
-    if chain[-1].degree > 0:
+    if chain[0].degree < f.degree:
         raise PreconditionViolation(f"{f} is not squarefree")
     n, e = f.degree, abs(f.leading).bit_length() - 1  # 2^e <= |f_n|
     # each |f_j / f_n|^(1/(n - j)) < 2^(b - 1), so the roots lie in (-2^b, 2^b)

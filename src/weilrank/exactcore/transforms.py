@@ -14,6 +14,7 @@ and c / beta runs over the roots of a monic integer polynomial.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import count
 
 from ..errors import PreconditionViolation
@@ -129,50 +130,41 @@ def _phi_sieve(limit: int) -> list[int]:
     return phi
 
 
-_CYCLO_CACHE: dict[int, IntPoly] = {}
-
-
+@cache
 def cyclotomic_polynomial(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, computed by iterated exact division."""
     if n < 1:
         raise PreconditionViolation("cyclotomic index must be positive")
-    cached = _CYCLO_CACHE.get(n)
-    if cached is not None:
-        return cached
     poly = IntPoly([-1] + [0] * (n - 1) + [1])  # t^n - 1
     for d in range(1, n):
         if n % d == 0:
             poly = poly.exact_div(cyclotomic_polynomial(d))
-    _CYCLO_CACHE[n] = poly
     return poly
 
 
-_CANDIDATES: dict[int, tuple[int, ...]] = {}
-_ROOTS_OF_UNITY: dict[int, tuple[int, int]] = {}
-
-
+@cache
 def _candidate_orders(d: int) -> tuple[int, ...]:
     """The n with phi(n) <= d; phi(n) >= sqrt(n/2) bounds them by 2 d^2."""
-    if d not in _CANDIDATES:
-        phi = _phi_sieve(2 * d * d + 2)
-        _CANDIDATES[d] = tuple(n for n in range(1, len(phi)) if phi[n] <= d)
-    return _CANDIDATES[d]
+    phi = _phi_sieve(2 * d * d + 2)
+    return tuple(n for n in range(1, len(phi)) if phi[n] <= d)
+
+
+@cache
+def _root_of_unity(n: int) -> tuple[int, int]:
+    """(l, w): the largest prime l = 1 (mod n) below 2^30, and w of exact order n in F_l."""
+    ell = ((1 << 30) - 2) // n * n + 1
+    while not is_prime(ell):
+        ell -= n
+    primes = factor_int(n)
+    for a in count(2):
+        w = pow(a, (ell - 1) // n, ell)
+        if all(pow(w, n // r, ell) != 1 for r in primes):
+            return ell, w
 
 
 def _may_vanish(f: IntPoly, n: int) -> bool:
-    """f(w) = 0 mod l, for a prime l = 1 (mod n) below 2^30 and w of exact
-    order n in F_l (both cached per n), by Horner's rule."""
-    if n not in _ROOTS_OF_UNITY:
-        ell = ((1 << 30) - 2) // n * n + 1
-        while not is_prime(ell):
-            ell -= n
-        primes = factor_int(n)
-        for a in count(2):
-            w = pow(a, (ell - 1) // n, ell)
-            if all(pow(w, n // r, ell) != 1 for r in primes):
-                break
-        _ROOTS_OF_UNITY[n] = (ell, w)
-    ell, w = _ROOTS_OF_UNITY[n]
+    """f(w) = 0 mod l for the (l, w) of `_root_of_unity(n)`, by Horner's rule."""
+    ell, w = _root_of_unity(n)
     acc = 0
     for c in reversed(f.coeffs):
         acc = (acc * w + c) % ell

@@ -58,17 +58,6 @@ class NewtonPolygon:
     def total_length(self) -> int:
         return sum(l for _, l in self.segments)
 
-    @property
-    def is_integral(self) -> bool:
-        """Whether slope * length is an integer for every segment.
-
-        A theorem for polygons of abelian varieties; formal Weil
-        polynomials can violate it (t^2 + 2t + 8 over F_8 has slopes
-        {1/3, 2/3} of length one), which is exactly how the polygon
-        detects that no variety exists with those eigenvalues.
-        """
-        return all((s * l).denominator == 1 for s, l in self.segments)
-
     def __str__(self):
         return "{" + ", ".join(f"({s}, {l})" for s, l in self.segments) + "}"
 
@@ -114,9 +103,9 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
     length * v integral, true for every integer polynomial), and evenness
     of the half-slope length are checked before returning; their failure
     would mean an invalid polynomial slipped through validation.  The
-    stronger normalized integrality is a property of polygons of actual
-    abelian varieties and is exposed as `is_integral`; `classify` refuses
-    a polygon without it.
+    stronger normalized integrality (slope * length integral) holds for
+    polygons of actual abelian varieties; `classify` refuses a polygon
+    without it.
     """
     segments = root_valuation_segments(w.poly, w.p, w.v)
     np_ = NewtonPolygon(segments=segments)

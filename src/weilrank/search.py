@@ -321,11 +321,10 @@ def construct_totally_real_cubic(p: int, l: int) -> CubicFieldReport:
         and cleared.coeffs[0] % (l * l) != 0
     )
     reals = sturm_real_root_count(cleared)
-    red = [c % p for c in cleared.coeffs]
     shape_poly = IntPoly([0, (-l) % p, 0, 1])  # x^3 - l x mod p
     unit = cleared.leading % p
     expected = IntPoly([c * unit % p for c in shape_poly.coeffs])
-    mod_p_ok = IntPoly([c % p for c in red]) == expected and legendre_symbol(l, p) == -1
+    mod_p_ok = IntPoly([c % p for c in cleared.coeffs]) == expected
     return CubicFieldReport(
         p=p,
         l=l,

@@ -1,5 +1,6 @@
 """Classification engine: sufficiency, neatness, rank, diagnostics."""
 
+from itertools import product
 from math import lcm, prod
 
 import pytest
@@ -25,6 +26,7 @@ from weilrank.exactcore import IntPoly, factor_over_integers, power_transform, p
 from weilrank.newton import newton_polygon
 from weilrank.relfinder import OracleRank
 from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.subfields import _trager_split, norm_condition
 from weilrank.weil import (
     base_change,
     beta_torsion_orders,
@@ -32,6 +34,11 @@ from weilrank.weil import (
     trace_polynomial,
     validate,
 )
+
+
+def _is_integral(polygon):
+    """Reference: slope * length is an integer on every segment."""
+    return all((s * l).denominator == 1 for s, l in polygon.segments)
 
 
 def P(*coeffs):
@@ -225,7 +232,7 @@ class TestNonIntegralPolygon:
     def test_every_non_integral_member_of_the_q4_box(self, g, count):
         refused = 0
         for w in enumerate_weil(SearchSpec(g=g, q=4)):
-            if newton_polygon(w).is_integral:
+            if _is_integral(newton_polygon(w)):
                 continue
             slope = next(s for s, l in newton_polygon(w).segments if (s * l).denominator != 1)
             with pytest.raises(NonIntegralPolygon, match=f"slope {slope} "):
@@ -335,6 +342,45 @@ class TestClassifyProducts:
         rep = classify_auto(w)
         assert rep.neat
         assert rep.oracle is not None and rep.rank == rep.oracle.rank
+
+
+def _quartic_elliptic_collapses(q):
+    """(w, wn, cf): each product of a simple quartic and an elliptic curve over
+    F_q whose curve's CM field lies in the quartic's field over F_(q^n), n the
+    sufficiency degree of w; wn is w over F_(q^n) and cf the split there."""
+    quartics = list(enumerate_weil(SearchSpec(g=2, q=q, irreducible_only=True)))
+    curves = list(enumerate_weil(SearchSpec(g=1, q=q)))
+    splits = {}
+    for a, b in product(quartics, curves):
+        w = validate(a.poly * b.poly, q)
+        wn = base_change(w, sufficiency_degree(w))
+        active = [c for c in wn.components if not c.supersingular]
+        quartic = [c.pmin for c in active if c.pmin.degree == 4 and c.e == 1]
+        fields = [c.cm_disc for c in active if c.pmin.degree == 2]
+        if len(quartic) == len(fields) == 1:
+            key = (quartic[0], fields[0])
+            if key not in splits:
+                splits[key] = _trager_split(*key)
+            if splits[key] is not None:
+                yield w, wn, splits[key]
+
+
+class TestCollapseRule:
+    """A quartic x elliptic product collapses to rank 2 exactly when the
+    curve's CM field lies in the quartic's: the relative norm is never 1."""
+
+    @pytest.mark.parametrize("q, count", [(8, 8), (9, 16)])
+    def test_norm_never_one(self, q, count):
+        found = list(_quartic_elliptic_collapses(q))
+        assert len(found) == count
+        assert not any(norm_condition(cf, wn.q) for _, wn, cf in found)
+        for w, _, _ in found:
+            if q == 8:  # each quartic has slopes 1/3 and 2/3 of length one
+                with pytest.raises(NonIntegralPolygon):
+                    classify_auto(w)
+            else:
+                rep = classify_auto(w)
+                assert rep.rank == 2 and rep.oracle.rank == 2
 
 
 class TestRankInvariance:

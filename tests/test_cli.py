@@ -14,6 +14,12 @@ from weilrank.newton import newton_polygon
 from weilrank.relfinder import OracleRank
 from weilrank.search import SearchSpec, enumerate_weil
 
+
+def _is_integral(polygon):
+    """Reference: slope * length is an integer on every segment."""
+    return all((s * l).denominator == 1 for s, l in polygon.segments)
+
+
 REPORT_KEYS = {
     "schema", "q", "coeffs", "g", "neat", "rank", "gamma_rank", "newton",
     "newton_labels", "polygon", "simple", "conditions", "witness",
@@ -238,6 +244,28 @@ class TestSubcommandGolden:
         assert err == "invalid: PreconditionViolation: q = 9 is not a power of p = 5\n"
 
 
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ["search-nonneat", "--p", "3", "--q", "9", "--m", "-2"],
+                "invalid: BSplitAtP: p = 3 splits in Q(sqrt(-2))\n",
+            ),
+            (
+                ["search-nonneat", "--p", "2", "--q", "8", "--m", "-1"],
+                "invalid: QNotSquare: q = 8 is not a perfect square\n",
+            ),
+            (
+                ["cubic-field", "--p", "5", "--l", "11"],
+                "rejected: ResidueConditionFails: 11 is a quadratic residue mod 5\n",
+            ),
+        ],
+        ids=["BSplitAtP", "QNotSquare", "ResidueConditionFails"],
+    )
+    def test_refusals(self, capsys, argv, err):
+        assert run_err(capsys, *argv) == (2, [], err)
+
+
 class TestExitCodes:
     def test_invalid_weil_polynomial(self, capsys):
         assert run_err(capsys, "classify", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
@@ -430,7 +458,7 @@ class TestNonIntegralPolygon:
         quartics = [
             w.poly.coeffs
             for w in enumerate_weil(SearchSpec(g=2, q=4))
-            if not newton_polygon(w).is_integral
+            if not _is_integral(newton_polygon(w))
         ]
         assert len(quartics) == 10
         for coeffs in quartics:

@@ -37,6 +37,7 @@ from weilrank.exactcore import (
     symmetric_square,
 )
 from weilrank.exactcore import factor as factor_module
+from weilrank.exactcore.poly import real_root_brackets
 from weilrank.exactcore.poly import squarefree_part as poly_sf
 from weilrank.exactcore.transforms import _from_power_sums, _phi_sieve
 from weilrank.search import SearchSpec, enumerate_weil
@@ -376,12 +377,48 @@ class TestSturm:
         f = IntPoly([15, -196608, 0, 65536])
         assert sturm_real_root_count(f) == 3
 
-    def test_nonsquarefree_endpoint_rejected(self):
-        f = P(-1, 1) ** 2
-        with pytest.raises(PreconditionViolation):
-            sturm_real_root_count(f, 0, 1)
-        # away from the repeated root, still counts distinct roots
+    def test_nonsquarefree_endpoint_counts_once(self):
+        f = P(-1, 1) ** 2  # the chain is that of t - 1, so an endpoint root is no exception
+        assert sturm_real_root_count(f, 0, 1) == 1
+        assert sturm_real_root_count(f, 1, 2) == 0
         assert sturm_real_root_count(f, 0, 2) == 1
+        g = f * P(-2, 1)  # gcd(g, g') = t - 1 vanishes at the endpoint t = 1
+        assert [sturm_real_root_count(g, lo, hi) for lo, hi in [(0, 1), (1, 2), (1, 3)]] == [1, 1, 1]
+        with pytest.raises(PreconditionViolation):
+            sturm_real_root_count(IntPoly())
+
+    def test_brackets_refuse_repeated_roots(self):
+        with pytest.raises(PreconditionViolation, match="not squarefree"):
+            real_root_brackets(P(-1, 1) ** 2 * P(2, 1))
+        assert len(real_root_brackets(P(-1, 1) * P(2, 1))) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-2, 2).map(lambda r: P(-r, 1)),
+                    st.lists(st.integers(-4, 4), min_size=3, max_size=3).map(IntPoly),
+                ),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        st.one_of(st.none(), st.integers(-2, 2)),
+        st.one_of(st.none(), st.integers(-2, 2)),
+    )
+    def test_repeated_roots_against_sympy(self, factors, lo, hi):
+        # integer endpoints often land on the integer roots of the linear factors
+        sympy = pytest.importorskip("sympy")
+        f = prod((g**e for g, e in factors), start=P(1))
+        if f.is_zero:
+            return
+        count = sturm_real_root_count(f, lo, hi)
+        assert count == sturm_real_root_count(poly_sf(f), lo, hi)
+        x = sympy.Symbol("x")
+        roots = set(sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x)))
+        assert count == sum(1 for r in roots if (lo is None or r > lo) and (hi is None or r <= hi))
 
     @settings(max_examples=200, deadline=None)
     @given(small_polys, st.integers(0, 40))

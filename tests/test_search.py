@@ -12,12 +12,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import weilrank.search
-from weilrank.errors import PreconditionViolation, RiemannHypothesisFails
+from weilrank.errors import (
+    BSplitAtP,
+    PreconditionViolation,
+    QNotSquare,
+    ResidueConditionFails,
+    RiemannHypothesisFails,
+)
 from weilrank.exactcore import IntPoly, is_irreducible, prime_power
-from weilrank.search import SearchSpec, _floor_surd, enumerate_weil, find_non_neat_sextics
+from weilrank.search import (
+    SearchSpec,
+    _floor_surd,
+    construct_totally_real_cubic,
+    enumerate_weil,
+    find_non_neat_sextics,
+)
 from weilrank.classify import classify_auto
 from weilrank.newton import newton_polygon
 from weilrank.weil import validate
+
+
+def _is_integral(polygon):
+    """Reference: slope * length is an integer on every segment."""
+    return all((s * l).denominator == 1 for s, l in polygon.segments)
 
 
 def _sign_nonneg_sqrt(a: int, b: int, q: int) -> bool:
@@ -216,11 +233,25 @@ class TestNonNeatSearch:
             next(find_non_neat_sextics(p, q, m))
 
 
+class TestRefusals:
+    def test_q_must_be_a_square(self):
+        with pytest.raises(QNotSquare, match="q = 8 is not a perfect square"):
+            next(find_non_neat_sextics(2, 8, -1))
+
+    def test_p_must_not_split(self):
+        with pytest.raises(BSplitAtP, match=r"p = 3 splits in Q\(sqrt\(-2\)\)"):
+            next(find_non_neat_sextics(3, 9, -2))
+
+    def test_l_must_be_a_non_residue(self):
+        with pytest.raises(ResidueConditionFails, match="11 is a quadratic residue mod 5"):
+            construct_totally_real_cubic(5, 11)
+
+
 class TestNonNeatFilter:
     def test_skips_non_integral_polygons(self):
         # the g = 3, q = 4 box has 240 polygons that classify refuses
         found = list(enumerate_weil(SearchSpec(g=3, q=4, non_neat_only=True)))
-        assert found and all(newton_polygon(w).is_integral for w in found)
+        assert found and all(_is_integral(newton_polygon(w)) for w in found)
         assert all(not classify_auto(w).neat for w in found)
 
 

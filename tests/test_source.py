@@ -50,6 +50,7 @@ def test_import_leaves_numpy_unloaded():
 def test_import_leaves_cyclotomic_tables_empty():
     # the candidate orders and roots of unity are built on first use, so
     # importing the package does not pay for them
-    tables = "[len(t._CANDIDATES), len(t._ROOTS_OF_UNITY), len(t._CYCLO_CACHE)]"
+    cached = "t._candidate_orders, t._root_of_unity, t.cyclotomic_polynomial"
+    tables = f"[f.cache_info().currsize for f in ({cached})]"
     imports = "weilrank, weilrank.cli, weilrank.exactcore.transforms as t"
     assert _after_import(tables, imports) == "[0, 0, 0]"
