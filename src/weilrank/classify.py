@@ -38,7 +38,7 @@ from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
 from .relfinder import DEFAULT_EXPONENT_BOUND, OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
-    _trager_split,
+    _subfield_candidates,
     conjugate_factorizations,
     norm_condition,
     norm_one_witness,
@@ -225,7 +225,7 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     K1 meets K2 K3 only in Q, and a relation would force beta_1^a = +-1,
     which is torsion and therefore 1 over a sufficiently large field.  A
     quartic surface gives 2, and an elliptic factor adds 1 unless its CM
-    field K lies in the surface's, which `_trager_split` decides.
+    field K is one of the surface's `_subfield_candidates`, its subfields.
 
     The relative norm of q^(-1) Fr^2 to K is then never 1, so it is not
     tested.  The split pmin = G * conj(G), G = t^2 + A t + B over K, puts
@@ -246,11 +246,9 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     if not quartic:
         return len(fields)
     # exactly one quartic (degrees forbid two) plus at most one elliptic factor
-    if not fields:
-        return 2
-    # a shared field collapses the product; WeilPolynomial.factors proves the quartic
-    # irreducible, so conjugate_split's check is skipped
-    return 2 if _trager_split(quartic[0].pmin, fields.pop()) is not None else 3
+    if fields:
+        fields -= set(_subfield_candidates(quartic[0].pmin, w.q))
+    return 2 + len(fields)
 
 
 def classify_auto(
@@ -309,7 +307,7 @@ def theorem_diagnostics(
     if decomp.simple:
         pmin = decomp.components[0].pmin
         d = decomp.components[0].pmin.degree // 2
-        if pmin.degree >= 2 and pmin.degree % 2 == 0:
+        if decomp.components[0].sqrt_root == "none":
             for cf in conjugate_factorizations(pmin):
                 split = p_splits(cf.m, w.p)
                 if split == "split":
@@ -369,11 +367,9 @@ def theorem_diagnostics(
 
 def _imaginary_fields(c: EigenvalueStructure):
     """The m < 0 with Q(sqrt(m)) inside the component's field."""
-    if c.cm_disc is not None:
-        return [c.cm_disc] if c.cm_disc < 0 else []
-    if c.pmin.degree % 2 == 0 and c.pmin.degree >= 4:
-        return [cf.m for cf in conjugate_factorizations(c.pmin)]
-    return []
+    if c.sqrt_root != "none":
+        return []
+    return [cf.m for cf in conjugate_factorizations(c.pmin)]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ __all__ = [
     "discriminant",
     "sturm_real_root_count",
     "sturm_surd_counts",
+    "surd_parts",
     "surd_signs",
     "real_root_brackets",
     "lagrange_interpolate",
@@ -411,15 +412,21 @@ def _variations(values):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def surd_signs(f: IntPoly, d: int) -> tuple[int, int]:
-    """The signs (-1, 0 or 1) of f(-sqrt(d)) and f(sqrt(d)) for an integer d >= 0.
-
-    Horner's rule with x^2 = d gives f(+-sqrt(d)) = s +- t sqrt(d) in integers.
-    Unless d is a square, s + t sqrt(d) has the sign of s if s^2 > t^2 d, else of t.
-    """
+def surd_parts(f: IntPoly, d: int) -> tuple[int, int]:
+    """The integers (s, t) with f(+-sqrt(d)) = s +- t sqrt(d): Horner's rule with x^2 = d."""
     s = t = 0
     for c in reversed(f.coeffs):
         s, t = t * d + c, s
+    return s, t
+
+
+def surd_signs(f: IntPoly, d: int) -> tuple[int, int]:
+    """The signs (-1, 0 or 1) of f(-sqrt(d)) and f(sqrt(d)) for an integer d >= 0.
+
+    With f(+-sqrt(d)) = s +- t sqrt(d) from `surd_parts`, unless d is a square,
+    s + t sqrt(d) has the sign of s if s^2 > t^2 d, else of t.
+    """
+    s, t = surd_parts(f, d)
     r = isqrt(d)
     if r * r == d:
         lo, hi = s - t * r, s + t * r

@@ -1,12 +1,9 @@
 """Imaginary quadratic subfields of CM fields via conjugate factorizations.
 
-A quadratic subfield Q(sqrt(m)) of E = Q[t]/(pmin) is witnessed by a
-factorization pmin = G * conj(G) over Q(sqrt(m)).  Candidate m values are
-the negative squarefree kernels supported on the prime divisors of
-disc(pmin) (a quadratic subfield ramifies only inside the field
-discriminant, which divides disc(pmin)); each candidate is screened by a
-splitting-pattern sieve at auxiliary primes and then settled exactly by
-factoring pmin over Q(sqrt(m)) with Trager's norm method.
+A quadratic subfield Q(sqrt(m)) of E = Q[t]/(pmin) is witnessed by a factorization
+pmin = G * conj(G) over Q(sqrt(m)).  For a Weil factor the candidate m are read off
+one integer, Res(h, x^2 - 4q) for the trace polynomial h (`_subfield_candidates`),
+and each is settled by factoring pmin over Q(sqrt(m)) with Trager's norm method.
 
 That factoring runs on polynomials over Z[sqrt(m)], each held as a pair
 (U, V) of IntPoly meaning U + sqrt(m) V: shifts t -> t + s sqrt(m) by
@@ -33,10 +30,11 @@ from .exactcore import (
     is_prime,
     legendre_symbol,
     poly_gcd,
+    prime_power,
     squarefree_part,
 )
-from .exactcore.factor import modular_factor_degrees
-from .weil import WeilPolynomial, trace_polynomial
+from .exactcore.poly import surd_parts
+from .weil import WeilPolynomial, trace_polynomial, validate
 
 __all__ = [
     "ConjugateFactorization",
@@ -186,53 +184,55 @@ def _candidate_ms(disc: int):
     return sorted((-s for s in subsets), key=abs)
 
 
-def _degree_patterns(f: IntPoly, disc: int):
-    """(prime, has-odd-degree-factor) pairs at 20 auxiliary primes; disc = disc(f)."""
-    out = []
-    r = 101
-    while len(out) < 20 and r < 20000:
-        if is_prime(r) and disc % r != 0 and f.leading % r != 0:
-            degs = modular_factor_degrees(f, r)
-            out.append((r, any(d % 2 for d in degs)))
-        r += 2
-    return out
+def _subfield_candidates(pmin: IntPoly, q: int):
+    """The m < 0, by |m|, that may have Q(sqrt(m)) inside E = Q[t]/(pmin).
 
-
-def _sieve_ok(m: int, patterns) -> bool:
-    """Rule out m when some prime with an odd-degree factor is inert."""
-    d = m if m % 4 == 1 else 4 * m
-    for r, has_odd in patterns:
-        if not has_odd:
-            continue
-        if d % r != 0 and legendre_symbol(d % r, r) == -1:
-            return False
-    return True
+    pmin is an irreducible Weil factor of degree 2n, pmin = t^n h(t + q/t), and
+    E = E+(sqrt(d)) with E+ = Q(x), h(x) = 0, d = x^2 - 4q < 0 at every root of h.
+    Q(sqrt(m)) lies in E exactly when m d is a square in E+, so m^n R is a square
+    for R = N(d) = Res(h, x^2 - 4q) = h(2 sqrt(q)) h(-2 sqrt(q)).  n odd: R < 0,
+    and m = sqfree(R) is the only candidate.  n = 2: a subfield needs R = r^2,
+    r >= 0.  Then d1 d2 = r^2 at the roots x1, x2 of h, so E holds
+    sqrt(d2) = -r / sqrt(d1) and (sqrt(d1) + sqrt(d2))^2 = T - 2r < 0, T = d1 + d2:
+    E = Q(sqrt(m1), sqrt(disc h)) is biquadratic, with both m1 = sqfree(T - 2r) and
+    m1 disc(h) as subfields (T + 2r is 0 when x1 = -x2).  n >= 4 even: R must be
+    a square, and then every m on the primes of disc(pmin) is a candidate.
+    """
+    h = trace_polynomial(pmin, q)
+    s, t = surd_parts(h, 4 * q)
+    big_r = s * s - 4 * q * t * t
+    if h.degree % 2:
+        return [squarefree_part(big_r)]
+    r = isqrt(big_r)
+    if r * r != big_r:
+        return []
+    if h.degree > 2:
+        return _candidate_ms(discriminant(pmin))
+    b0, b1, _ = h.coeffs
+    m1 = squarefree_part(b1 * b1 - 2 * b0 - 8 * q - 2 * r)
+    return sorted([m1, squarefree_part(m1 * (b1 * b1 - 4 * b0))], key=abs)
 
 
 def conjugate_factorizations(pmin: IntPoly):
-    """All imaginary quadratic conjugate-factorizations of irreducible pmin.
+    """All imaginary quadratic conjugate-factorizations of an irreducible Weil factor.
 
-    Works for any even degree; used at degree 6 for the sextic subfield
-    test and at degrees 2..8 by the product-rank and fourfold diagnostics.
+    q is read off pmin(0) = q^(deg(pmin) / 2), `validate` refuses a pmin that is not
+    a Weil q-polynomial, and one Trager split per `_subfield_candidates` decides.
     """
-    if pmin.degree < 2 or pmin.degree % 2:
-        raise PreconditionViolation("even degree >= 2 required")
-    if not pmin.is_monic:
-        raise PreconditionViolation("monic polynomial required")
-    if not is_irreducible(pmin):
+    pp = prime_power(c0 := pmin.evaluate(0))
+    w = validate(pmin, pp[0] ** (2 * pp[1] // max(pmin.degree, 1)) if pp else c0)
+    if len(w.components) > 1 or w.components[0].e > 1:
         raise NotIrreducible("polynomial must be irreducible")
-    disc = discriminant(pmin)
-    patterns = _degree_patterns(pmin, disc)
-    splits = (_trager_split(pmin, m) for m in _candidate_ms(disc) if _sieve_ok(m, patterns))
+    splits = (_trager_split(pmin, m) for m in _subfield_candidates(pmin, w.q))
     return tuple(cf for cf in splits if cf is not None)
 
 
 def quadratic_subfields(pmin: IntPoly):
     """Imaginary quadratic subfield witnesses of a sextic CM field.
 
-    Every returned factorization re-expands exactly to pmin.  All witnesses
-    are returned; uniqueness is a theorem in the non-Galois CM case but is
-    never assumed here.
+    A sextic has one candidate m, the squarefree part of Res(h, x^2 - 4q)
+    (`_subfield_candidates`), so at most one witness, which re-expands
+    exactly to pmin.
     """
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
@@ -257,9 +257,9 @@ def norm_one_witness(pmin: IntPoly, q: int):
     den = 2 r^3, den G = U + sqrt(m) V for integer polynomials U and V: the
     t^5 and t coefficients of pmin give U directly, and V = a t^2 + b t
     satisfies a^2 m = x, a b m = y, b^2 m = z with x, y, z known integers,
-    so m is the squarefree kernel of x (or z).  Much faster than the general
-    subfield search; returns None when no imaginary witness with the norm
-    condition exists.
+    so m is the squarefree kernel of x (or z).  Faster than the general
+    subfield search, which factors over Q(sqrt(m)); returns None when no
+    imaginary witness with the norm condition exists.
     """
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")

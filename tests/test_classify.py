@@ -6,9 +6,11 @@ from math import lcm, prod
 import pytest
 
 import weilrank.classify
+import weilrank.subfields
 import weilrank.weil
 
 from weilrank.classify import (
+    _combined_rank,
     classify,
     classify_auto,
     fourfold_diagnostic,
@@ -344,10 +346,12 @@ class TestClassifyProducts:
         assert rep.oracle is not None and rep.rank == rep.oracle.rank
 
 
-def _quartic_elliptic_collapses(q):
+def _quartic_elliptic_products(q):
     """(w, wn, cf): each product of a simple quartic and an elliptic curve over
-    F_q whose curve's CM field lies in the quartic's field over F_(q^n), n the
-    sufficiency degree of w; wn is w over F_(q^n) and cf the split there."""
+    F_q that is one quartic and one ordinary curve over F_(q^n), n the
+    sufficiency degree of w; wn is w over F_(q^n), and cf the split of the
+    quartic over the curve's CM field there, or None.  The reference for the
+    collapse rule: the curve's field lies in the quartic's when cf exists."""
     quartics = list(enumerate_weil(SearchSpec(g=2, q=q, irreducible_only=True)))
     curves = list(enumerate_weil(SearchSpec(g=1, q=q)))
     splits = {}
@@ -361,17 +365,29 @@ def _quartic_elliptic_collapses(q):
             key = (quartic[0], fields[0])
             if key not in splits:
                 splits[key] = _trager_split(*key)
-            if splits[key] is not None:
-                yield w, wn, splits[key]
+            yield w, wn, splits[key]
 
 
 class TestCollapseRule:
     """A quartic x elliptic product collapses to rank 2 exactly when the
     curve's CM field lies in the quartic's: the relative norm is never 1."""
 
-    @pytest.mark.parametrize("q, count", [(8, 8), (9, 16)])
-    def test_norm_never_one(self, q, count):
-        found = list(_quartic_elliptic_collapses(q))
+    PRODUCTS = {2: 16, 3: 72, 4: 136, 5: 416, 7: 1080, 8: 1120, 9: 1360}
+
+    @pytest.mark.parametrize("q, count", [(2, 0), (3, 0), (4, 0), (5, 0), (7, 0), (8, 8), (9, 16)])
+    def test_norm_never_one(self, q, count, monkeypatch):
+        products = list(_quartic_elliptic_products(q))
+        assert len(products) == self.PRODUCTS[q]
+
+        def refuse(f, m):
+            raise AssertionError(f"factored {f} over Q(sqrt({m}))")
+
+        # the product rule, which factors nothing, against the reference split
+        monkeypatch.setattr(weilrank.subfields, "_trager_split", refuse)
+        for _, wn, cf in products:
+            assert (_combined_rank(wn.components, wn) == 2) == (cf is not None), wn
+        monkeypatch.undo()
+        found = [x for x in products if x[2] is not None]
         assert len(found) == count
         assert not any(norm_condition(cf, wn.q) for _, wn, cf in found)
         for w, _, _ in found:
@@ -381,6 +397,31 @@ class TestCollapseRule:
             else:
                 rep = classify_auto(w)
                 assert rep.rank == 2 and rep.oracle.rank == 2
+
+
+# per q, the irreducible g = 3 sextics of the box on which the oracle cannot
+# verify the classifier's rank 3 over the field `classify_auto` picks: torsion
+# of the eigenvalue group beyond pairwise ratios (ROADMAP item 1)
+TORSION_FAULTS = {2: 6, 3: 12, 4: 18, 5: 6}
+
+
+class TestOracleAgreement:
+    """`classify_auto` against the oracle on every member of the g <= 3 boxes."""
+
+    @pytest.mark.parametrize("q", sorted(TORSION_FAULTS))
+    def test_every_member_of_the_boxes(self, q):
+        faults = []
+        for g in (1, 2, 3):
+            for w in enumerate_weil(SearchSpec(g=g, q=q)):
+                try:
+                    classify_auto(w, force_oracle=True)
+                except NonIntegralPolygon:
+                    pass
+                except PreconditionViolation as e:
+                    assert "saturated relation failed verification" in str(e), w
+                    faults.append(w)
+        assert len(faults) == TORSION_FAULTS[q]
+        assert all(w.factors == ((w.poly, 1),) and w.g == 3 for w in faults)
 
 
 class TestRankInvariance:

@@ -1,5 +1,6 @@
 """Imaginary quadratic subfields, conjugate factorizations, norm condition,
-and Trager's splitting against a reference on lists of elements of Q(sqrt(m))."""
+Trager's splitting against a reference on lists of elements of Q(sqrt(m)), and
+the one-integer subfield rule against the splitting-pattern sieve it replaced."""
 
 import random
 from dataclasses import dataclass
@@ -8,8 +9,24 @@ from math import gcd
 
 import pytest
 
-from weilrank.errors import NotIrreducible, NotSextic, PreconditionViolation
-from weilrank.exactcore import IntPoly, discriminant, factor_over_integers, poly_gcd
+import weilrank.subfields as subfields_module
+from weilrank.errors import (
+    FunctionalEquationFails,
+    NotIrreducible,
+    NotSextic,
+    PreconditionViolation,
+    RiemannHypothesisFails,
+)
+from weilrank.exactcore import (
+    IntPoly,
+    discriminant,
+    factor_over_integers,
+    is_prime,
+    legendre_symbol,
+    poly_gcd,
+    prime_power,
+)
+from weilrank.exactcore.factor import modular_factor_degrees
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.subfields import (
     conjugate_factorizations,
@@ -21,7 +38,7 @@ from weilrank.subfields import (
     p_splits,
     quadratic_subfields,
 )
-from weilrank.subfields import _candidate_ms, _degree_patterns, _sieve_ok
+from weilrank.subfields import _candidate_ms, _subfield_candidates, _trager_split
 from weilrank.weil import validate
 
 
@@ -30,7 +47,7 @@ def P(*coeffs):
 
 
 # a sextic with a Q(i)-factorization: (t^3 + 3t - 27)^2 + t^4, built from
-# G = t^3 + i t^2 + 3t - 27 (the product with its conjugate)
+# G = t^3 + i t^2 + 3t - 27 (the product with its conjugate); not a Weil polynomial
 ROUND_TRIP = P(-27, 3, 0, 1) * P(-27, 3, 0, 1) + P(0, 0, 0, 0, 1)
 
 # the first non-neat sextic the search finds over F_9
@@ -42,9 +59,8 @@ HALF_INTEGER = P(729, -405, -18, 51, -2, -5, 1)
 
 class TestConjugateFactorizations:
     def test_round_trip_recovers_field(self):
-        cfs = quadratic_subfields(ROUND_TRIP)
-        assert [cf.m for cf in cfs] == [-1]
-        cf = cfs[0]
+        cf = conjugate_split(ROUND_TRIP, -1)
+        assert cf.m == -1
         assert cf.expand() == ROUND_TRIP
         # G recovered up to conjugation: constant term is -27, rational
         assert cf.coefficients[0] == (-27, 0)
@@ -74,10 +90,22 @@ class TestConjugateFactorizations:
         cfs = conjugate_factorizations(P(5, -1, 1))
         assert [cf.m for cf in cfs] == [-19]
         assert cfs[0].expand() == P(5, -1, 1)
-        # quartic from (t^2 + i t + 3)(t^2 - i t + 3) = t^4 + 7t^2 + 9
-        quartic = P(9, 0, 7, 0, 1)
+        # a biquadratic quartic field over F_2 holds both Q(i) and Q(sqrt(-7))
+        quartic = P(4, 0, -3, 0, 1)
         cfs4 = conjugate_factorizations(quartic)
-        assert -1 in [cf.m for cf in cfs4]
+        assert [cf.m for cf in cfs4] == [-1, -7]
+        assert all(cf.expand() == quartic for cf in cfs4)
+
+    def test_refuses_non_weil(self):
+        # q is read off pmin(0): 729 = 9^3 for ROUND_TRIP, and 9 = 3^2 for
+        # t^4 + 7t^2 + 9 = (t^2 + i t + 3)(t^2 - i t + 3), whose traces are +-i
+        with pytest.raises(FunctionalEquationFails):
+            conjugate_factorizations(ROUND_TRIP)
+        with pytest.raises(RiemannHypothesisFails):
+            conjugate_factorizations(P(9, 0, 7, 0, 1))
+        for f in (P(4), P(4, 1), P(36, 0, 1), IntPoly()):
+            with pytest.raises(PreconditionViolation):
+                conjugate_factorizations(f)
 
     def test_conjugate_split_single_field(self):
         assert conjugate_split(NON_NEAT, -1) is not None
@@ -124,7 +152,7 @@ class TestNormOneWitness:
 
 class TestNormCondition:
     def test_forced_constant(self):
-        cf = quadratic_subfields(ROUND_TRIP)[0]
+        cf = conjugate_split(ROUND_TRIP, -1)
         # G(0) = -27 and q = 9: 729 = 9^3
         assert norm_condition(cf, 9)
         assert not norm_condition(cf, 8)  # 729 != 512
@@ -306,6 +334,41 @@ def _reference_split(f, m):
     return tuple((c.a0, c.a1) for c in g)
 
 
+# -- reference: the splitting-pattern sieve ----------------------------------
+# The screen `conjugate_factorizations` ran before the one-integer rule: every
+# negative squarefree m on the primes of disc(f), less those ruled out because
+# Q(sqrt(m)) is inert at an auxiliary prime where f has an odd-degree factor.
+
+
+def _degree_patterns(f: IntPoly, disc: int):
+    """(prime, has-odd-degree-factor) pairs at 20 auxiliary primes; disc = disc(f)."""
+    out = []
+    r = 101
+    while len(out) < 20 and r < 20000:
+        if is_prime(r) and disc % r != 0 and f.leading % r != 0:
+            degs = modular_factor_degrees(f, r)
+            out.append((r, any(d % 2 for d in degs)))
+        r += 2
+    return out
+
+
+def _sieve_ok(m: int, patterns) -> bool:
+    """Rule out m when some prime with an odd-degree factor is inert."""
+    d = m if m % 4 == 1 else 4 * m
+    for r, has_odd in patterns:
+        if not has_odd:
+            continue
+        if d % r != 0 and legendre_symbol(d % r, r) == -1:
+            return False
+    return True
+
+
+def _sieved(f: IntPoly):
+    disc = discriminant(f)
+    patterns = _degree_patterns(f, disc)
+    return [m for m in _candidate_ms(disc) if _sieve_ok(m, patterns)]
+
+
 @pytest.fixture(scope="module")
 def reference_corpus():
     """A seeded sample of irreducible Weil polynomials from g = 2, 3 boxes.
@@ -326,9 +389,7 @@ def reference_corpus():
     cases += [(P(625, -100, 35, -4, 1), 25), (NON_NEAT, 9), (HALF_INTEGER, 9)]
     out = []
     for f, q in cases:
-        disc = discriminant(f)
-        patterns = _degree_patterns(f, disc)
-        sieved = [m for m in _candidate_ms(disc) if _sieve_ok(m, patterns)]
+        sieved = _sieved(f)
         ms = sorted({*sieved, -1, -2, -3, -7}, key=abs)
         out.append((f, q, sieved, {m: _reference_split(f, m) for m in ms}))
     return out
@@ -385,3 +446,57 @@ class TestAgainstListReference:
         assert [(str(a), str(b)) for a, b in cf.coefficients] == [
             ("27", "0"), ("-15/2", "-9/2"), ("-5/2", "3/2"), ("1", "0")
         ]
+
+
+class TestCandidateRule:
+    """`_subfield_candidates` against the sieve it replaced, and the cases
+    where the resultant alone decides."""
+
+    def test_same_witnesses_as_the_sieve(self, monkeypatch):
+        # every non-real component of the g = 1 (q <= 49), g = 2 (q <= 9) and
+        # g = 3 (q = 2, 3) boxes; the splits are shared, so each (f, m) is
+        # factored once, and the rule must pick the same m in the same order
+        splits = {}
+
+        def split(f, m):
+            if (f, m) not in splits:
+                splits[f, m] = _trager_split(f, m)
+            return splits[f, m]
+
+        monkeypatch.setattr(subfields_module, "_trager_split", split)
+        qs = [q for q in range(2, 50) if prime_power(q)]
+        boxes = [(1, q) for q in qs] + [(2, q) for q in qs if q <= 9] + [(3, 2), (3, 3)]
+        comps = {
+            c.pmin: q
+            for g, q in boxes
+            for w in enumerate_weil(SearchSpec(g, q))
+            for c in w.components
+            if c.sqrt_root == "none"
+        }
+        degrees = {}
+        for f, q in comps.items():
+            want = [(m, cf.coefficients) for m in _sieved(f) if (cf := split(f, m)) is not None]
+            got = conjugate_factorizations(f)
+            assert [(cf.m, cf.coefficients) for cf in got] == want, f
+            if f.degree <= 4:  # the candidates are exactly the subfields
+                assert _subfield_candidates(f, q) == [m for m, _ in want], f
+            degrees[f.degree] = degrees.get(f.degree, 0) + 1
+        assert degrees == {2: 395, 4: 738, 6: 428}
+
+    def test_non_square_resultant_needs_no_split(self, monkeypatch):
+        def refuse(f, m):
+            raise AssertionError(f"factored {f} over Q(sqrt({m}))")
+
+        monkeypatch.setattr(subfields_module, "_trager_split", refuse)
+        # Res(h, x^2 - 4q) is 17 for the octic over F_2; the quartic over F_5
+        # has h = x^2 - x - 4 and Res = (16 - 2 sqrt 20)(16 + 2 sqrt 20) = 236
+        for f, q in [(P(16, -24, 12, -4, 3, -2, 3, -3, 1), 2), (P(25, -5, 6, -1, 1), 5)]:
+            assert _subfield_candidates(f, q) == []
+            assert conjugate_factorizations(f) == ()
+
+    def test_square_resultant_octic(self):
+        # h = x^4 - 6x^2 + 2 over F_2: Res(h, x^2 - 8) = 18^2
+        octic = P(16, 0, 8, 0, 2, 0, 2, 0, 1)
+        cfs = conjugate_factorizations(octic)
+        assert [cf.m for cf in cfs] == [-1, -7]
+        assert all(cf.expand() == octic for cf in cfs)
