@@ -84,6 +84,10 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The verdict of `classify` over the field q.  `simple` means one distinct
+    irreducible factor, so E^3 over F_(5^12) is simple here until the Honda-Tate
+    index of ROADMAP item 6 tells an isotypic P from a simple one."""
+
     g: int
     q: int
     poly: IntPoly

@@ -21,7 +21,6 @@ from math import comb, factorial, isqrt
 from .classify import classify_auto
 from .errors import (
     BSplitAtP,
-    FunctionalEquationFails,
     NonIntegralPolygon,
     NotPrimePower,
     PreconditionViolation,
@@ -38,7 +37,7 @@ from .exactcore import (
     sturm_real_root_count,
 )
 from .newton import classify_newton, newton_polygon
-from .subfields import ConjugateFactorization, p_splits
+from .subfields import _conjugate_cubic, p_splits
 from .weil import _check_in_range, _from_trace, validate
 
 __all__ = [
@@ -237,12 +236,11 @@ def find_non_neat_sextics(p: int, q: int, m: int, limit=None):
     G = t^3 + A t^2 + B t + C with A integral of absolute value at most
     3 sqrt(q), C = +-q^(3/2), and B forced to conj(A) * C / q: eigenvalue
     closure under alpha -> q/alpha demands it, so free-B candidates can
-    never validate.  With den the denominator of A, den G = U + sqrt(m) V
-    for integer polynomials U and V, and P = (U^2 - m V^2) / den^2 is
-    integral because A is.  Each P is validated, checked irreducible and
-    almost ordinary, classified over a sufficiently large field, and
-    emitted with its factorization witness only when non-neat; at most
-    `limit` are emitted.
+    never validate.  `_conjugate_cubic` builds G from the numerator of A
+    over its denominator, and P = G conj(G) is integral because A is.  Each
+    P is validated, checked irreducible and almost ordinary, classified over
+    a sufficiently large field, and emitted with its factorization witness
+    only when non-neat; at most `limit` are emitted.
     """
     if not is_prime(p):
         raise PreconditionViolation(f"{p} is not prime")
@@ -260,16 +258,14 @@ def find_non_neat_sextics(p: int, q: int, m: int, limit=None):
         raise PreconditionViolation(f"limit must be non-negative, got {limit}")
     den = 2 if m % 4 == 1 else 1
     count = 0
-    for sign in (1, -1):
-        c = sign * root_q  # C = c^3 and B = conj(A) c
+    for c in (root_q, -root_q):  # C = c^3 and B = conj(A) c
         for u, v in _integral_elements_in_disk(m, 9 * q):
             if limit is not None and count >= limit:
                 return
-            big_u, big_v = IntPoly([c**3 * den, c * u, u, den]), IntPoly([0, -c * v, v])
-            cf = ConjugateFactorization(m, big_u, big_v, den)
+            cf = _conjugate_cubic(m, c, u, v, den)
             try:
                 w = validate(cf.expand(), q)
-            except (FunctionalEquationFails, RiemannHypothesisFails):
+            except RiemannHypothesisFails:  # G conj(G) meets the functional equation
                 continue
             if w.factors != ((w.poly, 1),):
                 continue

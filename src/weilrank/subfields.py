@@ -248,47 +248,36 @@ def conjugate_split(pmin: IntPoly, m: int):
     return _trager_split(pmin, m)
 
 
-def norm_one_witness(pmin: IntPoly, q: int):
-    """Witness with norm-one constant term, solved in closed form.
+def _conjugate_cubic(m: int, c: int, u: int, v: int, den: int) -> ConjugateFactorization:
+    """G = t^3 + A t^2 + conj(A) c t + c^3 for den A = u + v sqrt(m): den G is
+    (den t^3 + u t^2 + c u t + c^3 den) + sqrt(m) (v t^2 - c v t)."""
+    big_u, big_v = IntPoly([c**3 * den, c * u, u, den]), IntPoly([0, -c * v, v])
+    return ConjugateFactorization(m, big_u, big_v, den)
 
-    For G = t^3 + A t^2 + B t + C, G(0)^2 = q^3 forces C = +-r^3 with
-    r = sqrt(q) an integer, which makes the coefficient system for
-    pmin = G * conj(G) triangular.  With
-    den = 2 r^3, den G = U + sqrt(m) V for integer polynomials U and V: the
-    t^5 and t coefficients of pmin give U directly, and V = a t^2 + b t
-    satisfies a^2 m = x, a b m = y, b^2 m = z with x, y, z known integers,
-    so m is the squarefree kernel of x (or z).  Faster than the general
-    subfield search, which factors over Q(sqrt(m)); returns None when no
-    imaginary witness with the norm condition exists.
+
+def norm_one_witness(pmin: IntPoly, q: int):
+    """Witness with norm-one constant term for a Weil sextic, from two integer identities.
+
+    G = t^3 + A t^2 + B t + C with G(0)^2 = q^3 and C rational has C = c^3,
+    c = +-sqrt(q) an integer.  In a Weil pmin each root a of G has conj(a) = q/a,
+    so B = -C sum 1/a and conj(A) = -q sum 1/a give B = conj(A) c.  The t^5 and
+    t^4 coefficients c5, c4 of pmin then give A = (c5 + v sqrt(m)) / 2 with
+    m v^2 = x = c5^2 - 4 c4 + 4 c c5, the t^3 coefficient must be
+    c3 = 2 c^3 + c c5^2 - 2 c c4 + 2 c^2 c5, and the functional equation gives
+    the rest.  So a witness exists exactly when x < 0 and that identity holds;
+    m = sqfree(x), and re-expansion checks the witness.  None when there is none.
     """
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
     if not is_perfect_square(q):
         return None
-    r3 = isqrt(q) ** 3
-    c0, c1, c2, c3, c4, c5, _ = pmin.coeffs
-    if c0 != q**3:
-        return None
-    den = 2 * r3
-    for big_c in (r3, -r3):
-        u1, u2 = c1 * r3 // big_c, c5 * r3  # den times the rational parts of B and A
-        x = u2 * u2 + 2 * den * u1 - den * den * c4
-        y = den * den * big_c + u2 * u1 - den * den * c3 // 2
-        z = 2 * u2 * big_c * den + u1 * u1 - den * den * c2
-        if x * z != y * y:
+    _, _, _, c3, c4, c5, _ = pmin.coeffs
+    for c in (isqrt(q), -isqrt(q)):
+        x = c5 * c5 - 4 * c4 + 4 * c * c5
+        if x >= 0 or c3 != 2 * c**3 + c * c5 * c5 - 2 * c * c4 + 2 * c * c * c5:
             continue
-        if x == 0 and z == 0:
-            continue  # rational G would make pmin reducible
-        lead = x if x != 0 else z
-        m = squarefree_part(lead)
-        if m >= 0:
-            continue
-        # lead / m is a square, since m is the squarefree kernel of lead, and
-        # y / (m a) is an integer, since m (y / (m a))^2 = z; x = 0 forces y = 0
-        root = isqrt(lead // m)
-        a, b = (root, y // (m * root)) if x != 0 else (0, root)
-        u = IntPoly([big_c * den, u1, u2, den])
-        cf = ConjugateFactorization(m, u, IntPoly([0, b, a]), den)
+        m = squarefree_part(x)
+        cf = _conjugate_cubic(m, c, c5, isqrt(x // m), 2)
         if cf.expand() == pmin:
             return cf
     return None

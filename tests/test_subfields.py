@@ -1,11 +1,12 @@
 """Imaginary quadratic subfields, conjugate factorizations, norm condition,
-Trager's splitting against a reference on lists of elements of Q(sqrt(m)), and
-the one-integer subfield rule against the splitting-pattern sieve it replaced."""
+Trager's splitting against a reference on lists of elements of Q(sqrt(m)),
+the one-integer subfield rule against the splitting-pattern sieve it replaced,
+and the closed-form norm-one witness against the solver it replaced."""
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
@@ -21,14 +22,17 @@ from weilrank.exactcore import (
     IntPoly,
     discriminant,
     factor_over_integers,
+    is_perfect_square,
     is_prime,
     legendre_symbol,
     poly_gcd,
     prime_power,
+    squarefree_part,
 )
 from weilrank.exactcore.factor import modular_factor_degrees
-from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.search import SearchSpec, enumerate_weil, find_non_neat_sextics
 from weilrank.subfields import (
+    ConjugateFactorization,
     conjugate_factorizations,
     conjugate_split,
     cubic_resolvent_is_galois,
@@ -500,3 +504,73 @@ class TestCandidateRule:
         cfs = conjugate_factorizations(octic)
         assert [cf.m for cf in cfs] == [-1, -7]
         assert all(cf.expand() == octic for cf in cfs)
+
+
+# -- reference: the three-equation solver that the closed form replaced -------
+
+
+def _norm_one_reference(pmin: IntPoly, q: int):
+    """G = t^3 + A t^2 + B t + C with C = +-r^3, r = sqrt(q), and free B.
+
+    With den = 2 r^3, den G = U + sqrt(m) V: the t^5 and t coefficients of
+    pmin give U, and V = a t^2 + b t satisfies a^2 m = x, a b m = y and
+    b^2 m = z for integers x, y, z, so m is the squarefree kernel of x (or z).
+    """
+    if not is_perfect_square(q):
+        return None
+    r3 = isqrt(q) ** 3
+    c0, c1, c2, c3, c4, c5, _ = pmin.coeffs
+    if c0 != q**3:
+        return None
+    den = 2 * r3
+    for big_c in (r3, -r3):
+        u1, u2 = c1 * r3 // big_c, c5 * r3  # den times the rational parts of B and A
+        x = u2 * u2 + 2 * den * u1 - den * den * c4
+        y = den * den * big_c + u2 * u1 - den * den * c3 // 2
+        z = 2 * u2 * big_c * den + u1 * u1 - den * den * c2
+        if x * z != y * y or x == z == 0:
+            continue
+        lead = x if x != 0 else z
+        m = squarefree_part(lead)
+        if m >= 0:
+            continue
+        root = isqrt(lead // m)
+        a, b = (root, y // (m * root)) if x != 0 else (0, root)
+        u = IntPoly([big_c * den, u1, u2, den])
+        cf = ConjugateFactorization(m, u, IntPoly([0, b, a]), den)
+        if cf.expand() == pmin:
+            return cf
+    return None
+
+
+@pytest.fixture(scope="module")
+def threefold_witnesses():
+    """(w, norm_one_witness) over every polynomial of the g = 3 boxes, q = 4 and 9."""
+    return [
+        (w, norm_one_witness(w.poly, q))
+        for q in (4, 9)
+        for w in enumerate_weil(SearchSpec(3, q))
+    ]
+
+
+class TestNormOneClosedForm:
+    def test_equals_the_three_equation_solver(self, threefold_witnesses):
+        for w, cf in threefold_witnesses:
+            assert cf == _norm_one_reference(w.poly, w.q), w.poly
+        assert sum(cf is not None for _, cf in threefold_witnesses) == 572
+
+    def test_witness_field_is_the_one_candidate(self, threefold_witnesses):
+        # m = sqfree(Res(h, x^2 - 4q)) for every witness of an irreducible sextic
+        held = 0
+        for w, cf in threefold_witnesses:
+            if cf is not None and w.factors == ((w.poly, 1),):
+                assert _subfield_candidates(w.poly, w.q) == [cf.m], w.poly
+                held += 1
+        assert held == 358
+
+    def test_search_builds_the_same_witness(self):
+        found = list(find_non_neat_sextics(2, 4, -1))
+        assert found
+        for w, cf in found:
+            want = norm_one_witness(w.poly, 4)
+            assert cf in (want, ConjugateFactorization(want.m, want.u, -want.v, want.den))
