@@ -33,7 +33,7 @@ from .errors import (
     PreconditionViolation,
     WeilrankError,
 )
-from .exactcore import IntPoly
+from .exactcore import IntPoly, is_perfect_square
 from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
 from .relfinder import DEFAULT_EXPONENT_BOUND, OracleRank, oracle_rank
 from .subfields import (
@@ -48,7 +48,6 @@ from .weil import (
     EigenvalueStructure,
     WeilPolynomial,
     base_change,
-    eigenvalue_structure,
     ratio_torsion_orders,
     validate,
 )
@@ -171,8 +170,6 @@ def _classify_sufficient(
         simple = True
         if comp.supersingular:
             neat, rank = True, 0
-        elif w.g <= 2:
-            neat, rank = True, comp.d
         elif comp.pmin.degree == 6:
             # (i) by theorem: the only real eigenvalues, +-sqrt(q), have degree
             # at most 2, so an irreducible sextic Weil factor has no real root
@@ -183,7 +180,7 @@ def _classify_sufficient(
             neat = not (cond_i and cond_ii and cond_iii)
             rank = 3 if neat else 2
         else:
-            # simple threefold with repeated factor: neat, pair-count rank
+            # dimension <= 2, or a repeated factor: neat, pair-count rank
             neat, rank = True, comp.d
     else:
         simple = False
@@ -223,13 +220,17 @@ def _classify_sufficient(
 def _combined_rank(comps, w: WeilPolynomial) -> int:
     """Rank of a g <= 3 product from the unit-group collapse rules.
 
-    Ordinary elliptic factors with one CM field give rank 1, with two
+    The ordinary curve t^2 + c t + q has CM field Q(sqrt(d)), d = c^2 - 4q < 0,
+    and Q(sqrt(d)) = Q(sqrt(e)) exactly when d e is a square, so the fields
+    are compared by square class and no integer is factored.  Ordinary
+    elliptic factors with one CM field give rank 1, with two
     fields rank 2.  Three pairwise distinct fields K1, K2, K3 give rank 3:
     the third quadratic subfield Q(sqrt(d2 d3)) of K2 K3 is real, so
     K1 meets K2 K3 only in Q, and a relation would force beta_1^a = +-1,
     which is torsion and therefore 1 over a sufficiently large field.  A
     quartic surface gives 2, and an elliptic factor adds 1 unless its CM
-    field K is one of the surface's `_subfield_candidates`, its subfields.
+    field K = Q(sqrt(d)) is one of the surface's `_subfield_candidates` m,
+    its subfields, that is when d m is a square.
 
     The relative norm of q^(-1) Fr^2 to K is then never 1, so it is not
     tested.  The split pmin = G * conj(G), G = t^2 + A t + B over K, puts
@@ -246,13 +247,13 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     if len(quad) + len(quartic) != len(active):
         # a non-supersingular sextic or repeated quartic needs g > 3
         raise PreconditionViolation(f"unexpected component in the product {w.poly}")
-    fields = {c.cm_disc for c in quad}
+    ds = [c.pmin.coeffs[1] ** 2 - 4 * w.q for c in quad]
+    fields = [d for i, d in enumerate(ds) if not any(is_perfect_square(d * e) for e in ds[:i])]
     if not quartic:
         return len(fields)
     # exactly one quartic (degrees forbid two) plus at most one elliptic factor
-    if fields:
-        fields -= set(_subfield_candidates(quartic[0].pmin, w.q))
-    return 2 + len(fields)
+    ms = _subfield_candidates(quartic[0].pmin, w.q) if fields else []
+    return 2 + sum(not any(is_perfect_square(d * m) for m in ms) for d in fields)
 
 
 def classify_auto(
@@ -301,17 +302,17 @@ def theorem_diagnostics(
     norms must exist.  Necessary-only directions are reported as such.
     """
     _require_sufficient(w)
-    decomp = eigenvalue_structure(w)
+    comps = w.components
     rk = oracle_rank(w, exponent_bound=exponent_bound)
     contradictions: list[str] = []
     inert_checks: list[dict] = []
     slope_parity = None
     product_collapse = None
 
-    if decomp.simple:
-        pmin = decomp.components[0].pmin
-        d = decomp.components[0].pmin.degree // 2
-        if decomp.components[0].sqrt_root == "none":
+    if len(comps) == 1:
+        pmin = comps[0].pmin
+        d = pmin.degree // 2
+        if comps[0].sqrt_root == "none":
             for cf in conjugate_factorizations(pmin):
                 split = p_splits(cf.m, w.p)
                 if split == "split":
@@ -332,7 +333,7 @@ def theorem_diagnostics(
         polygon = newton_polygon(w)
         slopes = set(polygon.slopes)
         if (
-            decomp.components[0].e == 1
+            comps[0].e == 1
             and len(slopes) == 2
             and Fraction(1, 2) not in slopes
         ):
@@ -341,7 +342,7 @@ def theorem_diagnostics(
             if not ok:
                 contradictions.append("slope_parity")
     else:
-        active = [c for c in decomp.components if not c.supersingular]
+        active = [c for c in comps if not c.supersingular]
         if len(active) == 2:
             # component ranks from pair counts (both components neat: g <= 2)
             r_parts = [c.d for c in active]
@@ -399,22 +400,22 @@ def fourfold_diagnostic(
     if w.g != 4:
         raise PreconditionViolation("fourfold diagnostic needs g = 4")
     _require_sufficient(w)
-    decomp = eigenvalue_structure(w)
+    comps = w.components
     polygon = newton_polygon(w)
     ntype = classify_newton(polygon, w.g)
     rk = oracle_rank(w, exponent_bound=exponent_bound)
     has_quad = False
     non_neat_threefold = False
     if rk.rank == 3:
-        has_quad = any(_imaginary_fields(c) for c in decomp.components)
-        sextics = [c for c in decomp.components if c.pmin.degree == 6 and c.e == 1]
-        elliptics = [c for c in decomp.components if c.pmin.degree == 2 and c.e == 1]
-        if len(sextics) == 1 and len(elliptics) == 1 and len(decomp.components) == 2:
+        has_quad = any(_imaginary_fields(c) for c in comps)
+        sextics = [c for c in comps if c.pmin.degree == 6 and c.e == 1]
+        elliptics = [c for c in comps if c.pmin.degree == 2 and c.e == 1]
+        if len(sextics) == 1 and len(elliptics) == 1 and len(comps) == 2:
             sub = validate(sextics[0].pmin, w.q)
             sub_report = classify(sub, exponent_bound=exponent_bound)
             non_neat_threefold = not sub_report.neat
     return FourfoldDiagnostic(
-        decomposition=tuple((c.pmin, c.e) for c in decomp.components),
+        decomposition=w.factors,
         newton_primary=ntype.primary,
         oracle=rk,
         rank_is_three=rk.rank == 3,

@@ -32,7 +32,7 @@ from .search import (
     enumerate_weil,
     find_non_neat_sextics,
 )
-from .weil import base_change, eigenvalue_structure, validate
+from .weil import base_change, validate
 
 SCHEMA = "weilrank/1"
 
@@ -158,7 +158,7 @@ def _invalid_record(poly: IntPoly, q: int, exc: WeilrankError) -> dict:
 
 def _analyze_record(poly: IntPoly, q: int) -> dict:
     w = validate(poly, q)
-    decomp = eigenvalue_structure(w)
+    comps = w.components
     polygon = newton_polygon(w)
     ntype = classify_newton(polygon, w.g)
     return {
@@ -169,7 +169,7 @@ def _analyze_record(poly: IntPoly, q: int) -> dict:
         "g": w.g,
         "p": str(w.p),
         "v": w.v,
-        "simple": decomp.simple,
+        "simple": len(comps) == 1,
         "components": [
             {
                 "pmin": _poly_json(c.pmin),
@@ -177,9 +177,9 @@ def _analyze_record(poly: IntPoly, q: int) -> dict:
                 "pairs": c.d,
                 "sqrt_root": c.sqrt_root,
             }
-            for c in decomp.components
+            for c in comps
         ],
-        "end_rank": decomp.end_rank,
+        "end_rank": sum(c.r_count * c.e * c.e for c in comps),  # e^2 per distinct root
         "newton": ntype.primary,
         "newton_labels": sorted(ntype.labels),
         "polygon": _newton_json(polygon),

@@ -272,13 +272,9 @@ def _pseudo_rem(f, g):
 
 
 def squarefree_part(f: IntPoly) -> IntPoly:
-    """Product of the distinct irreducible factors, primitive, positive lc."""
-    if f.is_zero:
-        raise PreconditionViolation("zero polynomial")
-    if f.degree == 0:
-        return IntPoly([1])
-    g = poly_gcd(f, f.derivative())
-    return f.primitive_part().exact_div(g)
+    """Product of the distinct irreducible factors, primitive, positive lc:
+    the head of the Sturm chain, as `sturm_surd_counts` returns it."""
+    return _sturm_chain(f)[0].primitive_part()
 
 
 def squarefree_decomposition(f: IntPoly):

@@ -29,7 +29,6 @@ from .exactcore import (
     factor_over_integers,
     power_transform,
     prime_power,
-    squarefree_part,
     sturm_surd_counts,
     symmetric_square,
 )
@@ -39,7 +38,6 @@ from .newton import NewtonPolygon, classify_newton, root_valuation_segments
 __all__ = [
     "WeilPolynomial",
     "EigenvalueStructure",
-    "EigenvalueDecomposition",
     "validate",
     "trace_polynomial",
     "eigenvalue_structure",
@@ -231,6 +229,8 @@ class EigenvalueStructure:
     the pairing alpha <-> q/alpha; sqrt_root: which of +-sqrt(q) occur among
     its roots ('none' / 'plus' / 'minus' / 'both'); q = p^v.  The p-adic
     data, `slopes` and what follows from them, is computed on first read.
+    An ordinary pmin = t^2 + c t + q has CM field Q(sqrt(d)), d = c^2 - 4q < 0,
+    and two such fields are equal exactly when d d' is a square.
     """
 
     pmin: IntPoly
@@ -256,43 +256,15 @@ class EigenvalueStructure:
         scaled = NewtonPolygon(segments=tuple((s, l * self.e) for s, l in self.slopes))
         return classify_newton(scaled, self.pmin.degree * self.e // 2).primary
 
-    @cached_property
-    def cm_disc(self) -> int | None:
-        """Squarefree discriminant of the CM field of a quadratic pmin, else None."""
-        if self.pmin.degree != 2 or self.sqrt_root != "none":
-            return None
-        return squarefree_part(self.pmin.coeffs[1] ** 2 - 4 * self.pmin.coeffs[0])
 
+def eigenvalue_structure(w: WeilPolynomial) -> tuple[EigenvalueStructure, ...]:
+    """`w.components`, one record per irreducible factor of P.
 
-@dataclass(frozen=True)
-class EigenvalueDecomposition:
-    components: tuple[EigenvalueStructure, ...]
-    simple: bool
-
-    @property
-    def end_rank(self) -> int:
-        """rank of End(X) = sum of multiplicity^2 over distinct roots."""
-        return sum(c.r_count * c.e * c.e for c in self.components)
-
-    @property
-    def sqrt_root(self) -> str:
-        seen = {c.sqrt_root for c in self.components} - {"none"}
-        if not seen:
-            return "none"
-        if seen == {"plus"}:
-            return "plus"
-        if seen == {"minus"}:
-            return "minus"
-        return "both"
-
-
-def eigenvalue_structure(w: WeilPolynomial) -> EigenvalueDecomposition:
-    """The components of P, and whether there is just one (`simple`).
-
-    Each factor's root set is closed under alpha -> q/alpha, because
-    q/alpha is the complex conjugate.
+    Two ordinary curves t^2 - a t + q and t^2 - b t + q share their CM field
+    exactly when (a^2 - 4q)(b^2 - 4q) is a square, so no record needs the
+    squarefree part of a^2 - 4q.
     """
-    return EigenvalueDecomposition(components=w.components, simple=len(w.components) == 1)
+    return w.components
 
 
 def base_change(w: WeilPolynomial, n: int) -> WeilPolynomial:
@@ -351,4 +323,5 @@ def has_unresolved_square_roots(w: WeilPolynomial) -> bool:
     Such polynomials validate but cannot be classified until a base change
     removes the -1 ratio (the field is not sufficiently large).
     """
-    return eigenvalue_structure(w).sqrt_root == "both"
+    seen = {c.sqrt_root for c in w.components}
+    return "both" in seen or {"plus", "minus"} <= seen

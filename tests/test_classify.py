@@ -1,11 +1,12 @@
 """Classification engine: sufficiency, neatness, rank, diagnostics."""
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm, prod
 
 import pytest
 
 import weilrank.classify
+import weilrank.exactcore.intfactor
 import weilrank.subfields
 import weilrank.weil
 
@@ -24,9 +25,15 @@ from weilrank.errors import (
     OracleDisagreement,
     PreconditionViolation,
 )
-from weilrank.exactcore import IntPoly, factor_over_integers, power_transform, prime_power
+from weilrank.exactcore import (
+    IntPoly,
+    factor_over_integers,
+    power_transform,
+    prime_power,
+    squarefree_part,
+)
 from weilrank.newton import newton_polygon
-from weilrank.relfinder import OracleRank
+from weilrank.relfinder import OracleRank, oracle_rank
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.subfields import _trager_split, norm_condition
 from weilrank.weil import (
@@ -48,6 +55,15 @@ def P(*coeffs):
 
 
 NON_NEAT = P(729, -324, 72, -18, 8, -4, 1)
+# (t^2 - a t + 2^127)(t^2 - 3t + 2^127): Pollard rho on a^2 - 2^129 runs past 60 s
+F2_127_PRODUCT = validate(P(2**127, -1178032213966879813, 1) * P(2**127, -3, 1), 2**127)
+
+
+def _cm_disc(c):
+    """Squarefree discriminant of the CM field of a quadratic component, else None."""
+    if c.pmin.degree != 2 or c.sqrt_root != "none":
+        return None
+    return squarefree_part(c.pmin.coeffs[1] ** 2 - 4 * c.pmin.coeffs[0])
 
 
 def sextic_from_trace(hc, q):
@@ -212,7 +228,7 @@ class TestSufficientFieldOnce:
         assert squarefree.count(w.poly) == 0
         assert squarefree.count(rep.poly) == 0
         # each component's slopes are computed once, on first read
-        labels = [(c.supersingular, c.newton_primary, c.cm_disc) for c in rep.components]
+        labels = [(c.supersingular, c.newton_primary, _cm_disc(c)) for c in rep.components]
         assert labels == [(True, "supersingular", None), (False, "ordinary", -19)]
         assert slopes == [c.pmin for c in rep.components]
 
@@ -324,7 +340,7 @@ class TestClassifyProducts:
         # CM fields: rank 3 by theorem, and the oracle agrees
         w = validate(P(q, -traces[0], 1) * P(q, -traces[1], 1) * P(q, -traces[2], 1), q)
         rep = classify(w)
-        assert len({c.cm_disc for c in rep.components}) == 3
+        assert len({_cm_disc(c) for c in rep.components}) == 3
         assert rep.neat and rep.rank == 3
         assert rep.oracle is not None and rep.oracle.rank == 3
         wrong = OracleRank(rank=2, confidence=rep.oracle.confidence, lattice=rep.oracle.lattice)
@@ -346,6 +362,35 @@ class TestClassifyProducts:
         assert rep.oracle is not None and rep.rank == rep.oracle.rank
 
 
+def _ordinary_curve_products():
+    """Every product of two or three ordinary elliptic curves over F_q, q <= 9: the
+    members of the g = 2 and g = 3 boxes whose factors are all ordinary curves."""
+    for q in filter(prime_power, range(2, 10)):
+        p = prime_power(q)[0]
+        curves = [w.poly for w in enumerate_weil(SearchSpec(g=1, q=q)) if w.poly.coeffs[1] % p]
+        for n in (2, 3):
+            for factors in combinations_with_replacement(curves, n):
+                yield validate(prod(factors, start=P(1)), q)
+
+
+class TestProductsFactorNoInteger:
+    """The product rule compares CM fields by square class, so classifying a
+    product of ordinary curves factors no integer once it is validated."""
+
+    def test_classify_auto_never_calls_factor_int(self, monkeypatch):
+        products = [*_ordinary_curve_products(), F2_127_PRODUCT]
+        assert len(products) == 732
+
+        def refuse(n):
+            raise AssertionError(f"factor_int({n}) called")
+
+        monkeypatch.setattr(weilrank.exactcore.intfactor, "factor_int", refuse)
+        reports = [classify_auto(w) for w in products]
+        monkeypatch.undo()
+        for w, rep in zip(products, reports):
+            assert rep.rank == oracle_rank(base_change(w, rep.sufficiency_degree)).rank, w
+
+
 def _quartic_elliptic_products(q):
     """(w, wn, cf): each product of a simple quartic and an elliptic curve over
     F_q that is one quartic and one ordinary curve over F_(q^n), n the
@@ -360,7 +405,7 @@ def _quartic_elliptic_products(q):
         wn = base_change(w, sufficiency_degree(w))
         active = [c for c in wn.components if not c.supersingular]
         quartic = [c.pmin for c in active if c.pmin.degree == 4 and c.e == 1]
-        fields = [c.cm_disc for c in active if c.pmin.degree == 2]
+        fields = [_cm_disc(c) for c in active if c.pmin.degree == 2]
         if len(quartic) == len(fields) == 1:
             key = (quartic[0], fields[0])
             if key not in splits:
@@ -469,7 +514,7 @@ class TestDiagnostics:
         quadratics = [c for c in rep.components if c.pmin.degree == 2]
         assert len(rep.components) == 2
         assert len(quartics) == 1 and quartics[0].e == 1
-        assert len(quadratics) == 1 and quadratics[0].cm_disc == -1
+        assert len(quadratics) == 1 and _cm_disc(quadratics[0]) == -1
         assert rep.rank == 2  # collapsed from 2 + 1
         diag = theorem_diagnostics(base_change(w, rep.extension_from[1]))
         assert diag.product_collapse is not None

@@ -41,7 +41,7 @@ from weilrank.exactcore.poly import real_root_brackets
 from weilrank.exactcore.poly import squarefree_part as poly_sf
 from weilrank.exactcore.transforms import _from_power_sums, _phi_sieve
 from weilrank.search import SearchSpec, enumerate_weil
-from weilrank.weil import ratio_torsion_orders
+from weilrank.weil import base_change, ratio_torsion_orders, validate
 
 from test_classify import SUFFICIENCY_BOXES
 
@@ -90,6 +90,16 @@ def sylvester_resultant(f: IntPoly, g: IntPoly) -> int:
             rows[i][k] = 0
         prev = rows[k][k]
     return sign * rows[size - 1][size - 1]
+
+
+def _squarefree_part_reference(f: IntPoly) -> IntPoly:
+    """f / gcd(f, f'), primitive, positive lc: the gcd definition, apart from Sturm chains."""
+    if f.is_zero:
+        raise PreconditionViolation("zero polynomial")
+    if f.degree == 0:
+        return IntPoly([1])
+    g = poly_gcd(f, f.derivative())
+    return f.primitive_part().exact_div(g)
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(IntPoly)
@@ -151,6 +161,45 @@ class TestIntPoly:
         for g, m in dec:
             prod = prod * g**m
         assert prod == f
+
+
+class TestSquarefreePart:
+    """`squarefree_part`, the head of the Sturm chain, against the gcd definition."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-3, 3).map(lambda r: P(-r, 1)),
+                    # x^2 - d: roots on the end points -+sqrt(d) of a range check
+                    st.sampled_from([2, 3, 4, 8, 12, 20]).map(lambda d: P(-d, 0, 1)),
+                    st.lists(st.integers(-4, 4), min_size=3, max_size=4).map(IntPoly),
+                ),
+                st.integers(1, 3),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(-6, 6).filter(bool),
+    )
+    def test_repeated_factors_and_end_points(self, factors, c):
+        f = prod((g**e for g, e in factors), start=P(c))
+        if f.is_zero:
+            return
+        assert poly_sf(f) == _squarefree_part_reference(f)
+
+    def test_zero_refused(self):
+        with pytest.raises(PreconditionViolation, match="zero polynomial"):
+            poly_sf(IntPoly())
+
+    @pytest.mark.parametrize("g, q", [(g, q) for g in (1, 2, 3) for q in (2, 3, 4)])
+    def test_trace_polynomials_and_their_base_changes(self, g, q):
+        # validate seeds the squarefree part of h from its range check; the one of an
+        # enumerated polynomial or of a base change is computed on first read
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            for v in (validate(w.poly, q), w, base_change(w, 2)):
+                assert v.trace_squarefree == _squarefree_part_reference(v.trace)
 
 
 class TestFactor:
@@ -415,7 +464,7 @@ class TestSturm:
         if f.is_zero:
             return
         count = sturm_real_root_count(f, lo, hi)
-        assert count == sturm_real_root_count(poly_sf(f), lo, hi)
+        assert count == sturm_real_root_count(_squarefree_part_reference(f), lo, hi)
         x = sympy.Symbol("x")
         roots = set(sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x)))
         assert count == sum(1 for r in roots if (lo is None or r > lo) and (hi is None or r <= hi))
@@ -451,7 +500,7 @@ class TestSturm:
     )
     def test_surd_counts(self, f, d, counts):
         fsf, real, inside = sturm_surd_counts(f, d)
-        assert fsf == poly_sf(f)
+        assert fsf == _squarefree_part_reference(f)
         assert (real, inside) == counts
         with pytest.raises(PreconditionViolation):
             sturm_surd_counts(IntPoly(), d)

@@ -44,6 +44,8 @@ from weilrank.weil import (
     validate,
 )
 
+from test_classify import _cm_disc
+
 
 def P(*coeffs):
     return IntPoly(coeffs)
@@ -353,31 +355,32 @@ class TestTracePolynomial:
         assert outcomes == {"valid", "FunctionalEquationFails", "RiemannHypothesisFails"}
 
 
+def _end_rank(components) -> int:
+    """rank of End(X): multiplicity^2 summed over the distinct roots."""
+    return sum(c.r_count * c.e * c.e for c in components)
+
+
 class TestEigenvalueStructure:
     def test_supersingular_square(self):
         w = validate(P(4, -4, 1), 4)
-        es = eigenvalue_structure(w)
-        assert es.simple
-        c = es.components[0]
+        assert len(w.components) == 1  # simple
+        c = w.components[0]
         assert (c.pmin, c.e, c.d, c.sqrt_root) == (P(-2, 1), 2, 0, "plus")
-        assert es.end_rank == 4
+        assert _end_rank(w.components) == 4
+        assert eigenvalue_structure(w) is w.components
 
     def test_ordinary(self):
-        es = eigenvalue_structure(validate(P(5, -1, 1), 5))
-        c = es.components[0]
+        (c,) = validate(P(5, -1, 1), 5).components
         assert (c.pmin, c.e, c.d, c.r_count, c.sqrt_root) == (P(5, -1, 1), 1, 1, 2, "none")
 
     def test_non_simple(self):
         w = validate(P(5, 0, 1) * P(5, -1, 1), 5)
-        es = eigenvalue_structure(w)
-        assert not es.simple
-        assert len(es.components) == 2
-        assert es.end_rank == 4
+        assert len(w.components) == 2
+        assert _end_rank(w.components) == 4
 
     def test_irrational_both_roots(self):
         w = validate(P(-5, 0, 1) ** 2, 5)
-        es = eigenvalue_structure(w)
-        c = es.components[0]
+        c = w.components[0]
         assert c.sqrt_root == "both"
         assert c.d == 0
         assert has_unresolved_square_roots(w)
@@ -385,7 +388,7 @@ class TestEigenvalueStructure:
     def test_rational_both_roots(self):
         w = validate((P(-2, 1) * P(2, 1)) ** 2, 4)
         assert has_unresolved_square_roots(w)
-        assert eigenvalue_structure(w).sqrt_root == "both"
+        assert {c.sqrt_root for c in w.components} == {"plus", "minus"}
 
 
 # -- references: each component's facts worked out apart from the factor loop --
@@ -474,13 +477,12 @@ def _assert_components_match_references(w):
     ]
     for c, r in zip(comps, refs):
         assert (c.p, c.v) == (w.p, w.v)
-        assert (c.newton_primary, c.supersingular, c.cm_disc) == _component_report_reference(
+        assert (c.newton_primary, c.supersingular, _cm_disc(c)) == _component_report_reference(
             r, w.p, w.v
         )
-    es = eigenvalue_structure(w)
-    assert es.components == comps and es.simple == (len(refs) == 1)
-    assert es.sqrt_root == _sqrt_root_of_whole_reference(refs)
+    assert _end_rank(comps) == _end_rank(refs)
     assert has_unresolved_square_roots(w) == _has_unresolved_square_roots_reference(w)
+    assert has_unresolved_square_roots(w) == (_sqrt_root_of_whole_reference(refs) == "both")
 
 
 class TestComponentsMatchReferences:
@@ -541,8 +543,7 @@ class TestBaseChange:
     def test_root_count_preserved(self):
         w = validate(P(5, -1, 1) ** 2, 5)
         wn = base_change(w, 3)
-        es = eigenvalue_structure(wn)
-        assert es.components[0].e == 2
+        assert wn.components[0].e == 2
 
 
 FACTOR_BOXES = (
