@@ -1,8 +1,8 @@
 """weilrank: exact analysis of Weil q-polynomials.
 
 Validates characteristic polynomials of Frobenius, computes Newton polygons,
-decides neatness and multiplicative rank in dimension <= 3, and checks each
-product's rank (a simple input's under `force_oracle`) with a certified oracle.
+decides neatness and multiplicative rank in dimension <= 3 by theorem, and on
+request (`force_oracle`) checks each rank with a certified oracle.
 """
 
 __version__ = "0.1.0"

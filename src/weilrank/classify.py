@@ -14,9 +14,9 @@ The decision procedure over a sufficiently large field:
     imaginary quadratic fields, and three ordinary elliptic factors with
     pairwise distinct CM fields have rank 3; so every rank is a theorem.
 
-The certified oracle only cross-checks: every product rank is compared
-with it, and a disagreement raises, because it can only mean a bug on
-one side.
+The certified oracle is opt-in (`force_oracle`, `--oracle-check`): it
+cross-checks the rank of a simple or product input alike, and a
+disagreement raises, because it can only mean a bug on one side.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
 from .relfinder import DEFAULT_EXPONENT_BOUND, OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
+    _sextic_witness,
     _subfield_candidates,
     conjugate_factorizations,
     norm_condition,
@@ -63,11 +64,14 @@ __all__ = [
 
 
 def sufficiency_degree(w: WeilPolynomial) -> int:
-    """Least extension degree after which no ratio of distinct eigenvalues
-    is a root of unity: the lcm of `ratio_torsion_orders(w)`, or 1.  Those
-    orders are read off the symmetric square of P, of degree g(2g + 1).
+    """Least extension degree after which the eigenvalue group has no torsion:
+    the lcm of `ratio_torsion_orders(w)`, read off the symmetric square of P,
+    and for g = 3 the order of zeta = G(0)^2 / q^3 != 1 for P = G * conj(G)
+    over an imaginary quadratic field (`_sextic_witness`), the torsion of a
+    product of three eigenvalues that an irreducible sextic and a quartic
+    times a curve carry alike; zeta^n = 1 over F_(q^n).
 
-    Two facts make this one test enough.
+    Two facts make these tests enough for pairwise ratios.
       * Torsion among the beta = q^(-1) alpha^2 is already ratio torsion.
         For a non-real alpha, beta = alpha / conj(alpha) is a ratio of two
         distinct roots; for alpha = +-sqrt(q), beta = 1.
@@ -75,10 +79,10 @@ def sufficiency_degree(w: WeilPolynomial) -> int:
         so is alpha/gamma, so every torsion ratio over F_(q^n) is the n-th
         power of a torsion ratio over F_q.  With n the lcm of their orders
         each of them becomes 1, and F_(q^n) has no ratio torsion left.
-    Torsion of the eigenvalue group beyond pairwise ratios is not detected
-    (ROADMAP item 1).
+    For g = 4 only pairwise ratios are seen (ROADMAP item 10).
     """
-    return lcm(*ratio_torsion_orders(w))
+    found = _sextic_witness(w.poly, w.p, w.v, norm_one=False) if w.g == 3 else None
+    return lcm(*ratio_torsion_orders(w), found[1] if found else 1)
 
 
 @dataclass(frozen=True)
@@ -124,9 +128,8 @@ def classify(
 
     The caller extends the field first (see `classify_auto`); a field with
     eigenvalue torsion is rejected so every verdict names the field it
-    holds over.  Every rank is a theorem.  Product ranks are always
-    cross-checked against the certified oracle, and `force_oracle` adds
-    the check to simple inputs.
+    holds over.  Every rank is a theorem; `force_oracle` cross-checks it
+    against the certified oracle, which otherwise is not called.
     """
     _require_dimension(w)
     _require_sufficient(w)
@@ -163,7 +166,6 @@ def _classify_sufficient(
     comps = w.components
     witness = None
     cond_i = cond_ii = cond_iii = False
-    oracle: OracleRank | None = None
 
     if len(comps) == 1:
         comp = comps[0]
@@ -187,12 +189,10 @@ def _classify_sufficient(
         neat = True
         rank = _combined_rank(comps, w)
 
-    if not simple or force_oracle:
-        oracle = oracle_rank(w, exponent_bound=exponent_bound)
-        if oracle.rank != rank:
-            raise OracleDisagreement(
-                f"classifier rank {rank} != oracle rank {oracle.rank} for {w.poly}"
-            )
+    oracle = oracle_rank(w, exponent_bound=exponent_bound) if force_oracle else None
+    if oracle is not None and oracle.rank != rank:
+        msg = f"classifier rank {rank} != oracle rank {oracle.rank} for {w.poly}"
+        raise OracleDisagreement(msg)
     report = ClassificationReport(
         g=w.g,
         q=w.q,
@@ -240,6 +240,8 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     The + sign puts a root twice in pmin; the - sign makes alpha_a /
     conj(alpha_b) = -1 a ratio of distinct eigenvalues, which
     `ratio_torsion_orders` reports, so no sufficiently large field has it.
+    A root of unity N beta_E = zeta != 1, as for (t^4 - 4t^3 + 35t^2 - 100t + 625)
+    (t^2 - 8t + 25) over F_25, is the zeta of `sufficiency_degree`, which clears it.
     """
     active = [c for c in comps if not c.supersingular]
     quad = [c for c in active if c.pmin.degree == 2]

@@ -4,8 +4,9 @@ Conventions: polynomial coefficients are ascending (constant term first)
 both on the command line and in JSON; every number in JSON is a decimal
 string so arbitrary precision survives any consumer.  All output data goes
 to stdout, progress notes to stderr.  Exit codes: 0 success, 1 usage
-error, 2 invalid Weil polynomial, 3 classifier/oracle disagreement.  The
-`simple` key means one distinct irreducible factor: E^3 is reported simple.
+error, 2 invalid Weil polynomial, 3 classifier/oracle disagreement under the
+opt-in `classify --oracle-check`, whose `oracle` key appears exactly when it
+ran.  The `simple` key means one distinct irreducible factor: E^3 is simple.
 """
 
 from __future__ import annotations

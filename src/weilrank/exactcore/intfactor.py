@@ -1,8 +1,8 @@
 """Integer primality and factorization utilities.
 
-Used for prime-power recognition, squarefree parts of small discriminants,
-and the prime support of polynomial discriminants.  Deterministic: Pollard
-rho runs a fixed parameter schedule, never a random one.
+Used for squarefree parts of small discriminants and the prime support
+of polynomial discriminants; prime powers are recognized by integer roots.
+Deterministic: Pollard rho runs a fixed parameter schedule, never a random one.
 """
 
 from __future__ import annotations
@@ -118,14 +118,19 @@ def squarefree_part(n: int) -> int:
 
 
 def prime_power(q: int):
-    """(p, v) with q = p^v, or None when q is not a prime power."""
-    if q < 2:
-        return None
-    fac = factor_int(q)
-    if len(fac) != 1:
-        return None
-    ((p, v),) = fac.items()
-    return p, v
+    """(p, v) with q = p^v, or None when q is not a prime power.
+
+    Nothing is factored: p >= 2 bounds v by log2 q, and for each such v the
+    integer v-th root of q, by Newton's method from above, is tested for
+    being exact and prime.
+    """
+    for v in range(1, max(q, 1).bit_length()):
+        p = 1 << -(-q.bit_length() // v)
+        while (s := ((v - 1) * p + q // p ** (v - 1)) // v) < p:
+            p = s
+        if p**v == q and is_prime(p):
+            return p, v
+    return None
 
 
 def is_perfect_square(n: int) -> bool:

@@ -255,32 +255,64 @@ def _conjugate_cubic(m: int, c: int, u: int, v: int, den: int) -> ConjugateFacto
     return ConjugateFactorization(m, big_u, big_v, den)
 
 
-def norm_one_witness(pmin: IntPoly, q: int):
-    """Witness with norm-one constant term for a Weil sextic, from two integer identities.
+def _sextic_witness(pmin: IntPoly, p: int, k: int, norm_one: bool):
+    """(G, order of zeta) with pmin = G * conj(G) over an imaginary quadratic field
+    for a Weil sextic pmin over F_q, q = p^k, and zeta = G(0)^2 / q^3 a root of unity:
+    zeta = 1 when `norm_one` is set, zeta != 1 otherwise.  None when there is none.
 
-    G = t^3 + A t^2 + B t + C with G(0)^2 = q^3 and C rational has C = c^3,
-    c = +-sqrt(q) an integer.  In a Weil pmin each root a of G has conj(a) = q/a,
-    so B = -C sum 1/a and conj(A) = -q sum 1/a give B = conj(A) c.  The t^5 and
-    t^4 coefficients c5, c4 of pmin then give A = (c5 + v sqrt(m)) / 2 with
-    m v^2 = x = c5^2 - 4 c4 + 4 c c5, the t^3 coefficient must be
-    c3 = 2 c^3 + c c5^2 - 2 c c4 + 2 c^2 c5, and the functional equation gives
-    the rest.  So a witness exists exactly when x < 0 and that identity holds;
-    m = sqfree(x), and re-expansion checks the witness.  None when there is none.
+    G = t^3 + A t^2 + B t + C over K = Q(sqrt(m)).  C in K forces sqrt(zeta) q^(3/2)
+    in K, so 2C = x + y sqrt(m) is one of a few constants, up to the signs of x, y:
+    for q = r^2, C = r^3 with m free, r^3 sqrt(-1) or r^3 (1 + sqrt(-3)) / 2; for k
+    odd and s = p^((3k - 1)/2), s sqrt(-p), s (1 + sqrt(-1)) when p = 2, or
+    s (3 + sqrt(-3)) / 2 when p = 3.  Each root a of G has conj(a) = q/a, so
+    B = -C sum 1/a and conj(A) = -q sum 1/a give B = conj(A) C / q.  With
+    2A = c5 + v sqrt(m), the t^4 coefficient c4 = A conj(A) + (conj(A) C + A conj(C)) / q
+    reads m q v^2 + 2 m y v + q (4 c4 - c5^2) - 2 c5 x = 0, whose integer roots v
+    are tried; for C = r^3 it fixes m v^2 alone, and m is its squarefree part.  The
+    t^3 coefficient 4 q c3 = (4 q + c5^2 + m v^2) x - 2 m c5 v y is checked before
+    re-expansion proves G.
     """
+    q = p**k
+    if k % 2 == 0:
+        r = p ** (3 * k // 2)
+        base = [(None, 2 * r, 0, 1), (-1, 0, 2 * r, 2), (-3, r, r, 3)]
+    else:
+        s = p ** ((3 * k - 1) // 2)
+        base = [(-p, 0, 2 * s, 2)]
+        base += [(-1, 2 * s, 2 * s, 4)] * (p == 2) + [(-3, 3 * s, s, 6)] * (p == 3)
+    signed = [(m, a * x, b * y, n) for m, x, y, n in base for a in (1, -1) for b in (1, -1)]
+    _, _, _, c3, c4, c5, _ = pmin.coeffs
+    for m, x, y, order in dict.fromkeys(c for c in signed if (c[3] == 1) == norm_one):
+        if m is None:  # y = 0: the identity fixes m v^2 alone
+            m, rem = divmod(2 * c5 * x - q * (4 * c4 - c5 * c5), q)
+            vs = [1] if m < 0 and not rem else []
+        else:
+            disc = m * m * y * y - m * q * (q * (4 * c4 - c5 * c5) - 2 * c5 * x)
+            root = isqrt(max(disc, 0))
+            vs = [n // (m * q) for n in (root - m * y, -root - m * y) if n % (m * q) == 0]
+            vs = vs if root * root == disc else []
+        for v in vs:
+            if 4 * q * c3 != (4 * q + c5 * c5 + m * v * v) * x - 2 * m * c5 * v * y:
+                continue
+            if order == 1:  # m v^2 with v = 1 so far
+                m, v = (f := squarefree_part(m)), isqrt(m // f)
+            # 4q G = u + sqrt(m) w, where 4q B = conj(2A) 2C
+            u = IntPoly([2 * q * x, c5 * x - m * v * y, 2 * q * c5, 4 * q])
+            w = IntPoly([2 * q * y, c5 * y - v * x, 2 * q * v])
+            cf = ConjugateFactorization(m, u, w, 4 * q)
+            if cf.expand() == pmin:
+                return cf, order
+    return None
+
+
+def norm_one_witness(pmin: IntPoly, q: int):
+    """Witness G with G(0)^2 = q^3 for a Weil sextic, or None: `_sextic_witness`
+    with zeta = 1, so None unless q is a square."""
     if pmin.degree != 6:
         raise NotSextic(f"degree {pmin.degree}, expected 6")
-    if not is_perfect_square(q):
-        return None
-    _, _, _, c3, c4, c5, _ = pmin.coeffs
-    for c in (isqrt(q), -isqrt(q)):
-        x = c5 * c5 - 4 * c4 + 4 * c * c5
-        if x >= 0 or c3 != 2 * c**3 + c * c5 * c5 - 2 * c * c4 + 2 * c * c * c5:
-            continue
-        m = squarefree_part(x)
-        cf = _conjugate_cubic(m, c, c5, isqrt(x // m), 2)
-        if cf.expand() == pmin:
-            return cf
-    return None
+    pp = prime_power(q)
+    found = pp and _sextic_witness(pmin, *pp, norm_one=True)
+    return found[0] if found else None
 
 
 def norm_condition(cf: ConjugateFactorization, q: int) -> bool:

@@ -27,15 +27,17 @@ from weilrank.errors import (
 )
 from weilrank.exactcore import (
     IntPoly,
+    cyclotomic_part_orders,
     factor_over_integers,
     power_transform,
     prime_power,
     squarefree_part,
 )
+from weilrank.exactcore.transforms import _from_power_sums, _power_sums
 from weilrank.newton import newton_polygon
 from weilrank.relfinder import OracleRank, oracle_rank
 from weilrank.search import SearchSpec, enumerate_weil
-from weilrank.subfields import _trager_split, norm_condition
+from weilrank.subfields import _sextic_witness, _trager_split, norm_condition
 from weilrank.weil import (
     base_change,
     beta_torsion_orders,
@@ -102,6 +104,12 @@ SUFFICIENCY_BOXES = (
 )
 
 
+def _zeta_order(w):
+    """The order of zeta != 1 of a sextic witness for g = 3, else 1."""
+    found = _sextic_witness(w.poly, w.p, w.v, norm_one=False) if w.g == 3 else None
+    return found[1] if found else 1
+
+
 class TestSufficiencyInvariants:
     """Over every Weil polynomial of the boxes (2,396 in all)."""
 
@@ -112,8 +120,41 @@ class TestSufficiencyInvariants:
             # beta torsion is ratio torsion, so it adds no order
             assert beta_torsion_orders(w) <= ratio
             n = sufficiency_degree(w)
-            assert n == lcm(*ratio)
-            assert not ratio_torsion_orders(base_change(w, n))
+            assert n == lcm(*ratio, _zeta_order(w))
+            wn = base_change(w, n)
+            assert not ratio_torsion_orders(wn) and _zeta_order(wn) == 1
+
+
+def _triple_torsion_orders(w):
+    """Reference for zeta: the orders n > 1 of the roots of unity among the
+    (a_i a_j a_k)^2 / q^3, i < j < k, over the 20 triples of roots a of a sextic.
+    The n-th power sum of the (a_i a_j a_k)^2 is e3 of the a^(2n), that is
+    (s^3 - 3 s s' + 2 s'') / 6 for the power sums s, s', s'' of a^(2n), a^(4n)
+    and a^(6n), and Newton's identities give the polynomial of degree 20."""
+    s = [6, *_power_sums(w.poly, 120)]
+    e3 = [(s[2 * n] ** 3 - 3 * s[2 * n] * s[4 * n] + 2 * s[6 * n]) // 6 for n in range(1, 21)]
+    triples = _from_power_sums(e3).scale_argument(w.q**3).primitive_part()
+    return {n for n in cyclotomic_part_orders(triples) if n > 1}
+
+
+class TestZetaAgainstTripleProducts:
+    """lcm(ratio orders, zeta order) equals lcm(ratio orders, triple orders): the
+    one witness per P sees every torsion of a product of three eigenvalues that
+    pairwise ratios miss."""
+
+    def _check(self, ws):
+        for w in ws:
+            ratio = ratio_torsion_orders(w)
+            assert lcm(*ratio, _zeta_order(w)) == lcm(*ratio, *_triple_torsion_orders(w)), w
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
+    def test_g3_boxes(self, q):
+        self._check(enumerate_weil(SearchSpec(g=3, q=q)))
+
+    def test_quartic_times_curve_at_25(self):
+        quartics = list(enumerate_weil(SearchSpec(g=2, q=25, irreducible_only=True)))
+        curves = list(enumerate_weil(SearchSpec(g=1, q=25)))
+        self._check(validate(a.poly * b.poly, 25) for a, b in product(quartics, curves))
 
 
 class TestBaseChangeWithoutFactoring:
@@ -183,7 +224,7 @@ class TestSufficientFieldOnce:
             return real(w, n)
 
         monkeypatch.setattr(weilrank.classify, "base_change", counting)
-        # t^2 + 5 over F_5 has a -1 ratio, and the product is cross-checked by the oracle
+        # t^2 + 5 over F_5 has a -1 ratio
         rep = classify_auto(validate(P(5, 0, 1) * P(5, -1, 1), 5))
         assert rep.extension_from == (5, 2) and rep.rank == 1
         assert calls == [(5, 2)]
@@ -314,7 +355,7 @@ class TestClassifySimple:
 class TestClassifyProducts:
     def test_two_distinct_elliptics(self):
         w = validate(P(5, -1, 1) * P(5, -2, 1), 5)
-        rep = classify(w)
+        rep = classify(w, force_oracle=True)
         assert rep.neat and rep.rank == 2
         assert rep.oracle is not None and rep.oracle.rank == 2
 
@@ -339,14 +380,14 @@ class TestClassifyProducts:
         # three ordinary elliptic curves t^2 - a t + q with pairwise distinct
         # CM fields: rank 3 by theorem, and the oracle agrees
         w = validate(P(q, -traces[0], 1) * P(q, -traces[1], 1) * P(q, -traces[2], 1), q)
-        rep = classify(w)
+        rep = classify(w, force_oracle=True)
         assert len({_cm_disc(c) for c in rep.components}) == 3
         assert rep.neat and rep.rank == 3
         assert rep.oracle is not None and rep.oracle.rank == 3
         wrong = OracleRank(rank=2, confidence=rep.oracle.confidence, lattice=rep.oracle.lattice)
         monkeypatch.setattr(weilrank.classify, "oracle_rank", lambda *a, **k: wrong)
         with pytest.raises(OracleDisagreement):
-            classify(w)
+            classify(w, force_oracle=True)
 
     def test_g3_products_always_neat(self):
         w = validate(P(5, -1, 1) * P(5, -2, 1) * P(5, -4, 1), 5)
@@ -357,7 +398,7 @@ class TestClassifyProducts:
         # quartic CM surface x ordinary elliptic over F_5
         quartic = P(25, -5, 6, -1, 1)  # t^4 - t^3 + 6t^2 - 5t + 25
         w = validate(quartic * P(5, -1, 1), 5)
-        rep = classify_auto(w)
+        rep = classify_auto(w, force_oracle=True)
         assert rep.neat
         assert rep.oracle is not None and rep.rank == rep.oracle.rank
 
@@ -440,33 +481,83 @@ class TestCollapseRule:
                 with pytest.raises(NonIntegralPolygon):
                     classify_auto(w)
             else:
-                rep = classify_auto(w)
+                rep = classify_auto(w, force_oracle=True)
                 assert rep.rank == 2 and rep.oracle.rank == 2
 
 
-# per q, the irreducible g = 3 sextics of the box on which the oracle cannot
-# verify the classifier's rank 3 over the field `classify_auto` picks: torsion
-# of the eigenvalue group beyond pairwise ratios (ROADMAP item 1)
-TORSION_FAULTS = {2: 6, 3: 12, 4: 18, 5: 6}
-
-
 class TestOracleAgreement:
-    """`classify_auto` against the oracle on every member of the g <= 3 boxes."""
+    """`classify_auto` against the oracle on every member of the g <= 3 boxes:
+    the oracle check raises nothing, so the classifier and the oracle agree."""
 
-    @pytest.mark.parametrize("q", sorted(TORSION_FAULTS))
+    @pytest.mark.parametrize("q", [2, 3, 4, 5])
     def test_every_member_of_the_boxes(self, q):
-        faults = []
         for g in (1, 2, 3):
             for w in enumerate_weil(SearchSpec(g=g, q=q)):
                 try:
                     classify_auto(w, force_oracle=True)
                 except NonIntegralPolygon:
                     pass
-                except PreconditionViolation as e:
-                    assert "saturated relation failed verification" in str(e), w
-                    faults.append(w)
-        assert len(faults) == TORSION_FAULTS[q]
-        assert all(w.factors == ((w.poly, 1),) and w.g == 3 for w in faults)
+
+
+# the sextics over F_2 on which eigenvalue torsion beyond pairwise ratios once went
+# unseen, with the order of their zeta, and the product over F_25 that has zeta = -1
+ZETA_SEXTICS = {
+    (8, -8, 2, 0, 1, -2, 1): 2,
+    (8, 8, 2, 0, 1, 2, 1): 2,
+    (8, -8, 6, -6, 3, -2, 1): 4,
+    (8, 8, 6, 6, 3, 2, 1): 4,
+    (8, 0, -2, -2, -1, 0, 1): 4,
+    (8, 0, -2, 2, -1, 0, 1): 4,
+}
+F25_PRODUCT = validate(P(625, -100, 35, -4, 1) * P(25, -8, 1), 25)
+
+
+class TestTripleProductTorsion:
+    """zeta = G(0)^2 / q^3 of a witness P = G conj(G) sets the field, and the
+    rank there is 2, as the oracle confirms."""
+
+    @pytest.mark.parametrize("coeffs", sorted(ZETA_SEXTICS))
+    def test_sextics_over_f2(self, coeffs):
+        w = validate(P(*coeffs), 2)
+        assert not ratio_torsion_orders(w)
+        assert sufficiency_degree(w) == ZETA_SEXTICS[coeffs]
+        rep = classify_auto(w, force_oracle=True)
+        assert not rep.neat and rep.rank == 2 and rep.oracle.rank == 2
+        assert rep.witness is not None and rep.witness.expand() == rep.poly
+
+    def test_product_over_f25(self):
+        assert not ratio_torsion_orders(F25_PRODUCT)
+        assert sufficiency_degree(F25_PRODUCT) == 2
+        rep = classify_auto(F25_PRODUCT, force_oracle=True)
+        assert rep.q == 625 and rep.neat and rep.rank == 2 and rep.oracle.rank == 2
+
+
+def _refuse_oracle(*args, **kwargs):
+    raise AssertionError("oracle_rank called")
+
+
+class TestTheoremOnly:
+    """Without `force_oracle` no verdict calls the oracle."""
+
+    def test_classify_and_classify_auto(self, monkeypatch):
+        monkeypatch.setattr(weilrank.classify, "oracle_rank", _refuse_oracle)
+        three_curves = validate(P(5, -1, 1) * P(5, -2, 1) * P(5, -3, 1), 5)
+        zeta_sextic = validate(P(*sorted(ZETA_SEXTICS)[0]), 2)
+        simple = [validate(NON_NEAT, 9), validate(P(5, -1, 1), 5), zeta_sextic]
+        for w in simple + [F25_PRODUCT, F2_127_PRODUCT, three_curves]:
+            assert classify_auto(w).oracle is None
+            if sufficiency_degree(w) == 1:
+                assert classify(w).oracle is None
+
+    @pytest.mark.parametrize("e", [89, 127])
+    @pytest.mark.parametrize("traces", [(-1, 3, 5), (1, 3, 5)])
+    def test_three_curves_at_large_q(self, e, traces, monkeypatch):
+        # the oracle's box-vector fallback gives up on these, with PrecisionExhausted
+        monkeypatch.setattr(weilrank.classify, "oracle_rank", _refuse_oracle)
+        q = 2**e
+        w = validate(prod((P(q, -r, 1) for r in traces), start=P(1)), q)
+        rep = classify_auto(w)
+        assert rep.sufficiency_degree == 1 and rep.neat and rep.rank == 3
 
 
 class TestRankInvariance:

@@ -88,7 +88,10 @@ class TestClassifyJson:
         }
 
     def test_product_keys_and_constants(self, capsys):
+        # the oracle runs, and its key appears, only under --oracle-check
         code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT)
+        assert code == 0 and set(json.loads(out[0])) == REPORT_KEYS
+        code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT, "--oracle-check")
         rec = json.loads(out[0])
         assert code == 0
         assert set(rec) == REPORT_KEYS | {"oracle"}
@@ -340,7 +343,7 @@ class TestExitCodes:
             return OracleRank(rank=o.rank + 1, confidence=o.confidence, lattice=o.lattice)
 
         monkeypatch.setattr(weilrank.classify, "oracle_rank", wrong)
-        code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT)
+        code, out = run(capsys, "classify", "--q", "5", "--poly", PRODUCT, "--oracle-check")
         assert code == 3 and out == []
 
 

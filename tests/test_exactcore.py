@@ -1,6 +1,7 @@
 """Exact-arithmetic substrate: polynomials, factorization, resultants, Sturm."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt, prod
@@ -37,6 +38,7 @@ from weilrank.exactcore import (
     symmetric_square,
 )
 from weilrank.exactcore import factor as factor_module
+from weilrank.exactcore import intfactor as intfactor_module
 from weilrank.exactcore.poly import real_root_brackets
 from weilrank.exactcore.poly import squarefree_part as poly_sf
 from weilrank.exactcore.transforms import _from_power_sums, _phi_sieve
@@ -742,6 +744,29 @@ class TestIntegerHelpers:
         assert prime_power(6561) == (3, 8)
         assert prime_power(6) is None
         assert prime_power(1) is None
+
+    def test_prime_power_equals_factoring(self):
+        def by_factoring(q):
+            if q < 2:
+                return None
+            fac = factor_int(q)
+            return next(iter(fac.items())) if len(fac) == 1 else None
+
+        for q in range(-3, 10**4):
+            assert prime_power(q) == by_factoring(q), q
+
+    def test_prime_power_factors_nothing(self, monkeypatch):
+        # Pollard rho needs about sqrt(p) steps for p^3 with a 64-bit prime p
+        def refuse(n):
+            raise AssertionError(f"factor_int({n}) called")
+
+        monkeypatch.setattr(intfactor_module, "factor_int", refuse)
+        p = 2**64 - 59
+        start = time.perf_counter()
+        assert prime_power(p**3) == (p, 3)
+        assert validate(P(p**3, -1, 1), p**3).p == p
+        assert prime_power(2**127) == (2, 127) and prime_power(p * (p + 2)) is None
+        assert time.perf_counter() - start < 1
 
     def test_squarefree_part(self):
         assert squarefree_part(-16) == -1

@@ -254,6 +254,19 @@ class TestNonNeatFilter:
         assert found and all(_is_integral(newton_polygon(w)) for w in found)
         assert all(not classify_auto(w).neat for w in found)
 
+    def test_sextics_non_neat_over_an_extension(self):
+        # six sextics over F_2 carry zeta = G(0)^2 / 8 != 1, so they are non-neat
+        # over F_4 or F_16, though neat-looking over F_2
+        found = [w.poly.coeffs for w in enumerate_weil(SearchSpec(g=3, q=2, non_neat_only=True))]
+        assert sorted(found) == [
+            (8, -8, 2, 0, 1, -2, 1),
+            (8, -8, 6, -6, 3, -2, 1),
+            (8, 0, -2, -2, -1, 0, 1),
+            (8, 0, -2, 2, -1, 0, 1),
+            (8, 8, 2, 0, 1, 2, 1),
+            (8, 8, 6, 6, 3, 2, 1),
+        ]
+
 
 class TestDimension:
     @pytest.mark.parametrize("g", [0, -1])

@@ -147,6 +147,7 @@ class TestNormOneWitness:
         assert norm_one_witness(out, 9) is None
 
     def test_non_square_q_short_circuits(self):
+        # G(0) = +-5^(3/2) is not in an imaginary quadratic field, so no constant is tried
         base = IntPoly([5, 0, 1])
         out = IntPoly()
         for k, c in enumerate([-1, -4, 0, 1]):
