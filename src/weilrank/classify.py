@@ -42,7 +42,6 @@ from .subfields import (
     _subfield_candidates,
     conjugate_factorizations,
     norm_condition,
-    norm_one_witness,
     p_splits,
 )
 from .weil import (
@@ -177,8 +176,8 @@ def _classify_sufficient(
             # at most 2, so an irreducible sextic Weil factor has no real root
             cond_i = True
             cond_iii = "almost_ordinary" in ntype.labels
-            witness = norm_one_witness(comp.pmin, w.q)
-            cond_ii = witness is not None
+            found = _sextic_witness(comp.pmin, w.p, w.v, norm_one=True)
+            witness, cond_ii = (found[0], True) if found else (None, False)
             neat = not (cond_i and cond_ii and cond_iii)
             rank = 3 if neat else 2
         else:

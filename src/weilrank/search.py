@@ -236,8 +236,8 @@ def find_non_neat_sextics(p: int, q: int, m: int, limit=None):
     G = t^3 + A t^2 + B t + C with A integral of absolute value at most
     3 sqrt(q), C = +-q^(3/2), and B forced to conj(A) * C / q: eigenvalue
     closure under alpha -> q/alpha demands it, so free-B candidates can
-    never validate.  `_conjugate_cubic` builds G from the numerator of A
-    over its denominator, and P = G conj(G) is integral because A is.  Each
+    never validate.  `_conjugate_cubic` builds G from 2A and 2C = 2c^3,
+    and P = G conj(G) is integral because A is.  Each
     P is validated, checked irreducible and almost ordinary, classified over
     a sufficiently large field, and emitted with its factorization witness
     only when non-neat; at most `limit` are emitted.
@@ -262,7 +262,7 @@ def find_non_neat_sextics(p: int, q: int, m: int, limit=None):
         for u, v in _integral_elements_in_disk(m, 9 * q):
             if limit is not None and count >= limit:
                 return
-            cf = _conjugate_cubic(m, c, u, v, den)
+            cf = _conjugate_cubic(m, 2 * c**3, 0, 2 * u // den, 2 * v // den, q)
             try:
                 w = validate(cf.expand(), q)
             except RiemannHypothesisFails:  # G conj(G) meets the functional equation

@@ -248,11 +248,12 @@ def conjugate_split(pmin: IntPoly, m: int):
     return _trager_split(pmin, m)
 
 
-def _conjugate_cubic(m: int, c: int, u: int, v: int, den: int) -> ConjugateFactorization:
-    """G = t^3 + A t^2 + conj(A) c t + c^3 for den A = u + v sqrt(m): den G is
-    (den t^3 + u t^2 + c u t + c^3 den) + sqrt(m) (v t^2 - c v t)."""
-    big_u, big_v = IntPoly([c**3 * den, c * u, u, den]), IntPoly([0, -c * v, v])
-    return ConjugateFactorization(m, big_u, big_v, den)
+def _conjugate_cubic(m: int, x: int, y: int, a: int, v: int, q: int) -> ConjugateFactorization:
+    """G = t^3 + A t^2 + conj(A) C / q t + C for 2A = a + v sqrt(m), 2C = x + y sqrt(m):
+    4q G = u + sqrt(m) w, where 4q conj(A) C / q = conj(2A) 2C."""
+    u = IntPoly([2 * q * x, a * x - m * v * y, 2 * q * a, 4 * q])
+    w = IntPoly([2 * q * y, a * y - v * x, 2 * q * v])
+    return ConjugateFactorization(m, u, w, 4 * q)
 
 
 def _sextic_witness(pmin: IntPoly, p: int, k: int, norm_one: bool):
@@ -270,12 +271,12 @@ def _sextic_witness(pmin: IntPoly, p: int, k: int, norm_one: bool):
     reads m q v^2 + 2 m y v + q (4 c4 - c5^2) - 2 c5 x = 0, whose integer roots v
     are tried; for C = r^3 it fixes m v^2 alone, and m is its squarefree part.  The
     t^3 coefficient 4 q c3 = (4 q + c5^2 + m v^2) x - 2 m c5 v y is checked before
-    re-expansion proves G.
+    re-expansion proves G (`_conjugate_cubic`).
     """
     q = p**k
     if k % 2 == 0:
-        r = p ** (3 * k // 2)
-        base = [(None, 2 * r, 0, 1), (-1, 0, 2 * r, 2), (-3, r, r, 3)]
+        r3 = p ** (3 * k // 2)  # r^3 for q = r^2
+        base = [(None, 2 * r3, 0, 1), (-1, 0, 2 * r3, 2), (-3, r3, r3, 3)]
     else:
         s = p ** ((3 * k - 1) // 2)
         base = [(-p, 0, 2 * s, 2)]
@@ -296,10 +297,7 @@ def _sextic_witness(pmin: IntPoly, p: int, k: int, norm_one: bool):
                 continue
             if order == 1:  # m v^2 with v = 1 so far
                 m, v = (f := squarefree_part(m)), isqrt(m // f)
-            # 4q G = u + sqrt(m) w, where 4q B = conj(2A) 2C
-            u = IntPoly([2 * q * x, c5 * x - m * v * y, 2 * q * c5, 4 * q])
-            w = IntPoly([2 * q * y, c5 * y - v * x, 2 * q * v])
-            cf = ConjugateFactorization(m, u, w, 4 * q)
+            cf = _conjugate_cubic(m, x, y, c5, v, q)
             if cf.expand() == pmin:
                 return cf, order
     return None

@@ -363,13 +363,13 @@ class TestClassifyProducts:
         # t^2 - t + 5 and t^2 + t + 5 share Q(sqrt(-19)) but differ by the
         # sign twist, which is torsion over F_5; go up once first
         w = base_change(validate(P(5, -1, 1) * P(5, 1, 1), 5), 2)
-        rep = classify(w)
-        assert rep.rank == 1
+        rep = classify(w, force_oracle=True)
+        assert rep.rank == 1 and rep.oracle.rank == rep.rank
 
     def test_supersingular_factor_adds_nothing(self):
         w = base_change(validate(P(5, 0, 1) * P(5, -1, 1), 5), 2)
-        rep = classify(w)
-        assert rep.rank == 1 and rep.neat
+        rep = classify(w, force_oracle=True)
+        assert rep.rank == 1 and rep.neat and rep.oracle.rank == rep.rank
 
     @pytest.mark.parametrize(
         "q, traces",
@@ -599,7 +599,8 @@ class TestDiagnostics:
         # by Q(i): the elliptic factor adds no rank
         quartic = P(625, -100, 35, -4, 1)
         w = validate(quartic * P(25, -6, 1), 25)
-        rep = classify_auto(w)
+        rep = classify_auto(w, force_oracle=True)
+        assert rep.oracle.rank == rep.rank
         # the premise holds over the field classify_auto chose
         quartics = [c for c in rep.components if c.pmin.degree == 4]
         quadratics = [c for c in rep.components if c.pmin.degree == 2]
