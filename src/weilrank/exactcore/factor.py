@@ -5,8 +5,14 @@ first small odd prime that keeps f squarefree (distinct-degree, then
 equal-degree splitting), linear multifactor Hensel lifting to a
 Mignotte-style coefficient bound, and brute-force subset recombination.
 Degrees stay far below one hundred here, so exponential recombination with
-the subset size capped at half the degree is acceptable.  A monic quadratic
-skips the pipeline: its discriminant decides it.
+the subset size capped at half the degree is acceptable.
+
+A monic polynomial of degree 2 or 3, such as the trace polynomial of every
+Weil polynomial of dimension g <= 3, skips the pipeline: it is reducible
+exactly when it has an integer root.  A quadratic's discriminant decides
+that; a cubic's integer root, if any, is found by bisection on the runs of
+integers where it is monotone, and the quadratic left over goes the same way.
+Non-monic input and degree >= 4 take the pipeline.
 
 The output ordering is deterministic (degree, then coefficient tuple), so
 factorizations are byte-stable across runs.
@@ -20,7 +26,7 @@ from math import isqrt, prod
 
 from ..errors import PreconditionViolation
 from .intfactor import is_prime
-from .poly import IntPoly, squarefree_decomposition
+from .poly import IntPoly, _root_bound_bits, squarefree_decomposition
 
 __all__ = ["factor_over_integers", "is_irreducible", "modular_factor_degrees"]
 
@@ -299,12 +305,16 @@ def factor_over_integers(f: IntPoly):
     Returns [(factor, multiplicity), ...] where each factor is primitive
     with positive leading coefficient; the product of factor^multiplicity
     reproduces f up to sign and integer content.  Deterministic ordering:
-    by degree, then lexicographically on the coefficient tuple.
+    by degree, then lexicographically on the coefficient tuple.  A monic f
+    of degree 2 or 3 is factored by its integer roots, without the
+    Zassenhaus pipeline, with the same output.
     """
     if f.is_zero:
         raise PreconditionViolation("zero polynomial")
     if f.degree == 2 and f.is_monic:
         return _factor_monic_quadratic(f)
+    if f.degree == 3 and f.is_monic:
+        return _factor_monic_cubic(f)
     out = []
     for part, mult in squarefree_decomposition(f):
         for g in _factor_squarefree(part):
@@ -329,6 +339,72 @@ def _factor_monic_quadratic(f: IntPoly):
     if s == 0:
         return [(IntPoly([b // 2, 1]), 2)]
     return [(IntPoly([(b - s) // 2, 1]), 1), (IntPoly([(b + s) // 2, 1]), 1)]
+
+
+def _factor_monic_cubic(f: IntPoly):
+    """x^3 + b x^2 + a x + c is reducible exactly when it has a linear factor,
+    that is a rational root, which is an integer r as f is monic.  Then
+    f = (x - r)(x^2 + (b + r) x + a + r (b + r)), and the quadratic is
+    factored by its discriminant; x - r may recur there."""
+    r = _cubic_integer_root(f)
+    if r is None:
+        return [(f, 1)]
+    _, a, b, _ = f.coeffs
+    factors = {IntPoly([-r, 1]): 1}
+    for g, m in _factor_monic_quadratic(IntPoly([a + r * (b + r), b + r, 1])):
+        factors[g] = factors.get(g, 0) + m
+    return sorted(factors.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+
+
+def _cubic_integer_root(f: IntPoly):
+    """An integer root of the monic cubic f = x^3 + b x^2 + a x + c, or None.
+
+    f' = 3x^2 + 2b x + a vanishes only at the critical points
+    x1,2 = (-b -+ sqrt(D)) / 3, D = b^2 - 3a, which exist when D > 0.  The
+    integers up to floor(x1), from ceil(x1) to floor(x2), and from ceil(x2)
+    on are runs on which f is strictly monotone; when D <= 0 all integers
+    are one run.  So each run holds at most one root, which bisection over
+    its integers finds.  Every root z has |z| < bound (`_root_bound_bits`),
+    so the outer runs stop at -+bound, and floor(y / 3) = floor(floor(y) / 3)
+    puts the inner ends in integer square roots.
+    """
+    c, a, b, _ = f.coeffs
+
+    def at(x):
+        return ((x + b) * x + a) * x + c
+
+    bound = 1 << _root_bound_bits(f)
+    d = b * b - 3 * a
+    if d > 0:
+        s = isqrt(d)
+        up = s + (s * s != d)  # ceil(sqrt(D))
+        runs = [
+            (-bound, (-b - up) // 3),
+            (-((b + s) // 3), (s - b) // 3),
+            (-((b - up) // 3), bound),
+        ]
+    else:
+        runs = [(-bound, bound)]
+    for lo, hi in runs:
+        if lo > hi:
+            continue
+        flo, fhi = at(lo), at(hi)
+        if flo == 0:
+            return lo
+        if fhi == 0:
+            return hi
+        if (flo > 0) == (fhi > 0):
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            fmid = at(mid)
+            if fmid == 0:
+                return mid
+            if (fmid > 0) == (flo > 0):
+                lo = mid
+            else:
+                hi = mid
+    return None
 
 
 def is_irreducible(f: IntPoly) -> bool:

@@ -483,6 +483,13 @@ def _round_div(x: int, d: int) -> int:
     return (2 * x + d) // (2 * d)
 
 
+def _root_bound_bits(f: IntPoly) -> int:
+    """b with every root z of f in |z| < 2^b, beyond Fujiwara's root bound."""
+    n, e = f.degree, abs(f.leading).bit_length() - 1  # 2^e <= |f_n|
+    # each |f_j / f_n|^(1/(n - j)) < 2^(b - 1), so every |z| < 2^b
+    return 1 + max([0] + [-((e - abs(c).bit_length()) // (n - j)) for j, c in enumerate(f.coeffs[:n])])
+
+
 def real_root_brackets(f: IntPoly):
     """Isolating brackets (lo, hi, k) for the real roots of a squarefree f, ascending.
 
@@ -493,9 +500,7 @@ def real_root_brackets(f: IntPoly):
     chain = _sturm_chain(f)
     if chain[0].degree < f.degree:
         raise PreconditionViolation(f"{f} is not squarefree")
-    n, e = f.degree, abs(f.leading).bit_length() - 1  # 2^e <= |f_n|
-    # each |f_j / f_n|^(1/(n - j)) < 2^(b - 1), so the roots lie in (-2^b, 2^b)
-    b = 1 + max([0] + [-((e - abs(c).bit_length()) // (n - j)) for j, c in enumerate(f.coeffs[:n])])
+    b = _root_bound_bits(f)
 
     def variations(x, k):
         return _variations([_scaled_value(p.coeffs, x, k) for p in chain])

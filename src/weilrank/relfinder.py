@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionExhausted, PreconditionViolation
-from .exactcore import IntPoly, surd_signs
+from .exactcore import IntPoly, factor_over_integers, surd_signs
 from .exactcore.poly import _refine, _round_div, real_root_brackets
 from .newton import newton_polygon
 from .weil import WeilPolynomial
@@ -241,19 +241,19 @@ def _iball_pow(x, n, bits):
     return result
 
 
-def _degree_bound(w: WeilPolynomial) -> int:
-    """Upper bound on [L:Q] for the splitting field of the roots.
+def _degree_bound(q: int, h: IntPoly, signs) -> int:
+    """Upper bound on [L:Q] for the splitting field L of the eigenvalues, from `_split`.
 
     L is the compositum of the splitting fields of the irreducible factors
-    of P, so the product of per-factor bounds bounds it.  Adjoining a root
-    also adjoins its pair partner q/alpha, so a factor with 2d roots in d
-    pairs costs at most (2d)(2d - 2)...2; t^2 - q costs 2, and t -+ sqrt(q)
-    costs 1.
+    of P, so the product of per-factor bounds bounds it.  An irreducible
+    factor of h of degree d is the trace polynomial of one of P of degree
+    2d (`WeilPolynomial.components`), with 2d roots in d pairs; adjoining a
+    root also adjoins its pair partner q/alpha, so it costs at most
+    (2d)(2d - 2)...2.  The real eigenvalues cost 2 when both +-sqrt(q) are
+    roots and q is not a square (t^2 - q), and 1 each otherwise (t -+ sqrt(q)).
     """
-    return math.prod(
-        2 if f == IntPoly([-w.q, 0, 1]) else math.prod(range(f.degree, 1, -2))
-        for f, _ in w.factors
-    )
+    bound = math.prod(math.prod(range(2 * f.degree, 1, -2)) for f, _ in factor_over_integers(h))
+    return 2 * bound if len(signs) == 2 and math.isqrt(q) ** 2 != q else bound
 
 
 def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationCertificate:
@@ -288,8 +288,8 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     qb = max(m_power, 0)
     su = _isqrt_up(q)
     conj_bound = su**pos * q**qa + su**neg * q**qb
-    h = _split(w)[0]
-    degree_bound = _degree_bound(w)
+    h, signs = _split(w)
+    degree_bound = _degree_bound(q, h, signs)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
     pairs = [r for r in roots if r.b > 0 and (e[r.index] or e[r.conjugate_index])]

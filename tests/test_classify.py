@@ -6,6 +6,7 @@ from math import lcm, prod
 import pytest
 
 import weilrank.classify
+import weilrank.exactcore.factor
 import weilrank.exactcore.intfactor
 import weilrank.subfields
 import weilrank.weil
@@ -23,6 +24,7 @@ from weilrank.errors import (
     NonIntegralPolygon,
     NotSufficientlyLarge,
     OracleDisagreement,
+    PrecisionExhausted,
     PreconditionViolation,
 )
 from weilrank.exactcore import (
@@ -430,6 +432,41 @@ class TestProductsFactorNoInteger:
         monkeypatch.undo()
         for w, rep in zip(products, reports):
             assert rep.rank == oracle_rank(base_change(w, rep.sufficiency_degree)).rank, w
+
+
+class TestTracePolynomialsSkipZassenhaus:
+    """For g <= 3 the trace polynomial is monic of degree <= 3 and factors by its
+    integer roots, so no verdict and no oracle run reaches the Zassenhaus pipeline."""
+
+    def test_boxes_and_three_curves_over_f2_127(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"Zassenhaus ran on {f}")
+
+        monkeypatch.setattr(weilrank.exactcore.factor, "_choose_prime", refuse)
+        members, checked = 0, 0
+        for g in (1, 2, 3):
+            for q in (2, 3, 4):
+                for w in enumerate_weil(SearchSpec(g=g, q=q)):
+                    w = validate(w.poly, q)
+                    assert w.components
+                    members += 1
+                    try:
+                        rep = classify_auto(w)
+                    except NonIntegralPolygon:  # no abelian variety has these eigenvalues
+                        continue
+                    assert oracle_rank(base_change(w, rep.sufficiency_degree)).rank == rep.rank, w
+                    checked += 1
+        assert (members, checked) == (2753, 2503)
+        # (t^2 - t + q)(t^2 - 3t + q)(t^2 - 5t + q): the trace cubic (x - 1)(x - 3)(x - 5)
+        q = 2**127
+        w = validate(P(q, -1, 1) * P(q, -3, 1) * P(q, -5, 1), q)
+        assert len(w.components) == 3
+        rep = classify_auto(w)
+        assert (rep.sufficiency_degree, rep.rank) == (1, 3)
+        # the oracle cannot certify the triple yet (ROADMAP item 4); it gives up
+        # in its relation search, not in factoring
+        with pytest.raises(PrecisionExhausted):
+            oracle_rank(w)
 
 
 def _quartic_elliptic_products(q):

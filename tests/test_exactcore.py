@@ -335,6 +335,69 @@ class TestFactor:
         f = P(-a, 1) * P(-b, 1) if split else P(b, a, 1)
         assert factor_over_integers(f) == _zassenhaus_factors(f)
 
+    @pytest.mark.parametrize("g, q", [(g, q) for g in (2, 3) for q in (2, 3, 4, 5)])
+    def test_trace_polynomials_match_zassenhaus(self, g, q):
+        # every trace polynomial of the box, and of its base change to F_(q^2)
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            for h in (w.trace, base_change(w, 2).trace):
+                assert factor_over_integers(h) == _zassenhaus_factors(h), h
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([4, 9, 25, 2**62, 3**80]), st.data())
+    def test_cubics_from_integer_roots_match_zassenhaus(self, q, data):
+        # three roots in [-2 sqrt(q), 2 sqrt(q)], where a trace cubic has them; q is a
+        # square, so the ends are integers, and they, 0 and repeated roots are drawn often
+        s = 2 * isqrt(q)
+        root = st.one_of(st.sampled_from([0, s, -s]), st.integers(-s, s), st.integers(-30, 30))
+        a = data.draw(root)
+        b = data.draw(st.one_of(st.just(a), root))
+        c = data.draw(st.one_of(st.sampled_from([a, b]), root))
+        f = P(-a, 1) * P(-b, 1) * P(-c, 1)
+        assert factor_over_integers(f) == _zassenhaus_factors(f)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 2**61, 2**89, 2**127])
+    def test_root_times_x2_minus_4q_matches_zassenhaus(self, q):
+        # x^2 - 4q, irreducible for q not a square, carries the real eigenvalues +-sqrt(q)
+        s = isqrt(4 * q)
+        for r in (0, 1, -1, s, -s, s - 1, 1 - s):
+            f = P(-r, 1) * P(-4 * q, 0, 1)
+            assert factor_over_integers(f) == _zassenhaus_factors(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            st.tuples(st.integers(-300, 300), st.integers(-300, 300), st.integers(-300, 300)),
+            st.tuples(
+                st.integers(-(2**66), 2**66),
+                st.integers(-(2**66), 2**66),
+                st.integers(-(2**130), 2**130),
+            ),
+        )
+    )
+    def test_root_times_quadratic_matches_zassenhaus(self, rbc):
+        # the quadratic x^2 + b x + c is mostly irreducible, sometimes (x - r) again
+        r, b, c = rbc
+        f = P(-r, 1) * P(c, b, 1)
+        assert factor_over_integers(f) == _zassenhaus_factors(f)
+
+    @pytest.mark.parametrize("e", [61, 89, 127])
+    def test_random_large_q_cubics_match_zassenhaus(self, e):
+        # coefficients at the sizes of a trace cubic over F_(2^e), |b| <= 3s, |a| <= 3s^2,
+        # |c| <= s^3 for s = 2 sqrt(q): random ones, integer roots, and a root times a quadratic
+        q = 2**e
+        s = isqrt(4 * q)
+        rng = random.Random(e)
+        for i in range(200):
+            r = [rng.randint(-s, s) for _ in range(3)]
+            if i % 3 == 0:
+                c, a, b = (rng.randint(-n, n) for n in (s**3, 3 * s * s, 3 * s))
+                f = P(c, a, b, 1)
+            elif i % 3 == 1:
+                f = P(-r[0], 1) * P(-r[1], 1) * P(-r[2], 1)
+            else:
+                f = P(-r[0], 1) * P(rng.randint(0, s * s), r[1], 1)
+            assert factor_over_integers(f) == _zassenhaus_factors(f)
+
     def test_is_irreducible(self):
         assert is_irreducible(P(5, -1, 1))
         assert not is_irreducible(P(-1, 0, 0, 0, 1))
@@ -342,8 +405,8 @@ class TestFactor:
 
 
 def _zassenhaus_factors(f):
-    """`factor_over_integers` without its closed form for monic quadratics:
-    the squarefree decomposition, each part through `_factor_squarefree`."""
+    """`factor_over_integers` without its closed forms for monic quadratics and
+    cubics: the squarefree decomposition, each part through `_factor_squarefree`."""
     parts = squarefree_decomposition(f)
     out = [(g, m) for part, m in parts for g in factor_module._factor_squarefree(part)]
     out.sort(key=lambda t: (t[0].degree, t[0].coeffs))

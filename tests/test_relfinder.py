@@ -19,6 +19,7 @@ from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
     _LATTICE_BITS,
     RelationCertificate,
+    _degree_bound,
     _echelon,
     _lll,
     _saturate,
@@ -406,6 +407,24 @@ class TestVerifyRelation:
             conjugate_degree_bound=16,
             precision_bits=621,
         )
+
+
+def _factorwise_degree_bound(w):
+    """The bound read off the irreducible factors of P, as `_degree_bound` was:
+    2 for t^2 - q, and (2d)(2d - 2)...2 for a factor of degree 2d."""
+    return math.prod(
+        2 if f == IntPoly([-w.q, 0, 1]) else math.prod(range(f.degree, 1, -2))
+        for f, _ in w.factors
+    )
+
+
+class TestDegreeBound:
+    @pytest.mark.parametrize("g, q", [(g, q) for g in (1, 2, 3) for q in (2, 3, 4)])
+    def test_equals_factorwise_bound(self, g, q):
+        # on the box and on its base change to F_(q^2), where more eigenvalues turn real
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            for v in (w, base_change(w, 2)):
+                assert _degree_bound(v.q, *_split(v)) == _factorwise_degree_bound(v), v
 
 
 class TestLatticeAlgebra:
