@@ -3,14 +3,17 @@
 Roots.  A non-real eigenvalue alpha is fixed, up to conjugation, by its
 trace r = alpha + q/alpha, a root of the degree-g trace polynomial h:
 alpha = (r + i sqrt(4q - r^2)) / 2.  The real eigenvalues +-sqrt(q) stand
-for the roots +-2 sqrt(q) of h, which are divided out.  Sturm bisection
-and bracketed Newton steps on integers x / 2^k put the other roots of h in
-sign-change intervals, and `_disks` makes each a disk for alpha, for the
-isolation (`certified_roots`) and for every proof; conj(alpha) = q/alpha is its mirror image.
+for the roots +-2 sqrt(q) of h, which are divided out.  Double-precision
+roots of h, confirmed by exact sign changes, seed a bracket for each other
+root, and Sturm bisection stands in when they are not confirmed; bracketed
+Newton steps on integers x / 2^k narrow the brackets, and `_disks` makes each
+a disk for alpha, for the isolation (`certified_roots`) and for every proof;
+conj(alpha) = q/alpha is its mirror image.  The doubles only choose the
+brackets: numeric first, then certified (Kobel, Rouillier and Sagraloff 2016).
 
 Relations.  Candidates prod beta_i^(e_i) = 1 among the beta_i = q^(-1) alpha_i^2 are rows
 of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from their
-arguments, the only doubles here (`relation_lattice`); `verify_relation` settles each exactly.
+arguments as doubles (`relation_lattice`); `verify_relation` settles each exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, factor_over_integers, surd_signs
-from .exactcore.poly import _refine, _round_div, real_root_brackets
+from .exactcore.poly import _refine, _root_bound_bits, _round_div, _scaled_value, real_root_brackets
 from .newton import newton_polygon
 from .weil import WeilPolynomial
 
@@ -43,9 +46,12 @@ _BASE_PRECISION = 128
 _ROOT_BITS = 64  # first goal of certified_roots, and the largest radius it accepts, 2^-64
 _ROOT_BITS_CAP = 1 << 13
 _GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than r
+_SEED_BITS = 40  # a bracket from a double root r reaches about |r| 2^-40 to each side
+_SEED_STEPS = 200  # double Newton steps per root, at most
 # eps = 2^-46 bounds the error of `_turns` in turns, mod 1.  In radians the disk
 # center moves arg(alpha) by < 2^-64 (radius <= 2^-64, |alpha| >= sqrt 2), doubles
-# by <= 2^-53; dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
+# by <= 2^-53 (a coordinate scaled below the normal range is under 2^-2000 of the other
+# and moves it less); dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
 _ANGLE_ERROR_BITS = 46
 _LATTICE_BITS = 44  # N = 2^44, the largest N with N eps <= 1/4
 
@@ -140,15 +146,20 @@ class CertifiedRoot:
 def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    `real_root_brackets` isolates the roots of the trace polynomial h, and `_disks`
-    refines each bracket to 2^-(bits + 32): the disk of the upper eigenvalue of a pair.
-    bits doubles from 64 up to 8192 until every radius is at most 2^-64, no
-    upper disk reaches the real axis, and the real projections of the disks
-    are pairwise disjoint.  `validate` proved that h has deg h real simple
-    roots, so deg h such intervals hold each root once: the disks are sound.
+    The brackets of the roots of the trace polynomial h come from its double-precision
+    roots (`_seed_brackets`), or from `real_root_brackets` when those are not all
+    confirmed.  The doubles decide only where each bracket lies and where Newton starts.
+    `_disks` refines each bracket to 2^-(bits + 32): the disk of the upper eigenvalue of a
+    pair.  bits doubles from 64 up to 8192 until every radius is at most 2^-64, no upper
+    disk reaches the real axis, and the real projections of the disks are pairwise
+    disjoint.  Each refined interval is an exact sign change of h, and `validate` proved
+    that h has deg h real simple roots, so deg h such disjoint intervals hold each root
+    once: the disks are sound however the brackets were found.
     """
     h, signs = _split(w)
-    brackets = real_root_brackets(h)
+    brackets = _seed_brackets(h)
+    if brackets is None:
+        brackets = real_root_brackets(h)
     bits = _ROOT_BITS
     while bits <= _ROOT_BITS_CAP:
         try:
@@ -175,6 +186,64 @@ def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
         members = [(-b, i + 1), (b, i)] if b else [(0, i)]  # a pair, lower member first
         roots += [CertifiedRoot(i + j, a, y, k, m, c) for j, (y, c) in enumerate(members)]
     return tuple(roots)
+
+
+def _double_roots(h: IntPoly, b: int):
+    """The roots of h as doubles, descending, for h with deg h real simple roots in (-2^b, 2^b).
+
+    Newton steps from 2^b fall monotonically to the largest root; the search stops where a
+    step no longer falls and stays above -2^b.  That root is divided out, and the next
+    search starts from it.  OverflowError when h or 2^b is beyond double range,
+    PrecisionExhausted when a search does not settle.
+    """
+    c = [float(x) for x in h.coeffs]
+    top = x = math.ldexp(1.0, b)
+    roots = []
+    while len(c) > 1:
+        for _ in range(_SEED_STEPS):
+            v = dv = 0.0
+            for a in reversed(c):  # Horner's rule for h and h' at once
+                dv = dv * x + v
+                v = v * x + a
+            if not (dv and -top < (y := x - v / dv) < x):
+                break
+            x = y
+        else:
+            raise PrecisionExhausted("double Newton steps did not settle")
+        roots.append(x)
+        for j in range(len(c) - 2, 0, -1):  # c / (t - x), in place
+            c[j] += x * c[j + 1]
+        del c[0]
+    return roots
+
+
+def _seed_brackets(h: IntPoly):
+    """Sign-change brackets (lo, hi, k) of the roots of h, ascending, from `_double_roots`; or None.
+
+    A double r becomes (x -+ w) / 2^k with k >= 0: r -+ 2^(e - 40) for 2^(e-1) <= |r| < 2^e,
+    but e is at least b - 8 for the root bound 2^b (`_root_bound_bits`), above the rounding
+    of the divisions that found r; a root at 0 then still lies inside.  The brackets are kept
+    only if h changes sign across each, by its exact values at the ends, and no two overlap:
+    then the deg h of them hold one root each.  Otherwise, and when the doubles overflow or
+    do not settle, None.
+    """
+    b = _root_bound_bits(h)
+    try:
+        roots = _double_roots(h, b)
+    except (OverflowError, PrecisionExhausted):
+        return None
+    out = []
+    for r in reversed(roots):
+        e = max(math.frexp(r)[1], b - 8)
+        k = max(0, _SEED_BITS - e)
+        x, w = round(math.ldexp(r, k)), 1 << max(0, e - _SEED_BITS)
+        lo, hi = x - w, x + w
+        if _scaled_value(h.coeffs, lo, k) * _scaled_value(h.coeffs, hi, k) >= 0:
+            return None
+        if out and out[-1][1] << k > lo << out[-1][2]:
+            return None
+        out.append((lo, hi, k))
+    return out
 
 
 def _disks(q: int, h: IntPoly, brackets, bits: int):
@@ -404,6 +473,8 @@ def _saturate(rows, dim):
     It is the kernel of the kernel; each pass takes {x : rows . x = 0} as
     the left kernel of the transpose.
     """
+    if not rows:
+        return []
     for _ in range(2):
         h, u = _echelon([[row[j] for row in rows] for j in range(dim)], len(rows))
         rows = u[len(h):]
@@ -422,47 +493,55 @@ def _lll(rows):
     n = len(b)
     dets, lam = [1] + [0] * n, [[0] * n for _ in b]
     for k in range(n):
+        bk, lk = b[k], lam[k]
         for j in range(k + 1):
-            u = sum(x * y for x, y in zip(b[k], b[j]))
+            u, lj = sum(x * y for x, y in zip(bk, b[j])), lam[j]
             for i in range(j):
-                u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
-            lam[k][j] = u
-        dets[k + 1] = lam[k][k]
-
-    def reduce(k, l):  # b_k -= round(mu_kl) b_l, when |mu_kl| > 1/2
-        if 2 * abs(lam[k][l]) > dets[l + 1]:
-            t = _round_div(lam[k][l], dets[l + 1])
-            b[k] = [x - t * y for x, y in zip(b[k], b[l])]
-            for i in range(l):
-                lam[k][i] -= t * lam[l][i]
-            lam[k][l] -= t * dets[l + 1]
-
+                u = (dets[i + 1] * u - lk[i] * lj[i]) // dets[i]
+            lk[j] = u
+        dets[k + 1] = lk[k]
     k = 1
     while k < n:
-        reduce(k, k - 1)
-        mu = lam[k][k - 1]
-        if 100 * dets[k + 1] * dets[k - 1] >= 99 * dets[k] ** 2 - 100 * mu * mu:
-            for l in range(k - 2, -1, -1):
-                reduce(k, l)
+        bk, lk = b[k], lam[k]
+        for l in range(k - 1, -1, -1):  # size reduction: b_k -= round(mu_kl) b_l when |mu_kl| > 1/2
+            d = dets[l + 1]
+            if 2 * abs(lk[l]) > d:
+                t, ll = _round_div(lk[l], d), lam[l]
+                bk = [x - t * y for x, y in zip(bk, b[l])]
+                for i in range(l):
+                    lk[i] -= t * ll[i]
+                lk[l] -= t * d
+            if l == k - 1:  # d = dets[k]
+                mu = lk[l]
+                if 100 * dets[k + 1] * dets[k - 1] < 99 * d * d - 100 * mu * mu:
+                    break  # the Lovasz condition fails
+        else:
+            b[k] = bk
             k += 1
             continue
-        # the Lovasz condition fails: swap rows k - 1 and k
-        b[k - 1], b[k] = b[k], b[k - 1]
+        # swap rows k - 1 and k
+        b[k - 1], b[k], lm, dk1 = bk, b[k - 1], lam[k - 1], dets[k + 1]
         for j in range(k - 1):
-            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-        new = (dets[k - 1] * dets[k + 1] + mu * mu) // dets[k]
+            lm[j], lk[j] = lk[j], lm[j]
+        new = (dets[k - 1] * dk1 + mu * mu) // d
         for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (dets[k + 1] * lam[i][k - 1] - mu * t) // dets[k]
-            lam[i][k - 1] = (new * t + mu * lam[i][k]) // dets[k + 1]
+            li = lam[i]
+            t = li[k]
+            li[k] = (dk1 * li[k - 1] - mu * t) // d
+            li[k - 1] = (new * t + mu * li[k]) // dk1
         dets[k] = new
         k = max(1, k - 1)
     return b, dets
 
 
 def _turns(r: CertifiedRoot) -> float:
-    """arg(beta) / 2pi for beta = alpha^2 / q, that is arg(alpha) / pi, as a double."""
-    return math.atan2(r.b / (1 << r.k), r.a / (1 << r.k)) / math.pi  # int / int rounds once
+    """arg(beta) / 2pi for beta = alpha^2 / q, that is arg(alpha) / pi, as a double.
+
+    atan2 is scale-free, so a and b share one divisor 2^s, s >= k, that puts both below
+    2^1000: each int / int rounds once, and neither overflows at any q.
+    """
+    s = 1 << max(r.k, max(abs(r.a), abs(r.b)).bit_length() - 1000)
+    return math.atan2(r.b / s, r.a / s) / math.pi
 
 
 def _short_rows(turns, bound: int, k: int):

@@ -175,6 +175,15 @@ class TestSubcommandGolden:
         }
         assert run_err(capsys, "oracle", "--q", "5", "--poly", NOT_WEIL) == (2, [], RH_FAILS)
 
+    def test_oracle_beyond_double_range(self, capsys):
+        # t^2 - 3^695 t + 2^2202: the trace and Im alpha are beyond double range, so the
+        # brackets come from the Sturm isolator and the angle from a rescaled disk center
+        q, t = 2**2202, 3**695
+        code, out, err = run_err(capsys, "oracle", "--q", str(q), "--poly", f"{q},-{t},1")
+        assert code == 0 and err == "" and len(out) == 1
+        rec = json.loads(out[0])
+        assert (rec["rank"], rec["confidence"], rec["basis"]) == (1, "certified_exact", [])
+
     def test_base_change(self, capsys):
         code, out, err = run_err(capsys, "base-change", "--n", "2", "--q", "5", "--poly", ELLIPTIC)
         assert code == 0 and err == ""

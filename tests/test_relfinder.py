@@ -1,9 +1,11 @@
 """Certified roots, exact relation verification, relation lattices."""
 
+import json
 import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -195,26 +197,51 @@ def _bisected(h, bracket, steps):
     return lo, hi, k
 
 
+# every Weil polynomial with g = 1, q <= 25; g = 2, q <= 5; g = 3, q = 2
+SMALL_BOXES = [(1, q) for q in range(2, 26)] + [(2, q) for q in range(2, 6)] + [(3, 2)]
+CERTIFY_INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / "certify.json"
+
+
+def _certify_inputs():
+    data = json.loads(CERTIFY_INPUTS.read_text())
+    return [(IntPoly(e["coeffs"]), e["q"]) for e in data["fixed"] + data["pool"]]
+
+
+def _refuse(*args):
+    raise AssertionError("the Sturm isolator ran")
+
+
 class TestRootStarts:
     """Soundness rests on the sign changes and the disjointness check, not on the brackets."""
 
     @pytest.mark.parametrize("poly, q", START_CASES)
-    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed"])
+    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed", "moved_doubles"])
     def test_order_independent_of_starts(self, monkeypatch, poly, q, perturb):
-        # the isolator's brackets in reverse order, or each narrowed by a
-        # different number of extra bisection steps, give the same disks
+        # the seeded brackets in reverse order, or each narrowed by a different number of
+        # extra bisection steps, or seeded from doubles moved off their roots (by up to
+        # 2^-42 of each, inside its bracket), give the same disks
         w = validate(poly, q)
         roots = certified_roots(w)
         oracle = oracle_rank(w)
-        real = weilrank.relfinder.real_root_brackets
+        seeds = weilrank.relfinder._seed_brackets
+        doubles = weilrank.relfinder._double_roots
+        assert seeds(_split(w)[0]) is not None  # the starts moved are the seeded ones
 
         def moved(h):
-            out = real(h)
+            out = seeds(h)
             if perturb == "reversed":
                 return out[::-1]
             return [_bisected(h, b, 3 * j + 1) for j, b in enumerate(out)]
 
-        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", moved)
+        if perturb == "moved_doubles":
+            monkeypatch.setattr(
+                weilrank.relfinder,
+                "_double_roots",
+                lambda h, b: [r * (1 + (j + 1) * 2.0**-44) for j, r in enumerate(doubles(h, b))],
+            )
+        else:
+            monkeypatch.setattr(weilrank.relfinder, "_seed_brackets", moved)
+        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", _refuse)
         w = validate(poly, q)  # a fresh instance: nothing cached
         _same_disks(certified_roots(w), roots)
         again = oracle_rank(w)
@@ -239,12 +266,34 @@ class TestRootStarts:
     @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
     def test_two_starts_on_one_root_never_certify(self, monkeypatch, poly, q):
         # a duplicated bracket leaves a root uncovered: the disks overlap at every precision
-        real = weilrank.relfinder.real_root_brackets
+        seeds = weilrank.relfinder._seed_brackets
+        assert seeds(_split(validate(poly, q))[0]) is not None
         monkeypatch.setattr(
-            weilrank.relfinder, "real_root_brackets", lambda h: [real(h)[0]] * h.degree
+            weilrank.relfinder, "_seed_brackets", lambda h: [seeds(h)[0]] * h.degree
         )
         with pytest.raises(PrecisionExhausted):
             certified_roots(validate(poly, q))
+
+    @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
+    @pytest.mark.parametrize("wrong", ["duplicated", "off_the_root"])
+    def test_unconfirmed_doubles_fall_back(self, monkeypatch, poly, q, wrong):
+        # two doubles on one root give overlapping brackets, and a double 2^-30 of itself
+        # off its root a bracket without a sign change; the seeds refuse both, and the
+        # Sturm isolator takes over and finds the same disks
+        roots = certified_roots(validate(poly, q))
+        doubles = weilrank.relfinder._double_roots
+
+        def moved(h, b):
+            out = doubles(h, b)
+            if wrong == "duplicated":
+                return [out[0]] * h.degree
+            return [r * (1 + 2.0**-30) for r in out]
+
+        monkeypatch.setattr(weilrank.relfinder, "_double_roots", moved)
+        w = validate(poly, q)
+        h = _split(w)[0]
+        assert weilrank.relfinder._seed_brackets(h) is None
+        _same_disks(certified_roots(w), roots)
 
     def test_roots_at_dyadic_points(self):
         # a certify input whose trace polynomial is (x - 1)(x - 2)(x - 3): every
@@ -258,6 +307,12 @@ class TestRootStarts:
             assert h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(hi, 2**k)) < 0
         assert len(brackets) == 3
         assert [float(r.re) for r in certified_roots(w)] == [0.5, 0.5, 1.0, 1.0, 1.5, 1.5]
+        # the seeded brackets hold the same roots, by their own exact sign changes
+        seeded = weilrank.relfinder._seed_brackets(h)
+        for (lo, hi, k), root in zip(seeded, (1, 2, 3)):
+            assert Fraction(lo, 2**k) < root < Fraction(hi, 2**k)
+            assert h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(hi, 2**k)) < 0
+        assert len(seeded) == 3
 
     def test_start_outside_the_newton_basin(self):
         # h = x^3 - x and the bracket (1/8, 65/64) around the root 1: its
@@ -294,10 +349,8 @@ class TestRootStarts:
             certified_roots(validate(poly, q))
 
     def test_small_boxes_all_certify(self):
-        # every Weil polynomial with g = 1, q <= 25; g = 2, q <= 5; g = 3, q = 2
-        boxes = [(1, q) for q in range(2, 26)] + [(2, q) for q in range(2, 6)] + [(3, 2)]
         count = 0
-        for g, q in boxes:
+        for g, q in SMALL_BOXES:
             if prime_power(q) is None:
                 continue
             for w in enumerate_weil(SearchSpec(g=g, q=q)):
@@ -316,6 +369,64 @@ class TestRootStarts:
                     assert h.evaluate(ends[0]) * h.evaluate(ends[1]) < 0
                 count += 1
         assert count == 727
+
+    def test_seeded_disks_match_the_sturm_path(self, monkeypatch):
+        # on the same boxes every input takes the seeded path, and its disks hold the
+        # same roots, paired and ordered alike, as those from the Sturm isolator's brackets
+        for g, q in SMALL_BOXES:
+            if prime_power(q) is None:
+                continue
+            for w in enumerate_weil(SearchSpec(g=g, q=q)):
+                assert weilrank.relfinder._seed_brackets(_split(w)[0]) is not None, w
+                seeded = certified_roots(w)
+                with monkeypatch.context() as m:
+                    m.setattr(weilrank.relfinder, "_seed_brackets", lambda h: None)
+                    _same_disks(seeded, certified_roots(w))
+
+
+class TestSeedFallback:
+    """The Sturm isolator is the one fallback of the seeds, and the oracle's output does not
+    depend on which of the two found the brackets."""
+
+    def test_common_inputs_skip_the_sturm_isolator(self, monkeypatch):
+        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", _refuse)
+        for poly, q in START_CASES + _certify_inputs():
+            oracle_rank(validate(poly, q))
+
+    def test_failed_seeds_keep_the_oracle_output(self, monkeypatch):
+        inputs = START_CASES + _certify_inputs()
+        want = [repr(oracle_rank(validate(poly, q))) for poly, q in inputs]
+        calls = []
+        real = weilrank.relfinder.real_root_brackets
+
+        def overflow(h, b):
+            raise OverflowError("patched")
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(weilrank.relfinder, "_double_roots", overflow)
+        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", counted)
+        assert [repr(oracle_rank(validate(poly, q))) for poly, q in inputs] == want
+        assert len(calls) == len(inputs)
+
+    def test_curve_beyond_double_range(self, monkeypatch):
+        # t^2 - 3^695 t + 2^2202: the trace is beyond double range, so the seeds fall back
+        q, t = 2**2202, 3**695
+        w = validate(P(q, -t, 1), q)
+        assert weilrank.relfinder._seed_brackets(_split(w)[0]) is None
+        calls = []
+        real = weilrank.relfinder.real_root_brackets
+        monkeypatch.setattr(
+            weilrank.relfinder, "real_root_brackets", lambda h: calls.append(h) or real(h)
+        )
+        o = oracle_rank(w)
+        assert (o.rank, o.confidence, o.lattice.basis) == (1, "certified_exact", ())
+        assert len(calls) == 1
+        (r,) = [r for r in certified_roots(w) if r.b > 0]
+        # arg(alpha) = acos(t / (2 sqrt q)), here close to 0.2017 pi
+        assert _turns(r) == pytest.approx(math.acos(Fraction(t, 2**1102)) / math.pi, abs=1e-12)
 
 
 class TestVerifyRelation:
@@ -427,6 +538,50 @@ class TestDegreeBound:
                 assert _degree_bound(v.q, *_split(v)) == _factorwise_degree_bound(v), v
 
 
+def _lll_reference(rows):
+    """The reference for `_lll`: the same integral LLL with a size-reduction helper and the
+    Lovasz test between reducing by row k - 1 and by the rows before it."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    dets, lam = [1] + [0] * n, [[0] * n for _ in b]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (dets[i + 1] * u - lam[k][i] * lam[j][i]) // dets[i]
+            lam[k][j] = u
+        dets[k + 1] = lam[k][k]
+
+    def reduce(k, l):  # b_k -= round(mu_kl) b_l, when |mu_kl| > 1/2
+        if 2 * abs(lam[k][l]) > dets[l + 1]:
+            t = (2 * lam[k][l] + dets[l + 1]) // (2 * dets[l + 1])
+            b[k] = [x - t * y for x, y in zip(b[k], b[l])]
+            for i in range(l):
+                lam[k][i] -= t * lam[l][i]
+            lam[k][l] -= t * dets[l + 1]
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        mu = lam[k][k - 1]
+        if 100 * dets[k + 1] * dets[k - 1] >= 99 * dets[k] ** 2 - 100 * mu * mu:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        new = (dets[k - 1] * dets[k + 1] + mu * mu) // dets[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (dets[k + 1] * lam[i][k - 1] - mu * t) // dets[k]
+            lam[i][k - 1] = (new * t + mu * lam[i][k]) // dets[k + 1]
+        dets[k] = new
+        k = max(1, k - 1)
+    return b, dets
+
+
 class TestLatticeAlgebra:
     def test_row_hnf(self):
         # the HNF is unique: entries above a pivot lie in [0, pivot)
@@ -471,6 +626,34 @@ class TestLatticeAlgebra:
             if i:  # the Lovasz condition, delta = 99/100
                 bound = (Fraction(99, 100) - mu[-1] ** 2) * _dot(gs[i - 1], gs[i - 1])
                 assert _dot(gs[i], gs[i]) >= bound
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_matrices)
+    def test_lll_equals_reference(self, rows):
+        if _fraction_det(rows) != 0:
+            assert _lll(rows) == _lll_reference(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0, 1, exclude_max=True), min_size=1, max_size=4))
+    def test_lll_equals_reference_on_angle_lattices(self, turns):
+        # the shape `_short_rows` reduces: unit rows beside round(2^44 tau_i), and 2^44
+        d = len(turns)
+        rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, _LATTICE_BITS))]
+                for i, t in enumerate(turns)]
+        rows.append([0] * d + [1 << _LATTICE_BITS])
+        assert _lll(rows) == _lll_reference(rows)
+
+    def test_lll_equals_reference_on_certify_lattices(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(
+            weilrank.relfinder, "_lll", lambda rows: seen.append(rows) or _lll(rows)
+        )
+        inputs = _certify_inputs()
+        for poly, q in inputs:
+            relation_lattice(validate(poly, q))
+        assert len(seen) == len(inputs)
+        for rows in seen:
+            assert _lll(rows) == _lll_reference(rows)
 
     def test_saturate(self):
         # lattice spanned by (2, 2): saturation is (1, 1)
