@@ -64,9 +64,10 @@ __all__ = [
 
 def sufficiency_degree(w: WeilPolynomial) -> int:
     """Least extension degree after which the eigenvalue group has no torsion:
-    the lcm of `ratio_torsion_orders(w)`, read off the symmetric square of P,
-    and for g = 3 the order of zeta = G(0)^2 / q^3 != 1 for P = G * conj(G)
-    over an imaginary quadratic field (`_sextic_witness`), the torsion of a
+    the lcm of `ratio_torsion_orders(w)`, read off the degree-g^2 polynomial
+    T_V of the values q (rho + 1/rho) over the eigenvalue ratios rho, and
+    for g = 3 the order of zeta = G(0)^2 / q^3 != 1 for P = G * conj(G) over
+    an imaginary quadratic field (`_sextic_witness`), the torsion of a
     product of three eigenvalues that an irreducible sextic and a quartic
     times a curve carry alike; zeta^n = 1 over F_(q^n).
 
@@ -156,7 +157,7 @@ def _classify_sufficient(
     # Weil polynomial can break it, so no variety has its eigenvalues: t^2 + 2t + 8
     # over F_8 has slopes 1/3 and 2/3 of length one
     for s, l in polygon.segments:
-        if (s * l).denominator != 1:
+        if l % s.denominator:
             raise NonIntegralPolygon(
                 f"Newton polygon slope {s} has length {l}, and {s} * {l} is not"
                 f" an integer: no abelian variety of dimension {w.g} has these eigenvalues"

@@ -30,7 +30,6 @@ from .transforms import (
     power_transform,
     product_transform,
     ratio_transform,
-    symmetric_square,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "fractions_to_intpoly",
     "power_transform",
     "product_transform",
-    "symmetric_square",
     "ratio_transform",
     "cyclotomic_polynomial",
     "cyclotomic_order",

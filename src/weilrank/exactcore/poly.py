@@ -522,16 +522,19 @@ def real_root_brackets(f: IntPoly):
     return out
 
 
-def _refine(f: IntPoly, df: IntPoly, lo: int, hi: int, k: int, goal: int):
+def _refine(f: IntPoly, df: IntPoly, lo: int, hi: int, k: int, goal: int, up: bool):
     """(x, k): f changes sign across (x -+ 1) / 2^k, with k = max(goal, k + 1).
 
-    f changes sign across the bracket (lo, hi) / 2^k; df is f'.  Newton steps start at its
-    midpoint, each at about twice the bits already right but never past goal.  The sign of
-    f at each point narrows the bracket; a step leaving it, or at f' = 0, becomes a bisection.
+    f changes sign across the bracket (lo, hi) / 2^k, and up says f(hi / 2^k) > 0; df is f'.
+    Newton steps start at its midpoint, each at about twice the bits already right but never
+    past goal.  The sign of f at each point narrows the bracket; a step leaving it, or at
+    f' = 0, becomes a bisection.  Only the sign change at the end proves the result, so a
+    wrong up costs convergence, not soundness.  A bisection halves the bracket, so the step
+    cap grows with its width.
     """
-    up = _scaled_value(f.coeffs, hi, k) > 0
+    steps = 100 + (hi - lo).bit_length()
     lo, hi, x, k = 2 * lo, 2 * hi, lo + hi, k + 1  # x: the midpoint
-    for _ in range(100):
+    for _ in range(steps):
         if k >= goal and _scaled_value(f.coeffs, x - 1, k) * _scaled_value(f.coeffs, x + 1, k) < 0:
             return x, k
         v = _scaled_value(f.coeffs, x, k)

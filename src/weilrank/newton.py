@@ -1,8 +1,9 @@
 """Newton polygons of Weil polynomials and slope-type classification.
 
 Slopes are the p-adic valuations of the eigenvalues, normalized so that
-ord(q) = 1; they are computed as the lower convex hull of the coefficient
-valuations and always kept as exact rationals.
+ord(q) = 1.  They come from the lower convex hull of the coefficient
+valuations, built and checked on its integer edges; each returned slope is
+one exact rational.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ class NewtonPolygon:
     segments: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self):
-        slopes = [s for s, _ in self.segments]
-        lengths = [l for _, l in self.segments]
-        if any(not (0 <= s <= 1) for s in slopes):
+        # on numerators and denominators: a Fraction's denominator is positive
+        slopes = [(s.numerator, s.denominator) for s, _ in self.segments]
+        if any(not (0 <= a <= b) for a, b in slopes):
             raise PreconditionViolation("slopes must lie in [0, 1]")
-        if any(l <= 0 for l in lengths):
+        if any(l <= 0 for _, l in self.segments):
             raise PreconditionViolation("segment lengths must be positive")
-        if any(a >= b for a, b in zip(slopes, slopes[1:])):
+        if any(a * d >= c * b for (a, b), (c, d) in zip(slopes, slopes[1:])):
             raise PreconditionViolation("slopes must be strictly increasing")
 
     @property
@@ -48,7 +49,6 @@ class NewtonPolygon:
         return tuple(s for s, _ in self.segments)
 
     def length(self, slope) -> int:
-        slope = Fraction(slope)
         for s, l in self.segments:
             if s == slope:
                 return l
@@ -72,17 +72,18 @@ def _ord_p(n: int, p: int) -> int:
     return v
 
 
-def root_valuation_segments(poly, p: int, v: int) -> tuple:
-    """(valuation, count) pairs for the roots of any integer polynomial.
+def _hull_edges(poly, p: int) -> list[tuple[int, int]]:
+    """(drop, run) edges of the lower convex hull of the points (i, ord_p(a_i)).
 
-    Lower convex hull of (i, ord_p(a_i)), built on integers; the slopes of
-    its edges, negated and divided by v, are the root valuations.  Used
-    directly for per-factor slope data.
+    Right to left, so the root valuations drop / (v run) they give increase
+    strictly; collinear points make one edge.
     """
-    pts = [(i, _ord_p(c, p)) for i, c in enumerate(poly.coeffs) if c != 0]
-    # lower convex hull, left to right (Andrew monotone chain, lower part)
     hull: list[tuple[int, int]] = []
-    for x, y in pts:
+    for x, c in enumerate(poly.coeffs):
+        if c == 0:
+            continue
+        y = _ord_p(c, p)
+        # lower convex hull, left to right (Andrew monotone chain, lower part)
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (x - x1) >= (y - y1) * (x2 - x1):
@@ -90,9 +91,17 @@ def root_valuation_segments(poly, p: int, v: int) -> tuple:
             else:
                 break
         hull.append((x, y))
-    # edge slopes strictly increase, so reversed edges give increasing valuations
-    edges = reversed(list(zip(hull, hull[1:])))
-    return tuple((Fraction(y1 - y2, v * (x2 - x1)), x2 - x1) for (x1, y1), (x2, y2) in edges)
+    return [(y1 - y2, x2 - x1) for (x1, y1), (x2, y2) in zip(hull[-2::-1], hull[:0:-1])]
+
+
+def root_valuation_segments(poly, p: int, v: int) -> tuple:
+    """(valuation, count) pairs for the roots of any integer polynomial.
+
+    Lower convex hull of (i, ord_p(a_i)), built on integers; the slopes of
+    its edges, negated and divided by v, are the root valuations.  Used
+    directly for per-factor slope data.
+    """
+    return tuple((Fraction(drop, v * run), run) for drop, run in _hull_edges(poly, p))
 
 
 def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
@@ -102,21 +111,25 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
     point.  Total length, slope symmetry, lattice integrality (slope *
     length * v integral, true for every integer polynomial), and evenness
     of the half-slope length are checked before returning; their failure
-    would mean an invalid polynomial slipped through validation.  The
-    stronger normalized integrality (slope * length integral) holds for
-    polygons of actual abelian varieties; `classify` refuses a polygon
-    without it.
+    would mean an invalid polynomial slipped through validation.  They are
+    checked on the integer hull edges (drop, run) of slope drop / (v run):
+    slopes s and 1 - s of one length l pair the edges (d, l) and (v l - d, l)
+    from either end.  Each pair is checked from both of its ends, so
+    d + d' = v l = v l' also makes the lengths equal.  The stronger normalized integrality (slope * length
+    integral) holds for polygons of actual abelian varieties; `classify`
+    refuses a polygon without it.
     """
-    segments = root_valuation_segments(w.poly, w.p, w.v)
-    np_ = NewtonPolygon(segments=segments)
-    if np_.total_length != 2 * w.g:
+    edges = _hull_edges(w.poly, w.p)
+    v = w.v
+    np_ = NewtonPolygon(segments=tuple((Fraction(d, v * l), l) for d, l in edges))
+    if sum(l for _, l in edges) != 2 * w.g:
         raise WeilrankError("Newton polygon length is not 2g")
-    for s, l in segments:
-        if np_.length(1 - s) != l:
+    for (d, l), (d2, _), (s, _) in zip(edges, reversed(edges), np_.segments):
+        if d + d2 != v * l:
             raise WeilrankError("slope symmetry violated")
-        if (s * l * w.v).denominator != 1:
+        if l * v % s.denominator:
             raise WeilrankError("lattice integrality violated")
-    if np_.length(Fraction(1, 2)) % 2:
+    if any(2 * d == v * l and l % 2 for d, l in edges):
         raise WeilrankError("slope 1/2 must have even length")
     return np_
 
@@ -141,17 +154,18 @@ def classify_newton(np_: NewtonPolygon, g: int) -> NewtonType:
     and length(0) = length(1) = 1.  Small g makes several labels coincide
     (a g=1 ordinary polygon is also K3 type), so all that apply are kept.
     """
-    slopes = set(np_.slopes)
-    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    # 2 * slope -> length, for the slopes 0, 1/2 and 1
+    lengths = {2 * s.numerator // s.denominator: l for s, l in np_.segments if s.denominator <= 2}
     labels = set()
-    if slopes == {zero, one}:
-        labels.add("ordinary")
-    if slopes == {half}:
-        labels.add("supersingular")
-    if slopes == {zero, half, one} and np_.length(half) == 2:
-        labels.add("almost_ordinary")
-    if slopes <= {zero, half, one} and np_.length(zero) == 1 and np_.length(one) == 1:
-        labels.add("k3_type")
+    if len(lengths) == len(np_.segments):  # no other slope
+        if lengths.keys() == {0, 2}:
+            labels.add("ordinary")
+        if lengths.keys() == {1}:
+            labels.add("supersingular")
+        if lengths.keys() == {0, 1, 2} and lengths[1] == 2:
+            labels.add("almost_ordinary")
+        if lengths.get(0) == 1 and lengths.get(2) == 1:
+            labels.add("k3_type")
     if not labels:
         labels.add("other")
     primary = next(l for l in NEWTON_LABELS if l in labels)

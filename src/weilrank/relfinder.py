@@ -172,7 +172,7 @@ def certified_roots(w: WeilPolynomial):
 def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
     if len(brackets) != h.degree:
         raise PrecisionExhausted("brackets do not cover the roots")
-    k, upper = _disks(q, h, brackets, bits)
+    k, upper = _disks(q, h, [(j, *b) for j, b in enumerate(brackets)], bits)
     cells = [_real_disk(q, -1, k)] * (-1 in signs) + upper + [_real_disk(q, 1, k)] * (1 in signs)
     if any(m > 1 << (k - _ROOT_BITS) for _, _, m in cells):
         raise PrecisionExhausted("isolating disk wider than 2^-64")
@@ -249,15 +249,18 @@ def _seed_brackets(h: IntPoly):
 def _disks(q: int, h: IntPoly, brackets, bits: int):
     """(k, cells): the disks (a, b, m) at 2^-k of the upper eigenvalues, one per bracket, ascending.
 
-    A bracket (lo, hi, kb) holds one root of h, which changes sign across (lo, hi) / 2^kb.
-    `_refine` narrows each to one scale, bits + 32 or finer; an interval that reaches past
-    its bracket (it may end on a bracket end) might hold another root, and is refused.
+    A bracket (j, lo, hi, kb) holds the j-th smallest root of h, counted from 0, which changes
+    sign across (lo, hi) / 2^kb.  h has deg h simple real roots, deg h - 1 - j of them above
+    the bracket, so h(hi / 2^kb) has the sign of lead(h) (-1)^(deg h - 1 - j).  `_refine`
+    narrows each to one scale, bits + 32 or finer; an interval that reaches past its bracket
+    (it may end on a bracket end) might hold another root, and is refused.
     """
     dh = h.derivative()
     goal = max([bits + _GUARD_BITS] + [kb + 1 for *_, kb in brackets])
     cells = []
-    for lo, hi, kb in brackets:
-        x, k = _refine(h, dh, lo, hi, kb, goal)
+    for j, lo, hi, kb in brackets:
+        up = (h.leading > 0) == ((h.degree - 1 - j) % 2 == 0)
+        x, k = _refine(h, dh, lo, hi, kb, goal, up)
         if x - 1 < lo << (k - kb) or x + 1 > hi << (k - kb):
             raise PrecisionExhausted("refined interval left its bracket")
         cells.append(_pair_disk(q, x, k))
@@ -361,14 +364,16 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
     degree_bound = _degree_bound(q, h, signs)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
-    pairs = [r for r in roots if r.b > 0 and (e[r.index] or e[r.conjugate_index])]
+    # the upper members ascend with their traces, so the j-th has the j-th root of h as trace
+    upper = [r for r in roots if r.b > 0]
+    pairs = [(j, r) for j, r in enumerate(upper) if e[r.index] or e[r.conjugate_index]]
     while bits <= DEFAULT_PRECISION_CAP:
         # 2 re = a / 2^(k-1): the doubled real projection [a -+ m] / 2^(k-1) of an upper
         # disk holds one root of the trace polynomial, and none at its ends, so it is a bracket
-        k, cells = _disks(q, h, [(r.a - r.m, r.a + r.m, r.k - 1) for r in pairs], bits)
+        k, cells = _disks(q, h, [(j, r.a - r.m, r.a + r.m, r.k - 1) for j, r in pairs], bits)
         balls = {r.index: _real_disk(q, 1 if r.a > 0 else -1, bits) for r in roots if not r.b}
         d = 1 << (k - bits)
-        for r, (a, b, m) in zip(pairs, cells):
+        for (_, r), (a, b, m) in zip(pairs, cells):
             # each rounded coordinate moves by at most 1/2, the center by less than 1
             a, b, m = _round_div(a, d), _round_div(b, d), -(-m // d) + 1
             balls[r.index], balls[r.conjugate_index] = (a, b, m), (a, -b, m)

@@ -30,9 +30,9 @@ from .exactcore import (
     power_transform,
     prime_power,
     sturm_surd_counts,
-    symmetric_square,
 )
 from .exactcore.poly import squarefree_part as poly_squarefree_part
+from .exactcore.transforms import _ratio_traces, _real_cyclotomic_part_orders
 from .newton import NewtonPolygon, classify_newton, root_valuation_segments
 
 __all__ = [
@@ -248,7 +248,7 @@ class EigenvalueStructure:
 
     @property
     def supersingular(self) -> bool:
-        return all(s == Fraction(1, 2) for s, _ in self.slopes)
+        return all(s.denominator == 2 for s, _ in self.slopes)  # slopes lie in [0, 1]
 
     @cached_property
     def newton_primary(self) -> str:
@@ -290,15 +290,18 @@ def ratio_torsion_orders(w: WeilPolynomial) -> frozenset[int]:
     """Orders of roots of unity among ratios of distinct eigenvalues.
 
     alpha / beta = alpha * conj(beta) / q, and conj(beta) = q / beta runs
-    over the eigenvalues as beta does, so the ratios are the roots of the
-    symmetric square of P (products alpha_i alpha_j, i <= j), argument
-    scaled by q; a repeated root of P only repeats a value.  The orders
-    n > 1 of its cyclotomic factors are collected.  Empty exactly when the
-    base field is "clean" for pairwise ratios.
+    over the eigenvalues as beta does, so the ratios are rho = pi / q over
+    the products pi = alpha_i alpha_j, i <= j.  The g trivial products
+    alpha * (q / alpha) = q give rho = 1; the others pair up as
+    {pi, q^2 / pi}, whose ratios rho and 1 / rho have one order, and
+    V = pi + q^2 / pi = q (rho + 1/rho) runs over the roots of a monic
+    integer polynomial T_V of degree g^2 (`_ratio_traces`).  rho has order
+    n >= 2 exactly when rho + 1/rho is a root of Psi_n, the minimal
+    polynomial of 2 cos(2 pi / n), that is when Psi_n(u) divides T_V(q u);
+    a repeated root of P only adds ratios 1.  Empty exactly when the base
+    field is "clean" for pairwise ratios.
     """
-    ratios = symmetric_square(w.poly).scale_argument(w.q).primitive_part()
-    # built from a set: one filled from a generator may print the orders in another order
-    return frozenset({n for n in cyclotomic_part_orders(ratios) if n > 1})
+    return frozenset(_real_cyclotomic_part_orders(_ratio_traces(w.poly, w.q), w.q))
 
 
 def beta_polynomial(w: WeilPolynomial) -> IntPoly:

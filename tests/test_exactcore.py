@@ -1,9 +1,10 @@
 """Exact-arithmetic substrate: polynomials, factorization, resultants, Sturm."""
 
+import cmath
 import random
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, isqrt, prod
 
 import pytest
@@ -35,13 +36,18 @@ from weilrank.exactcore import (
     sturm_real_root_count,
     sturm_surd_counts,
     surd_signs,
-    symmetric_square,
 )
 from weilrank.exactcore import factor as factor_module
 from weilrank.exactcore import intfactor as intfactor_module
 from weilrank.exactcore.poly import real_root_brackets
 from weilrank.exactcore.poly import squarefree_part as poly_sf
-from weilrank.exactcore.transforms import _from_power_sums, _phi_sieve
+from weilrank.exactcore.transforms import (
+    _from_power_sums,
+    _phi_sieve,
+    _power_sums as _int_power_sums,
+    _ratio_traces,
+    _real_cyclotomic,
+)
 from weilrank.search import SearchSpec, enumerate_weil
 from weilrank.weil import base_change, ratio_torsion_orders, validate
 
@@ -633,7 +639,7 @@ class TestTransforms:
     def test_against_resultant_interpolation(self, f, g, n):
         assert power_transform(f, n) == _ref_power(f, n)
         assert product_transform(f, g) == _ref_product(f, g)
-        assert symmetric_square(f) ** 2 == product_transform(f, f) * power_transform(f, 2)
+        assert _symmetric_square(f) ** 2 == product_transform(f, f) * power_transform(f, 2)
         if g.coeffs[0] != 0:
             assert ratio_transform(f, g) == _ref_ratio(f, g)
 
@@ -656,11 +662,28 @@ class TestTransforms:
 
     def test_symmetric_square_examples(self):
         # roots 2, 3 give 4, 6, 9; the repeated root of (t - 1)^2 gives 1 three times
-        assert symmetric_square(P(6, -5, 1)) == P(-4, 1) * P(-6, 1) * P(-9, 1)
-        assert symmetric_square(P(1, -2, 1)) == P(-1, 1) ** 3
-        assert symmetric_square(P(5, 0, 1)).degree == 3
+        assert _symmetric_square(P(6, -5, 1)) == P(-4, 1) * P(-6, 1) * P(-9, 1)
+        assert _symmetric_square(P(1, -2, 1)) == P(-1, 1) ** 3
+        assert _symmetric_square(P(5, 0, 1)).degree == 3
         with pytest.raises(PreconditionViolation, match="monic"):
-            symmetric_square(P(1, 2))
+            _symmetric_square(P(1, 2))
+
+
+def _symmetric_square(f):
+    """Monic polynomial with root multiset {alpha_i alpha_j : i <= j}, of
+    degree n(n + 1)/2 for n = deg f; its power sums are (p_k^2 + p_(2k)) / 2."""
+    if not f.is_monic:
+        raise PreconditionViolation("symmetric square needs a monic polynomial")
+    deg = f.degree * (f.degree + 1) // 2
+    p = _int_power_sums(f, 2 * deg)
+    return _from_power_sums([(p[k] * p[k] + p[2 * k + 1]) // 2 for k in range(deg)])
+
+
+def _torsion_by_symmetric_square(w):
+    """Ratio torsion orders as the cyclotomic factors of the symmetric square
+    of P, argument scaled by q: the products alpha_i alpha_j / q, i <= j."""
+    ratios = _symmetric_square(w.poly).scale_argument(w.q).primitive_part()
+    return frozenset(n for n in cyclotomic_part_orders(ratios) if n > 1)
 
 
 def _torsion_by_products(w):
@@ -673,6 +696,86 @@ def _torsion_by_products(w):
     ratios = product_transform(sf, sf).scale_argument(w.q).primitive_part()
     ratios = ratios.exact_div(P(-1, 1) ** sf.degree)
     return frozenset(n for n in cyclotomic_part_orders(ratios) if n > 1)
+
+
+# g <= 3 and q <= 5, each polynomial also over F_(q^2) and F_(q^3)
+SMALL_WEIL_BOXES = [(g, q) for g in (1, 2, 3) for q in (2, 3, 4, 5)]
+
+
+@st.composite
+def _curve_products(draw):
+    """Two or three elliptic curves t^2 - a t + q over F_(2^e), e <= 127, as one Weil
+    polynomial.  Traces are small, anywhere in range, or those of torsion ratios (0, sqrt(q),
+    sqrt(2q)), and the last curve may be the quadratic twist of the first."""
+    e = draw(st.integers(1, 127))
+    q = 2**e
+    top = isqrt(4 * q)
+    special = [0] + [isqrt(m * q) for m in (1, 2) if isqrt(m * q) ** 2 == m * q]
+    trace = st.one_of(
+        st.integers(-min(9, top), min(9, top)),
+        st.integers(-top, top),
+        st.sampled_from(special).flatmap(lambda a: st.sampled_from([a, -a])),
+    )
+    traces = draw(st.lists(trace, min_size=2, max_size=3))
+    if draw(st.booleans()):
+        traces[-1] = -traces[0]
+    return validate(prod((P(q, -a, 1) for a in traces), start=P(1)), q)
+
+
+class TestRatioTraces:
+    """`ratio_torsion_orders` reads the degree-g^2 polynomial T_V of the values
+    pi + q^2/pi; the reference is the symmetric square of P, of degree g(2g + 1)."""
+
+    @pytest.mark.parametrize("g, q", SMALL_WEIL_BOXES)
+    def test_boxes_and_base_changes_match_symmetric_square(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            for n in (1, 2, 3):
+                wn = base_change(w, n)
+                assert ratio_torsion_orders(wn) == _torsion_by_symmetric_square(wn), (w.poly, n)
+
+    def test_first_g4_members_match_symmetric_square(self):
+        for w in islice(enumerate_weil(SearchSpec(g=4, q=2)), 400):
+            assert ratio_torsion_orders(w) == _torsion_by_symmetric_square(w), w.poly
+
+    @settings(max_examples=60, deadline=None)
+    @given(_curve_products())
+    def test_curve_products_match_symmetric_square(self, w):
+        assert ratio_torsion_orders(w) == _torsion_by_symmetric_square(w)
+
+    def test_twist_and_supersingular_orders(self):
+        # E and its quadratic twist: the ratio alpha / (-alpha) = -1
+        q = 2**89
+        w = validate(P(q, -3, 1) * P(q, 3, 1), q)
+        assert ratio_torsion_orders(w) == {2}
+        # t^2 + 2: alpha = i sqrt(2), and alpha / conj(alpha) = -1; t^2 + 2t + 2: order 4
+        assert ratio_torsion_orders(validate(P(2, 0, 1), 2)) == {2}
+        assert ratio_torsion_orders(validate(P(2, 2, 1), 2)) == {4}
+
+    def test_trace_form_roots(self):
+        # (t - 2)(t - 3) as a formal q = 6 pairing: products 4, 9 and the trivial 6;
+        # 4 pairs with 36/4 = 9, so T_V has the one root 4 + 9 = 13
+        assert _ratio_traces(P(6, -5, 1), 6) == P(-13, 1)
+        # two curves over F_5: each of the g^2 = 4 values pi + 25/pi is a root
+        alphas = [(a + s * cmath.sqrt(a * a - 20)) / 2 for a in (1, -2) for s in (1, -1)]
+        traces = _ratio_traces(P(5, -1, 1) * P(5, 2, 1), 5)
+        assert traces.degree == 4 and traces.is_monic
+        pairs = [(0, 0), (2, 2), (0, 2), (0, 3)]  # alpha^2 for each curve, and the cross products
+        for i, j in pairs:
+            pi = alphas[i] * alphas[j]
+            assert abs(traces.evaluate(pi + 25 / pi)) < 1e-6
+
+    def test_real_cyclotomic(self):
+        phi = _phi_sieve(200)
+        assert _real_cyclotomic(2) == P(2, 1)
+        for n in range(3, 201):
+            psi = _real_cyclotomic(n)
+            m = phi[n] // 2
+            assert psi.degree == m
+            # t^m Psi_n(t + 1/t) = sum_k psi_k (t^2 + 1)^k t^(m - k)
+            lifted = sum(
+                ((c * P(1, 0, 1) ** k).shift(m - k) for k, c in enumerate(psi.coeffs)), P()
+            )
+            assert lifted == cyclotomic_polynomial(n), n
 
 
 # Reference transforms: resultants at integer points (Sylvester
@@ -777,8 +880,8 @@ class TestCyclotomic:
             ratios = product_transform(sf, sf).scale_argument(q).primitive_part()
             ratios = ratios.exact_div(P(-1, 1) ** sf.degree)
             assert cyclotomic_part_orders(ratios) == _trial_part_orders(ratios)
-            # and on the symmetric square that `ratio_torsion_orders` reads
-            sym = symmetric_square(w.poly).scale_argument(q).primitive_part()
+            # and on the symmetric square of the ratio torsion reference
+            sym = _symmetric_square(w.poly).scale_argument(q).primitive_part()
             assert cyclotomic_part_orders(sym) == _trial_part_orders(sym)
 
     def test_polynomials(self):

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weilrank.errors import PreconditionViolation
+from weilrank.errors import PreconditionViolation, WeilrankError
 from weilrank.exactcore import IntPoly
 from weilrank.newton import (
+    NEWTON_LABELS,
     NewtonPolygon,
+    NewtonType,
     classify_newton,
     newton_polygon,
     root_valuation_segments,
     slope_divisibility_check,
 )
-from weilrank.weil import base_change, validate
+from weilrank.search import SearchSpec, enumerate_weil
+from weilrank.weil import WeilPolynomial, base_change, validate
 
 
 def _is_integral(polygon):
@@ -72,6 +75,8 @@ class TestPolygon:
             NewtonPolygon(segments=((Fraction(1, 2), 0),))
         with pytest.raises(PreconditionViolation):
             NewtonPolygon(segments=((Fraction(1, 2), 2), (Fraction(0), 2)))
+        with pytest.raises(PreconditionViolation, match="strictly increasing"):
+            NewtonPolygon(segments=((Fraction(1, 2), 1), (Fraction(2, 4), 1)))
 
 
 class TestClassify:
@@ -200,3 +205,85 @@ class TestIntegerHull:
         assert root_valuation_segments(P(8, 4, 2, 1), 2, 3) == seg(((1, 3), 3))
         assert root_valuation_segments(P(1, 2, 4, 8), 2, 1) == seg(((-1, 1), 3))
         assert root_valuation_segments(P(7), 7, 1) == ()
+
+
+def _fraction_newton_type(segments, g):
+    """Slope-pattern labels from sets of `Fraction` slopes, as `classify_newton` states them."""
+    slopes = {s for s, _ in segments}
+    length = dict(segments)
+    zero, half, one = Fraction(0), Fraction(1, 2), Fraction(1)
+    labels = set()
+    if slopes == {zero, one}:
+        labels.add("ordinary")
+    if slopes == {half}:
+        labels.add("supersingular")
+    if slopes == {zero, half, one} and length[half] == 2:
+        labels.add("almost_ordinary")
+    if slopes <= {zero, half, one} and length.get(zero) == 1 and length.get(one) == 1:
+        labels.add("k3_type")
+    labels = labels or {"other"}
+    return NewtonType(frozenset(labels), next(l for l in NEWTON_LABELS if l in labels))
+
+
+class TestAgainstFractionReference:
+    @pytest.mark.parametrize("g, q", [(g, q) for g in (1, 2, 3) for q in (2, 3, 4, 5)])
+    def test_boxes_and_base_changes(self, g, q):
+        for w in enumerate_weil(SearchSpec(g=g, q=q)):
+            for n in (1, 2, 3):
+                wn = base_change(w, n)
+                np_ = newton_polygon(wn)
+                assert np_.segments == _fraction_segments(wn.poly, wn.p, wn.v)
+                assert classify_newton(np_, g) == _fraction_newton_type(np_.segments, g)
+
+    def test_hand_built_polygons(self):
+        cases = [
+            seg(((0, 1), 2), ((1, 2), 2), ((1, 1), 2)),
+            seg(((0, 1), 1), ((1, 2), 4), ((1, 1), 1)),
+            seg(((1, 3), 3), ((2, 3), 3)),
+            seg(((0, 1), 1), ((1, 3), 3), ((2, 3), 3), ((1, 1), 1)),
+            seg(((1, 2), 2),),
+            seg(((0, 1), 3), ((1, 1), 3)),
+            seg(((0, 1), 1), ((1, 1), 2)),
+            seg(((0, 1), 1), ((1, 2), 3)),
+        ]
+        for segments in cases:
+            np_ = NewtonPolygon(segments=segments)
+            assert classify_newton(np_, 3) == _fraction_newton_type(segments, 3)
+
+
+def _unchecked(coeffs, q, p, v, g):
+    """A WeilPolynomial built without `validate`, so its polygon can break the rules."""
+    return WeilPolynomial(poly=IntPoly(coeffs), q=q, p=p, v=v, g=g)
+
+
+class TestPolygonChecks:
+    def test_length_is_not_2g(self):
+        with pytest.raises(WeilrankError, match="length is not 2g"):
+            newton_polygon(_unchecked((5, -1, 1), 5, 5, 1, 2))
+        with pytest.raises(WeilrankError, match="length is not 2g"):
+            newton_polygon(_unchecked((25, -10, 11, -2, 1), 5, 5, 1, 1))
+        # a zero constant term drops the point at 0: length 1 for degree 2
+        with pytest.raises(WeilrankError, match="length is not 2g"):
+            newton_polygon(_unchecked((0, 1, 1), 5, 5, 1, 1))
+
+    def test_slope_symmetry(self):
+        # t^2 + 25 over F_5: slope 1 of length 2, and no slope 0
+        with pytest.raises(WeilrankError, match="slope symmetry violated"):
+            newton_polygon(_unchecked((25, 0, 1), 5, 5, 1, 1))
+        # slopes 0, 1/3 and 1 of lengths 1, 3 and 2 over F_8: the ends differ in length
+        with pytest.raises(WeilrankError, match="slope symmetry violated"):
+            newton_polygon(_unchecked((2**9, 2**8, 2**7, 2**6, 2**5, 1, 1), 8, 2, 3, 3))
+
+    def test_odd_half_slope_length(self):
+        # the other slopes pair up, so an odd length at slope 1/2 leaves an odd total or a
+        # lone slope: (t - 1)(t - 5) over F_25 has slopes 0 and 1/2 of length one
+        with pytest.raises(WeilrankError, match="slope symmetry violated"):
+            newton_polygon(_unchecked((5, -6, 1), 25, 5, 2, 1))
+        # t + 5 over F_25: one root of slope 1/2
+        with pytest.raises(WeilrankError, match="length is not 2g"):
+            newton_polygon(_unchecked((5, 1), 25, 5, 2, 1))
+
+    def test_slopes_outside_the_unit_interval(self):
+        # 1 + 2t + 4t^2 at p = 2: root valuations -1, as the constructor refuses
+        with pytest.raises(PreconditionViolation, match="lie in"):
+            newton_polygon(_unchecked((1, 2, 4), 2, 2, 1, 1))

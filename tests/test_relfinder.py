@@ -156,6 +156,17 @@ class TestCertifiedRoots:
             val = w.poly.evaluate(complex(float(r.re), float(r.im)))
             assert abs(val) < 1e-6 * 9**3
 
+    def test_wide_brackets_at_large_q(self):
+        # (t^2 - 3t + q)(t^2 + 6t + q)(t^2 + Tt + q), q = 2^400: the doubles do not separate
+        # the traces 3 and -6, so the Sturm isolator's brackets are as wide as (0, 2^202), and
+        # `_refine` needs more than its 100 base steps to bisect them down
+        q = 2**400
+        t = 2377548695819754352371374969413709760429566039489744177866102
+        w = validate(P(q, -3, 1) * P(q, 6, 1) * P(q, t, 1), q)
+        roots = certified_roots(w)
+        assert len(roots) == 6
+        assert sorted(r.conjugate_index for r in roots) == list(range(6))
+
 
     @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (P(-5, 0, 1) ** 2 * P(5, -1, 1), 5)])
     def test_each_upper_disk_holds_one_trace(self, poly, q):
@@ -322,9 +333,9 @@ class TestRootStarts:
         dh = h.derivative()
         start = Fraction(73, 128)
         assert start - h.evaluate(start) / dh.evaluate(start) < -15
-        x, k = _refine(h, dh, 8, 65, 6, 100)
+        x, k = _refine(h, dh, 8, 65, 6, 100, True)
         assert k == 100 and x == 2**100
-        x, k = _refine(h, dh, -65, -8, 6, 100)  # its mirror image
+        x, k = _refine(h, dh, -65, -8, 6, 100, True)  # its mirror image
         assert k == 100 and x == -(2**100)
 
     def test_trace_near_the_end_of_its_range(self):
