@@ -108,29 +108,27 @@ def newton_polygon(w: WeilPolynomial) -> NewtonPolygon:
     """Newton polygon of a Weil polynomial, slopes normalized by ord(q) = 1.
 
     Zero coefficients have valuation +infinity and contribute no hull
-    point.  Total length, slope symmetry, lattice integrality (slope *
-    length * v integral, true for every integer polynomial), and evenness
-    of the half-slope length are checked before returning; their failure
-    would mean an invalid polynomial slipped through validation.  They are
-    checked on the integer hull edges (drop, run) of slope drop / (v run):
-    slopes s and 1 - s of one length l pair the edges (d, l) and (v l - d, l)
-    from either end.  Each pair is checked from both of its ends, so
-    d + d' = v l = v l' also makes the lengths equal.  The stronger normalized integrality (slope * length
-    integral) holds for polygons of actual abelian varieties; `classify`
-    refuses a polygon without it.
+    point.  Total length and slope symmetry are checked before returning;
+    their failure would mean an invalid polynomial slipped through
+    validation.  They are checked on the integer hull edges (drop, run) of
+    slope drop / (v run): slopes s and 1 - s of one length l pair the edges
+    (d, l) and (v l - d, l) from either end.  Each pair is checked from both
+    of its ends, so d + d' = v l = v l' also makes the lengths equal.
+    Two more properties then hold without a check.  Lattice integrality:
+    slope * length * v is the drop d, an integer.  The slope-1/2 length is
+    even: slopes increase strictly, so a slope-1/2 edge is its own partner,
+    the middle edge, and the others pair up with equal lengths, so its
+    length is 2g less an even number.  The stronger normalized integrality
+    (slope * length integral) holds for polygons of actual abelian
+    varieties; `classify` refuses a polygon without it.
     """
     edges = _hull_edges(w.poly, w.p)
     v = w.v
     np_ = NewtonPolygon(segments=tuple((Fraction(d, v * l), l) for d, l in edges))
     if sum(l for _, l in edges) != 2 * w.g:
         raise WeilrankError("Newton polygon length is not 2g")
-    for (d, l), (d2, _), (s, _) in zip(edges, reversed(edges), np_.segments):
-        if d + d2 != v * l:
-            raise WeilrankError("slope symmetry violated")
-        if l * v % s.denominator:
-            raise WeilrankError("lattice integrality violated")
-    if any(2 * d == v * l and l % 2 for d, l in edges):
-        raise WeilrankError("slope 1/2 must have even length")
+    if any(d + d2 != v * l for (d, l), (d2, _) in zip(edges, reversed(edges))):
+        raise WeilrankError("slope symmetry violated")
     return np_
 
 

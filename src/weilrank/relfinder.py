@@ -13,11 +13,15 @@ brackets: numeric first, then certified (Kobel, Rouillier and Sagraloff 2016).
 
 Relations.  Candidates prod beta_i^(e_i) = 1 among the beta_i = q^(-1) alpha_i^2 are rows
 of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from their
-arguments as doubles (`relation_lattice`); `verify_relation` settles each exactly.
+arguments as doubles (`relation_lattice`); `verify_relation` settles each exactly.  Brun
+steps on the angle column (`_euclid`) hand LLL a cheaper basis of the same lattice first;
+the certificate holds for any basis, so it does not depend on them.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +58,7 @@ _SEED_STEPS = 200  # double Newton steps per root, at most
 # and moves it less); dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
 _ANGLE_ERROR_BITS = 46
 _LATTICE_BITS = 44  # N = 2^44, the largest N with N eps <= 1/4
+_BOX_CAP = 1024  # box vectors `relation_lattice` proves one by one, at most
 
 
 # -- the real line: traces of eigenvalue pairs -------------------------------
@@ -539,6 +544,23 @@ def _lll(rows):
     return b, dets
 
 
+def _euclid(rows):
+    """The rows sorted by |last entry|, after Brun steps that shrink the last column.
+
+    While the largest |last entry| c is above 2^(b/n + 4), for n rows and b the bits of the
+    largest at the start, and the next largest, y, is not 0, the top row loses round(c / y)
+    times the next one and is sorted back in.  Each step is unimodular, so the rows span the
+    same lattice, and |c| falls to at most |y| / 2 <= |c| / 2, so the loop ends.
+    """
+    rows = sorted(rows, key=lambda r: abs(r[-1]))
+    cap = 1 << (abs(rows[-1][-1]).bit_length() // len(rows) + 4)
+    while abs(c := rows[-1][-1]) > cap and (y := rows[-2][-1]):
+        t = _round_div(c, y)
+        top = [x - t * z for x, z in zip(rows.pop(), rows[-1])]
+        bisect.insort(rows, top, key=lambda r: abs(r[-1]))
+    return rows
+
+
 def _turns(r: CertifiedRoot) -> float:
     """arg(beta) / 2pi for beta = alpha^2 / q, that is arg(alpha) / pi, as a double.
 
@@ -552,11 +574,13 @@ def _turns(r: CertifiedRoot) -> float:
 def _short_rows(turns, bound: int, k: int):
     """[(e, viable)] for rows 1..j of `relation_lattice`'s reduced lattice at N = 2^k: e is the
     row's first d entries, first nonzero one positive; viable: the row (e, c) is at most R long
-    and |c| <= sum |e_i| (1/2 + N eps), as for any relation."""
+    and |c| <= sum |e_i| (1/2 + N eps), as for any relation.  `_euclid` shrinks the angle
+    column before `_lll`, which then takes about a third of the iterations; both keep the
+    lattice, and the cutoff j holds for any LLL-reduced basis of it."""
     d, eps = len(turns), _ANGLE_ERROR_BITS
     rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, k))]
             for i, t in enumerate(turns)]
-    rows, dets = _lll(rows + [[0] * d + [1 << k]])
+    rows, dets = _lll(_euclid(rows + [[0] * d + [1 << k]]))
     # in integers times 2^eps: 1/2 + N eps = (2^(eps - 1) + N) / 2^eps
     slack = (1 << eps - 1) + (1 << k)
     r2 = (d * bound**2 << 2 * eps) + (d * bound * slack) ** 2
@@ -571,14 +595,26 @@ def _short_rows(turns, bound: int, k: int):
 
 def _box_points(hnf, bound: int):
     """Vectors of sup-norm <= bound, first nonzero entry positive, in the row lattice with
-    HNF `hnf`: among rows i.., row i alone sets its pivot column, which bounds its coefficient."""
-    points = [[0] * len(hnf[0])]
-    for row in hnf:
-        p, h = next((c, x) for c, x in enumerate(row) if x)
-        points = [[x + m * y for x, y in zip(v, row)] for v in points
-                  for m in range(-((bound + v[p]) // h), (bound - v[p]) // h + 1)]
-    return [tuple(v) for v in points
-            if any(v) and max(map(abs, v)) <= bound and next(x for x in v if x) > 0]
+    HNF `hnf`: among rows i.., row i alone sets its pivot column, which bounds its coefficient.
+    Depth first, coefficients ascending row by row, so a caller may stop at any count.  The
+    columns before the next pivot are final once row i is added, so a partial vector with one
+    of them beyond the bound, or with a negative first nonzero one, is dropped with every
+    vector below it."""
+    ends = [next(c for c, x in enumerate(row) if x) for row in hnf] + [len(hnf[0])]
+
+    def walk(v, i):
+        if i == len(hnf):
+            if any(v):
+                yield tuple(v)
+            return
+        p, row = ends[i], hnf[i]
+        for m in range(-((bound + v[p]) // row[p]), (bound - v[p]) // row[p] + 1):
+            u = [x + m * y for x, y in zip(v, row)]
+            head = u[:ends[i + 1]]
+            if max(map(abs, head)) <= bound and next((x for x in head if x), 1) > 0:
+                yield from walk(u, i + 1)
+
+    return walk([0] * len(hnf[0]), 0)
 
 
 def relation_lattice(
@@ -592,16 +628,21 @@ def relation_lattice(
     e has e . tau = -m, m an integer, so (e, e . t + m N) is in it with last entry
     at most sum |e_i| (1/2 + N eps), and length at most
     R = sqrt(d H^2 + (d H (1/2 + N eps))^2) if every |e_i| <= H = exponent_bound.
-    Let j be the last LLL-reduced row whose Gram-Schmidt vector is at most R
+    Brun steps (`_euclid`) and then LLL reduce a basis of that lattice; the steps are
+    unimodular, so LLL sees the same lattice, and nothing below depends on which basis
+    it started from.  Let j be the last LLL-reduced row whose Gram-Schmidt vector is at most R
     long: a vector with a nonzero coordinate on a row i > j is longer, so
     every relation with sup-norm <= H is an integer combination of rows
     1..j, and the box is complete once `verify_relation` proves them.  A row
     that fails, or that no relation can be (`_short_rows`), is a
     near-relation the angles cannot resolve, and then each of the at most
     1024 vectors of sup-norm <= H in the span of rows 1..j is proved or
-    refuted.  The proven relations are saturated (a root of unity in the
-    eigenvalue group is 1 over a sufficiently large field), and each basis
-    vector is verified or keeps its proof.  An exponent bound below 1 is refused.
+    refuted; the walk stops at the 1025th and raises PrecisionExhausted.
+    The proven relations are saturated (a root of unity in the eigenvalue
+    group is 1 over a sufficiently large field) to a Hermite normal form,
+    and each basis vector is verified or keeps its proof, which depends on
+    that vector alone, not on the basis that proposed it.  An exponent bound
+    below 1 is refused.
     """
     if exponent_bound < 1:
         raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
@@ -626,9 +667,10 @@ def relation_lattice(
     rows = _short_rows(turns, exponent_bound, _LATTICE_BITS)
     if not all(proven(e, viable) for e, viable in rows):
         # a near-relation closer than the angles resolve: prove each box vector of the span
-        points = _box_points(_echelon([list(e) for e, _ in rows], d)[0], exponent_bound)
-        if len(points) > 1024:
-            raise PrecisionExhausted(f"{len(points)} box vectors to prove for {w.poly}")
+        box = _box_points(_echelon([list(e) for e, _ in rows], d)[0], exponent_bound)
+        points = list(itertools.islice(box, _BOX_CAP + 1))
+        if len(points) > _BOX_CAP:
+            raise PrecisionExhausted(f"more than {_BOX_CAP} box vectors to prove for {w.poly}")
         for e in points:
             proven(e, True)
     basis = _saturate([e for e, cert in tried.items() if cert.holds], d)

@@ -1,5 +1,6 @@
 """Certified roots, exact relation verification, relation lattices."""
 
+import functools
 import json
 import math
 import random
@@ -21,8 +22,10 @@ from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
     _LATTICE_BITS,
     RelationCertificate,
+    _box_points,
     _degree_bound,
     _echelon,
+    _euclid,
     _lll,
     _saturate,
     _short_rows,
@@ -655,15 +658,19 @@ class TestLatticeAlgebra:
         assert _lll(rows) == _lll_reference(rows)
 
     def test_lll_equals_reference_on_certify_lattices(self, monkeypatch):
-        seen = []
+        # on the rows `_lll` sees after the Brun steps, and on the rows as built
+        seen, raw = [], []
         monkeypatch.setattr(
             weilrank.relfinder, "_lll", lambda rows: seen.append(rows) or _lll(rows)
+        )
+        monkeypatch.setattr(
+            weilrank.relfinder, "_euclid", lambda rows: raw.append(rows) or _euclid(rows)
         )
         inputs = _certify_inputs()
         for poly, q in inputs:
             relation_lattice(validate(poly, q))
-        assert len(seen) == len(inputs)
-        for rows in seen:
+        assert len(seen) == len(raw) == len(inputs)
+        for rows in seen + raw:
             assert _lll(rows) == _lll_reference(rows)
 
     def test_saturate(self):
@@ -679,6 +686,144 @@ class TestLatticeAlgebra:
         assert _lattice_contains(basis, [2, 2, -2])
         assert not _lattice_contains(basis, [1, 0, 0])
         assert _lattice_contains([], [0, 0, 0])
+
+
+def _angle_lattice(turns, k):
+    """The rows `_short_rows` reduces: unit rows beside round(2^k tau_i), and (0, ..., 0, 2^k)."""
+    d = len(turns)
+    rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, k))]
+            for i, t in enumerate(turns)]
+    return rows + [[0] * d + [1 << k]]
+
+
+def _short_rows_without_euclid(turns, bound, k):
+    """`_short_rows` with no Brun steps: `_lll` on the angle lattice as built."""
+    d, eps = len(turns), weilrank.relfinder._ANGLE_ERROR_BITS
+    rows, dets = _lll(_angle_lattice(turns, k))
+    slack = (1 << eps - 1) + (1 << k)
+    r2 = (d * bound**2 << 2 * eps) + (d * bound * slack) ** 2
+    j = max((i for i in range(1, d + 2) if dets[i] << 2 * eps <= r2 * dets[i - 1]), default=0)
+    return [
+        (tuple(x if next(y for y in row if y) > 0 else -x for x in row[:d]),
+         sum(x * x for x in row) << 2 * eps <= r2
+         and abs(row[d]) << eps <= sum(abs(x) for x in row[:d]) * slack)
+        for row in rows[:j]
+    ]
+
+
+def _representative_turns(w):
+    roots = certified_roots(w)
+    return [_turns(r) for r in roots if r.conjugate_index > r.index]
+
+
+@functools.cache
+def _certify_turns():
+    """The angles of every certify input and of every polynomial of the small boxes."""
+    ws = [validate(poly, q) for poly, q in _certify_inputs()]
+    ws += [w for g, q in SMALL_BOXES if prime_power(q) for w in enumerate_weil(SearchSpec(g=g, q=q))]
+    return [_representative_turns(w) for w in ws]
+
+
+def _hnf(rows, cols):
+    return _echelon([list(r) for r in rows], cols)[0]
+
+
+class TestBrunSteps:
+    """`_euclid` shrinks the angle column by unimodular steps before `_lll`."""
+
+    @staticmethod
+    def _check(rows):
+        out = _euclid(rows)
+        n = len(rows)
+        assert _hnf(out, n) == _hnf(rows, n)  # the same lattice
+        # sorted by |last entry|; the largest is at most 2^(b/n + 4), or the next is 0
+        lasts = [abs(r[-1]) for r in out]
+        assert lasts == sorted(lasts)
+        cap = 1 << (max(abs(r[-1]) for r in rows).bit_length() // n + 4)
+        assert lasts[-1] <= cap or lasts[-2] == 0
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1, 1), min_size=1, max_size=4),
+        st.sampled_from([20, 28, _LATTICE_BITS]),
+    )
+    def test_keeps_angle_lattices(self, turns, k):
+        self._check(_angle_lattice(turns, k))
+
+    def test_keeps_certify_lattices(self):
+        for turns in _certify_turns():
+            self._check(_angle_lattice(turns, _LATTICE_BITS))
+
+    @pytest.mark.parametrize(
+        "turns, lasts",
+        [
+            ([0.0, 0.0, 0.0], [0, 0, 0, 1]),  # no step: the next largest is 0
+            ([0.25, 0.25, 0.25], [0, 0, 0, 1 / 4]),  # equal turns cancel
+            ([0.375], [0, 1 / 8]),  # d = 1: Euclid on 3/8 and 1
+            ([0.5], [0, 1 / 2]),  # t = N/2: round(N / t) = 2 clears N
+            ([0.5, 0.5], [0, 0, 1 / 2]),
+        ],
+    )
+    def test_degenerate_last_columns(self, turns, lasts):
+        for k in (20, 28, _LATTICE_BITS):
+            out = self._check(_angle_lattice(turns, k))
+            assert [abs(r[-1]) for r in out] == [x * 2**k for x in lasts]
+
+    def test_short_rows_keep_their_span(self):
+        # the rows may differ from LLL's on the lattice as built, but they span the same
+        # candidates, with the same viability, on the certify inputs and the small boxes
+        cases = _certify_turns()
+        assert len(cases) == 289 + 727
+        for turns in cases:
+            got = _short_rows(turns, 20, _LATTICE_BITS)
+            want = _short_rows_without_euclid(turns, 20, _LATTICE_BITS)
+            d = len(turns)
+            assert _hnf([e for e, _ in got], d) == _hnf([e for e, _ in want], d)
+            assert sorted(v for _, v in got) == sorted(v for _, v in want)
+
+
+def _box_points_reference(hnf, bound):
+    """The reference for `_box_points`: every box vector at once, built breadth first."""
+    points = [[0] * len(hnf[0])]
+    for row in hnf:
+        p, h = next((c, x) for c, x in enumerate(row) if x)
+        points = [[x + m * y for x, y in zip(v, row)] for v in points
+                  for m in range(-((bound + v[p]) // h), (bound - v[p]) // h + 1)]
+    return [tuple(v) for v in points
+            if any(v) and max(map(abs, v)) <= bound and next(x for x in v if x) > 0]
+
+
+class TestBoxPoints:
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices, st.integers(1, 4))
+    def test_equals_reference(self, matrix, bound):
+        hnf = _hnf(*matrix)
+        if hnf:
+            assert list(_box_points(hnf, bound)) == _box_points_reference(hnf, bound)
+
+    @pytest.mark.parametrize("traces", [(1, 2, 3), (0, 1, -1), (-1, 2, 5)])
+    def test_walk_stops_at_the_cap(self, monkeypatch, traces):
+        # three curves t^2 - r t + 2^89: every beta lies within 2^-42 of -1, closer than
+        # the angles resolve, and the span of the short rows holds 17,230 box vectors;
+        # the walk stops at the 1025th, before any of them is proved
+        walks = []
+
+        def counted(hnf, bound):
+            walks.append((hnf, []))
+            for v in real(hnf, bound):
+                walks[-1][1].append(v)
+                yield v
+
+        real = weilrank.relfinder._box_points
+        monkeypatch.setattr(weilrank.relfinder, "_box_points", counted)
+        q = 2**89
+        w = validate(math.prod((P(q, -r, 1) for r in traces), start=P(1)), q)
+        with pytest.raises(PrecisionExhausted, match="more than 1024 box vectors"):
+            relation_lattice(w)
+        [(hnf, drawn)] = walks
+        assert len(drawn) == 1025
+        assert len(_box_points_reference(hnf, weilrank.relfinder.DEFAULT_EXPONENT_BOUND)) == 17230
 
 
 def _per_lead_scan(thetas, bound, tol=1e-6):
