@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exactcore import IntPoly, is_perfect_square
 from .newton import NewtonPolygon, NewtonType, classify_newton, newton_polygon
-from .relfinder import DEFAULT_EXPONENT_BOUND, OracleRank, oracle_rank
+from .relfinder import OracleRank, oracle_rank
 from .subfields import (
     ConjugateFactorization,
     _sextic_witness,
@@ -119,11 +119,7 @@ def _require_sufficient(w: WeilPolynomial):
         raise NotSufficientlyLarge(n)
 
 
-def classify(
-    w: WeilPolynomial,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-    force_oracle: bool = False,
-) -> ClassificationReport:
+def classify(w: WeilPolynomial, force_oracle: bool = False) -> ClassificationReport:
     """Neatness, rank, and condition flags over a sufficiently large field.
 
     The caller extends the field first (see `classify_auto`); a field with
@@ -133,7 +129,7 @@ def classify(
     """
     _require_dimension(w)
     _require_sufficient(w)
-    return _classify_sufficient(w, exponent_bound, force_oracle)
+    return _classify_sufficient(w, force_oracle)
 
 
 def _require_dimension(w: WeilPolynomial):
@@ -143,9 +139,7 @@ def _require_dimension(w: WeilPolynomial):
         )
 
 
-def _classify_sufficient(
-    w: WeilPolynomial, exponent_bound: int, force_oracle: bool
-) -> ClassificationReport:
+def _classify_sufficient(w: WeilPolynomial, force_oracle: bool) -> ClassificationReport:
     """The classification body, for a field already known to be sufficient.
 
     A polygon with a non-integral segment is refused first: slopes and
@@ -189,7 +183,7 @@ def _classify_sufficient(
         neat = True
         rank = _combined_rank(comps, w)
 
-    oracle = oracle_rank(w, exponent_bound=exponent_bound) if force_oracle else None
+    oracle = oracle_rank(w) if force_oracle else None
     if oracle is not None and oracle.rank != rank:
         msg = f"classifier rank {rank} != oracle rank {oracle.rank} for {w.poly}"
         raise OracleDisagreement(msg)
@@ -229,8 +223,9 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     K1 meets K2 K3 only in Q, and a relation would force beta_1^a = +-1,
     which is torsion and therefore 1 over a sufficiently large field.  A
     quartic surface gives 2, and an elliptic factor adds 1 unless its CM
-    field K = Q(sqrt(d)) is one of the surface's `_subfield_candidates` m,
-    its subfields, that is when d m is a square.
+    field K = Q(sqrt(d)) is one of the surface's subfields, that is when
+    d m is a square for one of the integers m that `_subfield_candidates`
+    gives with `square_class=int`, so no integer is factored here either.
 
     The relative norm of q^(-1) Fr^2 to K is then never 1, so it is not
     tested.  The split pmin = G * conj(G), G = t^2 + A t + B over K, puts
@@ -254,15 +249,11 @@ def _combined_rank(comps, w: WeilPolynomial) -> int:
     if not quartic:
         return len(fields)
     # exactly one quartic (degrees forbid two) plus at most one elliptic factor
-    ms = _subfield_candidates(quartic[0].pmin, w.q) if fields else []
+    ms = _subfield_candidates(quartic[0].pmin, w.q, square_class=int) if fields else []
     return 2 + sum(not any(is_perfect_square(d * m) for m in ms) for d in fields)
 
 
-def classify_auto(
-    w: WeilPolynomial,
-    exponent_bound: int = DEFAULT_EXPONENT_BOUND,
-    force_oracle: bool = False,
-) -> ClassificationReport:
+def classify_auto(w: WeilPolynomial, force_oracle: bool = False) -> ClassificationReport:
     """Extend to a sufficiently large field first, then classify.
 
     The report records which field the verdict refers to: `extension_from`
@@ -273,7 +264,7 @@ def classify_auto(
     _require_dimension(w)
     n = sufficiency_degree(w)
     wn = base_change(w, n) if n > 1 else w
-    report = _classify_sufficient(wn, exponent_bound, force_oracle)
+    report = _classify_sufficient(wn, force_oracle)
     return replace(report, sufficiency_degree=n, extension_from=(w.q, n))
 
 
@@ -290,9 +281,7 @@ class TheoremDiagnostics:
     contradictions: tuple[str, ...]
 
 
-def theorem_diagnostics(
-    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
-) -> TheoremDiagnostics:
+def theorem_diagnostics(w: WeilPolynomial) -> TheoremDiagnostics:
     """Evaluate the non-split-subfield, slope-parity, and collapse criteria.
 
     (a) simple with an imaginary quadratic subfield in which p does not
@@ -305,7 +294,7 @@ def theorem_diagnostics(
     """
     _require_sufficient(w)
     comps = w.components
-    rk = oracle_rank(w, exponent_bound=exponent_bound)
+    rk = oracle_rank(w)
     contradictions: list[str] = []
     inert_checks: list[dict] = []
     slope_parity = None
@@ -389,9 +378,7 @@ class FourfoldDiagnostic:
     non_neat_threefold_component: bool
 
 
-def fourfold_diagnostic(
-    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
-) -> FourfoldDiagnostic:
+def fourfold_diagnostic(w: WeilPolynomial) -> FourfoldDiagnostic:
     """Informational report for g = 4: decomposition, polygon, oracle rank.
 
     When the rank is 3, reports whether some component's CM field contains
@@ -405,7 +392,7 @@ def fourfold_diagnostic(
     comps = w.components
     polygon = newton_polygon(w)
     ntype = classify_newton(polygon, w.g)
-    rk = oracle_rank(w, exponent_bound=exponent_bound)
+    rk = oracle_rank(w)
     has_quad = False
     non_neat_threefold = False
     if rk.rank == 3:
@@ -414,7 +401,7 @@ def fourfold_diagnostic(
         elliptics = [c for c in comps if c.pmin.degree == 2 and c.e == 1]
         if len(sextics) == 1 and len(elliptics) == 1 and len(comps) == 2:
             sub = validate(sextics[0].pmin, w.q)
-            sub_report = classify(sub, exponent_bound=exponent_bound)
+            sub_report = classify(sub)
             non_neat_threefold = not sub_report.neat
     return FourfoldDiagnostic(
         decomposition=w.factors,

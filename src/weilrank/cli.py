@@ -239,9 +239,9 @@ def _cmd_classify(args) -> int:
     def record(poly, q):
         w = validate(poly, q)
         if args.fourfold_diagnostic:
-            return _fourfold_json(w, fourfold_diagnostic(w, exponent_bound=args.bound))
+            return _fourfold_json(w, fourfold_diagnostic(w))
         run = classify_auto if args.auto_extend else classify
-        return _report_json(run(w, exponent_bound=args.bound, force_oracle=args.oracle_check))
+        return _report_json(run(w, force_oracle=args.oracle_check))
 
     if args.batch:
         return _run_batch(args.batch, record)
@@ -413,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cl.add_argument("--poly", type=str)
     p_cl.add_argument("--auto-extend", action="store_true", dest="auto_extend")
     p_cl.add_argument("--oracle-check", action="store_true", dest="oracle_check")
-    p_cl.add_argument("--bound", type=positive_int, default=DEFAULT_EXPONENT_BOUND,
-                      help="oracle exponent bound")
     p_cl.add_argument("--fourfold-diagnostic", action="store_true")
     p_cl.add_argument("--batch", type=str)
     p_cl.set_defaults(func=_cmd_classify)
@@ -456,7 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="certified relation-lattice rank")
     p_or.add_argument("--q", type=int, required=True)
     p_or.add_argument("--poly", type=str, required=True)
-    p_or.add_argument("--bound", type=positive_int, default=DEFAULT_EXPONENT_BOUND)
+    p_or.add_argument("--bound", type=positive_int, default=DEFAULT_EXPONENT_BOUND,
+                      help="sup-norm box of the relation search: the basis spans every"
+                      " relation v with all |v_j| <= BOUND")
     p_or.set_defaults(func=_cmd_oracle)
 
     return parser

@@ -527,10 +527,11 @@ def _refine(f: IntPoly, df: IntPoly, lo: int, hi: int, k: int, goal: int, up: bo
 
     f changes sign across the bracket (lo, hi) / 2^k, and up says f(hi / 2^k) > 0; df is f'.
     Newton steps start at its midpoint, each at about twice the bits already right but never
-    past goal.  The sign of f at each point narrows the bracket; a step leaving it, or at
-    f' = 0, becomes a bisection.  Only the sign change at the end proves the result, so a
-    wrong up costs convergence, not soundness.  A bisection halves the bracket, so the step
-    cap grows with its width.
+    past goal.  The sign of f at each point narrows the bracket; a step leaving the closed
+    bracket, or at f' = 0, becomes a bisection.  A correction that rounds to 0 on an end the
+    sign just moved to x keeps x for a step at more bits, not a bisection of the rest.  Only
+    the sign change at the end proves the result, so a wrong up costs convergence, not
+    soundness.  A bisection halves the bracket, so the step cap grows with its width.
     """
     steps = 100 + (hi - lo).bit_length()
     lo, hi, x, k = 2 * lo, 2 * hi, lo + hi, k + 1  # x: the midpoint
@@ -544,7 +545,7 @@ def _refine(f: IntPoly, df: IntPoly, lo: int, hi: int, k: int, goal: int, up: bo
         # f/f' = v / (d 2^k), so about k - log2|v/d| bits of x / 2^k are right
         s = max(0, min(goal, max(2 * (k - v.bit_length() + d.bit_length()), 64)) - k)
         lo, hi, x, k = lo << s, hi << s, x << s, k + s
-        if not (d and lo < (y := x - _round_div(v << s, d)) < hi):  # bisect instead
+        if not (d and lo <= (y := x - _round_div(v << s, d)) <= hi):  # bisect instead
             if hi - lo < 2 and k < goal:
                 lo, hi, k = 2 * lo, 2 * hi, k + 1
             y = (lo + hi) // 2

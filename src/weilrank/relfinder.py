@@ -11,11 +11,15 @@ a disk for alpha, for the isolation (`certified_roots`) and for every proof;
 conj(alpha) = q/alpha is its mirror image.  The doubles only choose the
 brackets: numeric first, then certified (Kobel, Rouillier and Sagraloff 2016).
 
-Relations.  Candidates prod beta_i^(e_i) = 1 among the beta_i = q^(-1) alpha_i^2 are rows
-of an LLL-reduced lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from their
-arguments as doubles (`relation_lattice`); `verify_relation` settles each exactly.  Brun
-steps on the angle column (`_euclid`) hand LLL a cheaper basis of the same lattice first;
-the certificate holds for any basis, so it does not depend on them.
+Relations.  A relation is an integer vector v with prod beta_j^(v_j) = 1, where the
+beta_j = q^(-1) alpha_j^2 belong to the representatives: the member of negative imaginary
+part of each non-real pair.  The other member has beta = 1/beta_j, and +-sqrt(q) has
+beta = 1, so no other root adds a relation.  Candidate vectors are rows of an LLL-reduced
+lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from the arguments of the
+beta_j as doubles (`relation_lattice`); `verify_relation` proves or refutes each v exactly,
+and its certificate names v.  Brun steps on the angle column (`_euclid`) hand LLL a cheaper
+basis of the same lattice first; the certificate holds for any basis, so it does not
+depend on them.
 """
 
 from __future__ import annotations
@@ -279,15 +283,14 @@ def _disks(q: int, h: IntPoly, brackets, bits: int):
 class RelationCertificate:
     """Replayable outcome of one exact relation check.
 
-    `holds` says whether prod alpha_i^(e_i) = q^M.  `separation_log2` is
-    the proven log2 lower bound on |difference| when nonzero; the verdict
-    compared the difference against it in ball arithmetic at
-    `precision_bits` bits.
+    `holds` says whether prod beta_j^(v_j) = 1 for v = `exponents`, on the
+    representatives of `RelationLattice`.  `separation_log2` is the proven
+    log2 lower bound on |difference| when nonzero; the verdict compared the
+    difference against it in ball arithmetic at `precision_bits` bits.
     """
 
     holds: bool
     exponents: tuple[int, ...]
-    power_of_q: int
     separation_log2: int
     conjugate_degree_bound: int
     precision_bits: int
@@ -333,79 +336,60 @@ def _degree_bound(q: int, h: IntPoly, signs) -> int:
     return 2 * bound if len(signs) == 2 and math.isqrt(q) ** 2 != q else bound
 
 
-def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationCertificate:
-    """Exactly decide whether prod alpha_i^(e_i) = q^(m_power).
+def verify_relation(w: WeilPolynomial, v, roots=None) -> RelationCertificate:
+    """Exactly decide whether prod beta_j^(v_j) = 1 for beta_j = q^(-1) alpha_j^2.
 
-    `e` is indexed like `certified_roots(w)`.  Negative exponents and a
-    negative power of q are moved across the equality so both sides are
-    algebraic integers; the difference, if nonzero, has norm at least one,
-    which yields the separation bound from |conjugate| = sqrt(q) <=
-    ceil(sqrt(q)) and `_degree_bound`.  Ball arithmetic on the disks of the
-    roots with a nonzero exponent, refined by `_disks`, doubles its
-    precision up to DEFAULT_PRECISION_CAP bits.
+    `v` is indexed like `RelationLattice.representatives`: the members of
+    negative imaginary part of the non-real pairs of `certified_roots(w)`.
+    The relation is decided as prod alpha_j^(2 v_j) = q^(sum v), with negative
+    exponents and a negative power of q moved across the equality so both
+    sides are algebraic integers; the difference, if nonzero, has norm at
+    least one, which yields the separation bound from |conjugate| = sqrt(q)
+    <= ceil(sqrt(q)) and `_degree_bound`.  Ball arithmetic on the disks of
+    the representatives with a nonzero exponent, refined by `_disks`,
+    doubles its precision up to DEFAULT_PRECISION_CAP bits.
     """
     if roots is None:
         roots = certified_roots(w)
-    e = tuple(int(x) for x in e)
-    if len(e) != len(roots):
+    v = tuple(int(x) for x in v)
+    reps = [r for r in roots if r.b < 0]
+    if len(v) != len(reps):
         raise PreconditionViolation("exponent vector length mismatch")
-    if not any(e):
+    if not any(v):
         return RelationCertificate(
-            holds=(m_power == 0),
-            exponents=e,
-            power_of_q=m_power,
-            separation_log2=0,
-            conjugate_degree_bound=1,
-            precision_bits=0,
-        )
-    q = w.q
-    pos = sum(x for x in e if x > 0)
-    neg = sum(-x for x in e if x < 0)
-    qa = max(-m_power, 0)
-    qb = max(m_power, 0)
+            holds=True, exponents=v, separation_log2=0, conjugate_degree_bound=1, precision_bits=0)
+    q, n = w.q, sum(v)
     su = _isqrt_up(q)
-    conj_bound = su**pos * q**qa + su**neg * q**qb
+    conj_bound = su ** sum(2 * x for x in v if x > 0) * q ** max(-n, 0)
+    conj_bound += su ** sum(-2 * x for x in v if x < 0) * q ** max(n, 0)
     h, signs = _split(w)
     degree_bound = _degree_bound(q, h, signs)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
     bits = max(_BASE_PRECISION, -sep_log2 + 64)
-    # the upper members ascend with their traces, so the j-th has the j-th root of h as trace
-    upper = [r for r in roots if r.b > 0]
-    pairs = [(j, r) for j, r in enumerate(upper) if e[r.index] or e[r.conjugate_index]]
+    # the representatives ascend with their traces, so the j-th has the j-th root of h as trace
+    pairs = [(j, r, x) for j, (r, x) in enumerate(zip(reps, v)) if x]
     while bits <= DEFAULT_PRECISION_CAP:
-        # 2 re = a / 2^(k-1): the doubled real projection [a -+ m] / 2^(k-1) of an upper
-        # disk holds one root of the trace polynomial, and none at its ends, so it is a bracket
-        k, cells = _disks(q, h, [(j, r.a - r.m, r.a + r.m, r.k - 1) for j, r in pairs], bits)
-        balls = {r.index: _real_disk(q, 1 if r.a > 0 else -1, bits) for r in roots if not r.b}
+        # 2 re = a / 2^(k-1): the doubled real projection [a -+ m] / 2^(k-1) of a disk
+        # holds one root of the trace polynomial, and none at its ends, so it is a bracket
+        k, cells = _disks(q, h, [(j, r.a - r.m, r.a + r.m, r.k - 1) for j, r, _ in pairs], bits)
         d = 1 << (k - bits)
-        for (_, r), (a, b, m) in zip(pairs, cells):
-            # each rounded coordinate moves by at most 1/2, the center by less than 1
-            a, b, m = _round_div(a, d), _round_div(b, d), -(-m // d) + 1
-            balls[r.index], balls[r.conjugate_index] = (a, b, m), (a, -b, m)
-        side_a = (q**qa << bits, 0, 0)
-        side_b = (q**qb << bits, 0, 0)
-        for i, exp in enumerate(e):
-            if exp > 0:
-                side_a = _iball_mul(side_a, _iball_pow(balls[i], exp, bits), bits)
-            elif exp < 0:
-                side_b = _iball_mul(side_b, _iball_pow(balls[i], -exp, bits), bits)
-        za = side_a[0] - side_b[0]
-        zb = side_a[1] - side_b[1]
-        zr = side_a[2] + side_b[2]
+        side_a = (q ** max(-n, 0) << bits, 0, 0)
+        side_b = (q ** max(n, 0) << bits, 0, 0)
+        for (_, _, x), (a, b, m) in zip(pairs, cells):
+            # the mirror image of the upper disk; each rounded coordinate moves by at most
+            # 1/2, the center by less than 1
+            ball = (_round_div(a, d), -_round_div(b, d), -(-m // d) + 1)
+            ball = _iball_pow(ball, 2 * abs(x), bits)
+            if x > 0:
+                side_a = _iball_mul(side_a, ball, bits)
+            else:
+                side_b = _iball_mul(side_b, ball, bits)
+        za, zb, zr = side_a[0] - side_b[0], side_a[1] - side_b[1], side_a[2] + side_b[2]
         mag = za * za + zb * zb
-        upper_scaled = _isqrt_up(mag) + zr
-        lower_scaled = math.isqrt(mag) - zr
-        # separation 2^sep_log2 in the same 2^-bits scale
-        holds = upper_scaled < 1 << (bits + sep_log2)
-        if holds or lower_scaled > 0:
-            return RelationCertificate(
-                holds=holds,
-                exponents=e,
-                power_of_q=m_power,
-                separation_log2=sep_log2,
-                conjugate_degree_bound=degree_bound,
-                precision_bits=bits,
-            )
+        # |difference| against the separation 2^sep_log2, both in the 2^-bits scale
+        holds = _isqrt_up(mag) + zr < 1 << (bits + sep_log2)
+        if holds or math.isqrt(mag) > zr:
+            return RelationCertificate(holds, v, sep_log2, degree_bound, bits)
         bits *= 2
     raise PrecisionExhausted(f"relation check needs more than {DEFAULT_PRECISION_CAP} bits")
 
@@ -415,13 +399,14 @@ def verify_relation(w: WeilPolynomial, e, m_power: int, roots=None) -> RelationC
 
 @dataclass(frozen=True)
 class RelationLattice:
-    """Verified multiplicative relations among representatives of R'_X.
+    """Verified multiplicative relations among the beta = q^(-1) alpha^2.
 
-    `representatives` are root indices, one per two-element orbit of
-    alpha -> q/alpha (self-paired roots give the unit of R'_X and carry no
-    rank).  `basis` rows live in exponent space on those representatives:
-    a row v means prod (q^(-1) alpha_i^2)^(v_i) = 1, certified.  The basis
-    is saturated, primitive, and in Hermite normal form (`_echelon`).  It holds every relation
+    `representatives` are the indices in `certified_roots` of the members of
+    negative imaginary part of the non-real pairs, one per two-element orbit
+    of alpha -> q/alpha (beta = 1 at +-sqrt(q), which carries no rank).  A
+    row v of `basis` means prod beta_j^(v_j) = 1 over those representatives,
+    and `certificates[i]` proves `basis[i]`.  The basis is saturated,
+    primitive, and in Hermite normal form (`_echelon`).  It holds every relation
     of sup-norm <= `exponent_bound`, by the LLL certificate of `relation_lattice`.
     """
 
@@ -647,21 +632,14 @@ def relation_lattice(
     if exponent_bound < 1:
         raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
     roots = certified_roots(w)
-    reps = [r.index for r in roots if r.conjugate_index > r.index]
+    reps = [r.index for r in roots if r.b < 0]
     d = len(reps)
-
-    def verify(vec):
-        full = [0] * len(roots)
-        for j, i in enumerate(reps):
-            full[i] = 2 * vec[j]
-        return verify_relation(w, full, sum(vec), roots=roots)
-
     turns = [_turns(roots[i]) for i in reps]
     tried: dict[tuple[int, ...], RelationCertificate] = {}  # the proof of each row tried
 
     def proven(e, viable):  # a refuted or unviable row fails
         if e not in tried and viable:
-            tried[e] = verify(e)
+            tried[e] = verify_relation(w, e, roots=roots)
         return e in tried and tried[e].holds
 
     rows = _short_rows(turns, exponent_bound, _LATTICE_BITS)
@@ -676,7 +654,7 @@ def relation_lattice(
     basis = _saturate([e for e, cert in tried.items() if cert.holds], d)
     certs = []
     for row in basis:  # a basis row that is itself a proven row keeps its certificate
-        certs.append(tried.get(tuple(row)) or verify(row))
+        certs.append(tried.get(tuple(row)) or verify_relation(w, row, roots=roots))
         if not certs[-1].holds:
             raise PreconditionViolation(
                 "saturated relation failed verification; field not sufficiently large?"

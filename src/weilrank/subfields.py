@@ -184,7 +184,7 @@ def _candidate_ms(disc: int):
     return sorted((-s for s in subsets), key=abs)
 
 
-def _subfield_candidates(pmin: IntPoly, q: int):
+def _subfield_candidates(pmin: IntPoly, q: int, square_class=squarefree_part):
     """The m < 0, by |m|, that may have Q(sqrt(m)) inside E = Q[t]/(pmin).
 
     pmin is an irreducible Weil factor of degree 2n, pmin = t^n h(t + q/t), and
@@ -196,21 +196,23 @@ def _subfield_candidates(pmin: IntPoly, q: int):
     sqrt(d2) = -r / sqrt(d1) and (sqrt(d1) + sqrt(d2))^2 = T - 2r < 0, T = d1 + d2:
     E = Q(sqrt(m1), sqrt(disc h)) is biquadratic, with both m1 = sqfree(T - 2r) and
     m1 disc(h) as subfields (T + 2r is 0 when x1 = -x2).  n >= 4 even: R must be
-    a square, and then every m on the primes of disc(pmin) is a candidate.
+    a square, and then every m on the primes of disc(pmin) is a candidate.  For n <= 2
+    `square_class` names each field; `int` names it by an integer of its square class,
+    so nothing is factored, and the order by |m| is then not kept.
     """
     h = trace_polynomial(pmin, q)
     s, t = surd_parts(h, 4 * q)
     big_r = s * s - 4 * q * t * t
     if h.degree % 2:
-        return [squarefree_part(big_r)]
+        return [square_class(big_r)]
     r = isqrt(big_r)
     if r * r != big_r:
         return []
     if h.degree > 2:
         return _candidate_ms(discriminant(pmin))
     b0, b1, _ = h.coeffs
-    m1 = squarefree_part(b1 * b1 - 2 * b0 - 8 * q - 2 * r)
-    return sorted([m1, squarefree_part(m1 * (b1 * b1 - 4 * b0))], key=abs)
+    m1 = square_class(b1 * b1 - 2 * b0 - 8 * q - 2 * r)
+    return sorted([m1, square_class(m1 * (b1 * b1 - 4 * b0))], key=abs)
 
 
 def conjugate_factorizations(pmin: IntPoly):

@@ -1,5 +1,6 @@
 """Classification engine: sufficiency, neatness, rank, diagnostics."""
 
+import time
 from itertools import combinations_with_replacement, product
 from math import lcm, prod
 
@@ -434,6 +435,22 @@ class TestProductsFactorNoInteger:
             assert rep.rank == oracle_rank(base_change(w, rep.sufficiency_degree)).rank, w
 
 
+    def test_quartic_times_curve_lifted_to_f9_61(self, monkeypatch):
+        # (t^2 - 2t + 9)(t^4 - 2t^3 - 3t^2 - 18t + 81) over F_(9^61): the quartic's R is a
+        # square, and its subfields, named by T - 2r and (T - 2r) disc(h), meet the curve's
+        # CM field by square class, where their squarefree parts took a 197-bit factor_int
+        w = base_change(validate(P(729, -324, 90, -30, 10, -4, 1), 9), 61)
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(weilrank.subfields, "squarefree_part", refuse)
+        monkeypatch.setattr(weilrank.exactcore.intfactor, "factor_int", refuse)
+        start = time.perf_counter()
+        assert classify_auto(w).rank == 2
+        assert time.perf_counter() - start < 1
+
+
 class TestTracePolynomialsSkipZassenhaus:
     """For g <= 3 the trace polynomial is monic of degree <= 3 and factors by its
     integer roots, so no verdict and no oracle run reaches the Zassenhaus pipeline."""
@@ -534,6 +551,32 @@ class TestOracleAgreement:
                     classify_auto(w, force_oracle=True)
                 except NonIntegralPolygon:
                     pass
+
+
+# g = 3 members of the F_7 and F_8 boxes on which `_refine` once refused a Newton step that
+# rounded to 0 on the bracket end a sign had just moved there, and then ran out of steps
+BRACKET_END_SEXTICS = [
+    (7, (343, -98, -42, 32, -6, -2, 1)),
+    (7, (343, -49, -21, 34, -3, -1, 1)),
+    (7, (343, 49, -21, -34, -3, 1, 1)),
+    (7, (343, 98, -42, -32, -6, 2, 1)),
+    (8, (512, -128, -48, 43, -6, -2, 1)),
+    (8, (512, 128, -48, -43, -6, 2, 1)),
+]
+
+
+class TestNewtonStepOnBracketEnd:
+    """Beyond the q <= 5 boxes of `TestOracleAgreement`: the oracle refines these roots,
+    refuses the field, which has torsion, and agrees with the theorem after the extension."""
+
+    @pytest.mark.parametrize("q, coeffs", BRACKET_END_SEXTICS)
+    def test_oracle_refuses_the_field_and_agrees_after_it(self, q, coeffs):
+        w = validate(P(*coeffs), q)
+        assert sufficiency_degree(w) == 3
+        with pytest.raises(PreconditionViolation, match="saturated relation"):
+            oracle_rank(w)
+        rep = classify_auto(w, force_oracle=True)
+        assert rep.rank == rep.oracle.rank == 2
 
 
 # the sextics over F_2 on which eigenvalue torsion beyond pairwise ratios once went

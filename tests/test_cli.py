@@ -308,10 +308,7 @@ class TestExitCodes:
             (ORACLE_NON_NEAT + ["--bound", "0"], "positive_int value: '0'"),
             (ORACLE_NON_NEAT + ["--bound", "-3"], "positive_int value: '-3'"),
             (ORACLE_NON_NEAT + ["--bound", "x"], "positive_int value: 'x'"),
-            (
-                ["classify", "--q", "5", "--poly", ELLIPTIC, "--bound", "0"],
-                "positive_int value: '0'",
-            ),
+            (ORACLE_NON_NEAT + ["--bound", "2.5"], "positive_int value: '2.5'"),
             (ENUMERATE_G1_Q3 + ["--bound-override", "x"], "index_bound value: 'x'"),
             (ENUMERATE_G1_Q3 + ["--bound-override", "1=x"], "index_bound value: '1=x'"),
             (ENUMERATE_G1_Q3 + ["--bound-override", "7=0"], "--bound-override index 7"),
@@ -343,6 +340,17 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert captured.out == "" and f"invalid {value}" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_classify_takes_no_bound(self, capsys):
+        # the exponent box is the oracle's own setting: `oracle --bound` keeps it
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--q", "5", "--poly", ELLIPTIC, "--bound", "5"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 1
+        assert captured.out == "" and "unrecognized arguments: --bound 5" in captured.err
+        assert main(ORACLE_NON_NEAT + ["--bound", "5"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["exponent_bound"], rec["basis"]) == (5, [[1, 1, -1]])
 
     def test_oracle_disagreement(self, capsys, monkeypatch):
         real = weilrank.classify.oracle_rank

@@ -351,8 +351,9 @@ class TestRootStarts:
         for r in roots:
             assert abs(r.im) - r.radius <= Fraction(1, 2) <= abs(r.im) + r.radius
             assert 0 < r.radius <= Fraction(1, 2**64)
-        assert verify_relation(w, (1, 1, 0, 0), 1, roots=roots).holds  # alpha conj(alpha) = q
-        assert not verify_relation(w, (2, 0, 0, 0), 1, roots=roots).holds
+        # the traces are -+r, so the second pair is -conj(alpha), -alpha: beta_1 beta_2 = 1
+        assert verify_relation(w, (1, 1), roots=roots).holds
+        assert not verify_relation(w, (1, 0), roots=roots).holds
 
     def test_roots_never_factor(self, monkeypatch):
         def refuse(f):
@@ -444,49 +445,40 @@ class TestSeedFallback:
 
 
 class TestVerifyRelation:
-    # certificates of the Fraction/mpmath implementation this one replaced
+    # certificates of the Fraction/mpmath implementation this one replaced, which proved
+    # beta^e = 1 as prod alpha_j^(2 e_j) = q^m, m = sum e, over the representatives
     @pytest.mark.parametrize(
         "poly, q, e, m, holds, sep, bits",
         [
-            (NON_NEAT, 9, (2, 0, 2, 0, -2, 0), 1, True, -378, 442),
-            (NON_NEAT, 9, (2, 0, 2, 0, 2, 0), 3, False, -519, 583),
-            (NON_NEAT, 9, (2, 0, -2, 0, 0, 0), 0, False, -237, 301),
-            (P(64, -32, 4, 4, 1, -2, 1), 4, (2, 0, 2, 0, -2, 0), 1, True, -284, 348),
-            (P(64, -32, 4, 4, 1, -2, 1), 4, (2, 0, 2, 0, 2, 0), 3, False, -378, 442),
+            (NON_NEAT, 9, (1, 1, -1), 1, True, -378, 442),
+            (NON_NEAT, 9, (1, 1, 1), 3, False, -519, 583),
+            (NON_NEAT, 9, (1, -1, 0), 0, False, -237, 301),
+            (P(64, -32, 4, 4, 1, -2, 1), 4, (1, 1, -1), 1, True, -284, 348),
+            (P(64, -32, 4, 4, 1, -2, 1), 4, (1, 1, 1), 3, False, -378, 442),
         ],
     )
     def test_certificates_unchanged(self, poly, q, e, m, holds, sep, bits):
-        assert verify_relation(validate(poly, q), e, m) == RelationCertificate(
+        assert sum(e) == m
+        assert verify_relation(validate(poly, q), e) == RelationCertificate(
             holds=holds,
             exponents=e,
-            power_of_q=m,
             separation_log2=sep,
             conjugate_degree_bound=48,
             precision_bits=bits,
         )
 
-
-    def test_trivial_pair_relation(self):
-        w = validate(P(5, -1, 1), 5)
-        cert = verify_relation(w, (1, 1), 1)
-        assert cert.holds
-
     def test_refuted_relation(self):
         w = validate(P(5, -1, 1), 5)
-        cert = verify_relation(w, (2, 0), 1)
+        cert = verify_relation(w, (1,))
         assert not cert.holds
 
     def test_non_neat_norm_relation(self):
-        # some orientation of the three pairs multiplies to q^3
+        # some orientation of the three pairs has beta_1^(+-1) beta_2^(+-1) beta_3^(+-1) = 1
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
-        reps = [r.index for r in roots if r.conjugate_index > r.index]
         found = False
         for signs in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]:
-            e = [0] * len(roots)
-            for s, i in zip(signs, reps):
-                e[i] = 2 * s
-            cert = verify_relation(w, e, sum(signs), roots=roots)
+            cert = verify_relation(w, signs, roots=roots)
             if cert.holds:
                 found = True
                 break
@@ -494,43 +486,41 @@ class TestVerifyRelation:
 
     def test_zero_vector(self):
         w = validate(P(5, -1, 1), 5)
-        assert verify_relation(w, (0, 0), 0).holds
-        assert not verify_relation(w, (0, 0), 1).holds
+        assert verify_relation(w, (0,)).holds
 
     def test_replayable(self):
         w = validate(P(5, -1, 1), 5)
-        a = verify_relation(w, (1, 1), 1)
-        b = verify_relation(w, (1, 1), 1)
+        a = verify_relation(w, (1,))
+        b = verify_relation(w, (1,))
         assert a == b
 
-    def test_six_exponents_over_eight_roots(self):
-        # squarefree degree 8 and six nonzero exponents: the separation bound from the
-        # splitting field decides it within the precision cap
+    def test_four_pairs_over_eight_roots(self):
+        # squarefree degree 8 and every pair in the relation, alpha^(2, 2, 2, 2) = q^4: the
+        # separation bound from the splitting field decides it within the precision cap
         w = validate(_sextic_from_trace([5, 0, -5, 0, 1], 2), 2)
         assert poly_squarefree_part(w.poly).degree == 8
-        cert = verify_relation(w, (1, 1, 1, 1, 1, 1, 0, 0), 3)
-        assert (cert.holds, cert.precision_bits) == (True, 2747)
+        cert = verify_relation(w, (1, 1, 1, 1))
+        assert (cert.holds, cert.precision_bits) == (True, 3513)
 
     def test_large_q_with_one_pair_left_out(self):
         # (t^4 - (2q - 1) t^2 + q^2)(t^2 - 3t + q) over F_(2^71): only the disks of the
-        # quartic's pairs are refined; certificates of the per-root ball routine this one replaced
+        # pairs in the relation are refined; the certificates the alpha-vector routine gave
+        # for alpha^(2, 0, 2) = q^2 and alpha^(2, 0, -2) = 1
         q = 2**71
         w = validate(P(q * q, 0, 1 - 2 * q, 0, 1) * P(q, -3, 1), q)
-        assert verify_relation(w, (2, 0, 0, 0, 2, 0), 2) == RelationCertificate(
+        assert verify_relation(w, (1, 0, 1)) == RelationCertificate(
             holds=True,
-            exponents=(2, 0, 0, 0, 2, 0),
-            power_of_q=2,
+            exponents=(1, 0, 1),
             separation_log2=-2162,
             conjugate_degree_bound=16,
             precision_bits=4452,
         )
-        assert verify_relation(w, (0, 1, 0, 0, -1, 0), 0) == RelationCertificate(
+        assert verify_relation(w, (1, 0, -1)) == RelationCertificate(
             holds=False,
-            exponents=(0, 1, 0, 0, -1, 0),
-            power_of_q=0,
-            separation_log2=-557,
+            exponents=(1, 0, -1),
+            separation_log2=-1097,
             conjugate_degree_bound=16,
-            precision_bits=621,
+            precision_bits=1161,
         )
 
 
@@ -936,10 +926,7 @@ class TestCandidateScan:
             reps = [r.index for r in roots if r.conjugate_index > r.index]
 
             def holds(e):
-                full = [0] * len(roots)
-                for j, i in enumerate(reps):
-                    full[i] = 2 * e[j]
-                return verify_relation(w, full, sum(e), roots=roots).holds
+                return verify_relation(w, e, roots=roots).holds
 
             verified = []
             for e in _per_lead_scan(_thetas(roots), 20) if reps else []:
@@ -993,9 +980,9 @@ class TestRelationLattice:
         real = weilrank.relfinder.verify_relation
         calls = []
 
-        def counted(w, e, m_power, **kwargs):
-            calls.append((tuple(e), m_power))
-            return real(w, e, m_power, **kwargs)
+        def counted(w, e, **kwargs):
+            calls.append(tuple(e))
+            return real(w, e, **kwargs)
 
         monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
         w = validate(poly, q)
@@ -1006,7 +993,7 @@ class TestRelationLattice:
         # and its certificate is the one a fresh proof gives
         roots = certified_roots(w)
         for cert in o.lattice.certificates:
-            assert cert == real(w, cert.exponents, cert.power_of_q, roots=roots)
+            assert cert == real(w, cert.exponents, roots=roots)
 
     def test_tiny_arguments_need_few_proofs(self, monkeypatch):
         # t^4 - (2q - 1) t^2 + q^2 with q = 2^71: every beta is within 2^-35 of
@@ -1014,9 +1001,9 @@ class TestRelationLattice:
         real = weilrank.relfinder.verify_relation
         calls = []
 
-        def counted(w, e, m_power, **kwargs):
-            calls.append((tuple(e), m_power))
-            return real(w, e, m_power, **kwargs)
+        def counted(w, e, **kwargs):
+            calls.append(tuple(e))
+            return real(w, e, **kwargs)
 
         monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
         q = 2**71
@@ -1031,15 +1018,15 @@ class TestRelationLattice:
         real = weilrank.relfinder.verify_relation
         calls = []
 
-        def counted(w, e, m_power, **kwargs):
+        def counted(w, e, **kwargs):
             calls.append(tuple(e))
-            return real(w, e, m_power, **kwargs)
+            return real(w, e, **kwargs)
 
         monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
         q = 2**101
         o = oracle_rank(validate(P(q, -1, 1), q))
         assert (o.rank, o.lattice.basis, o.confidence) == (1, (), "certified_exact")
-        assert sorted(set(calls)) == [(4 * m, 0) for m in range(1, 11)]
+        assert sorted(set(calls)) == [(2 * m,) for m in range(1, 11)]
 
     def test_long_near_relation_stays_unproved(self, monkeypatch):
         # at N = 2^40 this sextic over F_2 has the reduced row (794, 270, -840, 42):
@@ -1055,14 +1042,26 @@ class TestRelationLattice:
         real = weilrank.relfinder.verify_relation
         certs = []
 
-        def counted(w, e, m_power, **kwargs):
-            certs.append(real(w, e, m_power, **kwargs))
+        def counted(w, e, **kwargs):
+            certs.append(real(w, e, **kwargs))
             return certs[-1]
 
         monkeypatch.setattr(weilrank.relfinder, "verify_relation", counted)
         o = oracle_rank(w)
         assert (o.rank, o.lattice.basis) == (3, ())
         assert certs == []
+
+    def test_certificates_prove_their_basis_rows(self):
+        # a certificate names the beta-vector it proves: its basis row
+        for poly, q in _certify_inputs():
+            lat = relation_lattice(validate(poly, q))
+            assert [c.exponents for c in lat.certificates] == list(lat.basis)
+            assert all(c.holds for c in lat.certificates)
+
+    def test_exponents_on_the_representatives_only(self):
+        w = validate(NON_NEAT, 9)
+        with pytest.raises(PreconditionViolation, match="length"):
+            verify_relation(w, (2, 0, 2, 0, -2, 0))
 
     @pytest.mark.parametrize("bound", [0, -3])
     def test_bound_below_one_is_refused(self, bound):
