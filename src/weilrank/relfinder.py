@@ -15,17 +15,18 @@ Relations.  A relation is an integer vector v with prod beta_j^(v_j) = 1, where 
 beta_j = q^(-1) alpha_j^2 belong to the representatives: the member of negative imaginary
 part of each non-real pair.  The other member has beta = 1/beta_j, and +-sqrt(q) has
 beta = 1, so no other root adds a relation.  Candidate vectors are rows of an LLL-reduced
-lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^44, built from the arguments of the
-beta_j as doubles (`relation_lattice`); `verify_relation` proves or refutes each v exactly,
-and its certificate names v.  Brun steps on the angle column (`_euclid`) hand LLL a cheaper
-basis of the same lattice first; the certificate holds for any basis, so it does not
-depend on them.
+lattice (Lenstra, Lenstra and Lovasz 1982) at N = 2^k, built from the integer angles
+round(N arg(beta_j) / 2pi) of the disks (`_turn`); `verify_relation` proves or refutes each
+v exactly, and its certificate names v; k doubles from 44 until every candidate is proven
+(`relation_lattice`).  Brun steps on the angle column (`_euclid`) hand LLL a cheaper basis
+of the same lattice first; the certificate holds for any basis, so it does not need them.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,13 +57,7 @@ _ROOT_BITS_CAP = 1 << 13
 _GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than r
 _SEED_BITS = 40  # a bracket from a double root r reaches about |r| 2^-40 to each side
 _SEED_STEPS = 200  # double Newton steps per root, at most
-# eps = 2^-46 bounds the error of `_turns` in turns, mod 1.  In radians the disk
-# center moves arg(alpha) by < 2^-64 (radius <= 2^-64, |alpha| >= sqrt 2), doubles
-# by <= 2^-53 (a coordinate scaled below the normal range is under 2^-2000 of the other
-# and moves it less); dividing by pi adds 2^-52 turns; atan2 may be 90 ulps of 2^-51 off.
-_ANGLE_ERROR_BITS = 46
-_LATTICE_BITS = 44  # N = 2^44, the largest N with N eps <= 1/4
-_BOX_CAP = 1024  # box vectors `relation_lattice` proves one by one, at most
+_LATTICE_BITS = 44  # the first N = 2^k of `relation_lattice`
 
 
 # -- the real line: traces of eigenvalue pairs -------------------------------
@@ -276,6 +271,10 @@ def _disks(q: int, h: IntPoly, brackets, bits: int):
     return goal + 2, sorted(cells)
 
 
+def _rep_disks(q: int, h: IntPoly, reps, bits: int):  # 2 re(disk) brackets the j-th root of h
+    return _disks(q, h, [(j, r.a - r.m, r.a + r.m, r.k - 1) for j, r in reps], bits)
+
+
 # -- exact relation verification --------------------------------------------
 
 
@@ -369,9 +368,7 @@ def verify_relation(w: WeilPolynomial, v, roots=None) -> RelationCertificate:
     # the representatives ascend with their traces, so the j-th has the j-th root of h as trace
     pairs = [(j, r, x) for j, (r, x) in enumerate(zip(reps, v)) if x]
     while bits <= DEFAULT_PRECISION_CAP:
-        # 2 re = a / 2^(k-1): the doubled real projection [a -+ m] / 2^(k-1) of a disk
-        # holds one root of the trace polynomial, and none at its ends, so it is a bracket
-        k, cells = _disks(q, h, [(j, r.a - r.m, r.a + r.m, r.k - 1) for j, r, _ in pairs], bits)
+        k, cells = _rep_disks(q, h, [(j, r) for j, r, _ in pairs], bits)
         d = 1 << (k - bits)
         side_a = (q ** max(-n, 0) << bits, 0, 0)
         side_b = (q ** max(n, 0) << bits, 0, 0)
@@ -407,7 +404,7 @@ class RelationLattice:
     row v of `basis` means prod beta_j^(v_j) = 1 over those representatives,
     and `certificates[i]` proves `basis[i]`.  The basis is saturated,
     primitive, and in Hermite normal form (`_echelon`).  It holds every relation
-    of sup-norm <= `exponent_bound`, by the LLL certificate of `relation_lattice`.
+    of sup-norm <= `exponent_bound`, by the LLL cutoff of `relation_lattice`'s last N.
     """
 
     representatives: tuple[int, ...]
@@ -546,25 +543,54 @@ def _euclid(rows):
     return rows
 
 
-def _turns(r: CertifiedRoot) -> float:
-    """arg(beta) / 2pi for beta = alpha^2 / q, that is arg(alpha) / pi, as a double.
+def _atan(x: int, y: int, p: int, h: int, cs) -> int:
+    """2^p arg(x + yi) for 0 <= y <= x, within 6 2^h (`_turn`): h halvings, then Taylor's series."""
+    s = x.bit_length() - p - 2
+    x, y = (x >> s, y >> s) if s > 0 else (x << -s, y << -s)
+    for _ in range(h):  # x + yi -> x + |x + yi| + yi halves the argument
+        x += math.isqrt(x * x + y * y)
+    u = (y << p) // x
+    u2, acc = u * u >> p, 0
+    for c in cs:  # Horner's rule for atan(u / 2^p) = sum (-1)^n (u / 2^p)^(2n+1) / (2n+1)
+        acc = c - (u2 * acc >> p)
+    return (u * acc >> p) << h
 
-    atan2 is scale-free, so a and b share one divisor 2^s, s >= k, that puts both below
-    2^1000: each int / int rounds once, and neither overflows at any q.
+
+@functools.cache
+def _atan_terms(k: int):
+    """(p, h, cs, Q) for `_turn` at 2^k: bits, halvings, Horner's 2^p // (2n+1) and 2^p pi/4."""
+    h = max(2, math.isqrt(k) // 2)
+    p = k + h + 8
+    cs = [(1 << p) // (2 * n + 1) for n in range(p // h // 2, -1, -1)]
+    return p, h, cs, _atan(1, 1, p, h, cs)
+
+
+def _turn(a: int, b: int, k: int) -> int:
+    """round(2^k arg(a + bi) / pi) for b != 0, within 1/8 before the rounding; no floats.
+
+    In `_atan` the floor to p + 2 bits turns arg(x + yi) by < 1.2 2^-p, and each isqrt of the
+    h halvings by < 2^-(p+1) (|x + yi| >= 2^(p+2) then), < 2^(h-p) once doubled back h times.
+    Then tan phi < 2^-h, so the series cut at (2n + 1) h > p errs by < 2^-p, and the Horner
+    steps by < 3.5 2^-p: |`_atan` - 2^p phi| < E = 6 2^h.  The octant and pi/2 -, pi - give
+    2^p arg(|a| + |b|i) within 5E, and 4Q is 2^p pi within 4E, above 3 2^p: the quotient
+    errs by <= 9E 2^k / 4Q < 18 2^(h+k-p) < 1/8.  Any alpha in the disk (a + bi -+ m) / 2^K
+    with m 2^(k+2) <= max(|a|, |b|) has |arg alpha - arg(a + bi)| <= arcsin(m / |a + bi|)
+    <= (pi / 2) 2^-(k+2), another 1/8: so the result is within 3/4 of 2^k arg(alpha) / pi.
     """
-    s = 1 << max(r.k, max(abs(r.a), abs(r.b)).bit_length() - 1000)
-    return math.atan2(r.b / s, r.a / s) / math.pi
+    p, h, cs, q = _atan_terms(k)
+    x, y = abs(a), abs(b)
+    t = _atan(x, y, p, h, cs) if y <= x else 2 * q - _atan(y, x, p, h, cs)
+    t = (2 * ((4 * q - t if a < 0 else t) << k) + 4 * q) // (8 * q)
+    return t if b > 0 else -t
 
 
 def _short_rows(turns, bound: int, k: int):
-    """[(e, viable)] for rows 1..j of `relation_lattice`'s reduced lattice at N = 2^k: e is the
-    row's first d entries, first nonzero one positive; viable: the row (e, c) is at most R long
-    and |c| <= sum |e_i| (1/2 + N eps), as for any relation.  `_euclid` shrinks the angle
-    column before `_lll`, which then takes about a third of the iterations; both keep the
-    lattice, and the cutoff j holds for any LLL-reduced basis of it."""
-    d, eps = len(turns), _ANGLE_ERROR_BITS
-    rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, k))]
-            for i, t in enumerate(turns)]
+    """[(e, viable)] for rows 1..j of `relation_lattice`'s lattice at N = 2^k, eps = 2^-(k+2): e is
+    the row's first d entries, first nonzero one positive; viable: (e, c) is at most R long and
+    |c| <= sum |e_i| (1/2 + N eps), as for any relation.  `_euclid` before `_lll` saves it about
+    two thirds of its iterations; both keep the lattice, and the cutoff j holds for any basis."""
+    d, eps = len(turns), k + 2
+    rows = [[int(i == j) for j in range(d)] + [t] for i, t in enumerate(turns)]
     rows, dets = _lll(_euclid(rows + [[0] * d + [1 << k]]))
     # in integers times 2^eps: 1/2 + N eps = (2^(eps - 1) + N) / 2^eps
     slack = (1 << eps - 1) + (1 << k)
@@ -578,93 +604,54 @@ def _short_rows(turns, bound: int, k: int):
     ]
 
 
-def _box_points(hnf, bound: int):
-    """Vectors of sup-norm <= bound, first nonzero entry positive, in the row lattice with
-    HNF `hnf`: among rows i.., row i alone sets its pivot column, which bounds its coefficient.
-    Depth first, coefficients ascending row by row, so a caller may stop at any count.  The
-    columns before the next pivot are final once row i is added, so a partial vector with one
-    of them beyond the bound, or with a negative first nonzero one, is dropped with every
-    vector below it."""
-    ends = [next(c for c, x in enumerate(row) if x) for row in hnf] + [len(hnf[0])]
-
-    def walk(v, i):
-        if i == len(hnf):
-            if any(v):
-                yield tuple(v)
-            return
-        p, row = ends[i], hnf[i]
-        for m in range(-((bound + v[p]) // row[p]), (bound - v[p]) // row[p] + 1):
-            u = [x + m * y for x, y in zip(v, row)]
-            head = u[:ends[i + 1]]
-            if max(map(abs, head)) <= bound and next((x for x in head if x), 1) > 0:
-                yield from walk(u, i + 1)
-
-    return walk([0] * len(hnf[0]), 0)
-
-
-def relation_lattice(
-    w: WeilPolynomial, exponent_bound: int = DEFAULT_EXPONENT_BOUND
-) -> RelationLattice:
+def relation_lattice(w: WeilPolynomial,
+                     exponent_bound: int = DEFAULT_EXPONENT_BOUND) -> RelationLattice:
     """Certified relation lattice among the beta = q^(-1) alpha^2.
 
-    `_turns` gives tau_i = arg(beta_i) / 2pi within eps = 2^-46, mod 1.
-    With N = 2^44, the largest N with N eps <= 1/4, and t_i = round(N tau_i), the
-    rows (u_i, t_i), u_i the unit vectors, and (0, ..., 0, N) span a lattice.  A relation
-    e has e . tau = -m, m an integer, so (e, e . t + m N) is in it with last entry
-    at most sum |e_i| (1/2 + N eps), and length at most
-    R = sqrt(d H^2 + (d H (1/2 + N eps))^2) if every |e_i| <= H = exponent_bound.
-    Brun steps (`_euclid`) and then LLL reduce a basis of that lattice; the steps are
-    unimodular, so LLL sees the same lattice, and nothing below depends on which basis
-    it started from.  Let j be the last LLL-reduced row whose Gram-Schmidt vector is at most R
-    long: a vector with a nonzero coordinate on a row i > j is longer, so
-    every relation with sup-norm <= H is an integer combination of rows
-    1..j, and the box is complete once `verify_relation` proves them.  A row
-    that fails, or that no relation can be (`_short_rows`), is a
-    near-relation the angles cannot resolve, and then each of the at most
-    1024 vectors of sup-norm <= H in the span of rows 1..j is proved or
-    refuted; the walk stops at the 1025th and raises PrecisionExhausted.
-    The proven relations are saturated (a root of unity in the eigenvalue
-    group is 1 over a sufficiently large field) to a Hermite normal form,
-    and each basis vector is verified or keeps its proof, which depends on
-    that vector alone, not on the basis that proposed it.  An exponent bound
-    below 1 is refused.
+    `_turn` gives t_i within 1/2 + N eps of N tau_i, tau_i = arg(beta_i) / 2pi mod 1, for
+    N = 2^k and eps = 2^-(k+2).  The rows (u_i, t_i), u_i the unit vectors, and (0, ..., N)
+    span a lattice.  A relation e has e . tau = -m, m an integer, so (e, e . t + m N) is in
+    it with last entry at most sum |e_i| (1/2 + N eps), and length at most
+    R = sqrt(d H^2 + (d H (1/2 + N eps))^2) if every |e_i| <= H = exponent_bound.  Brun
+    steps (`_euclid`, unimodular) and then LLL reduce a basis of it.  Let j be the last
+    reduced row whose Gram-Schmidt vector is at most R long: a vector with a nonzero
+    coordinate on a row i > j is longer, so every relation with sup-norm <= H is an integer
+    combination of rows 1..j, and the box is complete once `verify_relation` proves them.
+    A row that is refuted, unviable (`_short_rows`) or past the precision cap is a
+    near-relation N does not resolve: k doubles from 44 up to DEFAULT_PRECISION_CAP, with
+    the disks refined (`_rep_disks`) once too coarse for `_turn`.  A vector of the box that
+    is no relation has e . tau off the integers, so a large enough N makes it longer than
+    R, and the rows that stay short are exact relations.  The proven relations are saturated
+    (over a sufficiently large field no root of unity but 1 is in the group) to a Hermite
+    normal form; each basis vector keeps its proof or is verified.
     """
     if exponent_bound < 1:
         raise PreconditionViolation(f"exponent bound must be at least 1, got {exponent_bound}")
     roots = certified_roots(w)
-    reps = [r.index for r in roots if r.b < 0]
-    d = len(reps)
-    turns = [_turns(roots[i]) for i in reps]
+    reps = [r for r in roots if r.b < 0]
+    disks = [(r.a, r.b, r.m) for r in reps]
     tried: dict[tuple[int, ...], RelationCertificate] = {}  # the proof of each row tried
-
-    def proven(e, viable):  # a refuted or unviable row fails
-        if e not in tried and viable:
-            tried[e] = verify_relation(w, e, roots=roots)
-        return e in tried and tried[e].holds
-
-    rows = _short_rows(turns, exponent_bound, _LATTICE_BITS)
-    if not all(proven(e, viable) for e, viable in rows):
-        # a near-relation closer than the angles resolve: prove each box vector of the span
-        box = _box_points(_echelon([list(e) for e, _ in rows], d)[0], exponent_bound)
-        points = list(itertools.islice(box, _BOX_CAP + 1))
-        if len(points) > _BOX_CAP:
-            raise PrecisionExhausted(f"more than {_BOX_CAP} box vectors to prove for {w.poly}")
-        for e in points:
-            proven(e, True)
-    basis = _saturate([e for e, cert in tried.items() if cert.holds], d)
-    certs = []
-    for row in basis:  # a basis row that is itself a proven row keeps its certificate
-        certs.append(tried.get(tuple(row)) or verify_relation(w, row, roots=roots))
-        if not certs[-1].holds:
-            raise PreconditionViolation(
-                "saturated relation failed verification; field not sufficiently large?"
-            )
-    return RelationLattice(
-        representatives=tuple(reps),
-        basis=tuple(tuple(r) for r in basis),
-        certificates=tuple(certs),
-        exponent_bound=exponent_bound,
-    )
+    k, scale = _LATTICE_BITS, 0
+    while k <= DEFAULT_PRECISION_CAP:
+        while any(m << (k + 2) > max(abs(a), abs(b)) for a, b, m in disks):  # too coarse
+            scale, cells = _rep_disks(w.q, _split(w)[0], enumerate(reps), max(k, scale))
+            disks = [(a, -b, m) for a, b, m in cells]
+        rows = _short_rows([_turn(a, b, k) for a, b, _ in disks], exponent_bound, k)
+        for e in [e for e, viable in rows if viable and e not in tried]:
+            with contextlib.suppress(PrecisionExhausted):  # not refuted: a larger N may drop it
+                tried[e] = verify_relation(w, e, roots=roots)
+        if all(e in tried and tried[e].holds for e, _ in rows):
+            break
+        k *= 2
+    else:
+        raise PrecisionExhausted(f"relation lattice of {w.poly} needs N above 2^{k // 2}")
+    basis = _saturate([e for e, cert in tried.items() if cert.holds], len(reps))
+    certs = [tried.get(tuple(row)) or verify_relation(w, row, roots=roots) for row in basis]
+    if not all(c.holds for c in certs):  # a basis row that is a proven row keeps its proof
+        raise PreconditionViolation(
+            "saturated relation failed verification; field not sufficiently large?")
+    return RelationLattice(tuple(r.index for r in reps), tuple(map(tuple, basis)),
+                           tuple(certs), exponent_bound)
 
 
 @dataclass(frozen=True)

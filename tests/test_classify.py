@@ -25,7 +25,6 @@ from weilrank.errors import (
     NonIntegralPolygon,
     NotSufficientlyLarge,
     OracleDisagreement,
-    PrecisionExhausted,
     PreconditionViolation,
 )
 from weilrank.exactcore import (
@@ -480,10 +479,7 @@ class TestTracePolynomialsSkipZassenhaus:
         assert len(w.components) == 3
         rep = classify_auto(w)
         assert (rep.sufficiency_degree, rep.rank) == (1, 3)
-        # the oracle cannot certify the triple yet (ROADMAP item 4); it gives up
-        # in its relation search, not in factoring
-        with pytest.raises(PrecisionExhausted):
-            oracle_rank(w)
+        assert oracle_rank(w).rank == 3
 
 
 def _quartic_elliptic_products(q):
@@ -632,7 +628,7 @@ class TestTheoremOnly:
     @pytest.mark.parametrize("e", [89, 127])
     @pytest.mark.parametrize("traces", [(-1, 3, 5), (1, 3, 5)])
     def test_three_curves_at_large_q(self, e, traces, monkeypatch):
-        # the oracle's box-vector fallback gives up on these, with PrecisionExhausted
+        # the theorem alone: the oracle is never called
         monkeypatch.setattr(weilrank.classify, "oracle_rank", _refuse_oracle)
         q = 2**e
         w = validate(prod((P(q, -r, 1) for r in traces), start=P(1)), q)

@@ -16,13 +16,13 @@ from hypothesis import strategies as st
 
 import weilrank.relfinder
 import weilrank.weil
-from weilrank.errors import PrecisionExhausted, PreconditionViolation
+from weilrank.classify import classify_auto, sufficiency_degree
+from weilrank.errors import NonIntegralPolygon, PrecisionExhausted, PreconditionViolation
 from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
 from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
     _LATTICE_BITS,
     RelationCertificate,
-    _box_points,
     _degree_bound,
     _echelon,
     _euclid,
@@ -30,7 +30,7 @@ from weilrank.relfinder import (
     _saturate,
     _short_rows,
     _split,
-    _turns,
+    _turn,
     certified_roots,
     oracle_rank,
     relation_lattice,
@@ -441,7 +441,10 @@ class TestSeedFallback:
         assert len(calls) == 1
         (r,) = [r for r in certified_roots(w) if r.b > 0]
         # arg(alpha) = acos(t / (2 sqrt q)), here close to 0.2017 pi
-        assert _turns(r) == pytest.approx(math.acos(Fraction(t, 2**1102)) / math.pi, abs=1e-12)
+        with mpmath.workdps(150):
+            turns = mpmath.acos(mpmath.mpf(t) / mpmath.mpf(2) ** 1102) / mpmath.pi
+            for k in (44, 300):
+                assert abs(_turn(r.a, r.b, k) - turns * 2**k) <= 0.75
 
 
 class TestVerifyRelation:
@@ -678,17 +681,21 @@ class TestLatticeAlgebra:
         assert _lattice_contains([], [0, 0, 0])
 
 
-def _angle_lattice(turns, k):
-    """The rows `_short_rows` reduces: unit rows beside round(2^k tau_i), and (0, ..., 0, 2^k)."""
-    d = len(turns)
-    rows = [[int(i == j) for j in range(d)] + [round(math.ldexp(t, k))]
-            for i, t in enumerate(turns)]
-    return rows + [[0] * d + [1 << k]]
+def _scaled(turns, k):
+    """round(2^k tau_i) for turns tau_i given as floats."""
+    return [round(math.ldexp(t, k)) for t in turns]
+
+
+def _angle_lattice(ts, k):
+    """The rows `_short_rows` reduces: unit rows beside the integer angles t_i at 2^k, and
+    (0, ..., 0, 2^k)."""
+    d = len(ts)
+    return [[int(i == j) for j in range(d)] + [t] for i, t in enumerate(ts)] + [[0] * d + [1 << k]]
 
 
 def _short_rows_without_euclid(turns, bound, k):
     """`_short_rows` with no Brun steps: `_lll` on the angle lattice as built."""
-    d, eps = len(turns), weilrank.relfinder._ANGLE_ERROR_BITS
+    d, eps = len(turns), k + 2
     rows, dets = _lll(_angle_lattice(turns, k))
     slack = (1 << eps - 1) + (1 << k)
     r2 = (d * bound**2 << 2 * eps) + (d * bound * slack) ** 2
@@ -702,8 +709,8 @@ def _short_rows_without_euclid(turns, bound, k):
 
 
 def _representative_turns(w):
-    roots = certified_roots(w)
-    return [_turns(r) for r in roots if r.conjugate_index > r.index]
+    """The `_turn` integers of the representatives at N = 2^44, as `relation_lattice` reads them."""
+    return [_turn(r.a, r.b, _LATTICE_BITS) for r in certified_roots(w) if r.b < 0]
 
 
 @functools.cache
@@ -739,7 +746,7 @@ class TestBrunSteps:
         st.sampled_from([20, 28, _LATTICE_BITS]),
     )
     def test_keeps_angle_lattices(self, turns, k):
-        self._check(_angle_lattice(turns, k))
+        self._check(_angle_lattice(_scaled(turns, k), k))
 
     def test_keeps_certify_lattices(self):
         for turns in _certify_turns():
@@ -757,7 +764,7 @@ class TestBrunSteps:
     )
     def test_degenerate_last_columns(self, turns, lasts):
         for k in (20, 28, _LATTICE_BITS):
-            out = self._check(_angle_lattice(turns, k))
+            out = self._check(_angle_lattice(_scaled(turns, k), k))
             assert [abs(r[-1]) for r in out] == [x * 2**k for x in lasts]
 
     def test_short_rows_keep_their_span(self):
@@ -773,47 +780,80 @@ class TestBrunSteps:
             assert sorted(v for _, v in got) == sorted(v for _, v in want)
 
 
-def _box_points_reference(hnf, bound):
-    """The reference for `_box_points`: every box vector at once, built breadth first."""
-    points = [[0] * len(hnf[0])]
-    for row in hnf:
-        p, h = next((c, x) for c, x in enumerate(row) if x)
-        points = [[x + m * y for x, y in zip(v, row)] for v in points
-                  for m in range(-((bound + v[p]) // h), (bound - v[p]) // h + 1)]
-    return [tuple(v) for v in points
-            if any(v) and max(map(abs, v)) <= bound and next(x for x in v if x) > 0]
+def _mp_turn(a, b, k):
+    """2^k arg(a + bi) / pi at 120 digits."""
+    with mpmath.workdps(120):
+        return mpmath.mpf(2) ** k * mpmath.atan2(b, a) / mpmath.pi
 
 
-class TestBoxPoints:
-    @settings(max_examples=200, deadline=None)
-    @given(small_matrices, st.integers(1, 4))
-    def test_equals_reference(self, matrix, bound):
-        hnf = _hnf(*matrix)
-        if hnf:
-            assert list(_box_points(hnf, bound)) == _box_points_reference(hnf, bound)
+class TestTurn:
+    """`_turn` is round(2^k arg(a + bi) / pi) on integers, off by at most 1/8 before rounding."""
 
-    @pytest.mark.parametrize("traces", [(1, 2, 3), (0, 1, -1), (-1, 2, 5)])
-    def test_walk_stops_at_the_cap(self, monkeypatch, traces):
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(-(2**400), 2**400),
+        st.integers(-(2**400), 2**400).filter(bool),
+        st.sampled_from([20, 44, 88, 300]),
+    )
+    def test_equals_mpmath(self, a, b, k):
+        assert abs(_turn(a, b, k) - _mp_turn(a, b, k)) <= 0.625
+
+    @pytest.mark.parametrize("k", [20, 44, 88, 300])
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, -1), (-1, 1), (-1, -1), (0, 1), (0, -1),
+                                      (-(2**200), 1), (-(2**200), -1), (2**200, 1), (3, 2**90)])
+    def test_octants_and_axes(self, a, b, k):
+        # the octant reductions, pi/2 and pi, and arguments next to 0 and +-pi
+        assert abs(_turn(a, b, k) - _mp_turn(a, b, k)) <= 0.625
+
+    def test_certify_representatives(self):
+        # each disk is fine enough at 2^44, so the integer is within 3/4 of the root's angle
+        for poly, q in _certify_inputs():
+            for r in certified_roots(validate(poly, q)):
+                if r.b < 0:
+                    assert r.m << 46 <= max(abs(r.a), abs(r.b))
+                    assert abs(_turn(r.a, r.b, 44) - _mp_turn(r.a, r.b, 44)) <= 0.625
+
+
+class TestPrecisionLoop:
+    """Near-relations finer than N = 2^44 raise N until the short rows are relations."""
+
+    @pytest.mark.parametrize(
+        "traces", [(1, 2, 3), (0, 1, -1), (-1, 2, 5), (-1, 3, 5), (1, 3, 5)]
+    )
+    def test_three_curves_over_f2_89(self, traces):
         # three curves t^2 - r t + 2^89: every beta lies within 2^-42 of -1, closer than
-        # the angles resolve, and the span of the short rows holds 17,230 box vectors;
-        # the walk stops at the 1025th, before any of them is proved
-        walks = []
-
-        def counted(hnf, bound):
-            walks.append((hnf, []))
-            for v in real(hnf, bound):
-                walks[-1][1].append(v)
-                yield v
-
-        real = weilrank.relfinder._box_points
-        monkeypatch.setattr(weilrank.relfinder, "_box_points", counted)
+        # N = 2^44 resolves, so the oracle answers at a larger N
         q = 2**89
         w = validate(math.prod((P(q, -r, 1) for r in traces), start=P(1)), q)
-        with pytest.raises(PrecisionExhausted, match="more than 1024 box vectors"):
-            relation_lattice(w)
-        [(hnf, drawn)] = walks
-        assert len(drawn) == 1025
-        assert len(_box_points_reference(hnf, weilrank.relfinder.DEFAULT_EXPONENT_BOUND)) == 17230
+        if 0 in traces:  # t^2 + q has beta = -1: torsion, which F_(q^2) removes
+            assert sufficiency_degree(w) == 2
+            with pytest.raises(PreconditionViolation):
+                oracle_rank(w)
+            return
+        assert oracle_rank(w).rank == 3
+        if 2 in traces:  # no abelian variety has these eigenvalues, so no theorem applies
+            with pytest.raises(NonIntegralPolygon):
+                classify_auto(w)
+        else:
+            assert classify_auto(w).rank == 3
+
+    @pytest.mark.parametrize(
+        "poly, q, bound, rank, basis",
+        [
+            (P(8, -8, 0, 3, 0, -2, 1), 2, 2000, 3, ()),
+            (NON_NEAT, 9, 1_000_000, 2, ((1, 1, -1),)),
+        ],
+    )
+    def test_wide_boxes_raise_the_precision(self, poly, q, bound, rank, basis):
+        # at N = 2^44 a short row of these boxes needs a proof past the precision cap; it
+        # counts as failed, not refuted, and a larger N leaves only the relations
+        w = validate(poly, q)
+        o = oracle_rank(w, exponent_bound=bound)
+        assert (o.rank, o.lattice.basis) == (rank, basis)
+        with pytest.raises(PrecisionExhausted):
+            for e, viable in _short_rows(_representative_turns(w), bound, _LATTICE_BITS):
+                if viable:
+                    verify_relation(w, e)
 
 
 def _per_lead_scan(thetas, bound, tol=1e-6):
@@ -882,13 +922,12 @@ class TestCandidateScan:
     """The reduced lattice's rows reach every hit of the exhaustive per-lead scan."""
 
     @pytest.mark.parametrize("kind, d, bound, seed", SCAN_CASES)
-    def test_matches_per_lead_scan(self, monkeypatch, kind, d, bound, seed):
+    def test_matches_per_lead_scan(self, kind, d, bound, seed):
         # at N = 2^20 and eps = 2^-22 turns, the certificate of `relation_lattice`
         # covers every e whose angle sum is within 2pi eps > 1e-6 of 0 mod 2pi,
         # so each hit of the scan is an integer combination of the rows 1..j
-        monkeypatch.setattr(weilrank.relfinder, "_ANGLE_ERROR_BITS", 22)
         thetas = _scan_thetas(kind, d, seed)
-        rows = _short_rows([t / (2 * math.pi) for t in thetas], bound, 20)
+        rows = _short_rows(_scaled([t / (2 * math.pi) for t in thetas], 20), bound, 20)
         span = _echelon([list(e) for e, _ in rows], d)[0]
         for e in _per_lead_scan(thetas, bound):
             assert _lattice_contains(span, e)
@@ -910,8 +949,8 @@ class TestCandidateScan:
     def test_non_neat_sextic(self):
         w = validate(NON_NEAT, 9)
         roots = certified_roots(w)
-        turns = [_turns(r) for r in roots if r.conjugate_index > r.index]
         for k in (28, _LATTICE_BITS):
+            turns = [_turn(r.a, r.b, k) for r in roots if r.b < 0]
             assert _short_rows(turns, 20, k) == [((1, 1, -1), True)]
         assert _per_lead_scan(_thetas(roots), 20)[0] == (1, 1, -1)
 
@@ -1012,9 +1051,9 @@ class TestRelationLattice:
         assert len(calls) <= 2
 
     def test_near_torsion_beyond_the_angles(self, monkeypatch):
-        # t^2 - t + q with q = 2^101: beta is within 2^-50 of -1, closer than the
-        # angles resolve, so the row (2) is refuted at N = 2^44; its multiples
-        # in the box, (2), (4), ..., (20), are proved or refuted one by one
+        # t^2 - t + q with q = 2^101: beta is within 2^-50 of -1, closer than
+        # N = 2^44 resolves, so the row (2) is refuted there; at N = 2^88 no row
+        # is short, and no other vector is proved
         real = weilrank.relfinder.verify_relation
         calls = []
 
@@ -1026,7 +1065,7 @@ class TestRelationLattice:
         q = 2**101
         o = oracle_rank(validate(P(q, -1, 1), q))
         assert (o.rank, o.lattice.basis, o.confidence) == (1, (), "certified_exact")
-        assert sorted(set(calls)) == [(2 * m,) for m in range(1, 11)]
+        assert calls == [(2,)]
 
     def test_long_near_relation_stays_unproved(self, monkeypatch):
         # at N = 2^40 this sextic over F_2 has the reduced row (794, 270, -840, 42):
@@ -1034,11 +1073,12 @@ class TestRelationLattice:
         # the precision cap.  Rows are candidates by their Gram-Schmidt lengths,
         # so it is none, and no proof runs at any scale
         w = validate(P(8, -8, 0, 3, 0, -2, 1), 2)
-        turns = [_turns(r) for r in certified_roots(w) if r.conjugate_index > r.index]
+        reps = [r for r in certified_roots(w) if r.b < 0]
         units = [[int(i == j) for j in range(3)] for i in range(3)]
-        rows = [u + [round(math.ldexp(t, 40))] for u, t in zip(units, turns)]
+        rows = [u + [_turn(r.a, r.b, 40)] for u, r in zip(units, reps)]
         assert [794, 270, -840, 42] in _lll(rows + [[0, 0, 0, 2**40]])[0]
-        assert all(_short_rows(turns, 20, k) == [] for k in (28, 40, 44))
+        assert all(_short_rows([_turn(r.a, r.b, k) for r in reps], 20, k) == []
+                   for k in (28, 40, 44))
         real = weilrank.relfinder.verify_relation
         certs = []
 
