@@ -3,13 +3,13 @@
 Roots.  A non-real eigenvalue alpha is fixed, up to conjugation, by its
 trace r = alpha + q/alpha, a root of the degree-g trace polynomial h:
 alpha = (r + i sqrt(4q - r^2)) / 2.  The real eigenvalues +-sqrt(q) stand
-for the roots +-2 sqrt(q) of h, which are divided out.  Double-precision
-roots of h, confirmed by exact sign changes, seed a bracket for each other
-root, and Sturm bisection stands in when they are not confirmed; bracketed
-Newton steps on integers x / 2^k narrow the brackets, and `_disks` makes each
-a disk for alpha, for the isolation (`certified_roots`) and for every proof;
-conj(alpha) = q/alpha is its mirror image.  The doubles only choose the
-brackets: numeric first, then certified (Kobel, Rouillier and Sagraloff 2016).
+for the roots +-2 sqrt(q) of h, which are divided out.  For deg h <= 3 the
+brackets of the other roots come in closed form, from isqrt and the critical
+points of h (`_trace_brackets`), and Sturm bisection finds them at higher
+degree; bracketed Newton steps on integers x / 2^k narrow the brackets, and
+`_disks` makes each a disk for alpha, for the isolation (`certified_roots`)
+and for every proof; conj(alpha) = q/alpha is its mirror image.  Every
+bracket is an exact sign change of h, and no float enters the oracle.
 
 Relations.  A relation is an integer vector v with prod beta_j^(v_j) = 1, where the
 beta_j = q^(-1) alpha_j^2 belong to the representatives: the member of negative imaginary
@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import PrecisionExhausted, PreconditionViolation
 from .exactcore import IntPoly, factor_over_integers, surd_signs
-from .exactcore.poly import _refine, _root_bound_bits, _round_div, _scaled_value, real_root_brackets
+from .exactcore.poly import _refine, _round_div, _scaled_value, real_root_brackets
 from .newton import newton_polygon
 from .weil import WeilPolynomial
 
@@ -55,8 +55,6 @@ _BASE_PRECISION = 128
 _ROOT_BITS = 64  # first goal of certified_roots, and the largest radius it accepts, 2^-64
 _ROOT_BITS_CAP = 1 << 13
 _GUARD_BITS = 32  # Newton runs this far past a goal: Im alpha moves faster than r
-_SEED_BITS = 40  # a bracket from a double root r reaches about |r| 2^-40 to each side
-_SEED_STEPS = 200  # double Newton steps per root, at most
 _LATTICE_BITS = 44  # the first N = 2^k of `relation_lattice`
 
 
@@ -150,20 +148,17 @@ class CertifiedRoot:
 def certified_roots(w: WeilPolynomial):
     """Isolating disks for the distinct eigenvalues, with pairing.
 
-    The brackets of the roots of the trace polynomial h come from its double-precision
-    roots (`_seed_brackets`), or from `real_root_brackets` when those are not all
-    confirmed.  The doubles decide only where each bracket lies and where Newton starts.
-    `_disks` refines each bracket to 2^-(bits + 32): the disk of the upper eigenvalue of a
-    pair.  bits doubles from 64 up to 8192 until every radius is at most 2^-64, no upper
-    disk reaches the real axis, and the real projections of the disks are pairwise
-    disjoint.  Each refined interval is an exact sign change of h, and `validate` proved
-    that h has deg h real simple roots, so deg h such disjoint intervals hold each root
-    once: the disks are sound however the brackets were found.
+    The brackets of the roots of the trace polynomial h come in closed form when deg h <= 3
+    (`_trace_brackets`), and from the Sturm isolator `real_root_brackets` above that; they
+    decide only where Newton starts.  `_disks` refines each bracket to 2^-(bits + 32): the
+    disk of the upper eigenvalue of a pair.  bits doubles from 64 up to 8192 until every
+    radius is at most 2^-64, no upper disk reaches the real axis, and the real projections
+    of the disks are pairwise disjoint.  Each refined interval is an exact sign change of h,
+    and `validate` proved that h has deg h real simple roots, so deg h such disjoint
+    intervals hold each root once: the disks are sound however the brackets were found.
     """
     h, signs = _split(w)
-    brackets = _seed_brackets(h)
-    if brackets is None:
-        brackets = real_root_brackets(h)
+    brackets = _trace_brackets(h) if h.degree <= 3 else real_root_brackets(h)
     bits = _ROOT_BITS
     while bits <= _ROOT_BITS_CAP:
         try:
@@ -192,62 +187,35 @@ def _certify_at(q: int, h: IntPoly, signs, brackets, bits: int):
     return tuple(roots)
 
 
-def _double_roots(h: IntPoly, b: int):
-    """The roots of h as doubles, descending, for h with deg h real simple roots in (-2^b, 2^b).
+def _trace_brackets(h: IntPoly):
+    """Sign-change brackets (lo, hi, k) of the roots of h, ascending, in closed form.
 
-    Newton steps from 2^b fall monotonically to the largest root; the search stops where a
-    step no longer falls and stays above -2^b.  That root is divided out, and the next
-    search starts from it.  OverflowError when h or 2^b is beyond double range,
-    PrecisionExhausted when a search does not settle.
+    h is monic, squarefree and real-rooted (`_split`) of degree <= 3.  Degree 1: the integer
+    root -h(0).  Degree 2: 2r = -b -+ sqrt(D), D = b^2 - 4c >= 1, lies within 1 of
+    -b -+ isqrt(D), and h is nonzero at those ends.  Degree 3, h = x^3 + b x^2 + a x + c: the
+    critical points c1,2 = (-b -+ sqrt(d)) / 3, d = b^2 - 3a, part the roots.  Rounded toward
+    the middle root at 2^-k, to e1 = ceil(c1 2^k) / 2^k and e2 = floor(c2 2^k) / 2^k, they
+    keep e1 < e2 from k = 4 on, as c2 - c1 >= 2/3, so h(e1) > 0 > h(e2) brackets the middle
+    root.  The roots are simple, so h(c1) > 0 > h(c2) strictly, and the doubling of k ends
+    once e1 and e2 are near enough to c1 and c2; it stops at 2^-8192 on any other input.  By
+    Samuelson's inequality the roots lie strictly within (2/3) sqrt(d) of their mean -b/3,
+    which gives the outer ends.
     """
-    c = [float(x) for x in h.coeffs]
-    top = x = math.ldexp(1.0, b)
-    roots = []
-    while len(c) > 1:
-        for _ in range(_SEED_STEPS):
-            v = dv = 0.0
-            for a in reversed(c):  # Horner's rule for h and h' at once
-                dv = dv * x + v
-                v = v * x + a
-            if not (dv and -top < (y := x - v / dv) < x):
-                break
-            x = y
-        else:
-            raise PrecisionExhausted("double Newton steps did not settle")
-        roots.append(x)
-        for j in range(len(c) - 2, 0, -1):  # c / (t - x), in place
-            c[j] += x * c[j + 1]
-        del c[0]
-    return roots
-
-
-def _seed_brackets(h: IntPoly):
-    """Sign-change brackets (lo, hi, k) of the roots of h, ascending, from `_double_roots`; or None.
-
-    A double r becomes (x -+ w) / 2^k with k >= 0: r -+ 2^(e - 40) for 2^(e-1) <= |r| < 2^e,
-    but e is at least b - 8 for the root bound 2^b (`_root_bound_bits`), above the rounding
-    of the divisions that found r; a root at 0 then still lies inside.  The brackets are kept
-    only if h changes sign across each, by its exact values at the ends, and no two overlap:
-    then the deg h of them hold one root each.  Otherwise, and when the doubles overflow or
-    do not settle, None.
-    """
-    b = _root_bound_bits(h)
-    try:
-        roots = _double_roots(h, b)
-    except (OverflowError, PrecisionExhausted):
-        return None
-    out = []
-    for r in reversed(roots):
-        e = max(math.frexp(r)[1], b - 8)
-        k = max(0, _SEED_BITS - e)
-        x, w = round(math.ldexp(r, k)), 1 << max(0, e - _SEED_BITS)
-        lo, hi = x - w, x + w
-        if _scaled_value(h.coeffs, lo, k) * _scaled_value(h.coeffs, hi, k) >= 0:
-            return None
-        if out and out[-1][1] << k > lo << out[-1][2]:
-            return None
-        out.append((lo, hi, k))
-    return out
+    c = h.coeffs
+    if h.degree < 2:
+        return [(-c[0] - 1, -c[0] + 1, 0)] if c[1:] else []
+    b = c[-2]
+    if h.degree == 2:
+        s = math.isqrt(b * b - 4 * c[0])
+        return [(-b - s - 1, -b - s + 1, 1), (-b + s - 1, -b + s + 1, 1)]
+    d, k = b * b - 3 * c[1], 4
+    while k <= _ROOT_BITS_CAP:
+        s, t = math.isqrt(d << 2 * k), b << k  # floor(2^k sqrt(d)), 2^k b
+        x1, x2 = -((t + s) // 3), (s - t) // 3
+        if _scaled_value(c, x1, k) > 0 > _scaled_value(c, x2, k):
+            return [((-t - 2 * s - 2) // 3, x1, k), (x1, x2, k), (x2, -((t - 2 * s - 2) // 3), k)]
+        k *= 2
+    raise PrecisionExhausted(f"critical values of {h} not separated at 2^-{k // 2}")
 
 
 def _disks(q: int, h: IntPoly, brackets, bits: int):
@@ -346,7 +314,10 @@ def verify_relation(w: WeilPolynomial, v, roots=None) -> RelationCertificate:
     least one, which yields the separation bound from |conjugate| = sqrt(q)
     <= ceil(sqrt(q)) and `_degree_bound`.  Ball arithmetic on the disks of
     the representatives with a nonzero exponent, refined by `_disks`,
-    doubles its precision up to DEFAULT_PRECISION_CAP bits.
+    doubles its precision up to DEFAULT_PRECISION_CAP bits.  It proves the
+    relation only from the precision the separation bound asks for; when
+    that is above 2048 bits, passes at 128, 256, 512 and 1024 bits try to
+    refute it first, for a fraction of the cost of one full pass.
     """
     if roots is None:
         roots = certified_roots(w)
@@ -364,7 +335,8 @@ def verify_relation(w: WeilPolynomial, v, roots=None) -> RelationCertificate:
     h, signs = _split(w)
     degree_bound = _degree_bound(q, h, signs)
     sep_log2 = -(degree_bound - 1) * conj_bound.bit_length() - 2
-    bits = max(_BASE_PRECISION, -sep_log2 + 64)
+    full = max(_BASE_PRECISION, -sep_log2 + 64)
+    bits = _BASE_PRECISION if 16 * _BASE_PRECISION < full <= DEFAULT_PRECISION_CAP else full
     # the representatives ascend with their traces, so the j-th has the j-th root of h as trace
     pairs = [(j, r, x) for j, (r, x) in enumerate(zip(reps, v)) if x]
     while bits <= DEFAULT_PRECISION_CAP:
@@ -384,10 +356,10 @@ def verify_relation(w: WeilPolynomial, v, roots=None) -> RelationCertificate:
         za, zb, zr = side_a[0] - side_b[0], side_a[1] - side_b[1], side_a[2] + side_b[2]
         mag = za * za + zb * zb
         # |difference| against the separation 2^sep_log2, both in the 2^-bits scale
-        holds = _isqrt_up(mag) + zr < 1 << (bits + sep_log2)
+        holds = bits >= full and _isqrt_up(mag) + zr < 1 << (bits + sep_log2)
         if holds or math.isqrt(mag) > zr:
             return RelationCertificate(holds, v, sep_log2, degree_bound, bits)
-        bits *= 2
+        bits = 2 * bits if bits >= full or 2 * bits < 16 * _BASE_PRECISION else full
     raise PrecisionExhausted(f"relation check needs more than {DEFAULT_PRECISION_CAP} bits")
 
 

@@ -1,6 +1,7 @@
 """Certified roots, exact relation verification, relation lattices."""
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -11,14 +12,20 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import weilrank.relfinder
 import weilrank.weil
 from weilrank.classify import classify_auto, sufficiency_degree
 from weilrank.errors import NonIntegralPolygon, PrecisionExhausted, PreconditionViolation
-from weilrank.exactcore import IntPoly, poly_squarefree_part, prime_power, sturm_real_root_count
+from weilrank.exactcore import (
+    IntPoly,
+    discriminant,
+    poly_squarefree_part,
+    prime_power,
+    sturm_real_root_count,
+)
 from weilrank.exactcore.poly import _refine, real_root_brackets
 from weilrank.relfinder import (
     _LATTICE_BITS,
@@ -30,6 +37,7 @@ from weilrank.relfinder import (
     _saturate,
     _short_rows,
     _split,
+    _trace_brackets,
     _turn,
     certified_roots,
     oracle_rank,
@@ -45,6 +53,8 @@ def P(*coeffs):
 
 
 NON_NEAT = P(729, -324, 72, -18, 8, -4, 1)
+# (t^2 - 3t + q)(t^2 + 6t + q)(t^2 + T t + q) over F_(2^400) is a Weil polynomial for this T
+T_2_400 = 2377548695819754352371374969413709760429566039489744177866102
 
 
 def _sextic_from_trace(hc, q):
@@ -159,16 +169,17 @@ class TestCertifiedRoots:
             val = w.poly.evaluate(complex(float(r.re), float(r.im)))
             assert abs(val) < 1e-6 * 9**3
 
-    def test_wide_brackets_at_large_q(self):
-        # (t^2 - 3t + q)(t^2 + 6t + q)(t^2 + Tt + q), q = 2^400: the doubles do not separate
-        # the traces 3 and -6, so the Sturm isolator's brackets are as wide as (0, 2^202), and
-        # `_refine` needs more than its 100 base steps to bisect them down
+    def test_wide_brackets_at_large_q(self, monkeypatch):
+        # (t^2 - 3t + q)(t^2 + 6t + q)(t^2 + Tt + q), q = 2^400: the brackets are as wide as
+        # 2^200 from the closed forms and 2^202 from the Sturm isolator, and `_refine` needs
+        # more than its 100 base steps to bisect them down
         q = 2**400
-        t = 2377548695819754352371374969413709760429566039489744177866102
-        w = validate(P(q, -3, 1) * P(q, 6, 1) * P(q, t, 1), q)
+        w = validate(P(q, -3, 1) * P(q, 6, 1) * P(q, T_2_400, 1), q)
         roots = certified_roots(w)
         assert len(roots) == 6
         assert sorted(r.conjugate_index for r in roots) == list(range(6))
+        monkeypatch.setattr(weilrank.relfinder, "_trace_brackets", real_root_brackets)
+        _same_disks(certified_roots(validate(w.poly, q)), roots)
 
 
     @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (P(-5, 0, 1) ** 2 * P(5, -1, 1), 5)])
@@ -229,32 +240,22 @@ class TestRootStarts:
     """Soundness rests on the sign changes and the disjointness check, not on the brackets."""
 
     @pytest.mark.parametrize("poly, q", START_CASES)
-    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed", "moved_doubles"])
+    @pytest.mark.parametrize("perturb", ["asymmetric_noise", "reversed"])
     def test_order_independent_of_starts(self, monkeypatch, poly, q, perturb):
-        # the seeded brackets in reverse order, or each narrowed by a different number of
-        # extra bisection steps, or seeded from doubles moved off their roots (by up to
-        # 2^-42 of each, inside its bracket), give the same disks
+        # the closed-form brackets in reverse order, or each narrowed by a different number
+        # of extra bisection steps, give the same disks
         w = validate(poly, q)
         roots = certified_roots(w)
         oracle = oracle_rank(w)
-        seeds = weilrank.relfinder._seed_brackets
-        doubles = weilrank.relfinder._double_roots
-        assert seeds(_split(w)[0]) is not None  # the starts moved are the seeded ones
+        brackets = weilrank.relfinder._trace_brackets
 
         def moved(h):
-            out = seeds(h)
+            out = brackets(h)
             if perturb == "reversed":
                 return out[::-1]
             return [_bisected(h, b, 3 * j + 1) for j, b in enumerate(out)]
 
-        if perturb == "moved_doubles":
-            monkeypatch.setattr(
-                weilrank.relfinder,
-                "_double_roots",
-                lambda h, b: [r * (1 + (j + 1) * 2.0**-44) for j, r in enumerate(doubles(h, b))],
-            )
-        else:
-            monkeypatch.setattr(weilrank.relfinder, "_seed_brackets", moved)
+        monkeypatch.setattr(weilrank.relfinder, "_trace_brackets", moved)
         monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", _refuse)
         w = validate(poly, q)  # a fresh instance: nothing cached
         _same_disks(certified_roots(w), roots)
@@ -280,34 +281,12 @@ class TestRootStarts:
     @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
     def test_two_starts_on_one_root_never_certify(self, monkeypatch, poly, q):
         # a duplicated bracket leaves a root uncovered: the disks overlap at every precision
-        seeds = weilrank.relfinder._seed_brackets
-        assert seeds(_split(validate(poly, q))[0]) is not None
+        brackets = weilrank.relfinder._trace_brackets
         monkeypatch.setattr(
-            weilrank.relfinder, "_seed_brackets", lambda h: [seeds(h)[0]] * h.degree
+            weilrank.relfinder, "_trace_brackets", lambda h: [brackets(h)[0]] * h.degree
         )
         with pytest.raises(PrecisionExhausted):
             certified_roots(validate(poly, q))
-
-    @pytest.mark.parametrize("poly, q", [(NON_NEAT, 9), (_sextic_from_trace([-1, -4, 0, 1], 5), 5)])
-    @pytest.mark.parametrize("wrong", ["duplicated", "off_the_root"])
-    def test_unconfirmed_doubles_fall_back(self, monkeypatch, poly, q, wrong):
-        # two doubles on one root give overlapping brackets, and a double 2^-30 of itself
-        # off its root a bracket without a sign change; the seeds refuse both, and the
-        # Sturm isolator takes over and finds the same disks
-        roots = certified_roots(validate(poly, q))
-        doubles = weilrank.relfinder._double_roots
-
-        def moved(h, b):
-            out = doubles(h, b)
-            if wrong == "duplicated":
-                return [out[0]] * h.degree
-            return [r * (1 + 2.0**-30) for r in out]
-
-        monkeypatch.setattr(weilrank.relfinder, "_double_roots", moved)
-        w = validate(poly, q)
-        h = _split(w)[0]
-        assert weilrank.relfinder._seed_brackets(h) is None
-        _same_disks(certified_roots(w), roots)
 
     def test_roots_at_dyadic_points(self):
         # a certify input whose trace polynomial is (x - 1)(x - 2)(x - 3): every
@@ -321,12 +300,12 @@ class TestRootStarts:
             assert h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(hi, 2**k)) < 0
         assert len(brackets) == 3
         assert [float(r.re) for r in certified_roots(w)] == [0.5, 0.5, 1.0, 1.0, 1.5, 1.5]
-        # the seeded brackets hold the same roots, by their own exact sign changes
-        seeded = weilrank.relfinder._seed_brackets(h)
-        for (lo, hi, k), root in zip(seeded, (1, 2, 3)):
+        # the closed-form brackets hold the same roots, by their own exact sign changes
+        closed = _trace_brackets(h)
+        for (lo, hi, k), root in zip(closed, (1, 2, 3)):
             assert Fraction(lo, 2**k) < root < Fraction(hi, 2**k)
             assert h.evaluate(Fraction(lo, 2**k)) * h.evaluate(Fraction(hi, 2**k)) < 0
-        assert len(seeded) == 3
+        assert len(closed) == 3
 
     def test_start_outside_the_newton_basin(self):
         # h = x^3 - x and the bracket (1/8, 65/64) around the root 1: its
@@ -386,51 +365,111 @@ class TestRootStarts:
         assert count == 727
 
     def test_seeded_disks_match_the_sturm_path(self, monkeypatch):
-        # on the same boxes every input takes the seeded path, and its disks hold the
-        # same roots, paired and ordered alike, as those from the Sturm isolator's brackets
+        # on the same boxes the disks from the closed-form brackets hold the same roots,
+        # paired and ordered alike, as those from the Sturm isolator's brackets
         for g, q in SMALL_BOXES:
             if prime_power(q) is None:
                 continue
             for w in enumerate_weil(SearchSpec(g=g, q=q)):
-                assert weilrank.relfinder._seed_brackets(_split(w)[0]) is not None, w
-                seeded = certified_roots(w)
+                closed = certified_roots(w)
                 with monkeypatch.context() as m:
-                    m.setattr(weilrank.relfinder, "_seed_brackets", lambda h: None)
-                    _same_disks(seeded, certified_roots(w))
+                    m.setattr(weilrank.relfinder, "_trace_brackets", real_root_brackets)
+                    _same_disks(closed, certified_roots(w))
+
+
+def _checked_brackets(h):
+    """`_trace_brackets(h)`, checked: one bracket per root, ascending and disjoint, each an
+    exact sign change of h around one root by a Sturm count."""
+    brackets = _trace_brackets(h)
+    assert len(brackets) == h.degree
+    ends = [(Fraction(lo, 2**k), Fraction(hi, 2**k)) for lo, hi, k in brackets]
+    for lo, hi in ends:
+        assert lo < hi and h.evaluate(lo) * h.evaluate(hi) < 0
+        assert sturm_real_root_count(h, lo, hi) == 1
+    assert all(a[1] <= b[0] for a, b in zip(ends, ends[1:]))
+    return brackets
+
+
+class TestTraceBrackets:
+    """The closed-form brackets of a monic real-rooted squarefree h of degree <= 3."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-(2**200), 2**200), min_size=0, max_size=3, unique=True))
+    def test_integer_roots(self, roots):
+        _checked_brackets(math.prod((P(-r, 1) for r in roots), start=P(1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**100), st.integers(0, 2**101), st.sampled_from([-1, 1]),
+           st.sampled_from([-1, 0, 1]))
+    @example(21885017255017117472088, 1, 1, 0)  # k = 128
+    def test_near_double_cubics(self, s, j, sign, shift):
+        # (x^2 - D)(x -+ isqrt(D)) + shift for D = s^2 + 1 + j mod 2s, not a square: a root
+        # next to -+sqrt(D), so a critical value near 0, and k doubles
+        h = P(-s * s - 1 - j % (2 * s), 0, 1) * P(-sign * s, 1) + P(shift)
+        assume(discriminant(h) > 0)
+        brackets = _checked_brackets(h)
+        if (s, j, sign, shift) == (21885017255017117472088, 1, 1, 0):
+            assert brackets[0][2] == 128
+
+
+def _large_q_inputs():
+    """(poly, q, rank): the products of one to three curves t^2 - r t + 2^e, r in {+-1, +-3, 5},
+    e in {61, 89, 127}, whose rank is the number of distinct |r| (beta_r beta_-r = 1); the
+    q = 2^400 triple; the curve t^2 - 3^695 t + 2^2202."""
+    out = []
+    for e in (61, 89, 127):
+        for n in (1, 2, 3):
+            for rs in itertools.combinations((1, -1, 3, -3, 5), n):
+                poly = math.prod((P(2**e, -r, 1) for r in rs), start=P(1))
+                out.append((poly, 2**e, len({abs(r) for r in rs})))
+    q = 2**400
+    out.append((P(q, -3, 1) * P(q, 6, 1) * P(q, T_2_400, 1), q, 3))
+    out.append((P(2**2202, -(3**695), 1), 2**2202, 1))
+    return out
 
 
 class TestSeedFallback:
-    """The Sturm isolator is the one fallback of the seeds, and the oracle's output does not
-    depend on which of the two found the brackets."""
+    """The Sturm isolator finds the brackets only above degree 3, and the oracle's output does
+    not depend on whether it or the closed forms found them."""
 
     def test_common_inputs_skip_the_sturm_isolator(self, monkeypatch):
-        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", _refuse)
+        calls = []
+        real = weilrank.relfinder.real_root_brackets
+        monkeypatch.setattr(
+            weilrank.relfinder, "real_root_brackets", lambda h: calls.append(h) or real(h)
+        )
         for poly, q in START_CASES + _certify_inputs():
             oracle_rank(validate(poly, q))
+        large = _large_q_inputs()
+        assert len(large) == 77
+        for poly, q, rank in large:
+            assert oracle_rank(validate(poly, q)).rank == rank
+        assert calls == []
+        # the fourfold of the CI diagnostic step: its trace polynomial has degree 4
+        w = validate(P(43046721, -2657205, 951345, -50706, 11898, -626, 145, -5, 1), 81)
+        assert len(certified_roots(w)) == 8
+        assert calls == [_split(w)[0]] and calls[0].degree == 4
 
     def test_failed_seeds_keep_the_oracle_output(self, monkeypatch):
+        # the Sturm isolator's brackets in place of the closed forms give the same output
         inputs = START_CASES + _certify_inputs()
         want = [repr(oracle_rank(validate(poly, q))) for poly, q in inputs]
         calls = []
         real = weilrank.relfinder.real_root_brackets
 
-        def overflow(h, b):
-            raise OverflowError("patched")
-
         def counted(h):
             calls.append(h)
             return real(h)
 
-        monkeypatch.setattr(weilrank.relfinder, "_double_roots", overflow)
-        monkeypatch.setattr(weilrank.relfinder, "real_root_brackets", counted)
+        monkeypatch.setattr(weilrank.relfinder, "_trace_brackets", counted)
         assert [repr(oracle_rank(validate(poly, q))) for poly, q in inputs] == want
         assert len(calls) == len(inputs)
 
     def test_curve_beyond_double_range(self, monkeypatch):
-        # t^2 - 3^695 t + 2^2202: the trace is beyond double range, so the seeds fall back
+        # t^2 - 3^695 t + 2^2202: the trace is beyond double range, and its bracket comes in
+        # closed form all the same
         q, t = 2**2202, 3**695
         w = validate(P(q, -t, 1), q)
-        assert weilrank.relfinder._seed_brackets(_split(w)[0]) is None
         calls = []
         real = weilrank.relfinder.real_root_brackets
         monkeypatch.setattr(
@@ -438,7 +477,7 @@ class TestSeedFallback:
         )
         o = oracle_rank(w)
         assert (o.rank, o.confidence, o.lattice.basis) == (1, "certified_exact", ())
-        assert len(calls) == 1
+        assert calls == []
         (r,) = [r for r in certified_roots(w) if r.b > 0]
         # arg(alpha) = acos(t / (2 sqrt q)), here close to 0.2017 pi
         with mpmath.workdps(150):
@@ -504,6 +543,25 @@ class TestVerifyRelation:
         assert poly_squarefree_part(w.poly).degree == 8
         cert = verify_relation(w, (1, 1, 1, 1))
         assert (cert.holds, cert.precision_bits) == (True, 3513)
+
+    def test_long_non_relation_is_refuted_early(self):
+        # (t^2 + t + q)(t^2 - 2t + q)(t^2 - 5t + q) over F_(2^89): a proof of the row
+        # (35, 20, -1) would take 34,345 bits, and a pass at 256 bits refutes it
+        q = 2**89
+        w = validate(P(q, 1, 1) * P(q, -2, 1) * P(q, -5, 1), q)
+        cert = verify_relation(w, (35, 20, -1))
+        assert (cert.holds, cert.separation_log2, cert.precision_bits) == (False, -34281, 256)
+        # a relation holds only at the precision its separation bound asks for, or above:
+        # beta_1 beta_2 = 1 for the traces -+3^695 over F_(2^2202)
+        q, t = 2**2202, 3**695
+        w = validate(P(q, -t, 1) * P(q, t, 1), q)
+        assert verify_relation(w, (1, 1)) == RelationCertificate(
+            holds=True,
+            exponents=(1, 1),
+            separation_log2=-13220,
+            conjugate_degree_bound=4,
+            precision_bits=26568,
+        )
 
     def test_large_q_with_one_pair_left_out(self):
         # (t^4 - (2q - 1) t^2 + q^2)(t^2 - 3t + q) over F_(2^71): only the disks of the

@@ -19,6 +19,22 @@ def test_no_assert_statements():
     assert list(SRC.rglob("*.py")) and found == []
 
 
+def test_no_floating_point():
+    # the program is exact: no float or complex constant, conversion or mantissa split
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            call = node.func if isinstance(node, ast.Call) else None
+            if (
+                isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))
+                or isinstance(call, ast.Name) and call.id in ("float", "complex")
+                or isinstance(node, ast.Attribute) and node.attr in ("frexp", "ldexp")
+                or isinstance(node, ast.alias) and node.name in ("frexp", "ldexp")
+            ):
+                found.append(f"{path.relative_to(SRC)}:{getattr(node, 'lineno', '?')}")
+    assert list(SRC.rglob("*.py")) and found == []
+
+
 def _after_import(expr: str, imports: str) -> str:
     """What a fresh interpreter prints for expr after `import sys, <imports>`."""
     code = f"import sys, {imports}; print({expr})"
